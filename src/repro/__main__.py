@@ -30,8 +30,8 @@ Commands:
 * ``bench sim [--quick] [--check]`` — measure simulator throughput
   (``BENCH_sim.json``), optionally gating against the committed floor
   in ``benchmarks/perf/sim_floor.json`` (see ``docs/simulator.md``);
-* ``bench search [--quick] [--check]`` — measure the search scheduler:
-  pipelined-vs-barrier wall clock and the model prescreen's avoided
+* ``bench search [--quick] [--check]`` — measure the search: ``-j 1``
+  vs ``-j N`` wall clock and the model prescreen's avoided
   simulations (``BENCH_search.json``, floor
   ``benchmarks/perf/search_floor.json``; see ``docs/search.md``);
 * ``bench trend`` — append a summary row from the current
@@ -64,11 +64,8 @@ exploration draws; a missing or mismatched artifact falls back to
 simulating everything (fail open).
 
 ``tune`` and ``experiments`` accept evaluation-engine options:
-``-j/--jobs N`` fans candidate batches out over N workers (results are
-identical to ``-j 1``, just faster); ``--workers threads`` keeps the
-batch in-process and drives it through the cross-candidate batched
-simulator instead of pickling to a process pool (incompatible with
-``--inject-faults``, whose kill faults need a process boundary);
+``-j/--jobs N`` fans candidate batches out over a pool of N worker
+processes (results are identical to ``-j 1``, just faster);
 ``--cache [DIR]``
 enables the content-addressed on-disk result cache (default directory
 ``results/cache``), so re-runs skip every previously simulated
@@ -135,15 +132,7 @@ def _fs_fault_plan_arg(text: str):
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "-j", "--jobs", type=_positive_int, default=1, metavar="N",
-        help="evaluate candidate batches on N workers (default 1)",
-    )
-    parser.add_argument(
-        "--workers", choices=("processes", "threads"), default="processes",
-        help="worker venue for -j: 'processes' isolates candidates in a "
-             "process pool (required for --inject-faults); 'threads' runs "
-             "deferred batches in-process through the cross-candidate "
-             "batched simulator — no pickling, same results (default "
-             "processes)",
+        help="evaluate candidate batches on N worker processes (default 1)",
     )
     parser.add_argument(
         "--cache", nargs="?", const=_DEFAULT_CACHE_DIR, default=None, metavar="DIR",
@@ -259,7 +248,7 @@ def _parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="tracked performance benchmarks")
     bench.add_argument("suite", choices=("sim", "search", "serve", "trend"),
                        help="benchmark suite to run (sim: simulator throughput; "
-                            "search: scheduler pipelining + model prescreen; "
+                            "search: -j 1 vs -j N wall + model pruning; "
                             "serve: daemon dedup + warm-start transfer + "
                             "served-trace determinism; "
                             "trend: append a summary row from the current "
@@ -273,7 +262,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="alternate floor file for --check")
     bench.add_argument("--legs", default=None, metavar="L1,L2,...",
                        help="search suite only: run a subset of the leg "
-                            "groups (pipeline, prescreen, learned); default "
+                            "groups (parallel, prescreen, learned); default "
                             "all — CI jobs select just the legs they gate on")
     bench.add_argument("-o", "--out", default=None, metavar="FILE",
                        help="result file (default BENCH_sim.json / "
@@ -376,11 +365,8 @@ def _parser() -> argparse.ArgumentParser:
                             f"requests (default dir: {_DEFAULT_CACHE_DIR})")
     serve.add_argument("-j", "--jobs", type=_positive_int, default=1,
                        metavar="N",
-                       help="workers per search; with processes, all searches "
-                            "share one fair-share pool of N (default 1)")
-    serve.add_argument("--workers", choices=("processes", "threads"),
-                       default="processes",
-                       help="worker venue for -j (default processes)")
+                       help="worker processes; all searches share one "
+                            "fair-share pool of N (default 1)")
     serve.add_argument("--concurrency", type=_positive_int, default=2,
                        metavar="N",
                        help="searches running at once (default 2)")
@@ -485,7 +471,6 @@ def _cmd_tune(args) -> None:
     engine = EvalEngine(
         machine,
         jobs=args.jobs,
-        workers=args.workers,
         cache=(
             ResultCache(args.cache, fs_faults=args.inject_fs_faults)
             if args.cache else None
@@ -594,7 +579,6 @@ def _cmd_serve(args) -> None:
         args.store,
         cache_dir=args.cache,
         jobs=args.jobs,
-        workers=args.workers,
         concurrency=args.concurrency,
     )
     print(f"repro serve: listening on {args.socket} "
@@ -985,7 +969,6 @@ def _cmd_experiments(
     fault_plan=None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    workers: str = "processes",
     fs_faults=None,
 ) -> None:
     from repro.experiments import fig4, fig5, runner, searchcost, table1, table4
@@ -996,7 +979,7 @@ def _cmd_experiments(
         jobs=jobs, cache_dir=cache_dir, trace=trace,
         policy=policy, fault_plan=fault_plan,
         checkpoint_dir=checkpoint_dir, resume=resume,
-        workers=workers, fs_faults=fs_faults,
+        fs_faults=fs_faults,
     )
     for name in names:
         if name == "table1":
@@ -1041,7 +1024,6 @@ def main(argv: Optional[List[str]] = None) -> None:
                              trace=args.trace, policy=_engine_policy(args),
                              fault_plan=args.inject_faults,
                              checkpoint_dir=args.checkpoint, resume=args.resume,
-                             workers=args.workers,
                              fs_faults=args.inject_fs_faults)
         elif args.command == "bench":
             _cmd_bench(args)

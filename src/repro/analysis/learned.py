@@ -37,7 +37,7 @@ statistics** (the Gram matrix ``X'X`` and moment vector ``X'y``) rather
 than just the solved weights: an online refit is then one rank-1 update
 per new measurement followed by a re-solve — exact, cheap, and
 deterministic in the driver's consumption order, so ranks are identical
-at every ``-j`` and worker venue.
+at every ``-j``, with or without speculation.
 
 Artifact
 --------
@@ -59,7 +59,7 @@ kernel / machine / machine spec, an unscorable candidate (instantiation
 fails), or a batch too small to rank — each falls back to simulating
 everything.  Ranking decisions are *recorded at consumption* in driver
 order (``EvalEngine.note_ranker_skip``), keeping winners and canonical
-traces byte-identical across job counts and worker venues.
+traces byte-identical across job counts, with or without speculation.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.missmodel import estimate_misses
-from repro.analysis.surrogate import _issue_cycles
+from repro.analysis.surrogate import _issue_cycles, stall_cycles
 from repro.core.variants import Variant, instantiate
 from repro.ir.nest import Kernel
 from repro.machines import MachineSpec
@@ -88,6 +88,7 @@ __all__ = [
     "evaluate_ranker",
     "load_ranker",
     "save_ranker",
+    "spearman",
     "train_ranker",
 ]
 
@@ -170,13 +171,7 @@ def _raw_features(
         issue = _issue_cycles(inst, problem, machine)
     except Exception:
         return None
-    caches = machine.caches
-    stalls = 0.0
-    for i, misses in enumerate(est.per_level):
-        if i + 1 < len(caches):
-            stalls += misses * caches[i + 1].latency
-        else:
-            stalls += misses * machine.memory_latency
+    stalls = stall_cycles(est.per_level, machine)
     logs = [math.log2(max(1, int(values.get(p, 1)))) for p in params]
     feats = list(logs)
     feats.extend(
@@ -191,10 +186,9 @@ def _raw_features(
     return feats
 
 
-def _spearman(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
-    """Average-rank Spearman (numpy-free ties handling; mirrors
-    :mod:`repro.obs.accuracy`, duplicated here to avoid an import cycle
-    through ``repro.obs`` → ``repro.core``)."""
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
+    """Spearman rank correlation with average ranks for ties (no scipy);
+    ``None`` below two points or when either side is constant."""
     n = len(xs)
     if n < 2:
         return None
@@ -601,7 +595,7 @@ def train_ranker(
     ranker = LearnedRanker(body)
     predicted = xs @ ranker.weights
     residual = predicted - y
-    rho = _spearman([float(p) for p in predicted], [float(t) for t in y])
+    rho = spearman([float(p) for p in predicted], [float(t) for t in y])
     ranker.training = {
         "rmse_log_cycles": float(np.sqrt(np.mean(residual**2))),
         "spearman": None if rho is None else float(rho),
@@ -643,7 +637,7 @@ def evaluate_ranker(
         predicted.append(score)
         measured.append(math.log(cycles))
     errors = [abs(p - m) for p, m in zip(predicted, measured)]
-    rho = _spearman(predicted, measured)
+    rho = spearman(predicted, measured)
     return {
         "rows": len(samples),
         "scored": len(predicted),

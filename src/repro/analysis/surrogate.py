@@ -31,7 +31,7 @@ fails, bounds do not evaluate) is simulated, never skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.missmodel import estimate_misses
 from repro.core.variants import Variant, instantiate
@@ -39,7 +39,7 @@ from repro.ir.nest import ArrayRef, Assign, CBin, CVar, Kernel, Loop, Prefetch
 from repro.machines import MachineSpec
 from repro.sim.cpu import iteration_issue_cycles
 
-__all__ = ["Surrogate", "SkipVerdict", "DEFAULT_MARGIN"]
+__all__ = ["Surrogate", "SkipVerdict", "DEFAULT_MARGIN", "stall_cycles"]
 
 #: default safety margin: a candidate is skipped only when the model puts
 #: it more than this fraction above the running best's score.  Calibrated
@@ -49,6 +49,20 @@ __all__ = ["Surrogate", "SkipVerdict", "DEFAULT_MARGIN"]
 #: floor, and 0.29 clears it with headroom while still pruning >25% of
 #: the simulations on the machines where the search wanders most
 DEFAULT_MARGIN = 0.29
+
+
+def stall_cycles(per_level: Sequence[float], machine: MachineSpec) -> float:
+    """Memory stall cycles of per-cache-level miss counts: a miss at level
+    i is served by level i+1, the last level's misses go to memory.  (TLB
+    stays out: the model cannot see it.)"""
+    caches = machine.caches
+    stalls = 0.0
+    for i, misses in enumerate(per_level):
+        if i + 1 < len(caches):
+            stalls += misses * caches[i + 1].latency
+        else:
+            stalls += misses * machine.memory_latency
+    return stalls
 
 
 @dataclass(frozen=True)
@@ -96,16 +110,7 @@ class Surrogate:
             # fail-open: an unscorable candidate must be simulated
             self._scores[key] = None
             return None
-        # A miss at level i is served by level i+1; the last level's
-        # misses go to memory.  (TLB stays out: the model cannot see it.)
-        caches = self.machine.caches
-        stalls = 0.0
-        for i, misses in enumerate(est.per_level):
-            if i + 1 < len(caches):
-                stalls += misses * caches[i + 1].latency
-            else:
-                stalls += misses * self.machine.memory_latency
-        result = issue + stalls
+        result = issue + stall_cycles(est.per_level, self.machine)
         self._scores[key] = result
         return result
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -55,11 +56,11 @@ __all__ = [
     "SEARCH_LEGS",
 ]
 
-#: the search suite's leg groups, selectable with ``--legs``: wall-clock
-#: scheduling comparisons, the analytical-prescreen pruning legs, and
-#: the learned-ranker pruning legs.  CI jobs run only the groups they
-#: gate on; the default is all of them.
-SEARCH_LEGS = ("pipeline", "prescreen", "learned")
+#: the search suite's leg groups, selectable with ``--legs``: the
+#: ``-j 1`` vs ``-j N`` wall-clock comparison, the analytical-prescreen
+#: pruning legs, and the learned-ranker pruning legs.  CI jobs run only
+#: the groups they gate on; the default is all of them.
+SEARCH_LEGS = ("parallel", "prescreen", "learned")
 
 #: a workload fails the CI gate only below ``floor * (1 - FLOOR_SLACK)``
 FLOOR_SLACK = 0.30
@@ -209,8 +210,8 @@ def run_sim_bench(quick: bool = False) -> Dict[str, object]:
 
 
 def _golden_search_once(
-    machine_name: str, jobs: int, pipeline: bool, prescreen: bool,
-    workers: str = "processes", ranker=None, tracer=None,
+    machine_name: str, jobs: int, prescreen: bool, ranker=None, tracer=None,
+    size: int = 24,
 ) -> Tuple[float, object, Dict[str, object]]:
     """One golden mm search; returns (wall seconds, engine stats, winner)."""
     from repro.core import EcoOptimizer, SearchConfig
@@ -219,14 +220,13 @@ def _golden_search_once(
     from repro.machines import get_machine
 
     machine = get_machine(machine_name)
-    engine = EvalEngine(machine, jobs=jobs, workers=workers, tracer=tracer)
+    engine = EvalEngine(machine, jobs=jobs, tracer=tracer)
     config = SearchConfig(
-        full_search_variants=2, pipeline=pipeline, prescreen=prescreen,
-        ranker=ranker,
+        full_search_variants=2, prescreen=prescreen, ranker=ranker,
     )
     start = time.perf_counter()
     tuned = EcoOptimizer(matmul(), machine, config, engine=engine).optimize(
-        {"N": 24}
+        {"N": size}
     )
     wall = time.perf_counter() - start
     engine.close()
@@ -253,9 +253,9 @@ def _learned_leg(machine_name: str) -> Dict[str, object]:
     ``flatten_trace`` → ``train_ranker``) and reruns the identical
     search with the ranker on — the avoided fraction is then a pure
     property of the model and the skip policy, not of which corpus
-    happened to be on disk.  Both runs are ``-j 1`` pipelined with the
-    analytical prescreen off, the same baseline the prescreen legs use,
-    so the two avoided fractions are directly comparable.
+    happened to be on disk.  Both runs are ``-j 1`` with the analytical
+    prescreen off, the same baseline the prescreen legs use, so the two
+    avoided fractions are directly comparable.
     """
     from repro.analysis.learned import train_ranker
     from repro.obs import Tracer
@@ -263,13 +263,13 @@ def _learned_leg(machine_name: str) -> Dict[str, object]:
 
     tracer = Tracer(command="bench", suite="search", machine=machine_name)
     _, base_stats, base_winner = _golden_search_once(
-        machine_name, 1, True, False, tracer=tracer
+        machine_name, 1, False, tracer=tracer
     )
     ranker = train_ranker(
         flatten_trace(tracer.events()), "mm", machine_name, seed=0
     )
     _, ranked_stats, ranked_winner = _golden_search_once(
-        machine_name, 1, True, False, ranker=ranker
+        machine_name, 1, False, ranker=ranker
     )
     avoided = 1.0 - ranked_stats.simulations / max(1, base_stats.simulations)
     return {
@@ -282,21 +282,33 @@ def _learned_leg(machine_name: str) -> Dict[str, object]:
     }
 
 
+def _default_search_jobs() -> int:
+    """Worker count of the parallel leg: up to 4, no more than the host
+    has (oversubscribed workers only measure contention), at least 2."""
+    return max(2, min(4, os.cpu_count() or 1))
+
+
 def run_search_bench(
-    quick: bool = False, jobs: int = 4, legs: Optional[Tuple[str, ...]] = None
+    quick: bool = False, jobs: Optional[int] = None,
+    legs: Optional[Tuple[str, ...]] = None,
 ) -> Dict[str, object]:
-    """Run the search-scheduler benchmark; returns the BENCH_search payload.
+    """Run the search benchmark; returns the BENCH_search payload.
 
     Three claims are measured on the golden mm search (the workload
     pinned by tests/test_search_golden.py), each its own selectable leg
     group (``legs``; default all of :data:`SEARCH_LEGS`):
 
-    * **pipeline** — wall clock of the same search under barrier vs
-      pipelined scheduling at ``-j 1`` and ``-j N``.  The winner and every
-      per-point decision are byte-identical across all four legs (the
-      determinism tests pin this), so the comparison is pure scheduling.
-      The speedup number only means something on a host with >= ``jobs``
-      cores — it ships with the host context for exactly that reason;
+    * **parallel** — wall clock of the same search at ``-j 1`` and
+      ``-j N`` (``jobs``; default :func:`_default_search_jobs`), legs
+      interleaved, median of the repeats.  The winner and every
+      per-point decision are byte-identical across legs (the determinism
+      tests pin this), so the comparison is pure parallelism: batch
+      fan-out plus speculation, which runs only at ``-j N`` on a
+      multi-CPU host.  N=24 is the golden size; the full run adds N=64,
+      where a simulation costs enough for speculation to pay, and
+      ``parallel_speedup`` is ``-j 1`` wall / ``-j N`` wall there.  The
+      speedup only means something on a host with >= ``jobs`` cores —
+      it ships with the host context for exactly that reason;
     * **prescreen** — simulations run with the analytical-model prescreen
       on vs off, on *all four* machine models, with the tuned winner
       required to be identical.  These counts are deterministic on any
@@ -307,13 +319,9 @@ def run_search_bench(
       Gated harder than the prescreen (the committed floor demands a
       larger avoided fraction on *every* machine).
 
-    Every pipeline leg also reports **wall-based sims/sec**
+    Every parallel leg also reports **wall-based sims/sec**
     (``simulations / wall_seconds`` over the whole search, front end
-    included) — the number the batched-simulation + delta-evaluation
-    work moves; the floor gates the best leg's rate.  The ``threads-jN``
-    leg runs the in-process batched venue (``--workers threads``): same
-    results, no pickling, candidates stacked through the cross-candidate
-    simulator.
+    included); the floor gates the best leg's rate.
     """
     from repro.analysis.learned import (
         DEFAULT_EXPLORE,
@@ -329,72 +337,75 @@ def run_search_bench(
         raise ValueError(
             f"unknown search legs {unknown} (choose from {list(SEARCH_LEGS)})"
         )
-    repeats = 1 if quick else 3
+    jobs = jobs if jobs is not None else _default_search_jobs()
+    #: (problem size, interleaved repeats): cheap N=24 runs get enough
+    #: repeats for a stable median, N=64 (~10 s a run) a few
+    sizes = ((24, 1),) if quick else ((24, 10), (64, 3))
     payload: Dict[str, object] = {
-        "schema": 1,
+        "schema": 2,
         "quick": quick,
-        "repeats": repeats,
+        "repeats": {str(size): repeats for size, repeats in sizes},
         "jobs": jobs,
         "legs": list(selected),
         "python": platform.python_version(),
         "host": _host_context(),
         "methodology": (
-            "golden mm search (full_search_variants=2, N=24) under each "
-            "scheduling mode, best of N repeats; prescreen and learned "
-            "legs run at -j 1 (their sim counts and winners are "
-            "deterministic); the learned leg trains on the base run's "
+            "golden mm search (full_search_variants=2) at -j 1 and -j N, "
+            "legs interleaved, median wall of the repeats; prescreen and "
+            "learned legs run at N=24, -j 1 (their sim counts and winners "
+            "are deterministic); the learned leg trains on the base run's "
             "own trace"
         ),
     }
 
-    if "pipeline" in selected:
-        wall_legs = {
-            "barrier-j1": (1, False, "processes"),
-            f"barrier-j{jobs}": (jobs, False, "processes"),
-            "pipelined-j1": (1, True, "processes"),
-            f"pipelined-j{jobs}": (jobs, True, "processes"),
-            f"threads-j{jobs}": (jobs, True, "threads"),
-        }
-        _golden_search_once("sgi", 1, True, False)  # warmup
+    if "parallel" in selected:
+        _golden_search_once("sgi", 1, False)  # warmup
         wall_seconds: Dict[str, float] = {}
         sims_per_sec: Dict[str, int] = {}
-        sims = 0
-        full_sims = delta_sims = 0
-        for label, (leg_jobs, pipeline, workers) in wall_legs.items():
-            best = float("inf")
+        sims: Dict[str, Dict[str, int]] = {}
+        winner_match = True
+        for size, repeats in sizes:
+            walls: Dict[int, List[float]] = {1: [], jobs: []}
+            winners = []
             for _ in range(repeats):
-                wall, stats, _ = _golden_search_once(
-                    "sgi", leg_jobs, pipeline, False, workers
+                for leg_jobs in walls:
+                    wall, stats, winner = _golden_search_once(
+                        "sgi", leg_jobs, False, size=size
+                    )
+                    walls[leg_jobs].append(wall)
+                    winners.append(winner)
+            winner_match = winner_match and all(w == winners[0] for w in winners)
+            sims[str(size)] = {
+                "sims": stats.simulations,
+                "full_sims": stats.full_sims,
+                "delta_sims": stats.delta_sims,
+            }
+            for leg_jobs, samples in walls.items():
+                label = f"N{size}-j{leg_jobs}"
+                wall_seconds[label] = round(statistics.median(samples), 3)
+                sims_per_sec[label] = int(
+                    stats.simulations / max(1e-9, wall_seconds[label])
                 )
-                best = min(best, wall)
-            wall_seconds[label] = round(best, 3)
-            sims_per_sec[label] = int(stats.simulations / max(1e-9, best))
-            sims = stats.simulations
-            full_sims = stats.full_sims
-            delta_sims = stats.delta_sims
-        speedup = round(
-            wall_seconds[f"barrier-j{jobs}"]
-            / max(1e-9, wall_seconds[f"pipelined-j{jobs}"]),
-            2,
-        )
-        payload["search"] = {
+        search: Dict[str, object] = {
             "workload": "golden-search-mm@sgi-r10k-mini",
             "sims": sims,
-            "full_sims": full_sims,
-            "delta_sims": delta_sims,
+            "winner_match": winner_match,
             "wall_seconds": wall_seconds,
             "sims_per_sec": sims_per_sec,
             "best_sims_per_sec": max(sims_per_sec.values()),
-            "pipeline_speedup": speedup,
         }
+        if not quick:
+            search["parallel_speedup"] = round(
+                wall_seconds["N64-j1"] / max(1e-9, wall_seconds[f"N64-j{jobs}"]),
+                2,
+            )
+        payload["search"] = search
 
     if "prescreen" in selected:
         per_machine: Dict[str, Dict[str, object]] = {}
         for name in MACHINES:
-            _, base_stats, base_winner = _golden_search_once(
-                name, 1, True, False
-            )
-            _, pre_stats, pre_winner = _golden_search_once(name, 1, True, True)
+            _, base_stats, base_winner = _golden_search_once(name, 1, False)
+            _, pre_stats, pre_winner = _golden_search_once(name, 1, True)
             avoided = 1.0 - pre_stats.simulations / max(
                 1, base_stats.simulations
             )
@@ -491,8 +502,8 @@ def check_search_floor(
     Returns ``(failures, warnings)``.  ``hard`` gates (prescreen and
     learned-ranker avoided fractions, winner matches) are deterministic —
     same counts on any host — and always enforced, with no slack.
-    ``host_sensitive`` gates (the parallel pipeline speedup, the
-    wall-based sims/sec rate) get ``FLOOR_SLACK`` and are downgraded to
+    ``host_sensitive`` gates (the ``-j 1`` / ``-j N`` parallel speedup,
+    the wall-based sims/sec rate) get ``FLOOR_SLACK`` and are downgraded to
     warnings when this host differs from the one the floor was measured
     on: a 1-core runner cannot exhibit a 4-worker speedup, and failing
     there would only teach people to ignore the gate.  A single-core
@@ -500,7 +511,8 @@ def check_search_floor(
     floor mistakenly recorded with ``cpu_count: 1`` cannot make parallel
     wall-clock claims enforceable.  Gates whose leg group the run
     deselected (``--legs``) are skipped; a *selected* leg missing its
-    payload section still fails.
+    payload section still fails.  A ``--quick`` run measures no N=64
+    legs, so it carries no parallel speedup and only warns about it.
     """
     failures: List[str] = []
     warnings: List[str] = []
@@ -557,15 +569,18 @@ def check_search_floor(
             "learned ranker changed the tuned winner on: "
             + ", ".join(mismatched)
         )
-    min_speedup = floor.get("host_sensitive", {}).get("pipeline_speedup")
-    if min_speedup is not None and not _leg_selected(results, "pipeline"):
+    min_speedup = floor.get("host_sensitive", {}).get("parallel_speedup")
+    if min_speedup is not None and not _leg_selected(results, "parallel"):
+        min_speedup = None
+    if min_speedup is not None and results.get("quick"):
+        warnings.append("parallel speedup not measured (--quick runs no N=64 legs)")
         min_speedup = None
     if min_speedup is not None:
-        actual = results.get("search", {}).get("pipeline_speedup", 0.0)
+        actual = results.get("search", {}).get("parallel_speedup", 0.0)
         limit = min_speedup * (1 - FLOOR_SLACK)
         if actual < limit:
             message = (
-                f"pipeline speedup {actual}x is below {limit:.2f}x "
+                f"parallel speedup {actual}x is below {limit:.2f}x "
                 f"(floor {min_speedup}x - {FLOOR_SLACK:.0%} slack)"
             )
             if mismatch:
@@ -576,7 +591,7 @@ def check_search_floor(
             else:
                 failures.append(message)
     min_sims_rate = floor.get("host_sensitive", {}).get("best_sims_per_sec")
-    if min_sims_rate is not None and not _leg_selected(results, "pipeline"):
+    if min_sims_rate is not None and not _leg_selected(results, "parallel"):
         min_sims_rate = None
     if min_sims_rate is not None:
         actual_rate = results.get("search", {}).get("best_sims_per_sec", 0)
@@ -876,18 +891,24 @@ def _main_search(args) -> int:
             f"{label}={seconds:.2f}s"
             for label, seconds in search["wall_seconds"].items()
         )
-        print(f"  {search['workload']}: {search['sims']} sims "
-              f"({search['full_sims']} full + {search['delta_sims']} delta); "
-              f"{walls}")
+        counts = ", ".join(
+            f"N{size}: {row['sims']} sims "
+            f"({row['full_sims']} full + {row['delta_sims']} delta)"
+            for size, row in search["sims"].items()
+        )
+        print(f"  {search['workload']}: {counts}; winner identical in "
+              f"every leg: {search['winner_match']}")
+        print(f"  median wall: {walls}")
         rates = ", ".join(
             f"{label}={rate:,}/s"
             for label, rate in search["sims_per_sec"].items()
         )
         print(f"  sims/sec (wall): {rates}; "
               f"best {search['best_sims_per_sec']:,}/s")
-        print(f"  pipeline speedup at -j{results['jobs']}: "
-              f"{search['pipeline_speedup']}x "
-              f"(host has {results['host']['cpu_count']} cpus)")
+        if "parallel_speedup" in search:
+            print(f"  parallel speedup at N=64, -j1 / -j{results['jobs']}: "
+                  f"{search['parallel_speedup']}x "
+                  f"(host has {results['host']['cpu_count']} cpus)")
     if "prescreen" in results:
         prescreen = results["prescreen"]
         print(f"  prescreen (margin {prescreen['margin']}): "
@@ -1011,7 +1032,7 @@ def trend_row(
             "quick": search.get("quick"),
             "sims": s.get("sims"),
             "best_sims_per_sec": s.get("best_sims_per_sec"),
-            "pipeline_speedup": s.get("pipeline_speedup"),
+            "parallel_speedup": s.get("parallel_speedup"),
             "prescreen_avoided_frac": prescreen.get("avoided_frac"),
             "prescreen_winner_match": prescreen.get("winner_match"),
         }
@@ -1115,7 +1136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=("sim", "search", "serve", "trend"),
                         default="sim",
                         help="benchmark suite (sim: simulator throughput; "
-                             "search: scheduler pipelining + model prescreen; "
+                             "search: -j 1 vs -j N wall + model pruning; "
                              "serve: daemon dedup/warm-start serving; "
                              "trend: append a BENCH_*.json summary row to "
                              f"{HISTORY_PATH})")

@@ -39,7 +39,6 @@ the paper's reported range (tens of points).
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 import warnings
@@ -90,18 +89,6 @@ class SearchConfig:
     #: line of leading-dimension padding per array when copying was not
     #: selected, to stabilize conflict-miss pathologies
     search_padding: bool = False
-    #: submit upcoming candidates speculatively through the engine's
-    #: ticket API so simulations overlap candidate generation when the
-    #: engine has workers (``jobs > 1``).  Decisions are identical either
-    #: way: speculative results are consumed only when the driver reaches
-    #: them in its deterministic order, and abandoned otherwise.
-    #: ``None`` (the default) auto-selects: pipelined when the engine has
-    #: workers *and* the host has more than one CPU, barrier otherwise —
-    #: at effective parallelism 1 speculation only adds submit/abandon
-    #: bookkeeping (measured 0.66x on single-CPU hosts), so the barrier
-    #: scheduler wins there.  ``True``/``False`` force the venue; the
-    #: resolved choice lands in the search span's ``scheduler`` attr.
-    pipeline: Optional[bool] = None
     #: model-based prescreen (docs/search.md): skip simulating tiling
     #: candidates the surrogate model bounds worse than the stage's
     #: running best by more than ``prescreen_margin``
@@ -123,7 +110,7 @@ class SearchConfig:
     #: model only skips candidates it calls *clearly* worse
     ranker_margin: float = DEFAULT_RANKER_MARGIN
     #: seed of the exploration sampling; drawn in driver order, so the
-    #: sampled candidates are identical at every -j / worker venue
+    #: sampled candidates are identical at every -j
     ranker_seed: int = 0
     #: transfer-tuning warm start (docs/serving.md): per-variant seed
     #: points (``{variant name: {param: value}}``) carried from a donor
@@ -186,14 +173,6 @@ class GuidedSearch:
                 f"engine is bound to {engine.machine.name}, search targets {machine.name}"
             )
         self.engine = engine if engine is not None else EvalEngine(machine)
-        #: resolved scheduler: ``config.pipeline`` when forced, else
-        #: pipelined only at effective parallelism > 1 (workers on the
-        #: engine and more than one CPU on the host) — the barrier
-        #: scheduler is strictly cheaper when nothing can overlap
-        if self.config.pipeline is not None:
-            self._pipeline = bool(self.config.pipeline)
-        else:
-            self._pipeline = self.engine.jobs > 1 and (os.cpu_count() or 1) > 1
         #: optional crash-safe checkpoint: completed stages are recorded
         #: as they finish and replayed on resume (docs/robustness.md)
         self.journal = journal
@@ -202,7 +181,7 @@ class GuidedSearch:
         self.points = 0
         self.machine_seconds = 0.0
         self.history: List[Tuple[str, Dict[str, int], float]] = []
-        #: outstanding speculative tickets, by search key (pipeline mode)
+        #: outstanding speculative tickets, by search key
         self._tickets: Dict[Tuple, object] = {}
         self._surrogate: Optional[Surrogate] = (
             Surrogate(kernel, machine, dict(problem), self.config.prescreen_margin)
@@ -235,14 +214,7 @@ class GuidedSearch:
         prefetch: Optional[Mapping[PrefetchSite, int]] = None,
         pads: Optional[Mapping[str, int]] = None,
     ) -> float:
-        """Cycles of one experiment (inf when infeasible); memoized.
-
-        In pipeline mode this consumes through the engine's ticket API —
-        picking up the point's speculative result when one is in flight —
-        with identical accounting; otherwise it is a one-item batch.
-        """
-        if self._pipeline:
-            return self._consume(variant, values, prefetch, pads)
+        """Cycles of one experiment (inf when infeasible); memoized."""
         return self.measure_many([(variant, values, prefetch, pads)])[0]
 
     def measure_many(
@@ -258,28 +230,19 @@ class GuidedSearch:
     ) -> List[float]:
         """Cycles for a batch of independent experiments, in input order.
 
-        Model-infeasible points cost nothing (inf without an experiment,
-        as before); the rest go to the evaluation engine in one batch, so
-        with ``jobs > 1`` they simulate concurrently.  Accounting (points,
-        history, machine seconds) is folded in input order, making the
-        result — including ``SearchResult.history`` — independent of the
-        engine's parallelism.
+        Model-infeasible points cost nothing (inf without an experiment);
+        the rest go to the evaluation engine in one batch, which consumes
+        any ticket :meth:`_speculate` already started for them and, with
+        ``jobs > 1``, simulates the others concurrently.  Accounting
+        (points, history, machine seconds) is folded in input order,
+        making the result — including ``SearchResult.history`` —
+        independent of the engine's parallelism and of speculation.
         """
-        normalized = []
+        normalized = [self._norm(*item) for item in items]
         requests: List[EvalRequest] = []
+        tickets = []
         request_index: List[Optional[int]] = []
-        for variant, values, prefetch, pads in items:
-            values = dict(values)
-            prefetch = dict(prefetch or {})
-            pads = {k: v for k, v in (pads or {}).items() if v}
-            key = self._key(variant, values, prefetch, pads)
-            full = {**values, **self.problem}
-            runnable = (
-                key not in self._cache
-                and variant.feasible(full)
-                and all(v >= 1 for v in values.values())
-            )
-            normalized.append((variant, values, prefetch, pads, key, runnable))
+        for variant, values, prefetch, pads, key, runnable in normalized:
             if runnable:
                 request_index.append(len(requests))
                 requests.append(
@@ -287,9 +250,13 @@ class GuidedSearch:
                         self.kernel, variant, values, self.problem, prefetch, pads
                     )
                 )
+                if key in self._tickets:
+                    tickets.append(self._tickets.pop(key))
             else:
                 request_index.append(None)
-        outcomes = self.engine.evaluate_batch(requests) if requests else []
+        outcomes = (
+            self.engine.evaluate_batch(requests, tickets) if requests else []
+        )
 
         results: List[float] = []
         for (variant, values, prefetch, pads, key, runnable), req_i in zip(
@@ -324,7 +291,6 @@ class GuidedSearch:
             tuple(sorted((pads or {}).items())),
         )
 
-    # -- pipelined measurement (tickets + speculation) --------------------
     def _norm(self, variant, values, prefetch, pads):
         """Normalize one experiment and decide whether it needs to run."""
         values = dict(values)
@@ -339,52 +305,17 @@ class GuidedSearch:
         )
         return variant, values, prefetch, pads, key, runnable
 
-    def _consume(self, variant, values, prefetch=None, pads=None) -> float:
-        """Measure one point through submit/resolve (pipeline mode).
-
-        Accounting is byte-identical to the batch path: memoized and
-        model-infeasible points never reach the engine, and everything
-        else resolves here, in the driver's deterministic call order —
-        whether or not its simulation was already speculated.
-        """
-        variant, values, prefetch, pads, key, runnable = self._norm(
-            variant, values, prefetch, pads
-        )
-        if key in self._cache:
-            return self._cache[key]
-        if not runnable:
-            self._cache[key] = math.inf
-            return math.inf
-        ticket = self._tickets.pop(key, None)
-        if ticket is None:
-            ticket = self.engine.submit(
-                EvalRequest.build(
-                    self.kernel, variant, values, self.problem, prefetch, pads
-                )
-            )
-        outcome = self.engine.resolve(ticket)
-        cycles = outcome.cycles
-        if outcome.counters is not None:
-            self._counters[key] = outcome.counters
-            self.machine_seconds += outcome.counters.seconds
-        self.points += 1
-        self.history.append((variant.name, dict(values), cycles))
-        if not outcome.transient:
-            # A transient failure (environment, not candidate) is not
-            # memoized: a later visit should re-attempt the point.
-            self._cache[key] = cycles
-        return cycles
-
+    # -- speculation ------------------------------------------------------
     def _speculate(self, items) -> None:
         """Start likely-upcoming experiments in the background.
 
-        A no-op outside pipeline mode (and free at ``jobs == 1``, where
-        the engine defers execution to resolve time).  Speculation never
-        touches accounting: a speculated point the driver never consumes
-        is abandoned, and its result — even if it finished — is discarded
-        without reaching the cache, stats or trace.
+        Runs only when the engine can overlap work with the search
+        (:attr:`EvalEngine.can_overlap`); otherwise a no-op.  Speculation
+        never touches accounting: a speculated point the search never
+        consumes is abandoned, and its result — even if it finished — is
+        discarded without reaching the cache, stats or trace.
         """
-        if not self._pipeline:
+        if not self.engine.can_overlap:
             return
         for variant, values, prefetch, pads in items:
             variant, values, prefetch, pads, key, runnable = self._norm(
@@ -458,8 +389,8 @@ class GuidedSearch:
         Planning is pure (no accounting, no skip counting): the plan is
         built from the whole batch at the round's frontier, then applied
         candidate-by-candidate at consumption time, so every observable
-        effect lands in driver order regardless of ``-j`` or worker
-        venue.  The RNG is only consumed when the batch is actually
+        effect lands in consumption order regardless of ``-j`` or
+        speculation.  The RNG is only consumed when the batch is actually
         large enough to skip from, and fails open — returns ``None``,
         rank nothing — when there is no usable model or any
         scorable-looking candidate turns out unscorable (a ranking the
@@ -587,7 +518,7 @@ class GuidedSearch:
     def _ranker_observe(self, variant, candidate, cycles) -> None:
         """Feed one fresh tiling measurement back into the per-search
         ranker clone (active learning).  Called in driver order right
-        after the measurement is consumed, so every venue refits the
+        after the measurement is consumed, so every ``-j`` refits the
         model through the identical update sequence; the ranker dedups
         repeated points internally."""
         if self._ranker is None or not math.isfinite(cycles) or cycles <= 0:
@@ -608,8 +539,6 @@ class GuidedSearch:
             machine_spec=machine_spec_hash(self.machine),
             problem=dict(sorted(self.problem.items())),
             variants=len(variants),
-            # resolved candidate scheduler (auto unless config forces it)
-            scheduler="pipelined" if self._pipeline else "barrier",
             **(
                 {"warm_start": sorted(self.config.warm_seeds)}
                 if self.config.warm_seeds

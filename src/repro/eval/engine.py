@@ -47,6 +47,7 @@ paths deterministically through :class:`repro.faults.FaultPlan`.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 import time
@@ -79,7 +80,7 @@ from repro.faults import (
 from repro.ir.nest import Kernel
 from repro.machines import MachineSpec
 from repro.obs import NULL_TRACER, MetricsRegistry
-from repro.sim import execute, execute_batch
+from repro.sim import execute
 from repro.sim.counters import Counters
 from repro.transforms import TransformError
 from repro.transforms.padding import pad_arrays
@@ -250,7 +251,7 @@ class EvalStats:
     #: candidates the learned batch ranker left out of a tiling round's
     #: simulated top-k + exploration sample (docs/search.md, "Learned
     #: ranking") — counted at consumption in driver order, so the count
-    #: is identical at every job count and worker venue
+    #: is identical at every job count
     ranker_skips: int = 0
     #: simulator throughput over the simulations actually run (cache hits
     #: cost no simulator time); sim_seconds is host wall time spent inside
@@ -345,8 +346,9 @@ def stats_delta(before: Dict[str, object], after: Dict[str, object]) -> Dict[str
 #: (the distance-ladder and padding stages of the guided search) share
 #: one tile/copy/unroll/scalar-replace front end and re-run only the
 #: cheap suffix.  IR nodes are frozen dataclasses, so sharing is safe;
-#: the lock covers the threads worker mode.  Pool workers each grow
-#: their own copy, which is exactly what makes their repeat builds cheap.
+#: the lock covers searches running on threads of one process (the serve
+#: daemon's).  Pool workers each grow their own copy, which is exactly
+#: what makes their repeat builds cheap.
 _BASE_IR_CAP = 256
 _BASE_IR_CACHE: "OrderedDict[str, Kernel]" = OrderedDict()
 _BASE_IR_LOCK = threading.Lock()
@@ -476,11 +478,11 @@ class _Inflight:
     """
 
     key: str
-    request: EvalRequest
-    payload: Tuple
+    #: what a simulation attempt runs on (cache misses only)
+    payload: Optional[Tuple] = None
     refs: int = 0
     #: lazy-serial: execution deferred to resolution (jobs == 1, serial
-    #: fallback, or a serial-venue batch) — speculation costs nothing here
+    #: fallback, or a batch with a single miss)
     deferred: bool = False
     future: Optional[Future] = None
     #: pool generation the future was submitted on (stale-break detection)
@@ -508,32 +510,12 @@ class EvalEngine:
         metrics: Optional[MetricsRegistry] = None,
         policy: Optional[EvalPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        workers: str = "processes",
         pool=None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if workers not in ("processes", "threads"):
-            raise ValueError(
-                f"workers must be 'processes' or 'threads', got {workers!r}"
-            )
-        if workers == "threads" and fault_plan is not None:
-            # Kill faults terminate their host process (``os._exit``) and
-            # hang/timeout supervision needs preemptable workers — both
-            # require process isolation.  Refuse loudly instead of letting
-            # a chaos run take the driver down.
-            raise ValueError(
-                "fault injection requires process workers "
-                "(--workers processes); the threads mode shares the "
-                "driver process"
-            )
         self.machine = machine
         self.jobs = jobs
-        #: execution venue for cache misses: "processes" fans out over a
-        #: ProcessPoolExecutor; "threads" keeps everything in-process and
-        #: settles co-deferred candidates through the cross-candidate
-        #: batched simulator (no pickling, no pool dispatch)
-        self.workers = workers
         self.cache = cache if cache is not None else ResultCache(cache_dir)
         self.stats = EvalStats()
         #: span tracer shared by the searches running on this engine; the
@@ -561,11 +543,13 @@ class EvalEngine:
         self._quarantined_seen = 0
         #: in-flight / parked candidate state, by key (submit/resolve API)
         self._inflight: Dict[str, _Inflight] = {}
-        #: first-seen cache-hit source per key: a disk entry is promoted to
-        #: memory on read, so a speculative peek that is later abandoned
-        #: and re-submitted must keep reporting "disk", exactly as the
-        #: first (deterministic) submission order saw it
+        #: cache-hit source seen by a submit's peek, until that key is
+        #: consumed: a disk entry is promoted to memory on read, so a
+        #: speculative peek that is later abandoned and re-submitted must
+        #: keep reporting "disk", exactly as a ``-j 1`` run sees it
         self._hit_sources: Dict[str, str] = {}
+        #: records of the batch being consumed (see :meth:`resolve`)
+        self._batch: Optional[List[Tuple]] = None
         #: bumped on every pool teardown (break or recycle): futures from
         #: an older generation observing BrokenProcessPool are collateral
         #: of an already-counted break, not a new one
@@ -591,160 +575,121 @@ class EvalEngine:
         request = EvalRequest.build(kernel, variant, values, problem, prefetch, pads)
         return self.evaluate_batch([request])[0]
 
-    def evaluate_batch(self, requests: Sequence[EvalRequest]) -> List[EvalOutcome]:
+    def evaluate_batch(
+        self,
+        requests: Sequence[EvalRequest],
+        tickets: Sequence[EvalTicket] = (),
+    ) -> List[EvalOutcome]:
         """Evaluate candidates, returning outcomes in input order.
 
-        Identical candidates within the batch are simulated once.  Cache
-        misses run on the process pool when ``jobs > 1`` (deterministic,
-        input-ordered gather), else serially in-process.  This is a thin
-        wrapper over the :meth:`submit`/:meth:`resolve` scheduler: misses
-        become tickets (dispatched up-front when the pool venue applies)
-        that are settled in first-occurrence order.
+        Identical candidates within the batch are submitted (and so
+        simulated and recorded) once.  Every distinct candidate is
+        submitted, then resolved in first-occurrence order: cache misses
+        run on the process pool when ``jobs > 1`` and the batch has more
+        than one, else serially in-process at resolution.  ``tickets``
+        are already-submitted (speculated) tickets; a request whose key
+        one of them holds consumes it instead of submitting again.
         """
         start = time.perf_counter()
         self.stats.batches += 1
         keys = [self._key_of(req) for req in requests]
-        outcomes: List[Optional[EvalOutcome]] = [None] * len(requests)
-        #: per-key trace annotations for this batch: the consumption-time
-        #: full/delta kind (deterministic) and the settle wall (timing)
-        sim_kinds: Dict[str, str] = {}
-        walls: Dict[str, float] = {}
-
-        # 1. cache lookups (memory, then disk), dedup within the batch
-        to_run: List[int] = []  # index of first occurrence per missing key
-        pending: Dict[str, List[int]] = {}
-        for i, (req, key) in enumerate(zip(requests, keys)):
-            hit = self.cache.get_memory(key)
-            source = "memory"
-            if hit is None:
-                hit = self.cache.get_disk(key)
-                source = "disk"
-            if hit is not None:
-                self._count_hit(source)
-                status = "infeasible" if math.isinf(hit.cycles) else "ok"
-                outcomes[i] = EvalOutcome(key, hit.cycles, hit.counters, source, status)
-                continue
-            if key in pending:
-                pending[key].append(i)
-            else:
-                pending[key] = [i]
-                to_run.append(i)
-
-        # 2. simulate the misses (supervised: retries, timeouts, pool care)
-        if to_run:
-            pool_venue = (
-                self.jobs > 1
-                and len(to_run) > 1
-                and not self._serial_fallback
-                and self.workers == "processes"
-            )
-            entries = [
-                self._acquire(requests[i], keys[i], defer=not pool_venue)
-                for i in to_run
-            ]
-            results = []
-            for entry in entries:
-                settle_start = time.perf_counter()
-                results.append(self._settle(entry))
-                walls[entry.key] = time.perf_counter() - settle_start
-            for entry in entries:
-                self._release(entry)
-            for i, entry, (status, cycles, counters) in zip(
-                to_run, entries, results
-            ):
-                key = keys[i]
-                sim_kinds[key] = self._account_sim(entry.payload[7], counters)
-                if counters is not None:
-                    self.stats.sim_seconds += counters.sim_seconds
-                    self.stats.sim_accesses += counters.sim_accesses
-                if status == "transient":
-                    # Environmental failure that outlived its retries:
-                    # report it, but never cache it (a cached transient
-                    # would poison every future run with a false inf).
-                    self.stats.transient_failures += 1
-                else:
-                    if counters is None:
-                        self.stats.failures += 1
-                    self.cache.put(key, CachedResult(cycles, counters))
-                for j in pending[key]:
-                    outcomes[j] = EvalOutcome(key, cycles, counters, "sim", status)
-            self._sync_disk_failures()
-
+        adopted = {ticket.key: ticket for ticket in tickets}
+        unique: Dict[str, EvalTicket] = {}
+        for req, key in zip(requests, keys):
+            if key not in unique:
+                unique[key] = adopted.get(key) or self._submit(req, key, defer=True)
+        misses = [self._inflight[key] for key in unique if self._inflight[key].deferred]
+        if len(misses) > 1 and self.jobs > 1:
+            for entry in misses:
+                self._dispatch(entry)
+        self._batch = records = []
+        try:
+            outcomes = {key: self.resolve(ticket) for key, ticket in unique.items()}
+        finally:
+            self._batch = None
+        self._sync_disk_failures()
+        self._record(records, batch_size=len(requests))
         self.stats.wall_seconds += time.perf_counter() - start
-        assert all(o is not None for o in outcomes)
-        self._record_batch(requests, outcomes, keys, sim_kinds, walls)
-        return outcomes  # type: ignore[return-value]
+        return [outcomes[key] for key in keys]
 
-    # -- pipelined (futures-style) API ----------------------------------
+    # -- futures-style API ----------------------------------------------
     # submit() starts a candidate; resolve() consumes it.  ALL observable
     # accounting — cache hits, simulations, cache writes, metrics, trace
     # events — happens at resolve time, in the caller's (deterministic)
-    # decision order, so a pipelined search at -j N produces records that
-    # are byte-identical to -j 1.  Speculative results whose tickets were
-    # abandoned are parked engine-side (never published to the cache):
-    # they can only re-enter the record through a fresh submit + resolve.
+    # decision order, so a speculating search at -j N produces records
+    # that are byte-identical to -j 1.  Speculative results whose tickets
+    # were abandoned are parked engine-side (never published to the
+    # cache): they can only re-enter the record through a fresh submit +
+    # resolve.
 
-    def submit(
-        self,
-        request: EvalRequest,
-        *,
-        speculative: bool = False,
-        defer: Optional[bool] = None,
-    ) -> EvalTicket:
+    @property
+    def can_overlap(self) -> bool:
+        """Whether submitted work can run alongside its caller: a worker
+        pool (``jobs > 1``, no serial fallback) on a multi-CPU host.
+        Searches speculate only then; otherwise speculation is pure
+        submit/abandon bookkeeping."""
+        return (
+            self.jobs > 1
+            and not self._serial_fallback
+            and (os.cpu_count() or 1) > 1
+        )
+
+    def submit(self, request: EvalRequest, *, speculative: bool = False) -> EvalTicket:
         """Register a candidate for evaluation and (at ``jobs > 1``)
         start it on the worker pool immediately.
 
         At ``jobs == 1`` (or after serial fallback) execution is deferred
-        to :meth:`resolve`, so speculative submissions cost nothing and
-        serial behaviour is unchanged.  ``speculative`` marks work that
-        the caller may abandon; it only affects the pipeline metrics.
-        ``defer`` overrides the venue (used by :meth:`evaluate_batch` to
-        preserve its historical serial-singleton rule).
+        to :meth:`resolve`.  ``speculative`` marks work that the caller
+        may abandon; it only affects the pipeline metrics.
         """
         start = time.perf_counter()
-        key = self._key_of(request)
+        ticket = self._submit(request, self._key_of(request), defer=self.jobs <= 1)
+        if speculative:
+            self.metrics.counter("pipeline.speculative_submits").inc()
+        self.stats.wall_seconds += time.perf_counter() - start
+        return ticket
+
+    def _submit(self, request: EvalRequest, key: str, *, defer: bool) -> EvalTicket:
         entry = self._inflight.get(key)
         if entry is None:
-            entry = _Inflight(key=key, request=request,
-                              payload=self._payload_of(request))
+            entry = _Inflight(key=key)
             hit = self.cache.get_memory(key)
             source = "memory"
             if hit is None:
                 hit = self.cache.get_disk(key)
                 source = "disk"
             if hit is not None:
-                # Pin the first-seen source: the peek above promoted a
-                # disk entry to memory, and accounting must not depend on
+                # Pin the peeked source: the peek above promoted a disk
+                # entry to memory, and accounting must not depend on
                 # whether an abandoned speculative peek happened first.
                 source = self._hit_sources.setdefault(key, source)
                 entry.cached = (source, hit)
+            else:
+                entry.payload = self._payload_of(request)
             self._inflight[key] = entry
         entry.refs += 1
-        if defer is None:
-            defer = (
-                self.jobs <= 1
-                or self._serial_fallback
-                or self.workers == "threads"
-            )
         if (entry.cached is None and entry.result is None
                 and entry.future is None):
             if defer:
                 entry.deferred = True
             else:
                 self._dispatch(entry)
-        if speculative and self.jobs > 1:
-            self.metrics.counter("pipeline.speculative_submits").inc()
-        self.stats.wall_seconds += time.perf_counter() - start
         return EvalTicket(key=key, request=request)
 
     def resolve(self, ticket: EvalTicket) -> EvalOutcome:
         """Consume one ticket: wait for its result (running any deferred
-        or retried work) and write the accounting record."""
+        or retried work), count it, cache it and record it.
+
+        This is the engine's one accounting path.  Inside
+        :meth:`evaluate_batch` the metrics and trace events are held
+        until the whole batch is consumed, then written in input order.
+        """
         start = time.perf_counter()
         entry = self._inflight[ticket.key]
         kind: Optional[str] = None
         if entry.cached is not None:
             source, hit = entry.cached
+            self._hit_sources.pop(entry.key, None)
             self._count_hit(source)
             status = "infeasible" if math.isinf(hit.cycles) else "ok"
             outcome = EvalOutcome(entry.key, hit.cycles, hit.counters,
@@ -756,22 +701,24 @@ class EvalEngine:
                 self.stats.sim_seconds += counters.sim_seconds
                 self.stats.sim_accesses += counters.sim_accesses
             if status == "transient":
+                # Environmental failure that outlived its retries:
+                # report it, but never cache it (a cached transient
+                # would poison every future run with a false inf).
                 self.stats.transient_failures += 1
             else:
                 if counters is None:
                     self.stats.failures += 1
                 self.cache.put(entry.key, CachedResult(cycles, counters))
-            self._sync_disk_failures()
             outcome = EvalOutcome(entry.key, cycles, counters, "sim", status)
         self._release(entry)
-        wall = time.perf_counter() - start
-        self._record_outcome(ticket.request, outcome, kind=kind, wall=wall)
-        self.stats.wall_seconds += time.perf_counter() - start
+        record = (ticket.request, outcome, kind, time.perf_counter() - start)
+        if self._batch is not None:
+            self._batch.append(record)
+        else:
+            self._sync_disk_failures()
+            self._record([record])
+            self.stats.wall_seconds += time.perf_counter() - start
         return outcome
-
-    def drain(self, tickets: Sequence[EvalTicket]) -> List[EvalOutcome]:
-        """Resolve tickets in order (the batch-shaped face of resolve)."""
-        return [self.resolve(ticket) for ticket in tickets]
 
     def abandon(self, ticket: EvalTicket) -> None:
         """Drop a speculative ticket without consuming its result.
@@ -840,7 +787,7 @@ class EvalEngine:
         ``rank``-th in its tiling round (1-based, by predicted
         log-cycles) and fell outside the simulated top-k + exploration
         sample.  Counted at consumption in driver order — deterministic,
-        part of the canonical trace at every ``-j`` and worker venue."""
+        part of the canonical trace at every ``-j``."""
         self.stats.ranker_skips += 1
         if self._stage is not None:
             self._stage.ranker_skips += 1
@@ -854,52 +801,32 @@ class EvalEngine:
                 rank=rank,
             )
 
-    def _record_batch(
+    def _record(
         self,
-        requests: Sequence[EvalRequest],
-        outcomes: Sequence[Optional[EvalOutcome]],
-        keys: Sequence[str],
-        sim_kinds: Mapping[str, str],
-        walls: Mapping[str, float],
+        records: Sequence[Tuple[EvalRequest, EvalOutcome, Optional[str], float]],
+        batch_size: Optional[int] = None,
     ) -> None:
-        """Metrics + trace events for one batch, in input order.
+        """Metrics + trace events for consumed outcomes, in order.
 
-        Emission happens in the main process after all results are
-        gathered, so the event stream is identical at any job count.
-        ``sim_kinds``/``walls`` carry the per-key full/delta split and
-        settle wall for requests that simulated this batch.
+        ``records`` are ``(request, outcome, full/delta kind, wall)``;
+        ``batch_size`` is given for an :meth:`evaluate_batch` call, which
+        also counts the batch.  Emission happens in the calling process
+        after the results are gathered, so the event stream is identical
+        at any job count.
         """
         metrics = self.metrics
-        metrics.counter("eval.batches").inc()
-        metrics.histogram("eval.batch_size").observe(len(requests))
-        for outcome in outcomes:
+        if batch_size is not None:
+            metrics.counter("eval.batches").inc()
+            metrics.histogram("eval.batch_size").observe(batch_size)
+        for _, outcome, _, _ in records:
             self._outcome_metrics(outcome)
         if self.stats.evaluations:
             metrics.gauge("eval.hit_ratio").set(
                 round(self.stats.cache_hits / self.stats.evaluations, 6)
             )
-        if not self.tracer.enabled:
-            return
-        for req, outcome, key in zip(requests, outcomes, keys):
-            self._outcome_event(
-                req, outcome, kind=sim_kinds.get(key), wall=walls.get(key)
-            )
-
-    def _record_outcome(
-        self,
-        request: EvalRequest,
-        outcome: EvalOutcome,
-        kind: Optional[str] = None,
-        wall: Optional[float] = None,
-    ) -> None:
-        """Metrics + trace event for one resolved ticket (driver order)."""
-        self._outcome_metrics(outcome)
-        if self.stats.evaluations:
-            self.metrics.gauge("eval.hit_ratio").set(
-                round(self.stats.cache_hits / self.stats.evaluations, 6)
-            )
         if self.tracer.enabled:
-            self._outcome_event(request, outcome, kind=kind, wall=wall)
+            for request, outcome, kind, wall in records:
+                self._outcome_event(request, outcome, kind=kind, wall=wall)
 
     def _outcome_metrics(self, outcome: EvalOutcome) -> None:
         metrics = self.metrics
@@ -1200,25 +1127,8 @@ class EvalEngine:
     # -- in-flight entry lifecycle --------------------------------------
     # These are the *raw* scheduling primitives: they run candidates and
     # park results, but never touch stats/metrics/cache/trace — all of
-    # that belongs to the consumption points (resolve / evaluate_batch),
-    # which call them in deterministic driver order.
-
-    def _acquire(self, request: EvalRequest, key: str, *,
-                 defer: bool) -> _Inflight:
-        """Get-or-create the in-flight entry for an established cache
-        miss (no cache peek here) and take a reference on it."""
-        entry = self._inflight.get(key)
-        if entry is None:
-            entry = _Inflight(key=key, request=request,
-                              payload=self._payload_of(request))
-            self._inflight[key] = entry
-        entry.refs += 1
-        if entry.result is None and entry.future is None:
-            if defer:
-                entry.deferred = True
-            else:
-                self._dispatch(entry)
-        return entry
+    # that belongs to the consumption point (resolve), which calls them
+    # in deterministic consumption order.
 
     def _release(self, entry: _Inflight) -> None:
         entry.refs -= 1
@@ -1281,14 +1191,6 @@ class EvalEngine:
         while entry.result is None:
             if entry.future is None:
                 if entry.deferred or self.jobs <= 1 or self._serial_fallback:
-                    if (
-                        self.workers == "threads"
-                        and self.jobs > 1
-                        and not self._serial_fallback
-                    ):
-                        self._settle_group(entry)
-                        if entry.result is not None:
-                            break
                     entry.result = self._run_serial(entry.payload, entry.key)
                     break
                 self._dispatch(entry)
@@ -1353,55 +1255,6 @@ class EvalEngine:
             entry.attempt += 1
             entry.future = None
         return entry.result
-
-    def _settle_group(self, anchor: _Inflight) -> None:
-        """Threads-mode settling: evaluate every co-deferred entry in one
-        cross-candidate batched simulation (:func:`repro.sim.execute_batch`).
-
-        Gathers all in-flight entries with pending deferred work — the
-        anchor plus any outstanding (possibly speculative) submissions —
-        builds them in-process through the shared-base delta path, and
-        replays their streams together.  Record-invariant: settling is
-        raw scheduling (like a pool worker finishing early); every
-        observable side effect still happens at consumption, in driver
-        order.  On ``MemoryError`` the affected entries are simply left
-        unsettled and fall back to :meth:`_run_serial`'s supervised
-        retries.
-        """
-        group = [
-            e for e in self._inflight.values()
-            if e.deferred and e.result is None and e.cached is None
-            and e.future is None
-        ]
-        if anchor not in group:
-            group.append(anchor)
-        runnable: List[Tuple[_Inflight, Kernel]] = []
-        for e in group:
-            (kernel, variant, values, prefetch, pads, problem, machine,
-             signature) = e.payload
-            try:
-                inst = _build_candidate(
-                    kernel, variant, values, prefetch, pads, machine, signature
-                )
-            except (TransformError, ValueError):
-                e.attempt += 1
-                e.result = ("infeasible", math.inf, None)
-                continue
-            except MemoryError:
-                continue  # falls back to supervised serial retries
-            runnable.append((e, inst))
-        if not runnable:
-            return
-        try:
-            results = execute_batch(
-                [(inst, dict(e.payload[5])) for e, inst in runnable],
-                self.machine,
-            )
-        except MemoryError:
-            return  # all fall back to supervised serial retries
-        for (e, _), counters in zip(runnable, results):
-            e.attempt += 1
-            e.result = ("ok", counters.cycles, counters)
 
     def _ensure_pool(self):
         if self._external_pool is not None:

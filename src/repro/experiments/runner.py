@@ -46,7 +46,6 @@ _ECO_CACHE: Dict[Tuple[str, str, int], TunedKernel] = {}
 _ATLAS_CACHE: Dict[Tuple[str, int], MiniAtlas] = {}
 _ENGINES: Dict[str, EvalEngine] = {}
 _JOBS: int = 1
-_WORKERS: str = "processes"
 _CACHE_DIR: Optional[str] = None
 _TRACE_PATH: Optional[str] = None
 _TRACER = NULL_TRACER
@@ -66,7 +65,6 @@ def configure(
     fault_plan: Optional[FaultPlan] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    workers: str = "processes",
     fs_faults=None,
 ) -> None:
     """Set evaluation parallelism, the on-disk result-cache directory and
@@ -87,10 +85,9 @@ def configure(
     faults into the disk cache and journal writes of every engine and
     optimizer created afterwards.
     """
-    global _JOBS, _WORKERS, _CACHE_DIR, _TRACE_PATH, _TRACER, _METRICS
+    global _JOBS, _CACHE_DIR, _TRACE_PATH, _TRACER, _METRICS
     global _POLICY, _FAULT_PLAN, _CHECKPOINT_DIR, _RESUME, _FS_FAULTS
     _JOBS = max(1, int(jobs))
-    _WORKERS = workers
     _CACHE_DIR = cache_dir
     _TRACE_PATH = trace
     _TRACER = Tracer(source="experiments", jobs=_JOBS) if trace else NULL_TRACER
@@ -131,7 +128,6 @@ def engine_for(machine_name: str) -> EvalEngine:
         engine = EvalEngine(
             machine,
             jobs=_JOBS,
-            workers=_WORKERS,
             cache=(
                 ResultCache(_CACHE_DIR, fs_faults=_FS_FAULTS)
                 if _CACHE_DIR

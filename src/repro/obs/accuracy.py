@@ -39,6 +39,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.analysis.learned import spearman
 from repro.analysis.surrogate import DEFAULT_MARGIN, Surrogate
 from repro.core import derive_variants
 from repro.core.variants import Variant, instantiate
@@ -149,36 +150,6 @@ class SearchAccuracy:
     sweep: List[MarginPoint] = field(default_factory=list)
     audit: Optional[AuditReport] = None
     learned: Optional[LearnedComparison] = None
-
-
-def _spearman(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
-    """Spearman rank correlation with average ranks for ties (no scipy)."""
-    n = len(xs)
-    if n < 2:
-        return None
-
-    def ranks(values: Sequence[float]) -> List[float]:
-        order = sorted(range(n), key=lambda i: values[i])
-        out = [0.0] * n
-        i = 0
-        while i < n:
-            j = i
-            while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-                j += 1
-            rank = (i + j) / 2.0 + 1.0
-            for k in range(i, j + 1):
-                out[order[k]] = rank
-            i = j + 1
-        return out
-
-    rx, ry = ranks(xs), ranks(ys)
-    mean = (n + 1) / 2.0
-    num = sum((a - mean) * (b - mean) for a, b in zip(rx, ry))
-    den_x = sum((a - mean) ** 2 for a in rx)
-    den_y = sum((b - mean) ** 2 for b in ry)
-    if den_x == 0 or den_y == 0:
-        return None
-    return num / (den_x * den_y) ** 0.5
 
 
 @dataclass
@@ -480,7 +451,7 @@ def analyze_trace(
                     fingerprint=model.fingerprint,
                     scored=len(learned_scores),
                     memo_hits=learned_memo,
-                    spearman=_spearman(learned_scores, learned_cycles),
+                    spearman=spearman(learned_scores, learned_cycles),
                     mae_log_cycles=(
                         sum(learned_errors) / len(learned_errors)
                         if learned_errors else None
@@ -497,7 +468,7 @@ def analyze_trace(
             cache_hits=len(evals) - sims,
             tiling_candidates=tiling_candidates,
             scored=len(scores),
-            spearman=_spearman(scores, cycles_list),
+            spearman=spearman(scores, cycles_list),
             worst=_worst_misranking(streams, surrogate, variants),
             sweep=_sweep(streams, surrogate, variants, margins, sims),
             learned=learned_cmp,

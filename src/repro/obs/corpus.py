@@ -7,8 +7,8 @@ A :class:`Corpus` is a directory (default ``results/corpus/``) holding
 * ``traces/<id>.trace.jsonl`` — the ingested trace files, stored under a
   content-addressed id: the SHA-256 (truncated to 16 hex chars) of the
   trace's *canonical projection* (:func:`repro.obs.reader.canonical`),
-  so the same search re-recorded at a different ``-j``, worker venue or
-  wall-clock speed dedups to one entry;
+  so the same search re-recorded at a different ``-j``, with or without
+  speculation, or at another wall-clock speed dedups to one entry;
 * ``index.json`` — one entry per trace with its schema version, per-
   search identity (kernel/machine/problem) and headline counts, written
   with sorted keys so the index itself is byte-deterministic.
@@ -23,7 +23,7 @@ The read side is :func:`flatten_trace`: the per-candidate table
 outcome) that downstream consumers — ``repro report accuracy``, the
 future learned surrogate — use instead of re-parsing raw spans.  Rows
 derive only from canonical (timing-free) event content, so the table is
-byte-identical across job counts and worker venues.
+byte-identical across job counts, with or without speculation.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def trace_id(events: List[Dict[str, Any]]) -> str:
     """Content address of a trace: SHA-256 of its canonical projection.
 
     The projection strips timestamps, durations and pipeline-scheduling
-    metrics, so two recordings of the same search — any ``-j``, either
-    worker venue — hash to the same id.
+    metrics, so two recordings of the same search — any ``-j``, with or
+    without speculation — hash to the same id.
     """
     digest = hashlib.sha256()
     for event in canonical(events):
@@ -153,7 +153,7 @@ def flatten_trace(
     consumption-order delta mark (schema ≥ 1.1), else ``full``.
 
     Only canonical event content is read, so the rows are deterministic
-    across job counts and worker venues.
+    across job counts, with or without speculation.
     """
     spans = _span_context(events)
     rows: List[Dict[str, Any]] = []

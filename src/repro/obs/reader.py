@@ -301,8 +301,8 @@ def pipeline_totals(events: List[Dict[str, Any]]) -> Dict[str, float]:
     """Non-zero pipeline/prescreen counters from the metric snapshots.
 
     Same cumulative-snapshot convention as :func:`supervision_totals`.
-    An empty dict means the run never overlapped work (``-j 1`` or
-    barrier scheduling) and skipped nothing via the model prescreen.
+    An empty dict means the run never overlapped work (``-j 1``) and
+    skipped nothing via the model prescreen.
     """
     latest: Dict[str, float] = {}
     for event in events:

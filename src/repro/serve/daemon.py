@@ -57,15 +57,14 @@ class EngineHub:
     Engines are expensive to warm (worker pool, base-IR LRU) and cheap
     to reset, so the hub never discards one: a search checks an engine
     out, resets its per-search state, runs, and checks it back in.  All
-    engines share the daemon's one result cache, and — at ``jobs > 1``
-    with process workers — one tenant each of the shared broker pool.
+    engines share the daemon's one result cache, and — at ``jobs > 1`` —
+    one tenant each of the shared broker pool.
     """
 
-    def __init__(self, cache, pool, jobs: int, workers: str) -> None:
+    def __init__(self, cache, pool, jobs: int) -> None:
         self.cache = cache
         self.pool = pool
         self.jobs = jobs
-        self.workers = workers
         self._free: Dict[str, List[Any]] = {}
         self._all: List[Any] = []
         self._lock = threading.Lock()
@@ -81,7 +80,6 @@ class EngineHub:
         engine = EvalEngine(
             machine,
             jobs=self.jobs,
-            workers=self.workers,
             cache=self.cache,
             pool=self.pool.client() if self.pool is not None else None,
         )
@@ -133,7 +131,6 @@ class ServeDaemon:
         store_root,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        workers: str = "processes",
         concurrency: int = 2,
         fs_faults=None,
     ) -> None:
@@ -144,14 +141,9 @@ class ServeDaemon:
         self.store = RequestStore(store_root, fs_faults=fs_faults)
         self.cache = ResultCache(cache_dir, fs_faults=fs_faults)
         self.jobs = jobs
-        self.workers = workers
         self.concurrency = max(1, concurrency)
-        self.pool = (
-            SharedWorkerPool(jobs)
-            if jobs > 1 and workers == "processes"
-            else None
-        )
-        self.hub = EngineHub(self.cache, self.pool, jobs, workers)
+        self.pool = SharedWorkerPool(jobs) if jobs > 1 else None
+        self.hub = EngineHub(self.cache, self.pool, jobs)
         self.jobs_by_key: Dict[str, _Job] = {}
         #: service counters, surfaced by the ``stats`` op
         self.counters = {

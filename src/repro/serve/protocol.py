@@ -15,8 +15,8 @@ is not a hash of the raw request — it is a hash of
   equivalent spec dict hash identically while any parameter change
   (cache size, latency …) changes the key;
 * ``config`` — every trajectory-affecting :class:`SearchConfig` knob,
-  defaults filled in.  Scheduling-only knobs (``pipeline``) and serving
-  hints (``warm_start``) stay out: they change cost, never the answer.
+  defaults filled in.  Serving hints (``warm_start``) stay out: they
+  change cost, never the answer.
 
 Unknown request or config keys are a :class:`ProtocolError`, not a
 silent ignore — a typo'd knob must not dedup against the default.

@@ -54,11 +54,11 @@ class FuseEngine(EvalEngine):
         super().__init__(*args, **kwargs)
         self.fuse = fuse
 
-    def evaluate_batch(self, requests):
+    def evaluate_batch(self, requests, tickets=()):
         if self.fuse <= 0:
             raise Interrupt()
         self.fuse -= 1
-        return super().evaluate_batch(requests)
+        return super().evaluate_batch(requests, tickets)
 
 
 class TestJournal:

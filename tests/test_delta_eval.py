@@ -13,7 +13,7 @@ Pinned properties:
 * the signature is insensitive to prefetch/pads and sensitive to every
   front-end input (values, problem, variant, kernel, machine);
 * ``stats.simulations == stats.full_sims + stats.delta_sims`` always,
-  engine-wide and per stage, at any ``jobs``/worker venue;
+  engine-wide and per stage, at any ``jobs`` and host CPU count;
 * delta accounting fires only for signature repeats, and a warm cache
   yields zero simulations (the split doesn't move);
 * an infeasible candidate does not mark its signature as seen (the next
@@ -29,6 +29,7 @@ from repro.core.variants import PrefetchSite
 from repro.eval import EvalEngine, EvalRequest, candidate_key, trace_signature
 from repro.kernels import matmul
 from repro.machines import get_machine
+from tests.conftest import forced_cpu_count
 
 SGI = get_machine("sgi")
 SUN = get_machine("sun")
@@ -194,9 +195,9 @@ class TestDeltaAccounting:
 
 
 class TestSearchWideInvariant:
-    @pytest.mark.parametrize("workers,jobs", [("processes", 1), ("threads", 4)])
-    def test_search_sims_split_and_delta_fires(self, workers, jobs):
-        engine = EvalEngine(MINI, jobs=jobs, workers=workers)
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_search_sims_split_and_delta_fires(self, jobs, host_cpus):
+        engine = EvalEngine(MINI, jobs=jobs)
         optimizer = EcoOptimizer(
             matmul(), MINI, SearchConfig(full_search_variants=2), engine=engine
         )
@@ -215,12 +216,14 @@ class TestSearchWideInvariant:
 
     def test_split_identical_across_worker_venues(self):
         splits = []
-        for workers, jobs in (("processes", 1), ("threads", 4), ("threads", 1)):
-            engine = EvalEngine(MINI, jobs=jobs, workers=workers)
-            optimizer = EcoOptimizer(
-                matmul(), MINI, SearchConfig(full_search_variants=2), engine=engine
-            )
-            optimizer.optimize({"N": 24})
+        for cpus, jobs in ((1, 1), (1, 4), (8, 4)):
+            with forced_cpu_count(cpus):
+                engine = EvalEngine(MINI, jobs=jobs)
+                optimizer = EcoOptimizer(
+                    matmul(), MINI, SearchConfig(full_search_variants=2),
+                    engine=engine,
+                )
+                optimizer.optimize({"N": 24})
             splits.append(
                 (
                     engine.stats.simulations,

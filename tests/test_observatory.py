@@ -3,8 +3,9 @@
 The contracts under test:
 
 * the flattened per-candidate corpus table is byte-deterministic across
-  job counts *and* worker venues (``-j1``/``-j4`` x processes/threads),
-  and the content address dedups those recordings to one corpus entry;
+  job counts and host CPU counts (``-j1``, and ``-j4`` with and without
+  speculation), and the content address dedups those recordings to one
+  corpus entry;
 * the accuracy report is byte-stable on the committed reference trace
   ``results/traces/mm_sgi_r10k.trace.jsonl`` and reproduces the margin
   calibration documented in docs/search.md: worst observed misranking
@@ -51,20 +52,20 @@ from repro.obs import (
 from repro.obs.accuracy import analyze_trace, render_accuracy
 from repro.obs.corpus import ROW_COLUMNS, rows_to_csv, rows_to_jsonl
 from repro.obs.profile import profile_trace, render_profile, self_times
+from tests.conftest import forced_cpu_count
 from tests.test_search_golden import GOLDEN_CYCLES, GOLDEN_VALUES
 
 REFERENCE_TRACE = "results/traces/mm_sgi_r10k.trace.jsonl"
 
-#: the determinism matrix: job count x worker venue
-VENUES = ((1, "processes"), (4, "processes"), (4, "threads"))
+#: the determinism matrix: (job count, forced host CPU count) — ``-j4``
+#: speculates only on the multi-CPU host
+VENUES = ((1, 1), (4, 1), (4, 8))
 
 
-def _traced_search(machine_name: str, jobs: int = 1,
-                   workers: str = "processes", **config):
+def _traced_search(machine_name: str, jobs: int = 1, **config):
     machine = get_machine(machine_name)
     tracer = Tracer(kernel="mm", machine=machine_name, size=24)
-    with EvalEngine(machine, jobs=jobs, workers=workers,
-                    tracer=tracer) as engine:
+    with EvalEngine(machine, jobs=jobs, tracer=tracer) as engine:
         optimizer = EcoOptimizer(
             matmul(), machine,
             SearchConfig(full_search_variants=2, **config), engine=engine,
@@ -74,18 +75,23 @@ def _traced_search(machine_name: str, jobs: int = 1,
     return result, tracer
 
 
+def _traced_search_on(cpus: int, jobs: int):
+    with forced_cpu_count(cpus):
+        return _traced_search("sgi", jobs=jobs)
+
+
 @pytest.fixture(scope="module")
 def venue_traces():
-    """The golden mm@sgi search recorded once per (jobs, venue) cell."""
+    """The golden mm@sgi search recorded once per (jobs, host CPUs) cell."""
     return {
-        (jobs, workers): _traced_search("sgi", jobs=jobs, workers=workers)
-        for jobs, workers in VENUES
+        (jobs, cpus): _traced_search_on(cpus, jobs)
+        for jobs, cpus in VENUES
     }
 
 
 @pytest.fixture(scope="module")
 def sgi_events(venue_traces):
-    return venue_traces[(1, "processes")][1].events()
+    return venue_traces[(1, 1)][1].events()
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +161,13 @@ class TestCorpusIngest:
     def test_ingest_dedups_across_venues(self, venue_traces, tmp_path):
         corpus = Corpus(str(tmp_path / "corpus"))
         paths = {}
-        for (jobs, workers), (_, tracer) in venue_traces.items():
-            path = tmp_path / f"j{jobs}-{workers}.trace.jsonl"
+        for (jobs, cpus), (_, tracer) in venue_traces.items():
+            path = tmp_path / f"j{jobs}-cpus{cpus}.trace.jsonl"
             tracer.dump(path)
-            paths[(jobs, workers)] = path
-        first = corpus.ingest(str(paths[(1, "processes")]))
+            paths[(jobs, cpus)] = path
+        first = corpus.ingest(str(paths[(1, 1)]))
         assert first.new and first.warnings == []
-        for key in ((4, "processes"), (4, "threads")):
+        for key in ((4, 1), (4, 8)):
             again = corpus.ingest(str(paths[key]))
             assert not again.new
             assert again.id == first.id
@@ -177,7 +183,7 @@ class TestCorpusIngest:
     def test_corpus_read_side(self, venue_traces, tmp_path):
         corpus = Corpus(str(tmp_path / "corpus"))
         path = tmp_path / "golden.trace.jsonl"
-        venue_traces[(1, "processes")][1].dump(path)
+        venue_traces[(1, 1)][1].dump(path)
         result = corpus.ingest(str(path))
         rows = corpus.rows(result.id)
         assert rows == corpus.rows()  # single-entry corpus
@@ -212,7 +218,7 @@ class TestCorpusIngest:
     def test_ingest_truncated_trace_records_skip(self, venue_traces, tmp_path):
         corpus = Corpus(str(tmp_path / "corpus"))
         whole = tmp_path / "whole.trace.jsonl"
-        venue_traces[(1, "processes")][1].dump(whole)
+        venue_traces[(1, 1)][1].dump(whole)
         torn = tmp_path / "torn.trace.jsonl"
         text = whole.read_text()
         torn.write_text(text[: len(text) - 40])  # tear the final line
@@ -365,7 +371,7 @@ class TestEvalEventTimingAttrs:
 class TestReaderHardening:
     def test_truncated_trace_skips_and_counts(self, venue_traces, tmp_path):
         path = tmp_path / "torn.trace.jsonl"
-        venue_traces[(1, "processes")][1].dump(path)
+        venue_traces[(1, 1)][1].dump(path)
         text = path.read_text()
         path.write_text(text[: len(text) - 25])
         load = read_trace(path, validate=True)
@@ -426,7 +432,7 @@ class TestBenchTrend:
         }
         search = {
             "search": {"sims": 51, "best_sims_per_sec": 120.0,
-                       "pipeline_speedup": 1.4},
+                       "parallel_speedup": 1.4},
             "prescreen": {"margin": 0.29, "avoided_frac": 0.294,
                           "winner_match": True},
         }

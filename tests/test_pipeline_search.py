@@ -1,24 +1,17 @@
-"""Pipelined-scheduler and model-prescreen tests (docs/search.md).
+"""Speculative-search and model-prescreen tests (docs/search.md).
 
 The contracts under test (ISSUE 5 acceptance criteria):
 
 * **prescreen safety** — on the golden mm search, enabling the model
   prescreen skips simulations but never changes the tuned winner, on
   every machine model;
-* **scheduling is unobservable** — barrier mode (``pipeline=False``,
-  the pre-scheduler behaviour) and pipelined mode find byte-identical
-  results with identical point counts and search history, and a
-  pipelined ``-j 4`` run's canonical trace equals ``-j 1``'s even with
-  the prescreen on (speculation and parallelism never leak into the
-  record);
-* **speculation is crash-safe** — a pipelined ``-j 2`` search killed
-  mid-flight (with speculative work outstanding) resumes from its
-  journal to the byte-identical result of an uninterrupted run;
-* **the worker venue is unobservable** (ISSUE 6) — ``workers="threads"``
-  at ``-j 4`` produces the same winner, canonical trace, full/delta
-  simulation split and crash/resume behaviour as serial and
-  process-pool runs, and refuses fault injection (kill faults need a
-  process boundary);
+* **speculation is unobservable** — a ``-j 4`` search finds the
+  byte-identical result (points, history, full/delta split) of ``-j 1``
+  and records the same canonical trace, even with the prescreen on,
+  whether or not the host's CPU count lets it speculate;
+* **consumption is crash-safe** — a search killed mid-flight (at
+  ``-j 2`` with speculative work outstanding) resumes from its journal
+  to the byte-identical result of an uninterrupted run;
 * the :class:`~repro.analysis.surrogate.Surrogate` unit contract
   (margin semantics, memoization, fail-open on unscorable candidates);
 * the ``bench search`` floor check: hard gates fail anywhere, the
@@ -39,18 +32,15 @@ from repro.eval import EvalEngine
 from repro.kernels import matmul
 from repro.machines import MACHINES, get_machine
 from repro.obs import Tracer, canonical
+from tests.conftest import forced_cpu_count
 
 SGI = get_machine("sgi")
 
 
-def _golden_search(machine, *, prescreen=False, pipeline=True, jobs=1,
-                   tracer=None, workers="processes"):
+def _golden_search(machine, *, prescreen=False, jobs=1, tracer=None):
     """The golden mm search (same setup as test_search_golden)."""
-    config = SearchConfig(
-        full_search_variants=2, prescreen=prescreen, pipeline=pipeline
-    )
-    with EvalEngine(machine, jobs=jobs, tracer=tracer,
-                    workers=workers) as engine:
+    config = SearchConfig(full_search_variants=2, prescreen=prescreen)
+    with EvalEngine(machine, jobs=jobs, tracer=tracer) as engine:
         result = EcoOptimizer(
             matmul(), machine, config, engine=engine
         ).optimize({"N": 24}).result
@@ -101,24 +91,13 @@ class TestPrescreenSafety:
         )
 
 
-class TestSchedulingIsUnobservable:
-    def test_barrier_and_pipelined_results_identical(self):
-        barrier, barrier_engine = _golden_search(SGI, pipeline=False)
-        pipelined, pipelined_engine = _golden_search(SGI, pipeline=True)
-        assert _winner(pipelined) == _winner(barrier)
-        assert pipelined.points == barrier.points
-        assert pipelined.history == barrier.history
-        assert (
-            pipelined_engine.stats.simulations
-            == barrier_engine.stats.simulations
-        )
-
-    def test_pipelined_j4_with_prescreen_matches_j1(self):
-        """Canonical traces at -j 1 and -j 4 are identical with the full
-        scheduler engaged (speculation + prescreen): parallel workers and
-        abandoned speculative work never reach the record."""
+class TestSpeculationIsUnobservable:
+    def test_j4_with_prescreen_matches_j1(self, host_cpus):
+        """Results, the full/delta split and canonical traces at -j 1
+        and -j 4 are identical with the prescreen on: parallel workers
+        and abandoned speculative work never reach the record."""
         serial_tracer = Tracer(kernel="mm", machine="sgi", size=24)
-        serial, _ = _golden_search(
+        serial, serial_engine = _golden_search(
             SGI, prescreen=True, jobs=1, tracer=serial_tracer
         )
         parallel_tracer = Tracer(kernel="mm", machine="sgi", size=24)
@@ -126,70 +105,25 @@ class TestSchedulingIsUnobservable:
             SGI, prescreen=True, jobs=4, tracer=parallel_tracer
         )
         assert _winner(parallel) == _winner(serial)
+        assert parallel.points == serial.points
+        assert parallel.history == serial.history
         assert canonical(parallel_tracer.events()) == canonical(
             serial_tracer.events()
         )
-        # the parallel run really did speculate (it had spare workers)
-        submits = parallel_engine.metrics.counter(
-            "pipeline.speculative_submits"
-        ).value
-        assert submits > 0
-
-
-class TestThreadsWorkerVenue:
-    """``workers="threads"`` (ISSUE 6): deferred batches settle in-process
-    through the cross-candidate batched simulator.  The venue must be as
-    unobservable as the scheduler: identical winners, identical canonical
-    traces, identical simulation counts — against both serial and
-    process-pool runs."""
-
-    def test_threads_j4_trace_matches_processes(self):
-        serial_tracer = Tracer(kernel="mm", machine="sgi", size=24)
-        serial, serial_engine = _golden_search(
-            SGI, prescreen=True, jobs=1, tracer=serial_tracer
-        )
-        threads_tracer = Tracer(kernel="mm", machine="sgi", size=24)
-        threaded, threads_engine = _golden_search(
-            SGI, prescreen=True, jobs=4, tracer=threads_tracer,
-            workers="threads",
-        )
-        assert _winner(threaded) == _winner(serial)
-        assert canonical(threads_tracer.events()) == canonical(
-            serial_tracer.events()
-        )
         assert (
-            threads_engine.stats.simulations
-            == serial_engine.stats.simulations
-        )
-        assert (
-            threads_engine.stats.full_sims,
-            threads_engine.stats.delta_sims,
+            parallel_engine.stats.simulations,
+            parallel_engine.stats.full_sims,
+            parallel_engine.stats.delta_sims,
         ) == (
+            serial_engine.stats.simulations,
             serial_engine.stats.full_sims,
             serial_engine.stats.delta_sims,
         )
-        # the threaded run really did speculate (in-process batching
-        # keeps the pipelined scheduler's speculative submissions)
-        submits = threads_engine.metrics.counter(
+        # -j 4 speculates exactly when the host has CPUs to overlap on
+        submits = parallel_engine.metrics.counter(
             "pipeline.speculative_submits"
         ).value
-        assert submits > 0
-
-    def test_threads_serial_and_parallel_agree(self):
-        a, _ = _golden_search(SGI, jobs=1, workers="threads")
-        b, _ = _golden_search(SGI, jobs=4, workers="threads")
-        assert _winner(a) == _winner(b)
-        assert a.history == b.history
-
-    def test_threads_rejects_fault_injection(self):
-        from repro.faults import FaultPlan
-
-        plan = FaultPlan.parse("raise=0.2,seed=7")
-        with pytest.raises(ValueError, match="process workers"):
-            EvalEngine(SGI, jobs=2, workers="threads", fault_plan=plan)
-        # ... and rejects unknown venues outright
-        with pytest.raises(ValueError):
-            EvalEngine(SGI, workers="fibers")
+        assert (submits > 0) == (host_cpus > 1)
 
 
 class Interrupt(Exception):
@@ -199,9 +133,10 @@ class Interrupt(Exception):
 class FuseResolveEngine(EvalEngine):
     """An engine that dies after a set number of consumed candidates.
 
-    The fuse trips in :meth:`resolve` — the pipelined consumption path —
-    so the crash lands while speculative submissions are still in
-    flight, which is exactly the state a resume must recover from.
+    The fuse trips in :meth:`resolve`, the engine's one consumption
+    path; at ``-j 2`` on a multi-CPU host the crash lands while
+    speculative submissions are still in flight, which is exactly the
+    state a resume must recover from.
     """
 
     def __init__(self, *args, fuse: int, **kwargs) -> None:
@@ -218,19 +153,24 @@ class FuseResolveEngine(EvalEngine):
 class TestSpeculationIsCrashSafe:
     CONFIG = SearchConfig(full_search_variants=2)
 
-    def test_kill_mid_speculation_then_resume_matches_clean(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_kill_mid_speculation_then_resume_matches_clean(
+        self, tmp_path, jobs
+    ):
         clean = (
             EcoOptimizer(matmul(), SGI, self.CONFIG)
             .optimize({"N": 16}).result
         )
         path = tmp_path / "ck.json"
-        # Crash a pipelined -j2 search early (speculative work pending),
+        # Crash the search early (at -j 2 with speculative work pending),
         # then crash it again with a larger fuse until a pass survives:
         # the final best must be byte-identical wherever the crash landed.
         fuse = 3
+        crashes = 0
         for _ in range(20):
-            engine = FuseResolveEngine(SGI, jobs=2, fuse=fuse)
-            with engine:
+            with forced_cpu_count(8), FuseResolveEngine(
+                SGI, jobs=jobs, fuse=fuse
+            ) as engine:
                 optimizer = EcoOptimizer(
                     matmul(), SGI, self.CONFIG, engine=engine,
                     checkpoint_path=path, resume=True,
@@ -239,42 +179,11 @@ class TestSpeculationIsCrashSafe:
                     result = optimizer.optimize({"N": 16}).result
                     break
                 except Interrupt:
+                    crashes += 1
                     fuse = 30
         else:
             pytest.fail("search never completed within the crash budget")
-        assert result.variant.name == clean.variant.name
-        assert result.values == clean.values
-        assert result.prefetch == clean.prefetch
-        assert result.pads == clean.pads
-        assert result.cycles == clean.cycles
-
-    def test_threads_crash_mid_speculation_resumes_identically(self, tmp_path):
-        """The same crash/resume cycle under ``--workers threads -j4``:
-        group-settled speculative batches are consumed in record order,
-        so the journal (and the resumed best) must match a clean serial
-        run byte for byte."""
-        clean = (
-            EcoOptimizer(matmul(), SGI, self.CONFIG)
-            .optimize({"N": 16}).result
-        )
-        path = tmp_path / "ck-threads.json"
-        fuse = 3
-        for _ in range(20):
-            engine = FuseResolveEngine(
-                SGI, jobs=4, workers="threads", fuse=fuse
-            )
-            with engine:
-                optimizer = EcoOptimizer(
-                    matmul(), SGI, self.CONFIG, engine=engine,
-                    checkpoint_path=path, resume=True,
-                )
-                try:
-                    result = optimizer.optimize({"N": 16}).result
-                    break
-                except Interrupt:
-                    fuse = 30
-        else:
-            pytest.fail("search never completed within the crash budget")
+        assert crashes >= 1
         assert result.variant.name == clean.variant.name
         assert result.values == clean.values
         assert result.prefetch == clean.prefetch
@@ -360,7 +269,7 @@ class TestSearchFloorCheck:
                 "per_machine": {"sgi-r10k-mini": {"winner_match": winner}},
             },
             "search": {
-                "pipeline_speedup": speedup,
+                "parallel_speedup": speedup,
                 "best_sims_per_sec": sims_rate,
             },
         }
@@ -374,7 +283,7 @@ class TestSearchFloorCheck:
                 "prescreen_winner_match": True,
             },
             "host_sensitive": {
-                "pipeline_speedup": 2.0,
+                "parallel_speedup": 2.0,
                 "best_sims_per_sec": 100,
             },
         }
@@ -431,6 +340,16 @@ class TestSearchFloorCheck:
         )
         assert failures == []
         assert any("host differs" in w for w in warnings)
+
+    def test_quick_run_warns_that_speedup_was_not_measured(self, monkeypatch):
+        """--quick runs no N=64 legs, so there is no speedup to gate."""
+        self._fake_host(monkeypatch, 4)
+        results = self._results()
+        results["quick"] = True
+        del results["search"]["parallel_speedup"]
+        failures, warnings = check_search_floor(results, self._floor(4))
+        assert failures == []
+        assert any("not measured" in w for w in warnings)
 
     def test_sims_rate_shortfall_fails_on_the_measured_host(self, monkeypatch):
         self._fake_host(monkeypatch, 4)
