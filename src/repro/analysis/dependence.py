@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -84,7 +85,7 @@ def _subscript_matrix(
 
 
 def _solve_uniform(
-    matrix: List[List[int]], delta: List[int], nloops: int
+    matrix: Sequence[Sequence[int]], delta: Sequence[int], nloops: int
 ) -> Optional[Tuple[List[Entry], bool]]:
     """Solve ``matrix · d = delta`` exactly.
 
@@ -95,7 +96,25 @@ def _solve_uniform(
     legality predicates, which only use free entries permissively when
     proving *illegality*... hence we treat inexact vectors as fully free).
     Returns ``None`` when the system has no solution (no dependence).
+
+    Memoized: reuse analysis and the transforms' legality checks solve the
+    same few systems over and over.  Each call gets its own ``entries``
+    list, so a caller mutating it cannot change a later answer.
     """
+    solved = _solve_uniform_cached(
+        tuple(tuple(row) for row in matrix), tuple(delta), nloops
+    )
+    if solved is None:
+        return None
+    entries, exact = solved
+    return list(entries), exact
+
+
+@lru_cache(maxsize=4096)
+def _solve_uniform_cached(
+    matrix: Tuple[Tuple[int, ...], ...], delta: Tuple[int, ...], nloops: int
+) -> Optional[Tuple[Tuple[Entry, ...], bool]]:
+    """:func:`_solve_uniform` on hashable inputs (the memoized core)."""
     rows = [[Fraction(c) for c in row] + [Fraction(d)] for row, d in zip(matrix, delta)]
     ncols = nloops
     pivot_of_col: Dict[int, int] = {}
@@ -135,7 +154,7 @@ def _solve_uniform(
         if value.denominator != 1:
             return None  # rational-only solution: no integer dependence
         entries[col] = int(value)
-    return entries, not coupled
+    return tuple(entries), not coupled
 
 
 def compute_dependences(kernel: Kernel) -> List[Dependence]:
@@ -146,6 +165,13 @@ def compute_dependences(kernel: Kernel) -> List[Dependence]:
     """
     loops = loop_order(kernel)
     accesses = list(array_refs(kernel.body))
+    matrices: Dict[int, Optional[Tuple[List[List[int]], List[object]]]] = {}
+
+    def matrix_of(idx: int):
+        if idx not in matrices:
+            matrices[idx] = _subscript_matrix(accesses[idx][0], loops)
+        return matrices[idx]
+
     deps: List[Dependence] = []
     for idx1, (ref1, w1) in enumerate(accesses):
         for idx2 in range(idx1, len(accesses)):
@@ -154,8 +180,8 @@ def compute_dependences(kernel: Kernel) -> List[Dependence]:
                 continue
             self_pair = idx1 == idx2
             kinds = _dependence_kinds(w1, w2)
-            sub1 = _subscript_matrix(ref1, loops)
-            sub2 = _subscript_matrix(ref2, loops)
+            sub1 = matrix_of(idx1)
+            sub2 = matrix_of(idx2)
             if sub1 is None or sub2 is None:
                 for kind in kinds:
                     deps.append(Dependence(ref1, ref2, kind, loops, (None,) * len(loops)))

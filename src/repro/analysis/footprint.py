@@ -31,6 +31,7 @@ __all__ = [
     "footprint_elems",
     "footprint_lines",
     "footprint_pages",
+    "prefix_footprints",
 ]
 
 
@@ -99,7 +100,6 @@ def group_footprint_elems(
         raise ValueError("group_footprint_elems: refs must share one array")
     if loops is None:
         loops = loop_order(kernel)
-    base = refs[0]
     try:
         dims = group_footprint_dims(kernel, refs, extents, loops)
     except ValueError:
@@ -124,6 +124,37 @@ def footprint_elems(
     for group in by_array.values():
         total = total + group_footprint_elems(kernel, group, extents, loops)
     return total
+
+
+def prefix_footprints(
+    kernel: Kernel,
+    ref: ArrayRef,
+    trips: Mapping[str, int],
+    loops: Optional[Sequence[str]] = None,
+) -> List[int]:
+    """Numeric footprint of one reference, in elements, over each
+    innermost prefix of ``loops``: entry ``k`` covers the ``k + 1``
+    innermost loops at trip counts ``trips``, the last entry the whole
+    nest.
+
+    Integer arithmetic equal to evaluating :func:`ref_footprint_elems`
+    with those trip counts as the extents, one prefix at a time, but with
+    the subscript matrix computed once.  Raises ``ValueError`` for
+    non-affine subscripts, as the symbolic form does.
+    """
+    if loops is None:
+        loops = loop_order(kernel)
+    matrix, _ = _matrix_for(kernel, ref, loops)
+    dims = [1] * len(matrix)
+    out: List[int] = []
+    for col in reversed(range(len(loops))):
+        span = trips[loops[col]] - 1
+        total = 1
+        for row, coeffs in enumerate(matrix):
+            dims[row] += abs(coeffs[col]) * span
+            total *= dims[row]
+        out.append(total)
+    return out
 
 
 def footprint_lines(

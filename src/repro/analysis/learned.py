@@ -71,9 +71,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.missmodel import estimate_misses
-from repro.analysis.surrogate import _issue_cycles, stall_cycles
-from repro.core.variants import Variant, instantiate
+from repro.analysis.surrogate import model_terms, stall_cycles
+from repro.core.variants import Variant
 from repro.ir.nest import Kernel
 from repro.machines import MachineSpec
 
@@ -165,13 +164,11 @@ def _raw_features(
     params: Sequence[str],
 ) -> Optional[List[float]]:
     """Feature vector of one binding; ``None`` = unscorable (fail open)."""
-    try:
-        inst = instantiate(kernel, variant, dict(values), machine)
-        est = estimate_misses(inst, problem, machine)
-        issue = _issue_cycles(inst, problem, machine)
-    except Exception:
+    terms = model_terms(kernel, variant, values, problem, machine)
+    if terms is None:
         return None
-    stalls = stall_cycles(est.per_level, machine)
+    issue, per_level = terms
+    stalls = stall_cycles(per_level, machine)
     logs = [math.log2(max(1, int(values.get(p, 1)))) for p in params]
     feats = list(logs)
     feats.extend(
@@ -180,7 +177,7 @@ def _raw_features(
         for j in range(i, len(logs))
     )
     feats.append(math.log1p(max(0.0, issue)))
-    feats.extend(math.log1p(max(0, m)) for m in est.per_level)
+    feats.extend(math.log1p(max(0, m)) for m in per_level)
     feats.append(math.log1p(max(0.0, issue + stalls)))
     feats.append(1.0)  # bias column: not standardized, not scaled away
     return feats

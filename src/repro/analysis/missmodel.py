@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.footprint import footprint_elems
+from repro.analysis.footprint import prefix_footprints
 from repro.analysis.reuse import ReuseSummary, analyze_reuse
 from repro.ir.nest import ArrayRef, Kernel, array_refs, find_loop, loop_order
 from repro.machines import CacheSpec, MachineSpec
@@ -55,34 +55,77 @@ def estimate_misses(
     params: Mapping[str, int],
     machine: MachineSpec,
 ) -> MissEstimate:
-    """Compulsory+capacity miss prediction for the *original* kernel."""
+    """Compulsory+capacity miss prediction for the *original* kernel.
+
+    Everything that does not depend on the cache level — each reference's
+    footprint over every innermost loop prefix and its per-loop reuse
+    kind — is computed once, as plain integers; each level then only
+    walks those numbers against its capacity and line size.
+    """
     loops = loop_order(kernel)
     summary = analyze_reuse(kernel, machine.l1.line_size)
     trip_counts = _trip_counts(kernel, loops, params)
-
-    refs: List[Tuple[ArrayRef, int]] = []
-    seen: Dict[ArrayRef, int] = {}
-    for ref, _ in array_refs(kernel.body):
-        seen[ref] = seen.get(ref, 0) + 1
+    refs = list(dict.fromkeys(ref for ref, _ in array_refs(kernel.body)))
     total_iterations = 1
     for var in loops:
         total_iterations *= max(1, trip_counts[var])
+    profiles = [_profile(kernel, summary, ref, loops, trip_counts) for ref in refs]
 
     per_level: List[int] = []
     per_ref: Dict[str, List[int]] = {}
     for cache in machine.caches:
         level_total = 0
-        for ref, uses in seen.items():
-            misses = _ref_misses(
-                kernel, summary, ref, loops, trip_counts, total_iterations,
-                cache, params,
-            )
+        for ref, profile in zip(refs, profiles):
+            misses = _ref_misses(profile, total_iterations, cache)
             level_total += misses
             per_ref.setdefault(str(ref), []).append(misses)
         per_level.append(level_total)
     return MissEstimate(
         per_level=tuple(per_level),
         per_ref={k: tuple(v) for k, v in per_ref.items()},
+    )
+
+
+@dataclass(frozen=True)
+class _RefProfile:
+    """The level-independent facts :func:`_ref_misses` needs of one ref.
+
+    ``footprints[k]`` is the ref's footprint in elements over the ``k + 1``
+    innermost loops; ``reuse[k]`` is what that loop carries for the ref
+    (``"temporal"``, ``"spatial"`` or ``None``) and ``trips[k]`` its trip
+    count; ``touched`` is the footprint over the whole nest.
+    """
+
+    element: int
+    footprints: Tuple[int, ...]
+    reuse: Tuple[Optional[str], ...]
+    trips: Tuple[int, ...]
+    touched: int
+
+
+def _profile(
+    kernel: Kernel,
+    summary: ReuseSummary,
+    ref: ArrayRef,
+    loops: Tuple[str, ...],
+    trips: Mapping[str, int],
+) -> _RefProfile:
+    footprints = prefix_footprints(kernel, ref, trips, loops)
+    reuse: List[Optional[str]] = []
+    for var in reversed(loops):
+        temporal, spatial = summary.carried(var)
+        if ref in temporal:
+            reuse.append("temporal")
+        elif ref in spatial:
+            reuse.append("spatial")
+        else:
+            reuse.append(None)
+    return _RefProfile(
+        element=kernel.array(ref.array).element_size,
+        footprints=tuple(footprints),
+        reuse=tuple(reuse),
+        trips=tuple(trips[var] for var in reversed(loops)),
+        touched=footprints[-1] if footprints else 1,
     )
 
 
@@ -107,16 +150,7 @@ def _trip_counts(
     return trips
 
 
-def _ref_misses(
-    kernel: Kernel,
-    summary: ReuseSummary,
-    ref: ArrayRef,
-    loops: Tuple[str, ...],
-    trips: Mapping[str, int],
-    total_iterations: int,
-    cache: CacheSpec,
-    params: Mapping[str, int],
-) -> int:
+def _ref_misses(profile: _RefProfile, total_iterations: int, cache: CacheSpec) -> int:
     """Misses of one reference at one level.
 
     Walk loops from innermost out, accumulating the reuse factor while the
@@ -124,28 +158,21 @@ def _ref_misses(
     the fit boundary contribute no reuse (their reuse distance exceeds the
     capacity).
     """
-    element = kernel.array(ref.array).element_size
-    capacity_elems = max(1, cache.capacity // element)
-    line_elems = max(1, cache.line_size // element)
+    capacity_elems = max(1, cache.capacity // profile.element)
+    line_elems = max(1, cache.line_size // profile.element)
 
     reuse_factor = 1.0
-    inner: List[str] = []
-    for var in reversed(loops):
-        inner.append(var)
-        extents = {v: trips[v] for v in inner}
+    for footprint, kind, trips in zip(profile.footprints, profile.reuse, profile.trips):
         # Footprint of everything this reference touches across the loops
         # seen so far; if it no longer fits, reuse carried by this and any
         # outer loop is lost.
-        fp = int(footprint_elems(kernel, [ref], extents, loops).evaluate(params))
-        if fp > capacity_elems:
+        if footprint > capacity_elems:
             break
-        if ref in summary.temporal_refs(var):
-            reuse_factor *= max(1, trips[var])
-        elif ref in summary.spatial_refs(var):
+        if kind == "temporal":
+            reuse_factor *= max(1, trips)
+        elif kind == "spatial":
             reuse_factor *= line_elems
     misses = int(total_iterations / max(1.0, reuse_factor))
     # Never fewer than the compulsory misses (touch every line once).
-    extents_all = {v: trips[v] for v in loops}
-    touched = int(footprint_elems(kernel, [ref], extents_all, loops).evaluate(params))
-    compulsory = max(1, touched // line_elems)
+    compulsory = max(1, profile.touched // line_elems)
     return max(misses, compulsory)

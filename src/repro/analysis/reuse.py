@@ -30,6 +30,9 @@ from repro.ir.nest import ArrayRef, Kernel, array_refs, loop_order
 
 __all__ = ["RefReuse", "GroupReuse", "ReuseSummary", "analyze_reuse"]
 
+#: an insertion-ordered reference set (dict keys; values unused)
+_Carried = Dict[ArrayRef, None]
+
 
 @dataclass(frozen=True)
 class RefReuse:
@@ -64,12 +67,20 @@ class GroupReuse:
 
 @dataclass
 class ReuseSummary:
-    """Aggregated reuse facts for a kernel on a given line size."""
+    """Aggregated reuse facts for a kernel on a given line size.
+
+    The per-loop reference lists (self plus group reuse) are built once
+    per loop and cached on the summary; ``refs`` and ``groups`` are not
+    meant to change after construction.
+    """
 
     loops: Tuple[str, ...]
     line_elems: int
     refs: List[RefReuse]
     groups: List[GroupReuse]
+    _carried: Dict[str, Tuple[_Carried, _Carried]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def ref_reuse(self, ref: ArrayRef) -> RefReuse:
         for info in self.refs:
@@ -80,24 +91,35 @@ class ReuseSummary:
     def refs_of_array(self, array: str) -> List[RefReuse]:
         return [info for info in self.refs if info.ref.array == array]
 
-    def temporal_refs(self, loop: str) -> List[ArrayRef]:
-        """References with temporal reuse (self or group) carried by ``loop``."""
-        found = [info.ref for info in self.refs if info.has_temporal(loop)]
-        for group in self.groups:
-            if group.loop == loop and not group.spatial:
-                for ref in (group.ref_a, group.ref_b):
-                    if ref not in found:
-                        found.append(ref)
+    def carried(self, loop: str) -> Tuple[_Carried, _Carried]:
+        """(temporal, spatial) references whose reuse ``loop`` carries,
+        each an ordered set (self reuse first, then group partners) that
+        callers must treat as read-only."""
+        found = self._carried.get(loop)
+        if found is None:
+            found = (self._collect(loop, spatial=False),
+                     self._collect(loop, spatial=True))
+            self._carried[loop] = found
         return found
 
-    def spatial_refs(self, loop: str) -> List[ArrayRef]:
-        found = [info.ref for info in self.refs if info.has_spatial(loop)]
+    def _collect(self, loop: str, spatial: bool) -> _Carried:
+        found = {
+            info.ref: None
+            for info in self.refs
+            if (info.has_spatial(loop) if spatial else info.has_temporal(loop))
+        }
         for group in self.groups:
-            if group.loop == loop and group.spatial:
-                for ref in (group.ref_a, group.ref_b):
-                    if ref not in found:
-                        found.append(ref)
+            if group.loop == loop and group.spatial == spatial:
+                found.setdefault(group.ref_a)
+                found.setdefault(group.ref_b)
         return found
+
+    def temporal_refs(self, loop: str) -> List[ArrayRef]:
+        """References with temporal reuse (self or group) carried by ``loop``."""
+        return list(self.carried(loop)[0])
+
+    def spatial_refs(self, loop: str) -> List[ArrayRef]:
+        return list(self.carried(loop)[1])
 
     def temporal_score(self, loop: str, among: Optional[Sequence[ArrayRef]] = None) -> int:
         """Number of references whose temporal reuse ``loop`` carries."""
@@ -114,16 +136,11 @@ class ReuseSummary:
 
     def reuse_amount(self, ref: ArrayRef, loop: str, trip_count: int) -> int:
         """The paper's ``R_l(r)``: N_l, CLS or 1."""
-        info = self.ref_reuse(ref)
-        if info.has_temporal(loop) or any(
-            g.loop == loop and not g.spatial and ref in (g.ref_a, g.ref_b)
-            for g in self.groups
-        ):
+        self.ref_reuse(ref)  # KeyError for a reference the summary lacks
+        temporal, spatial = self.carried(loop)
+        if ref in temporal:
             return trip_count
-        if info.has_spatial(loop) or any(
-            g.loop == loop and g.spatial and ref in (g.ref_a, g.ref_b)
-            for g in self.groups
-        ):
+        if ref in spatial:
             return self.line_elems
         return 1
 

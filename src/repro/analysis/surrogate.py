@@ -34,12 +34,18 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.missmodel import estimate_misses
-from repro.core.variants import Variant, instantiate
+from repro.core.variants import Variant, cached_base
 from repro.ir.nest import ArrayRef, Assign, CBin, CVar, Kernel, Loop, Prefetch
 from repro.machines import MachineSpec
 from repro.sim.cpu import iteration_issue_cycles
 
-__all__ = ["Surrogate", "SkipVerdict", "DEFAULT_MARGIN", "stall_cycles"]
+__all__ = [
+    "DEFAULT_MARGIN",
+    "SkipVerdict",
+    "Surrogate",
+    "model_terms",
+    "stall_cycles",
+]
 
 #: default safety margin: a candidate is skipped only when the model puts
 #: it more than this fraction above the running best's score.  Calibrated
@@ -63,6 +69,35 @@ def stall_cycles(per_level: Sequence[float], machine: MachineSpec) -> float:
         else:
             stalls += misses * machine.memory_latency
     return stalls
+
+
+def model_terms(
+    kernel: Kernel,
+    variant: Variant,
+    values: Mapping[str, int],
+    problem: Mapping[str, int],
+    machine: MachineSpec,
+) -> Optional[Tuple[float, Tuple[int, ...]]]:
+    """The analytical model's view of one binding: static issue cycles
+    and predicted misses per cache level, or ``None`` when the model
+    cannot score it (fail open: such a candidate must be simulated).
+
+    The variant is built through the base-IR LRU the engine also builds
+    through (:func:`repro.core.variants.cached_base`), so a candidate
+    scored here and simulated later is transformed once.  The base IR is
+    exactly what ``instantiate`` without prefetch yields.
+    """
+    # lazy import: repro.eval pulls the engine in; keep module import light
+    from repro.eval.keys import trace_signature
+
+    try:
+        signature = trace_signature(kernel, variant, values, problem, machine)
+        inst = cached_base(signature, kernel, variant, values, machine)
+        est = estimate_misses(inst, problem, machine)
+        issue = _issue_cycles(inst, problem, machine)
+    except Exception:
+        return None
+    return issue, est.per_level
 
 
 @dataclass(frozen=True)
@@ -102,15 +137,13 @@ class Surrogate:
         key = (variant.name, tuple(sorted((k, int(v)) for k, v in values.items())))
         if key in self._scores:
             return self._scores[key]
-        try:
-            inst = instantiate(self.kernel, variant, dict(values), self.machine)
-            est = estimate_misses(inst, self.problem, self.machine)
-            issue = _issue_cycles(inst, self.problem, self.machine)
-        except Exception:
-            # fail-open: an unscorable candidate must be simulated
-            self._scores[key] = None
-            return None
-        result = issue + stall_cycles(est.per_level, self.machine)
+        terms = model_terms(
+            self.kernel, variant, values, self.problem, self.machine
+        )
+        result = None
+        if terms is not None:
+            issue, per_level = terms
+            result = issue + stall_cycles(per_level, self.machine)
         self._scores[key] = result
         return result
 

@@ -246,7 +246,32 @@ def _golden_search_once(
     return wall, engine.stats, winner
 
 
-def _learned_leg(machine_name: str) -> Dict[str, object]:
+def _wall_pair(run_base, run_pruned, repeats: int):
+    """Time a plain and a model-pruned search, interleaved ``repeats``
+    times, each run from a cold base-IR cache (as a fresh ``repro tune``
+    process starts).  Returns the wall-clock row (median walls and
+    ``wall_speedup`` = base / pruned) and the last run's ``(stats,
+    winner)`` of each side."""
+    from repro.core.variants import clear_base_cache
+
+    walls: Dict[str, List[float]] = {"base": [], "pruned": []}
+    last: Dict[str, Tuple[object, Dict[str, object]]] = {}
+    for _ in range(repeats):
+        for side, run in (("base", run_base), ("pruned", run_pruned)):
+            clear_base_cache()
+            wall, stats, winner = run()
+            walls[side].append(wall)
+            last[side] = (stats, winner)
+    base = statistics.median(walls["base"])
+    pruned = statistics.median(walls["pruned"])
+    row = {
+        "wall_seconds": {"base": round(base, 3), "pruned": round(pruned, 3)},
+        "wall_speedup": round(base / max(1e-9, pruned), 2),
+    }
+    return row, last["base"], last["pruned"]
+
+
+def _learned_leg(machine_name: str, repeats: int) -> Dict[str, object]:
     """The learned-ranker pruning comparison on one machine model.
 
     Trains a ranker on the base run's *own* trace (in memory: Tracer →
@@ -255,21 +280,22 @@ def _learned_leg(machine_name: str) -> Dict[str, object]:
     property of the model and the skip policy, not of which corpus
     happened to be on disk.  Both runs are ``-j 1`` with the analytical
     prescreen off, the same baseline the prescreen legs use, so the two
-    avoided fractions are directly comparable.
+    avoided fractions are directly comparable.  The walls are timed on
+    untraced runs, apart from the traced training run.
     """
     from repro.analysis.learned import train_ranker
     from repro.obs import Tracer
     from repro.obs.corpus import flatten_trace
 
     tracer = Tracer(command="bench", suite="search", machine=machine_name)
-    _, base_stats, base_winner = _golden_search_once(
-        machine_name, 1, False, tracer=tracer
-    )
+    _golden_search_once(machine_name, 1, False, tracer=tracer)
     ranker = train_ranker(
         flatten_trace(tracer.events()), "mm", machine_name, seed=0
     )
-    _, ranked_stats, ranked_winner = _golden_search_once(
-        machine_name, 1, False, ranker=ranker
+    walls, (base_stats, base_winner), (ranked_stats, ranked_winner) = _wall_pair(
+        lambda: _golden_search_once(machine_name, 1, False),
+        lambda: _golden_search_once(machine_name, 1, False, ranker=ranker),
+        repeats,
     )
     avoided = 1.0 - ranked_stats.simulations / max(1, base_stats.simulations)
     return {
@@ -279,6 +305,7 @@ def _learned_leg(machine_name: str) -> Dict[str, object]:
         "model_fingerprint": ranker.fingerprint,
         "avoided_frac": round(avoided, 4),
         "winner_match": ranked_winner == base_winner,
+        **walls,
     }
 
 
@@ -312,12 +339,15 @@ def run_search_bench(
     * **prescreen** — simulations run with the analytical-model prescreen
       on vs off, on *all four* machine models, with the tuned winner
       required to be identical.  These counts are deterministic on any
-      host;
+      host.  Each machine also records both walls and ``wall_speedup``
+      (plain / pruned): the model must pay in wall-clock, not only in
+      simulations avoided;
     * **learned** — the same comparison for the learned ranking
       surrogate: train on the base run's own trace, rerun with the
       ranker batch-pruning candidates, require the winner unchanged.
       Gated harder than the prescreen (the committed floor demands a
-      larger avoided fraction on *every* machine).
+      larger avoided fraction on *every* machine).  Walls as for the
+      prescreen.
 
     Every parallel leg also reports **wall-based sims/sec**
     (``simulations / wall_seconds`` over the whole search, front end
@@ -341,6 +371,9 @@ def run_search_bench(
     #: (problem size, interleaved repeats): cheap N=24 runs get enough
     #: repeats for a stable median, N=64 (~10 s a run) a few
     sizes = ((24, 1),) if quick else ((24, 10), (64, 3))
+    #: interleaved repeats of each plain/pruned wall pair in the
+    #: prescreen and learned legs
+    model_repeats = 1 if quick else 3
     payload: Dict[str, object] = {
         "schema": 2,
         "quick": quick,
@@ -353,8 +386,9 @@ def run_search_bench(
             "golden mm search (full_search_variants=2) at -j 1 and -j N, "
             "legs interleaved, median wall of the repeats; prescreen and "
             "learned legs run at N=24, -j 1 (their sim counts and winners "
-            "are deterministic); the learned leg trains on the base run's "
-            "own trace"
+            "are deterministic), plain and pruned searches interleaved, "
+            "each from a cold base-IR cache, median wall of the repeats; "
+            "the learned leg trains on the base run's own trace"
         ),
     }
 
@@ -404,8 +438,13 @@ def run_search_bench(
     if "prescreen" in selected:
         per_machine: Dict[str, Dict[str, object]] = {}
         for name in MACHINES:
-            _, base_stats, base_winner = _golden_search_once(name, 1, False)
-            _, pre_stats, pre_winner = _golden_search_once(name, 1, True)
+            walls, (base_stats, base_winner), (pre_stats, pre_winner) = (
+                _wall_pair(
+                    lambda: _golden_search_once(name, 1, False),
+                    lambda: _golden_search_once(name, 1, True),
+                    model_repeats,
+                )
+            )
             avoided = 1.0 - pre_stats.simulations / max(
                 1, base_stats.simulations
             )
@@ -415,6 +454,7 @@ def run_search_bench(
                 "prescreen_skips": pre_stats.prescreen_skips,
                 "avoided_frac": round(avoided, 4),
                 "winner_match": pre_winner == base_winner,
+                **walls,
             }
         golden = per_machine["sgi-r10k-mini"]
         payload["prescreen"] = {
@@ -427,7 +467,9 @@ def run_search_bench(
         }
 
     if "learned" in selected:
-        learned_machines = {name: _learned_leg(name) for name in MACHINES}
+        learned_machines = {
+            name: _learned_leg(name, model_repeats) for name in MACHINES
+        }
         payload["learned"] = {
             "top_k": DEFAULT_TOP_K,
             "explore": DEFAULT_EXPLORE,
@@ -919,6 +961,7 @@ def _main_search(args) -> int:
             print(f"    {name:22s} sims {row['sims_base']:>3} -> "
                   f"{row['sims_prescreen']:>3}  "
                   f"avoided {row['avoided_frac']:>6.1%}  "
+                  f"{_format_walls(row)}  "
                   f"winner_match={row['winner_match']}")
     if "learned" in results:
         learned = results["learned"]
@@ -931,6 +974,7 @@ def _main_search(args) -> int:
             print(f"    {name:22s} sims {row['sims_base']:>3} -> "
                   f"{row['sims_ranked']:>3}  "
                   f"avoided {row['avoided_frac']:>6.1%}  "
+                  f"{_format_walls(row)}  "
                   f"winner_match={row['winner_match']}")
 
     if args.check:
@@ -951,6 +995,12 @@ def _main_search(args) -> int:
             return 1
         print(f"floor check passed ({floor_path})")
     return 0
+
+
+def _format_walls(row: Dict[str, object]) -> str:
+    walls = row["wall_seconds"]
+    return (f"wall {walls['base']:.2f}s -> {walls['pruned']:.2f}s "
+            f"({row['wall_speedup']:.2f}x)")
 
 
 def _main_serve(args) -> int:
@@ -1035,6 +1085,7 @@ def trend_row(
             "parallel_speedup": s.get("parallel_speedup"),
             "prescreen_avoided_frac": prescreen.get("avoided_frac"),
             "prescreen_winner_match": prescreen.get("winner_match"),
+            "prescreen_wall_speedup": _wall_speedups(prescreen),
         }
         learned = search.get("learned")
         if learned is not None:
@@ -1046,6 +1097,7 @@ def trend_row(
             row["search"]["learned_winner_match"] = learned.get(
                 "winner_match"
             )
+            row["search"]["learned_wall_speedup"] = _wall_speedups(learned)
     if serve is not None:
         # the serving headline numbers the serve floor gates on
         row["serve"] = {
@@ -1057,6 +1109,17 @@ def trend_row(
             "trace_identical": serve.get("trace", {}).get("identical"),
         }
     return row
+
+
+def _wall_speedups(leg: Dict[str, object]) -> Optional[Dict[str, float]]:
+    """Per-machine plain/pruned wall speedup of a model leg (``None``
+    for payloads recorded before the legs were timed)."""
+    speedups = {
+        name: row["wall_speedup"]
+        for name, row in leg.get("per_machine", {}).items()
+        if "wall_speedup" in row
+    }
+    return speedups or None
 
 
 def _main_trend(args) -> int:
@@ -1109,6 +1172,10 @@ def _main_trend(args) -> int:
                 f"learned avoided "
                 f"{row['search']['learned_avoided_frac']:.1%}"
             )
+        for leg in ("prescreen", "learned"):
+            speedups = row["search"].get(f"{leg}_wall_speedup")
+            if speedups:
+                bits.append(f"{leg} wall speedup min {min(speedups.values())}x")
         parts.append("search " + ", ".join(bits))
     if "serve" in row:
         bits = []

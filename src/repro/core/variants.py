@@ -11,6 +11,8 @@ empirical search instantiates the variant with concrete values
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,6 +36,8 @@ __all__ = [
     "PrefetchSite",
     "Variant",
     "apply_prefetch",
+    "cached_base",
+    "clear_base_cache",
     "control_name",
     "instantiate",
     "instantiate_base",
@@ -213,6 +217,50 @@ def instantiate_base(
             result = unroll_and_jam(result, loop, factor, reassociate=True)
 
     return scalar_replace(result, variant.register_loop)
+
+
+#: process-local LRU of :func:`instantiate_base` results, keyed by trace
+#: signature (:func:`repro.eval.keys.trace_signature`).  The model scores
+#: and the engine builds through it, so a scored candidate that is then
+#: simulated is transformed once, and candidates differing only in
+#: prefetch distance or pads (the distance-ladder and padding stages of
+#: the guided search) share one tile/copy/unroll/scalar-replace front end
+#: and re-run only the cheap suffix.  IR nodes are frozen dataclasses, so
+#: sharing is safe; the lock covers searches running on threads of one
+#: process (the serve daemon's).  Pool workers each grow their own copy,
+#: which is exactly what makes their repeat builds cheap.
+_BASE_IR_CAP = 256
+_BASE_IR_CACHE: "OrderedDict[str, Kernel]" = OrderedDict()
+_BASE_IR_LOCK = threading.Lock()
+
+
+def cached_base(
+    signature: str,
+    kernel: Kernel,
+    variant: Variant,
+    values: Mapping[str, int],
+    machine: Optional[MachineSpec] = None,
+) -> Kernel:
+    """:func:`instantiate_base` through the shared LRU; ``signature``
+    must be the binding's trace signature."""
+    with _BASE_IR_LOCK:
+        base = _BASE_IR_CACHE.get(signature)
+        if base is not None:
+            _BASE_IR_CACHE.move_to_end(signature)
+            return base
+    base = instantiate_base(kernel, variant, dict(values), machine)
+    with _BASE_IR_LOCK:
+        _BASE_IR_CACHE[signature] = base
+        _BASE_IR_CACHE.move_to_end(signature)
+        while len(_BASE_IR_CACHE) > _BASE_IR_CAP:
+            _BASE_IR_CACHE.popitem(last=False)
+    return base
+
+
+def clear_base_cache() -> None:
+    """Empty the shared base-IR LRU (benchmarks time searches cold)."""
+    with _BASE_IR_LOCK:
+        _BASE_IR_CACHE.clear()
 
 
 def apply_prefetch(

@@ -49,9 +49,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import (
     CancelledError,
     Future,
@@ -67,7 +65,7 @@ from repro.core.variants import (
     PrefetchSite,
     Variant,
     apply_prefetch,
-    instantiate_base,
+    cached_base,
 )
 from repro.eval.cache import CachedResult, ResultCache
 from repro.eval.keys import candidate_key, trace_signature
@@ -341,40 +339,6 @@ def stats_delta(before: Dict[str, object], after: Dict[str, object]) -> Dict[str
     return out
 
 
-#: process-local cache of pre-prefetch instantiated IR, keyed by trace
-#: signature — candidates differing only in prefetch distance or pads
-#: (the distance-ladder and padding stages of the guided search) share
-#: one tile/copy/unroll/scalar-replace front end and re-run only the
-#: cheap suffix.  IR nodes are frozen dataclasses, so sharing is safe;
-#: the lock covers searches running on threads of one process (the serve
-#: daemon's).  Pool workers each grow their own copy, which is exactly
-#: what makes their repeat builds cheap.
-_BASE_IR_CAP = 256
-_BASE_IR_CACHE: "OrderedDict[str, Kernel]" = OrderedDict()
-_BASE_IR_LOCK = threading.Lock()
-
-
-def _base_ir(
-    signature: str,
-    kernel: Kernel,
-    variant: Variant,
-    values: Mapping[str, int],
-    machine: MachineSpec,
-) -> Kernel:
-    with _BASE_IR_LOCK:
-        base = _BASE_IR_CACHE.get(signature)
-        if base is not None:
-            _BASE_IR_CACHE.move_to_end(signature)
-            return base
-    base = instantiate_base(kernel, variant, dict(values), machine)
-    with _BASE_IR_LOCK:
-        _BASE_IR_CACHE[signature] = base
-        _BASE_IR_CACHE.move_to_end(signature)
-        while len(_BASE_IR_CACHE) > _BASE_IR_CAP:
-            _BASE_IR_CACHE.popitem(last=False)
-    return base
-
-
 def _build_candidate(
     kernel: Kernel,
     variant: Variant,
@@ -391,7 +355,7 @@ def _build_candidate(
     exactly what those raise (``TransformError``/``ValueError`` for
     infeasible points, ``MemoryError`` under pressure).
     """
-    base = _base_ir(signature, kernel, variant, dict(values), machine)
+    base = cached_base(signature, kernel, variant, dict(values), machine)
     inst = apply_prefetch(base, machine, dict(prefetch))
     if pads:
         inst = pad_arrays(inst, dict(pads))

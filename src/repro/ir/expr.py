@@ -345,6 +345,9 @@ def add(*terms: ExprLike) -> Expr:
 
 
 def sub(left: ExprLike, right: ExprLike) -> Expr:
+    if isinstance(left, Const) and isinstance(right, Const):
+        # what the general fold yields, without building the sum
+        return Const(left.value - right.value)
     return add(left, mul(-1, right))
 
 

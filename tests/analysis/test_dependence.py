@@ -1,8 +1,12 @@
 """Dependence analysis tests on the paper's kernels and synthetic nests."""
 
+import random
+
 import pytest
 
 from repro.analysis.dependence import (
+    _solve_uniform,
+    _solve_uniform_cached,
     compute_dependences,
     permutation_legal,
     tiling_legal,
@@ -152,3 +156,37 @@ class TestSyntheticDependences:
             ),
         )
         assert compute_dependences(k) == []
+
+
+class TestSolveUniformMemo:
+    @staticmethod
+    def _uncached(matrix, delta, nloops):
+        solved = _solve_uniform_cached.__wrapped__(
+            tuple(tuple(row) for row in matrix), tuple(delta), nloops
+        )
+        return None if solved is None else (list(solved[0]), solved[1])
+
+    def test_memo_equals_uncached_solve(self):
+        rng = random.Random(14)
+        for _ in range(400):
+            nloops = rng.randint(1, 4)
+            matrix = [
+                [rng.randint(-2, 2) for _ in range(nloops)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            delta = [rng.randint(-3, 3) for _ in matrix]
+            expected = self._uncached(matrix, delta, nloops)
+            assert _solve_uniform(matrix, delta, nloops) == expected
+            # the second call is answered from the memo
+            assert _solve_uniform(matrix, delta, nloops) == expected
+
+    def test_mutating_an_answer_does_not_poison_the_memo(self):
+        matrix, delta = [[1, 0, 0], [0, 1, 0]], [2, 0]
+        entries, exact = _solve_uniform(matrix, delta, 3)
+        assert (entries, exact) == ([2, 0, None], True)
+        entries[0] = 99
+        entries.append(7)
+        assert _solve_uniform(matrix, delta, 3) == ([2, 0, None], True)
+
+    def test_memo_is_bounded(self):
+        assert _solve_uniform_cached.cache_info().maxsize is not None

@@ -17,13 +17,21 @@ Pinned properties:
 * delta accounting fires only for signature repeats, and a warm cache
   yields zero simulations (the split doesn't move);
 * an infeasible candidate does not mark its signature as seen (the next
-  feasible sibling still counts as full).
+  feasible sibling still counts as full);
+* the model and the engine build through one base-IR LRU: a candidate
+  the surrogate scores and the engine then simulates is transformed
+  once, and the engine's full/delta split does not see the model's build.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
+import repro.core.variants as variants_module
+from repro.analysis.learned import _raw_features
+from repro.analysis.surrogate import Surrogate
 from repro.core import EcoOptimizer, GuidedSearch, SearchConfig, derive_variants
 from repro.core.variants import PrefetchSite
 from repro.eval import EvalEngine, EvalRequest, candidate_key, trace_signature
@@ -191,6 +199,36 @@ class TestDeltaAccounting:
         stage = engine.stats.stages["ladder"]
         assert stage.simulations == stage.full_sims + stage.delta_sims == 3
         assert (stage.full_sims, stage.delta_sims) == (1, 2)
+        engine.close()
+
+
+class TestSharedBaseBuild:
+    def test_scored_then_simulated_candidate_is_built_once(
+        self, mm_variants, monkeypatch
+    ):
+        calls = []
+        original = variants_module.instantiate_base
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(variants_module, "instantiate_base", counting)
+        monkeypatch.setattr(variants_module, "_BASE_IR_CACHE", OrderedDict())
+        v = mm_variants[0]
+        values = _initial_values(v)
+        problem = {"N": 16}
+        assert Surrogate(matmul(), SGI, problem).score(v, values) is not None
+        assert len(calls) == 1
+        # the learned ranker's features read the same build
+        params = list(v.param_names)
+        assert _raw_features(matmul(), v, values, problem, SGI, params) is not None
+        engine = EvalEngine(SGI)
+        outcome = engine.evaluate(matmul(), v, values, problem)
+        assert outcome.status == "ok"
+        assert len(calls) == 1
+        # the model's build is not an engine consumption: still "full"
+        assert (engine.stats.full_sims, engine.stats.delta_sims) == (1, 0)
         engine.close()
 
 

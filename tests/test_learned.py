@@ -301,6 +301,21 @@ class TestBenchPlumbing:
         assert row["search"]["learned_avoided_frac"] == 0.42
         assert row["search"]["learned_winner_match"] is True
 
+    def test_trend_row_carries_model_leg_wall_speedups(self):
+        def leg(speedup):
+            return {"per_machine": {"sgi-r10k-mini": {
+                "wall_seconds": {"base": 0.8, "pruned": 0.8 / speedup},
+                "wall_speedup": speedup,
+            }}}
+
+        search = {"search": {}, "prescreen": leg(0.9), "learned": leg(1.4)}
+        row = trend_row(search=search, timestamp=0.0)
+        assert row["search"]["prescreen_wall_speedup"] == {"sgi-r10k-mini": 0.9}
+        assert row["search"]["learned_wall_speedup"] == {"sgi-r10k-mini": 1.4}
+        # payloads recorded before the model legs were timed
+        old = trend_row(search={"search": {}, "prescreen": {}}, timestamp=0.0)
+        assert old["search"]["prescreen_wall_speedup"] is None
+
     def test_trend_row_without_learned_leg(self):
         row = trend_row(search={"search": {}, "prescreen": {}}, timestamp=0.0)
         assert "learned_avoided_frac" not in row["search"]

@@ -27,6 +27,11 @@ GOLDEN_POINTS = 51
 # such hits charge their real pending-fill stall instead of collapsing.
 # Hit/miss/TLB counters are unchanged.
 GOLDEN_CYCLES = 30236.800000003852
+#: full/delta split of the golden simulations (a delta shares an earlier
+#: simulation's base IR), and the same with the model prescreen on: the
+#: model builds through the engine's base-IR cache, never its accounting
+GOLDEN_SPLIT = (40, 11)
+GOLDEN_PRESCREEN = {"simulations": 36, "full": 25, "delta": 11, "skips": 16}
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +60,7 @@ class TestMmSearchGolden:
         assert result.points == GOLDEN_POINTS
         assert result.stats["simulations"] == GOLDEN_POINTS
         assert engine.stats.simulations == GOLDEN_POINTS
+        assert (engine.stats.full_sims, engine.stats.delta_sims) == GOLDEN_SPLIT
         assert result.machine_seconds == pytest.approx(0.0135, rel=1e-2)
 
     def test_best_cycles_and_counters(self, tuned):
@@ -71,3 +77,23 @@ class TestMmSearchGolden:
         result, _ = tuned
         assert len(result.history) == GOLDEN_POINTS
         assert min(cycles for _, _, cycles in result.history) == result.cycles
+
+
+def test_prescreen_search_split_and_winner():
+    machine = get_machine("sgi")
+    engine = EvalEngine(machine)
+    optimizer = EcoOptimizer(
+        matmul(), machine,
+        SearchConfig(full_search_variants=2, prescreen=True), engine=engine,
+    )
+    result = optimizer.optimize({"N": 24}).result
+    engine.close()
+    assert result.values == GOLDEN_VALUES
+    assert result.cycles == pytest.approx(GOLDEN_CYCLES, rel=1e-12)
+    stats = engine.stats
+    assert {
+        "simulations": stats.simulations,
+        "full": stats.full_sims,
+        "delta": stats.delta_sims,
+        "skips": stats.prescreen_skips,
+    } == GOLDEN_PRESCREEN
