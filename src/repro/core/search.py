@@ -38,12 +38,13 @@ the paper's reported range (tens of points).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.learned import (
     DEFAULT_EXPLORE,
@@ -60,14 +61,13 @@ from repro.core.checkpoint import (
     encode_prefetch,
 )
 from repro.core.variants import (
-    Constraint,
     PrefetchSite,
     Variant,
     instantiate,
     prefetch_sites,
 )
 from repro.eval import EvalEngine, EvalRequest, machine_spec_hash, stats_delta
-from repro.ir.expr import Const, Mul, Var
+from repro.ir.expr import Const, Mul
 from repro.ir.nest import Kernel, Prefetch, walk_statements
 from repro.machines import MachineSpec
 from repro.sim import Counters
@@ -370,37 +370,42 @@ class GuidedSearch:
             return None
         return self._surrogate.judge(variant, values, frontier)
 
-    def _ranker_plan(
-        self, variant: Variant, candidates: Sequence[Dict[str, int]]
-    ) -> Optional[Dict[Tuple, Tuple[float, int]]]:
-        """Rank one tiling round's candidate batch; decide who is skipped.
+    def _rank_plan(
+        self,
+        items: Sequence[Tuple[Variant, Dict[str, int]]],
+        top_k: int,
+        band: bool,
+    ) -> Optional[Dict[Tuple, Tuple[float, int, bool]]]:
+        """Rank one candidate batch; decide who is skippable.
 
-        The returned plan maps the *skippable* candidates' keys to their
-        ``(predicted log-cycles, 1-based rank)``; keys absent from the
-        plan are always simulated.  The search always keeps the
-        ``ranker_top_k`` predicted-best candidates plus ``ranker_explore``
-        seeded draws from the rest — the exploration sample is what keeps
-        the online refit honest about candidates the model writes off.
-        Whether a skippable candidate is actually skipped is decided at
-        consumption time (:meth:`_ranked`) against the frontier's
-        *measured* cycles: only candidates the model calls clearly worse
-        than the running best (beyond ``ranker_margin``) are skipped.
+        ``items`` are ``(variant, values)`` pure-tiling points: one tiling
+        round's moves, or the screen's one seed point per variant.  The
+        returned plan maps the *skippable* candidates' search keys to
+        their ``(predicted log-cycles, 1-based rank, exact)``; keys absent
+        from the plan are always simulated.  The always-kept subset is
+        :meth:`_rank_keep`'s: the ``top_k`` predicted-best (plus, with
+        ``band``, the confidence band) and ``ranker_explore`` seeded draws
+        from the rest — the exploration sample is what keeps the online
+        refit honest about candidates the model writes off.  A tiling
+        round decides each skip at consumption time (:meth:`_ranked`)
+        against the frontier's *measured* cycles; the screen, which has
+        no measured frontier, skips every planned key.
 
         Planning is pure (no accounting, no skip counting): the plan is
-        built from the whole batch at the round's frontier, then applied
-        candidate-by-candidate at consumption time, so every observable
-        effect lands in consumption order regardless of ``-j`` or
-        speculation.  The RNG is only consumed when the batch is actually
-        large enough to skip from, and fails open — returns ``None``,
-        rank nothing — when there is no usable model or any
-        scorable-looking candidate turns out unscorable (a ranking the
-        model could not complete must not gate simulations).
+        built from the whole batch, then applied candidate-by-candidate
+        at consumption time, so every observable effect lands in
+        consumption order regardless of ``-j`` or speculation.  The RNG
+        is only consumed when the batch is actually large enough to skip
+        from, and fails open — returns ``None``, rank nothing — when
+        there is no usable model or any scorable-looking candidate turns
+        out unscorable (a ranking the model could not complete must not
+        gate simulations).
         """
         if self._ranker is None:
             return None
         scored: List[Tuple[Tuple, float, bool]] = []
         seen = set()
-        for candidate in candidates:
+        for variant, candidate in items:
             _, values, _, _, key, runnable = self._norm(variant, candidate, None, None)
             if key in seen:
                 continue
@@ -419,7 +424,7 @@ class GuidedSearch:
         if not scored:
             return {}
         ranked = sorted(scored, key=lambda item: (item[1], item[0]))
-        kept = self._rank_keep(ranked, self.config.ranker_top_k, band=False)
+        kept = self._rank_keep(ranked, top_k, band)
         if kept is None:
             return {}
         return {
@@ -461,42 +466,53 @@ class GuidedSearch:
             return None
         return kept
 
-    def _ranked(self, variant, candidate, plan, best_cycles) -> Optional[float]:
-        """Apply the round's ranking plan to one tiling candidate.
+    def _plan_skip(self, plan, key, frontier_cycles):
+        """The plan entry of ``key`` when the plan skips it against the
+        frontier's *measured* cycles, else ``None``.
 
-        Returns the stand-in cycles (``inf``) when the model skips it,
-        else ``None`` (fall through to the prescreen/measurement).  A
-        skippable candidate is skipped only when its predicted log-cycles
-        exceed the frontier's *measured* log-cycles by more than
+        A skippable candidate is skipped only when its predicted
+        log-cycles exceed the frontier's measured log-cycles by more than
         ``ranker_margin``: the model may veto clear losers, but a
         candidate it cannot confidently call worse than the running best
         is simulated.  Comparing against the measured frontier (which
         tightens as the round improves) rather than other predictions
         keeps the climb's trajectory intact wherever the model is right.
-
-        The skip is counted *here*, at consumption in driver order — the
-        same contract as :meth:`_prescreened` — and, like the prescreen,
-        never memoized: a later round re-ranks the point against a fresh
-        batch.  Points that became memoized since the plan was built
-        fall through (they cost no simulation and may beat the best).
         """
         if plan is None:
             return None
-        if not (math.isfinite(best_cycles) and best_cycles > 0):
+        if not (math.isfinite(frontier_cycles) and frontier_cycles > 0):
             return None  # no measured frontier: nothing to rank against
-        _, values, _, _, key, runnable = self._norm(variant, candidate, None, None)
-        if key in self._cache or not runnable:
-            return None
         entry = plan.get(key)
         if entry is None:
             return None
-        predicted, rank, exact = entry
+        predicted, _, exact = entry
         # an exact (memoized) prediction needs no error bar; strict >
         # still simulates dead ties, which cost one sim and never flip
         # a strict-improvement climb
         threshold = 0.0 if exact else max(0.0, self.config.ranker_margin)
-        if predicted <= math.log(best_cycles) + threshold:
+        if predicted <= math.log(frontier_cycles) + threshold:
             return None  # too close to call: simulate
+        return entry
+
+    def _ranked(self, variant, candidate, plan, best_cycles) -> Optional[float]:
+        """Apply the round's ranking plan to one tiling candidate.
+
+        Returns the stand-in cycles (``inf``) when the model skips it
+        (:meth:`_plan_skip`), else ``None`` (fall through to the
+        prescreen/measurement).  The skip is counted *here*, at
+        consumption in driver order — the same contract as
+        :meth:`_prescreened` — and, like the prescreen, never memoized: a
+        later round re-ranks the point against a fresh batch.  Points
+        that became memoized since the plan was built fall through (they
+        cost no simulation and may beat the best).
+        """
+        _, values, _, _, key, runnable = self._norm(variant, candidate, None, None)
+        if key in self._cache or not runnable:
+            return None
+        entry = self._plan_skip(plan, key, best_cycles)
+        if entry is None:
+            return None
+        predicted, rank, _ = entry
         self.engine.note_ranker_skip(variant.name, dict(values), predicted, rank)
         return math.inf
 
@@ -504,16 +520,8 @@ class GuidedSearch:
         """Whether the plan lets ``candidate`` through to simulation
         (speculation filter: never pre-warm a point the plan would skip
         against the current frontier)."""
-        if plan is None:
-            return True
-        if not (math.isfinite(frontier_cycles) and frontier_cycles > 0):
-            return True
-        _, _, _, _, key, _ = self._norm(variant, candidate, None, None)
-        entry = plan.get(key)
-        if entry is None:
-            return True
-        threshold = 0.0 if entry[2] else max(0.0, self.config.ranker_margin)
-        return entry[0] <= math.log(frontier_cycles) + threshold
+        key = self._norm(variant, candidate, None, None)[4]
+        return self._plan_skip(plan, key, frontier_cycles) is None
 
     def _ranker_observe(self, variant, candidate, cycles) -> None:
         """Feed one fresh tiling measurement back into the per-search
@@ -648,7 +656,16 @@ class GuidedSearch:
         recorded = self._journal_get("screen", "results")
         if recorded is not None and recorded.get("variants") == names:
             return [decode_cycles(c) for c in recorded["cycles"]]
-        plan = self._screen_plan(variants, seeds)
+        # no measured frontier exists before the screen, so the
+        # confidence band is relative to the batch's own predicted best;
+        # it keeps ``full_search_variants`` (not ``ranker_top_k``)
+        # predicted-best — keeping fewer would change the winner whenever
+        # the model is merely good instead of perfect
+        plan = self._rank_plan(
+            list(zip(variants, seeds)),
+            max(1, self.config.full_search_variants),
+            band=True,
+        )
         if plan is None:
             cycles_list = self.measure_many(
                 [(variant, values, None, None) for variant, values in zip(variants, seeds)]
@@ -660,7 +677,7 @@ class GuidedSearch:
             slots: List[int] = []
             items = []
             for index, (variant, values) in enumerate(zip(variants, seeds)):
-                entry = plan.get(index)
+                entry = plan.get(self._key(variant, values, {}))
                 if entry is not None:
                     predicted, rank, _exact = entry
                     self.engine.note_ranker_skip(
@@ -678,46 +695,6 @@ class GuidedSearch:
             {"variants": names, "cycles": [encode_cycles(c) for c in cycles_list]},
         )
         return cycles_list
-
-    def _screen_plan(
-        self, variants: Sequence[Variant], seeds: Sequence[Dict[str, int]]
-    ) -> Optional[Dict[int, Tuple[float, int]]]:
-        """Rank the screen batch; same shape/contract as
-        :meth:`_ranker_plan` but keyed by variant index, and keeping
-        ``full_search_variants`` (not ``ranker_top_k``) predicted-best —
-        keeping fewer would change the winner whenever the model is
-        merely good instead of perfect."""
-        if self._ranker is None:
-            return None
-        scored: List[Tuple[int, float, Tuple, bool]] = []
-        for index, (variant, seed) in enumerate(zip(variants, seeds)):
-            _, values, _, _, key, runnable = self._norm(variant, seed, None, None)
-            if key in self._cache or not runnable:
-                continue
-            predicted = self._ranker.predict(
-                self.kernel, variant, values, self.problem, self.machine
-            )
-            if predicted is None:
-                return None
-            exact = (
-                self._ranker.memoized(variant, values, self.problem) is not None
-            )
-            scored.append((index, predicted, key, exact))
-        if not scored:
-            return {}
-        ranked = sorted(scored, key=lambda item: (item[1], item[2]))
-        # no measured frontier exists before the screen, so the
-        # confidence band is relative to the batch's own predicted best
-        kept = self._rank_keep(
-            ranked, max(1, self.config.full_search_variants), band=True
-        )
-        if kept is None:
-            return {}
-        return {
-            index: (predicted, rank + 1, exact)
-            for rank, (index, predicted, _, exact) in enumerate(ranked)
-            if index not in kept
-        }
 
     def _search_variant(
         self, variant: Variant, seed: Dict[str, int]
@@ -878,68 +855,23 @@ class GuidedSearch:
     def _search_stage(
         self, variant: Variant, values: Dict[str, int], params: Sequence[str]
     ) -> Dict[str, int]:
-        best = dict(values)
-        best_cycles = self.measure(variant, best)
-        self._ranker_observe(variant, best, best_cycles)
         # Shape moves (double one parameter, halve another) in a fixed
-        # order, then the size move (halve the whole footprint).
+        # order, then the size move (halve the whole footprint); rounds
+        # repeat until one brings no improvement.
         moves: List[Optional[Tuple[str, str]]] = [
             (grow, shrink)
             for grow in params
             for shrink in params
             if grow != shrink
         ] + [None]
-        plan: Optional[Dict[Tuple, Tuple[float, int]]] = None
-
-        def make_plan(index: int, frontier: Dict[str, int]) -> None:
-            nonlocal plan
-            plan = self._ranker_plan(
-                variant,
-                [self._stage_move(variant, frontier, params, move) for move in moves[index:]],
-            )
-
-        def speculate_from(
-            index: int, frontier: Dict[str, int], frontier_cycles: float
-        ) -> None:
-            self._speculate(
-                (variant, candidate, None, None)
-                for move in moves[index:]
-                for candidate in (self._stage_move(variant, frontier, params, move),)
-                if self._unplanned(variant, candidate, plan, frontier_cycles)
-                and self._judge(variant, candidate, frontier) is None
-            )
-
-        improved_any = True
-        while improved_any:
-            improved_any = False
-            index = 0
-            make_plan(index, best)
-            speculate_from(index, best, best_cycles)
-            while index < len(moves):
-                move = moves[index]
-                index += 1
-                candidate = self._stage_move(variant, best, params, move)
-                cycles = self._ranked(variant, candidate, plan, best_cycles)
-                if cycles is None:
-                    cycles = self._prescreened(variant, candidate, best)
-                if cycles is None:
-                    cycles = self.measure(variant, candidate)
-                    self._ranker_observe(variant, candidate, cycles)
-                if cycles < best_cycles:
-                    best, best_cycles = candidate, cycles
-                    improved_any = True
-                    # The speculated frontier assumed the old best:
-                    # re-plan and re-speculate the remaining moves from it.
-                    self._abandon_pending()
-                    make_plan(index, best)
-                    speculate_from(index, best, best_cycles)
-        self._abandon_pending()
-        return best
+        return self._climb(
+            variant,
+            values,
+            moves,
+            lambda frontier, move: self._stage_move(variant, frontier, params, move),
+        )
 
     def _linear_refine(self, variant: Variant, values: Dict[str, int]) -> Dict[str, int]:
-        best = dict(values)
-        best_cycles = self.measure(variant, best)
-        self._ranker_observe(variant, best, best_cycles)
         line_elems = max(1, self.machine.l1.line_size // 8)
         unroll_params = {p for _, p in variant.unrolls}
         moves = [
@@ -948,50 +880,69 @@ class GuidedSearch:
             for step in (1 if p in unroll_params else max(line_elems, 4),)
             for delta in (step, -step)
         ]
-        plan: Optional[Dict[Tuple, Tuple[float, int]]] = None
 
-        def refine_move(frontier: Dict[str, int], move) -> Dict[str, int]:
+        def refine_move(frontier: Dict[str, int], move) -> Optional[Dict[str, int]]:
             p, delta = move
             candidate = dict(frontier)
             candidate[p] = candidate[p] + delta
             candidate = self._clamp(variant, candidate)
             candidate[p] = self._favor_divisor(candidate[p], delta)
-            return candidate
+            return None if candidate == frontier else candidate  # no-op move
 
-        def make_plan(index: int, frontier: Dict[str, int]) -> None:
+        return self._climb(
+            variant, values, moves, refine_move, rounds=self.config.max_linear_rounds
+        )
+
+    def _climb(
+        self,
+        variant: Variant,
+        values: Dict[str, int],
+        moves: Sequence,
+        step: Callable[[Dict[str, int], object], Optional[Dict[str, int]]],
+        rounds: Optional[int] = None,
+    ) -> Dict[str, int]:
+        """The staged hill-climb shared by the shape/size stages and the
+        linear refinement.
+
+        Each round walks ``moves`` in order; ``step(frontier, move)`` is
+        the candidate a move makes from the running best (``None`` for a
+        move to skip).  Every candidate is ranked, then prescreened, then
+        measured and observed; an improvement becomes the running best
+        at once, and the remaining moves are re-planned and re-speculated
+        from it.  Rounds repeat until one brings no improvement, at most
+        ``rounds`` times when given.
+        """
+        best = dict(values)
+        best_cycles = self.measure(variant, best)
+        self._ranker_observe(variant, best, best_cycles)
+        plan: Optional[Dict[Tuple, Tuple[float, int, bool]]] = None
+
+        def candidates(index: int):
+            for move in moves[index:]:
+                candidate = step(best, move)
+                if candidate is not None:
+                    yield candidate
+
+        def replan(index: int) -> None:
             nonlocal plan
-            plan = self._ranker_plan(
-                variant,
-                [
-                    candidate
-                    for move in moves[index:]
-                    for candidate in (refine_move(frontier, move),)
-                    if candidate != frontier
-                ],
+            plan = self._rank_plan(
+                [(variant, candidate) for candidate in candidates(index)],
+                self.config.ranker_top_k,
+                band=False,
             )
-
-        def speculate_from(
-            index: int, frontier: Dict[str, int], frontier_cycles: float
-        ) -> None:
             self._speculate(
                 (variant, candidate, None, None)
-                for move in moves[index:]
-                for candidate in (refine_move(frontier, move),)
-                if candidate != frontier
-                and self._unplanned(variant, candidate, plan, frontier_cycles)
-                and self._judge(variant, candidate, frontier) is None
+                for candidate in candidates(index)
+                if self._unplanned(variant, candidate, plan, best_cycles)
+                and self._judge(variant, candidate, best) is None
             )
 
-        for _ in range(self.config.max_linear_rounds):
+        for _ in range(rounds) if rounds is not None else itertools.count():
             improved = False
-            index = 0
-            make_plan(index, best)
-            speculate_from(index, best, best_cycles)
-            while index < len(moves):
-                move = moves[index]
-                index += 1
-                candidate = refine_move(best, move)
-                if candidate == best:
+            replan(0)
+            for index, move in enumerate(moves, 1):
+                candidate = step(best, move)
+                if candidate is None:
                     continue
                 cycles = self._ranked(variant, candidate, plan, best_cycles)
                 if cycles is None:
@@ -1002,9 +953,10 @@ class GuidedSearch:
                 if cycles < best_cycles:
                     best, best_cycles = candidate, cycles
                     improved = True
+                    # The speculated frontier assumed the old best:
+                    # re-plan and re-speculate the remaining moves from it.
                     self._abandon_pending()
-                    make_plan(index, best)
-                    speculate_from(index, best, best_cycles)
+                    replan(index)
             if not improved:
                 break
         self._abandon_pending()

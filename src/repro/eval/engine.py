@@ -727,18 +727,10 @@ class EvalEngine:
     ) -> None:
         """Record a candidate whose simulation the model prescreen skipped
         (deterministic — part of the canonical trace at every ``-j``)."""
-        self.stats.prescreen_skips += 1
-        if self._stage is not None:
-            self._stage.prescreen_skips += 1
-        self.metrics.counter("eval.prescreen_skips").inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                "prescreen_skip",
-                variant=variant_name,
-                values=dict(values),
-                score=score,
-                bound=bound,
-            )
+        self._note_skip(
+            "prescreen_skips", "prescreen_skip", variant_name, values,
+            score=score, bound=bound,
+        )
 
     def note_ranker_skip(
         self,
@@ -752,17 +744,29 @@ class EvalEngine:
         log-cycles) and fell outside the simulated top-k + exploration
         sample.  Counted at consumption in driver order — deterministic,
         part of the canonical trace at every ``-j``."""
-        self.stats.ranker_skips += 1
+        self._note_skip(
+            "ranker_skips", "ranker_skip", variant_name, values,
+            predicted=predicted, rank=rank,
+        )
+
+    def _note_skip(
+        self,
+        counter: str,
+        event: str,
+        variant_name: str,
+        values: Mapping[str, int],
+        **attrs,
+    ) -> None:
+        """Count one model-skipped candidate in the engine and stage
+        stats (field ``counter``) and the ``eval.<counter>`` metric, and
+        trace it as an ``event`` with the model's ``attrs``."""
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         if self._stage is not None:
-            self._stage.ranker_skips += 1
-        self.metrics.counter("eval.ranker_skips").inc()
+            setattr(self._stage, counter, getattr(self._stage, counter) + 1)
+        self.metrics.counter(f"eval.{counter}").inc()
         if self.tracer.enabled:
             self.tracer.event(
-                "ranker_skip",
-                variant=variant_name,
-                values=dict(values),
-                predicted=predicted,
-                rank=rank,
+                event, variant=variant_name, values=dict(values), **attrs
             )
 
     def _record(
@@ -1227,24 +1231,26 @@ class EvalEngine:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
-    def _recycle_pool(self) -> None:
-        """Discard a pool whose workers may be wedged on abandoned
-        (timed-out) simulations; the next round gets fresh workers.
-        An external pool is recycled through its owner (it may be
-        serving other engines)."""
+    def _teardown_pool(self) -> bool:
+        """Discard the current pool; ``False`` when there was none.  An
+        external pool is recycled through its owner (it may be serving
+        other engines)."""
         if self._external_pool is not None:
-            recycle = getattr(self._external_pool, "recycle", None)
-            if recycle is not None:
-                recycle()
-            self._pool_generation += 1
-            self.metrics.counter("eval.pool_recycles").inc()
-            return
-        if self._pool is not None:
+            self._external_pool.recycle()
+        elif self._pool is not None:
             try:
                 self._pool.shutdown(wait=False, cancel_futures=True)
             except Exception:
                 pass
             self._pool = None
+        else:
+            return False
+        return True
+
+    def _recycle_pool(self) -> None:
+        """Discard a pool whose workers may be wedged on abandoned
+        (timed-out) simulations; the next round gets fresh workers."""
+        if self._teardown_pool():
             self._pool_generation += 1
             self.metrics.counter("eval.pool_recycles").inc()
 
@@ -1253,16 +1259,7 @@ class EvalEngine:
         self.stats.pool_restarts += 1
         self._pool_generation += 1
         self.metrics.counter("eval.pool_restarts").inc()
-        if self._external_pool is not None:
-            recycle = getattr(self._external_pool, "recycle", None)
-            if recycle is not None:
-                recycle()
-        elif self._pool is not None:
-            try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self._pool = None
+        self._teardown_pool()
         if self.stats.pool_restarts > self.policy.max_pool_restarts:
             self._serial_fallback = True
             self.metrics.counter("eval.serial_fallbacks").inc()

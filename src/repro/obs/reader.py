@@ -245,17 +245,25 @@ def supervision_totals(events: List[Dict[str, Any]]) -> Dict[str, int]:
     An empty dict means the run saw no retries, timeouts, pool trouble,
     exhausted candidates, corrupt results or disk-write failures.
     """
-    latest: Dict[str, int] = {}
+    return _last_snapshots(events, SUPERVISION_METRICS, keep_zeros=False)
+
+
+def _last_snapshots(
+    events: List[Dict[str, Any]], names: Tuple[str, ...], keep_zeros: bool
+) -> Dict[str, Any]:
+    """The last ``metric`` snapshot value of each of ``names``, in
+    ``names`` order; zero values are dropped unless ``keep_zeros``."""
+    latest: Dict[str, Any] = {}
     for event in events:
         if event.get("type") != "metric":
             continue
         name = event.get("name")
-        if name in SUPERVISION_METRICS:
+        if name in names:
             latest[name] = event.get("attrs", {}).get("value", 0)
     return {
         name: latest[name]
-        for name in SUPERVISION_METRICS
-        if latest.get(name)
+        for name in names
+        if name in latest and (keep_zeros or latest[name])
     }
 
 
@@ -276,14 +284,7 @@ def delta_totals(events: List[Dict[str, Any]]) -> Dict[str, int]:
     ``eval.full_sims`` counts the rest.  Empty when the trace predates
     delta evaluation or saw no simulations.
     """
-    latest: Dict[str, int] = {}
-    for event in events:
-        if event.get("type") != "metric":
-            continue
-        name = event.get("name")
-        if name in DELTA_METRICS:
-            latest[name] = event.get("attrs", {}).get("value", 0)
-    return {name: latest[name] for name in DELTA_METRICS if name in latest}
+    return _last_snapshots(events, DELTA_METRICS, keep_zeros=True)
 
 
 #: pipeline-scheduling counters (docs/search.md), in reporting order
@@ -304,18 +305,7 @@ def pipeline_totals(events: List[Dict[str, Any]]) -> Dict[str, float]:
     An empty dict means the run never overlapped work (``-j 1``) and
     skipped nothing via the model prescreen.
     """
-    latest: Dict[str, float] = {}
-    for event in events:
-        if event.get("type") != "metric":
-            continue
-        name = event.get("name")
-        if name in PIPELINE_METRICS:
-            latest[name] = event.get("attrs", {}).get("value", 0)
-    return {
-        name: latest[name]
-        for name in PIPELINE_METRICS
-        if latest.get(name)
-    }
+    return _last_snapshots(events, PIPELINE_METRICS, keep_zeros=False)
 
 
 @dataclass

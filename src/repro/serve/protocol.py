@@ -61,6 +61,15 @@ CONFIG_FIELDS = (
     "ranker_seed",
 )
 
+#: lower bounds of the numeric knobs a search cannot run below (fewer
+#: than one fully searched variant or unroll, or a negative prescreen
+#: margin, fails the search instead of the request)
+_CONFIG_MINIMUMS = {
+    "full_search_variants": 1,
+    "max_unroll": 1,
+    "prescreen_margin": 0.0,
+}
+
 _REQUEST_KEYS = {
     "kernel", "size", "problem", "machine", "config", "max_variants",
     "warm_start",
@@ -171,6 +180,11 @@ def canonical_request(raw: Mapping[str, Any]) -> Tuple[Dict[str, Any], Dict[str,
         default = getattr(defaults, name)
         if name in raw_config:
             config[name] = _coerce(name, raw_config[name], default)
+            minimum = _CONFIG_MINIMUMS.get(name)
+            if minimum is not None and not config[name] >= minimum:
+                raise ProtocolError(
+                    f"config.{name} must be >= {minimum}: {raw_config[name]!r}"
+                )
         else:
             config[name] = list(default) if isinstance(default, tuple) else default
 

@@ -16,7 +16,6 @@ from repro.sim.memsys import (
     KIND_PREFETCH,
     KIND_STORE,
     MemorySystem,
-    access_vector_many,
 )
 from repro.sim.trace import Trace, TraceRecorder, record_trace
 
@@ -29,7 +28,6 @@ __all__ = [
     "KIND_PREFETCH",
     "execute",
     "execute_batch",
-    "access_vector_many",
     "ExecutionError",
     "Trace",
     "TraceRecorder",

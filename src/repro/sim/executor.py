@@ -65,7 +65,6 @@ from repro.sim.memsys import (
     KIND_PREFETCH,
     KIND_STORE,
     MemorySystem,
-    access_vector_many,
 )
 
 __all__ = ["execute", "execute_batch", "ExecutionError"]
@@ -394,132 +393,15 @@ def execute(
     return counters
 
 
-#: per-candidate ceiling on captured stream entries before execute_batch
-#: falls back to plain execute for that candidate (memory guard: capture
-#: holds every chunk of the stream alive at once, unlike streamed _feed)
-_MAX_CAPTURE_ENTRIES = 1 << 23
-
-
-class _CaptureOverflow(Exception):
-    """Raised by the recording sink when a candidate's stream is too big
-    to hold; the candidate reruns through the streaming path."""
-
-
-class _OpRecorder:
-    """Memory-system stand-in that records the op stream instead of
-    simulating it.
-
-    The runner only ever *writes* to the memory system during emission
-    (``advance``/``access``/``access_vector``) and never reads its state
-    back, so the recorded stream replayed through a fresh
-    :class:`MemorySystem` is byte-identical to simulating inline — the
-    basis of cross-candidate batched execution.
-    """
-
-    __slots__ = ("ops", "entries")
-
-    def __init__(self) -> None:
-        # op codes: ("vec", addr, kinds, cpa) | ("adv", c) | ("sca", a, k, c)
-        self.ops: List[Tuple] = []
-        self.entries = 0
-
-    def advance(self, cycles: float) -> None:
-        self.ops.append(("adv", cycles))
-
-    def access(self, address: int, kind: int, cycles_per_access: float = 1.0) -> None:
-        self.entries += 1
-        self.ops.append(("sca", address, kind, cycles_per_access))
-
-    def access_vector(self, addresses, kinds, cycles_per_access) -> None:
-        self.entries += len(addresses)
-        if self.entries > _MAX_CAPTURE_ENTRIES:
-            raise _CaptureOverflow()
-        self.ops.append(("vec", addresses, kinds, cycles_per_access))
-
-
 def execute_batch(
     tasks: Sequence[Tuple[Kernel, Mapping[str, int]]],
     machine: MachineSpec,
 ) -> List[Counters]:
-    """Simulate several candidates on ``machine``, stacking their batches.
+    """Simulate several ``(kernel, params)`` candidates on ``machine``.
 
-    ``tasks`` is a sequence of ``(kernel, params)`` pairs.  Each result is
-    **byte-identical** to ``execute(kernel, params, machine)`` — per
-    candidate the very same ``access_vector``/``advance`` calls reach a
-    fresh :class:`MemorySystem` in the very same order.  The win is
-    *cross-candidate* stacking: each candidate's stream is captured first
-    (:class:`_OpRecorder`), then all streams replay in lockstep — batches
-    at the same stream step share pass-1 numpy work through
-    :func:`repro.sim.memsys.access_vector_many`.
-
-    A candidate whose stream exceeds the capture budget silently reruns
-    through the plain streaming path (same result, no stacking).
-    ``sim_seconds`` (host wall time, excluded from reproducible output by
-    contract) is apportioned as capture time plus each candidate's
-    entry-weighted share of the shared replay.
+    A per-candidate loop over :func:`execute`, in input order.
     """
-    n = len(tasks)
-    results: List[Optional[Counters]] = [None] * n
-    captures: List[Optional[Tuple[_Runner, _OpRecorder, float]]] = [None] * n
-    for i, (kernel, params) in enumerate(tasks):
-        started = time.perf_counter()
-        recorder = _OpRecorder()
-        runner = _Runner(kernel, dict(params), machine, sink=recorder)
-        try:
-            runner.run()
-        except _CaptureOverflow:
-            results[i] = execute(kernel, params, machine)
-            continue
-        captures[i] = (runner, recorder, time.perf_counter() - started)
-
-    live = [i for i in range(n) if captures[i] is not None]
-    systems = {i: MemorySystem(machine) for i in live}
-    replay_started = time.perf_counter()
-    depth = max((len(captures[i][1].ops) for i in live), default=0)
-    for k in range(depth):
-        vec_group = []
-        for i in live:
-            ops = captures[i][1].ops
-            if k >= len(ops):
-                continue
-            op = ops[k]
-            tag = op[0]
-            if tag == "vec":
-                vec_group.append((systems[i], op[1], op[2], op[3]))
-            elif tag == "adv":
-                systems[i].advance(op[1])
-            else:
-                systems[i].access(op[1], op[2], op[3])
-        if vec_group:
-            access_vector_many(vec_group)
-    replay_seconds = time.perf_counter() - replay_started
-    total_entries = sum(captures[i][1].entries for i in live) or 1
-
-    for i in live:
-        runner, recorder, capture_seconds = captures[i]
-        kernel, params = tasks[i]
-        counters = runner.counters
-        if kernel.flop_basis is not None:
-            counters.useful_flops = int(kernel.flop_basis.evaluate(params))
-        else:
-            counters.useful_flops = counters.flops
-        memsys = systems[i]
-        counters.cycles = memsys.now
-        counters.stall_cycles = memsys.stall_cycles
-        counters.tlb_stall_cycles = memsys.tlb_stall_cycles
-        counters.cache_hits = memsys.hit_counts()
-        counters.cache_misses = memsys.miss_counts()
-        counters.tlb_hits = memsys.tlb_hits
-        counters.tlb_misses = memsys.tlb_misses
-        counters.sim_accesses = memsys.accesses
-        counters.sim_batches = memsys.batches
-        counters.sim_collapsed = memsys.collapsed
-        counters.sim_timing_events = memsys.timing_events
-        counters.sim_seconds = capture_seconds + replay_seconds * (
-            recorder.entries / total_entries
-        )
-        results[i] = counters
-    return results  # type: ignore[return-value]
+    return [execute(kernel, params, machine) for kernel, params in tasks]
 
 
 class _Runner:
@@ -529,18 +411,13 @@ class _Runner:
         params: Dict[str, int],
         machine: MachineSpec,
         reference: bool = False,
-        sink=None,
     ):
         self.kernel = kernel
         self.params = params
         self.machine = machine
         self.reference = reference
         self.layout = MemoryLayout.build(kernel, params, machine.tlb.page_size)
-        # ``sink`` substitutes the memory system (duck-typed: advance /
-        # access / access_vector) — the capture half of execute_batch.
-        self.memsys = (
-            sink if sink is not None else MemorySystem(machine, reference=reference)
-        )
+        self.memsys = MemorySystem(machine, reference=reference)
         self.counters = Counters(
             kernel=kernel.name,
             machine=machine.name,

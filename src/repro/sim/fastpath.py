@@ -59,7 +59,7 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["process_batch", "process_batch_many"]
+__all__ = ["process_batch"]
 
 _KIND_STORE = 1
 _KIND_PREFETCH = 2
@@ -97,78 +97,6 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
     prev_demand[1:] = demand[:-1]
     keep = ~(demand & prev_demand & (lines == prev_line))
     ms._last_demand_line = int(lines[-1]) if bool(demand[-1]) else -1
-    _process_prepared(ms, addresses, kinds, cycles_per_access, lines, demand, keep)
-
-
-def process_batch_many(tasks) -> None:
-    """Replay one batch per candidate, stacking the stateless prefix.
-
-    ``tasks`` is a sequence of ``(ms, addresses, kinds, cycles_per_access)``
-    tuples — one independent :class:`MemorySystem` per candidate, all on
-    the same machine geometry (the engine only groups same-machine
-    candidates).  Line/page extraction and the collapse keep-mask are pure
-    elementwise functions of each candidate's own stream, so they compute
-    on the *concatenated* stream in one numpy pass — with a per-candidate
-    boundary fix: the first event of candidate ``i`` compares against that
-    candidate's ``_last_demand_line``, never against its neighbour's tail.
-    The stateful halves (per-set LRU classification, pass-2 timing) then
-    run per candidate on views of the shared arrays.
-
-    Exactness is by construction: every candidate flows through the same
-    ``_process_prepared`` body as :func:`process_batch`, with elementwise-
-    identical inputs (pinned by ``tests/sim/test_batched_parity.py``).
-
-    Like :func:`process_batch`, this touches no throughput accounting
-    (``accesses``/``batches``) — that belongs to the ``MemorySystem``
-    entry points.
-    """
-    tasks = [t for t in tasks if len(t[1])]
-    if not tasks:
-        return
-    if len(tasks) == 1:
-        ms, addresses, kinds, cpa = tasks[0]
-        process_batch(ms, addresses, kinds, cpa)
-        return
-    line_bits = tasks[0][0].caches[0].line_bits
-    if any(ms.caches[0].line_bits != line_bits for ms, _, _, _ in tasks):
-        # Mixed geometries: nothing to share, fall back per candidate.
-        for ms, addresses, kinds, cpa in tasks:
-            process_batch(ms, addresses, kinds, cpa)
-        return
-    cat_addr = np.concatenate([a for _, a, _, _ in tasks])
-    cat_kinds = np.concatenate([k for _, _, k, _ in tasks])
-    total = len(cat_addr)
-    cat_lines = cat_addr >> line_bits
-    cat_demand = cat_kinds != _KIND_PREFETCH
-    prev_line = np.empty(total, dtype=np.int64)
-    prev_line[1:] = cat_lines[:-1]
-    prev_demand = np.empty(total, dtype=bool)
-    prev_demand[1:] = cat_demand[:-1]
-    start = 0
-    bounds = []
-    for ms, addresses, _, _ in tasks:
-        prev_line[start] = ms._last_demand_line
-        prev_demand[start] = True
-        end = start + len(addresses)
-        bounds.append((start, end))
-        start = end
-    keep = ~(cat_demand & prev_demand & (cat_lines == prev_line))
-    for (ms, addresses, kinds, cpa), (s, e) in zip(tasks, bounds):
-        ms._last_demand_line = int(cat_lines[e - 1]) if bool(cat_demand[e - 1]) else -1
-        _process_prepared(
-            ms, addresses, kinds, cpa,
-            cat_lines[s:e], cat_demand[s:e], keep[s:e],
-        )
-
-
-def _process_prepared(
-    ms, addresses, kinds, cycles_per_access, lines, demand, keep
-) -> None:
-    """Classification + timing of one prepared batch (``lines``/``demand``/
-    ``keep`` precomputed by the caller; ``_last_demand_line`` already
-    advanced)."""
-    n = len(addresses)
-    l1 = ms.caches[0]
     dropped = int(n - keep.sum())
     if dropped:
         l1.hits += dropped

@@ -54,7 +54,6 @@ __all__ = [
     "KIND_STORE",
     "KIND_PREFETCH",
     "MemorySystem",
-    "access_vector_many",
 ]
 
 KIND_LOAD = 0
@@ -230,29 +229,3 @@ class MemorySystem:
     def hit_counts(self) -> Tuple[int, ...]:
         return tuple(cache.hits for cache in self.caches)
 
-
-def access_vector_many(tasks) -> None:
-    """Process one ordered event batch per memory system, cross-stacked.
-
-    ``tasks`` is a sequence of ``(memsys, addresses, kinds,
-    cycles_per_access)`` tuples, one per *independent* candidate.  The
-    per-candidate result is exactly that of calling
-    ``memsys.access_vector(...)`` on each tuple — the systems share no
-    state — but fast-path candidates stack their stateless pass-1 prefix
-    (line/page extraction, collapse masks) into shared numpy calls
-    (:func:`repro.sim.fastpath.process_batch_many`).  Reference systems
-    replay through their own scalar path unchanged.
-    """
-    fast = []
-    for ms, addresses, kinds, cpa in tasks:
-        n = len(addresses)
-        if n == 0:
-            continue
-        if ms.reference:
-            ms.access_vector(addresses, kinds, cpa)
-            continue
-        ms.batches += 1
-        ms.accesses += n
-        fast.append((ms, addresses, kinds, cpa))
-    if fast:
-        fastpath.process_batch_many(fast)

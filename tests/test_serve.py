@@ -123,6 +123,10 @@ class TestRequestKey:
             {"kernel": "mm", "size": 24, "config": {"prescreen": "yes"}},
             {"kernel": "mm", "size": 24,
              "config": {"prefetch_distances": []}},
+            {"kernel": "mm", "size": 24, "config": {"full_search_variants": 0}},
+            {"kernel": "mm", "size": 24, "config": {"full_search_variants": -1}},
+            {"kernel": "mm", "size": 24, "config": {"max_unroll": 0}},
+            {"kernel": "mm", "size": 24, "config": {"prescreen_margin": -0.1}},
         ):
             with pytest.raises(ProtocolError):
                 canonical_request(raw)
