@@ -13,16 +13,18 @@ models:
   their last-level line dirty, and evicting a dirty line occupies the
   memory bus for another line transfer;
 * an exact vectorized two-pass fast path (:mod:`repro.sim.fastpath`):
-  pass 1 classifies a whole batch hit/miss per level and TLB in bulk
-  numpy (grouping accesses by set and replaying only the heads of
-  same-line runs through the per-set LRU dicts), pass 2 replays only the
-  timing-relevant events — misses, demand TLB misses, pending-fill hits —
-  sequentially for ``now``/``bus_free``/stall accounting.  A demand
-  access whose immediately preceding event is a demand access to the
-  same L1 line additionally collapses before classification (it is
-  always an L1 and TLB hit with no LRU motion and no stall); any
-  intervening prefetch breaks the pair, because a prefetch's insert can
-  change the set's contents.
+  pass 1 classifies a whole batch hit/miss in bulk numpy, with one
+  set-associative LRU classifier run on L1's stream and then on each
+  deeper level's miss stream (the TLB has its own first-occurrence and
+  per-head code), and keeps every miss's resolution as arrays; pass 2
+  replays only the timing-relevant events — misses, demand TLB misses,
+  the first demand hit on an in-flight fill — sequentially for
+  ``now``/``bus_free``/stall accounting.  A demand access whose
+  immediately preceding event is a demand access to the same L1 line
+  additionally collapses before classification (it is always an L1 and
+  TLB hit with no LRU motion and no stall); any intervening prefetch
+  breaks the pair, because a prefetch's insert can change the set's
+  contents.
 
   Hit/miss/eviction/TLB/write-back counts are *exactly* those of
   per-access simulation — classification never consults time.  Timing is
