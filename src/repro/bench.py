@@ -26,8 +26,8 @@ Methodology (matters more than the numbers):
   to the scalar reference), not 10% jitter.
 
 Workloads: plain ``mm`` and ``jacobi`` executions on both mini machines
-(the SGI exercises the closed-form low-associativity classifier, the
-UltraSPARC's 4-way L2 the dictionary classifier), plus the golden-search
+(the SGI's caches are 2-way, the UltraSPARC's L1 direct-mapped and its
+L2 4-way, where the classifier counts distinct lines), plus the golden-search
 workload — the full guided mm search from ``tests/test_search_golden.py``
 — which is the end-to-end number the search-cost claims rest on.
 """
