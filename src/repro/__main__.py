@@ -30,12 +30,10 @@ Commands:
 * ``bench sim [--quick] [--check]`` — measure simulator throughput
   (``BENCH_sim.json``), optionally gating against the committed floor
   in ``benchmarks/perf/sim_floor.json`` (see ``docs/simulator.md``);
-* ``bench search [--quick] [--check]`` — measure the search: ``-j 1``
-  vs ``-j N`` wall clock and the model prescreen's avoided
-  simulations (``BENCH_search.json``, floor
+* ``bench search [--quick] [--check]`` — time the search: ``-j 1``
+  vs ``-j N`` wall clock and the plain/pruned walls of the model
+  prescreen and the learned ranker (``BENCH_search.json``, floor
   ``benchmarks/perf/search_floor.json``; see ``docs/search.md``);
-* ``bench trend`` — append a summary row from the current
-  ``BENCH_*.json`` files to ``results/bench_history.jsonl``;
 * ``doctor [--repair]`` — scan the persistent stores (result cache,
   trace corpus, checkpoint journals) for corrupt entries, orphaned temp
   files and stale locks; ``--repair`` quarantines bad entries, removes
@@ -50,10 +48,7 @@ Commands:
   request to a running daemon; prints the request key (or, with
   ``--wait``, the winner);
 * ``status|result|watch KEY`` — poll, fetch, or live-stream one
-  submitted request;
-* ``bench serve [--check]`` — measure the daemon's dedup, warm-start
-  transfer, and served-trace determinism against
-  ``benchmarks/perf/serve_floor.json``.
+  submitted request.
 
 ``tune`` prescreens tiling candidates with the analytical model by
 default (simulations the model can rule out are skipped);
@@ -246,13 +241,10 @@ def _parser() -> argparse.ArgumentParser:
     _add_engine_options(experiments)
 
     bench = sub.add_parser("bench", help="tracked performance benchmarks")
-    bench.add_argument("suite", choices=("sim", "search", "serve", "trend"),
+    bench.add_argument("suite", choices=("sim", "search"),
                        help="benchmark suite to run (sim: simulator throughput; "
-                            "search: -j 1 vs -j N wall + model pruning; "
-                            "serve: daemon dedup + warm-start transfer + "
-                            "served-trace determinism; "
-                            "trend: append a summary row from the current "
-                            "BENCH_*.json files to results/bench_history.jsonl)")
+                            "search: -j 1 vs -j N wall + plain/pruned walls "
+                            "of the prescreen and the learned ranker)")
     bench.add_argument("--quick", action="store_true",
                        help="smaller sizes, fewer repeats (the CI smoke mode)")
     bench.add_argument("--check", action="store_true",
@@ -260,10 +252,6 @@ def _parser() -> argparse.ArgumentParser:
                             "(benchmarks/perf/<suite>_floor.json)")
     bench.add_argument("--floor", default=None, metavar="FILE",
                        help="alternate floor file for --check")
-    bench.add_argument("--legs", default=None, metavar="L1,L2,...",
-                       help="search suite only: run a subset of the leg "
-                            "groups (parallel, prescreen, learned); default "
-                            "all — CI jobs select just the legs they gate on")
     bench.add_argument("-o", "--out", default=None, metavar="FILE",
                        help="result file (default BENCH_sim.json / "
                             "BENCH_search.json by suite)")
@@ -555,18 +543,7 @@ def _cmd_run(args) -> None:
 def _cmd_bench(args) -> None:
     from repro import bench
 
-    argv = [args.suite]
-    if args.quick:
-        argv.append("--quick")
-    if args.check:
-        argv.append("--check")
-    if args.floor:
-        argv += ["--floor", args.floor]
-    if args.legs:
-        argv += ["--legs", args.legs]
-    if args.out:
-        argv += ["--out", args.out]
-    code = bench.main(argv)
+    code = bench.run(args)
     if code:
         raise SystemExit(code)
 
@@ -599,9 +576,9 @@ def _submit_request(args) -> dict:
         "size": args.size,
         "warm_start": args.warm_start,
     }
-    config: dict = {}
-    if not args.prescreen:
-        config["prescreen"] = False
+    # sent explicitly: the daemon's SearchConfig default is prescreen off,
+    # and a default submit must run the same search as a default `tune`
+    config: dict = {"prescreen": args.prescreen}
     for item in args.overrides:
         key, sep, text = item.partition("=")
         if not sep:
@@ -610,8 +587,7 @@ def _submit_request(args) -> dict:
             config[key.strip()] = json.loads(text)
         except json.JSONDecodeError:
             config[key.strip()] = text  # daemon-side coercion / rejection
-    if config:
-        request["config"] = config
+    request["config"] = config
     if args.max_variants is not None:
         request["max_variants"] = args.max_variants
     return request

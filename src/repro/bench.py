@@ -1,4 +1,5 @@
-"""Tracked simulator performance benchmarks (``repro bench sim``).
+"""Tracked performance benchmarks: ``repro bench sim`` and ``repro
+bench search`` (see :func:`run_search_bench` for the second).
 
 The fast path's value claim — simulating a candidate costs microseconds,
 so thousands-of-points empirical searches are cheap — is a perf property,
@@ -46,21 +47,11 @@ from repro.sim.executor import execute
 __all__ = [
     "run_sim_bench",
     "run_search_bench",
-    "run_serve_bench",
     "check_floor",
     "check_search_floor",
-    "check_serve_floor",
-    "trend_row",
+    "run",
     "FLOOR_SLACK",
-    "HISTORY_PATH",
-    "SEARCH_LEGS",
 ]
-
-#: the search suite's leg groups, selectable with ``--legs``: the
-#: ``-j 1`` vs ``-j N`` wall-clock comparison, the analytical-prescreen
-#: pruning legs, and the learned-ranker pruning legs.  CI jobs run only
-#: the groups they gate on; the default is all of them.
-SEARCH_LEGS = ("parallel", "prescreen", "learned")
 
 #: a workload fails the CI gate only below ``floor * (1 - FLOOR_SLACK)``
 FLOOR_SLACK = 0.30
@@ -68,11 +59,6 @@ FLOOR_SLACK = 0.30
 #: where the committed floors live (relative to the repo root)
 FLOOR_PATH = "benchmarks/perf/sim_floor.json"
 SEARCH_FLOOR_PATH = "benchmarks/perf/search_floor.json"
-SERVE_FLOOR_PATH = "benchmarks/perf/serve_floor.json"
-
-#: where ``repro bench trend`` accumulates one summary row per run, so
-#: BENCH_*.json regressions leave a history instead of overwriting it
-HISTORY_PATH = "results/bench_history.jsonl"
 
 
 def _host_context() -> Dict[str, object]:
@@ -317,13 +303,11 @@ def _default_search_jobs() -> int:
 
 def run_search_bench(
     quick: bool = False, jobs: Optional[int] = None,
-    legs: Optional[Tuple[str, ...]] = None,
 ) -> Dict[str, object]:
     """Run the search benchmark; returns the BENCH_search payload.
 
-    Three claims are measured on the golden mm search (the workload
-    pinned by tests/test_search_golden.py), each its own selectable leg
-    group (``legs``; default all of :data:`SEARCH_LEGS`):
+    Three legs time the golden mm search (the workload pinned by
+    tests/test_search_golden.py):
 
     * **parallel** — wall clock of the same search at ``-j 1`` and
       ``-j N`` (``jobs``; default :func:`_default_search_jobs`), legs
@@ -338,20 +322,19 @@ def run_search_bench(
       it ships with the host context for exactly that reason;
     * **prescreen** — simulations run with the analytical-model prescreen
       on vs off, on *all four* machine models, with the tuned winner
-      required to be identical.  These counts are deterministic on any
-      host.  Each machine also records both walls and ``wall_speedup``
-      (plain / pruned): the model must pay in wall-clock, not only in
-      simulations avoided;
+      reported as matching or not.  Each machine also records both
+      walls and ``wall_speedup`` (plain / pruned): the model must pay in
+      wall-clock, not only in simulations avoided;
     * **learned** — the same comparison for the learned ranking
       surrogate: train on the base run's own trace, rerun with the
-      ranker batch-pruning candidates, require the winner unchanged.
-      Gated harder than the prescreen (the committed floor demands a
-      larger avoided fraction on *every* machine).  Walls as for the
-      prescreen.
+      ranker batch-pruning candidates.  Walls as for the prescreen.
 
-    Every parallel leg also reports **wall-based sims/sec**
-    (``simulations / wall_seconds`` over the whole search, front end
-    included); the floor gates the best leg's rate.
+    The avoided fractions and winner matches are deterministic, so
+    their floors are tier-1 tests (``tests/test_pipeline_search.py``,
+    ``tests/test_learned.py``); this payload only reports them.  Every
+    parallel leg also reports **wall-based sims/sec** (``simulations /
+    wall_seconds`` over the whole search, front end included); the
+    floor gates the best leg's rate.
     """
     from repro.analysis.learned import (
         DEFAULT_EXPLORE,
@@ -361,12 +344,6 @@ def run_search_bench(
     from repro.analysis.surrogate import DEFAULT_MARGIN
     from repro.machines import MACHINES
 
-    selected = tuple(legs) if legs else SEARCH_LEGS
-    unknown = [leg for leg in selected if leg not in SEARCH_LEGS]
-    if unknown:
-        raise ValueError(
-            f"unknown search legs {unknown} (choose from {list(SEARCH_LEGS)})"
-        )
     jobs = jobs if jobs is not None else _default_search_jobs()
     #: (problem size, interleaved repeats): cheap N=24 runs get enough
     #: repeats for a stable median, N=64 (~10 s a run) a few
@@ -375,11 +352,10 @@ def run_search_bench(
     #: prescreen and learned legs
     model_repeats = 1 if quick else 3
     payload: Dict[str, object] = {
-        "schema": 2,
+        "schema": 3,
         "quick": quick,
         "repeats": {str(size): repeats for size, repeats in sizes},
         "jobs": jobs,
-        "legs": list(selected),
         "python": platform.python_version(),
         "host": _host_context(),
         "methodology": (
@@ -392,98 +368,95 @@ def run_search_bench(
         ),
     }
 
-    if "parallel" in selected:
-        _golden_search_once("sgi", 1, False)  # warmup
-        wall_seconds: Dict[str, float] = {}
-        sims_per_sec: Dict[str, int] = {}
-        sims: Dict[str, Dict[str, int]] = {}
-        winner_match = True
-        for size, repeats in sizes:
-            walls: Dict[int, List[float]] = {1: [], jobs: []}
-            winners = []
-            for _ in range(repeats):
-                for leg_jobs in walls:
-                    wall, stats, winner = _golden_search_once(
-                        "sgi", leg_jobs, False, size=size
-                    )
-                    walls[leg_jobs].append(wall)
-                    winners.append(winner)
-            winner_match = winner_match and all(w == winners[0] for w in winners)
-            sims[str(size)] = {
-                "sims": stats.simulations,
-                "full_sims": stats.full_sims,
-                "delta_sims": stats.delta_sims,
-            }
-            for leg_jobs, samples in walls.items():
-                label = f"N{size}-j{leg_jobs}"
-                wall_seconds[label] = round(statistics.median(samples), 3)
-                sims_per_sec[label] = int(
-                    stats.simulations / max(1e-9, wall_seconds[label])
+    _golden_search_once("sgi", 1, False)  # warmup
+    wall_seconds: Dict[str, float] = {}
+    sims_per_sec: Dict[str, int] = {}
+    sims: Dict[str, Dict[str, int]] = {}
+    winner_match = True
+    for size, repeats in sizes:
+        walls: Dict[int, List[float]] = {1: [], jobs: []}
+        winners = []
+        for _ in range(repeats):
+            for leg_jobs in walls:
+                wall, stats, winner = _golden_search_once(
+                    "sgi", leg_jobs, False, size=size
                 )
-        search: Dict[str, object] = {
-            "workload": "golden-search-mm@sgi-r10k-mini",
-            "sims": sims,
-            "winner_match": winner_match,
-            "wall_seconds": wall_seconds,
-            "sims_per_sec": sims_per_sec,
-            "best_sims_per_sec": max(sims_per_sec.values()),
+                walls[leg_jobs].append(wall)
+                winners.append(winner)
+        winner_match = winner_match and all(w == winners[0] for w in winners)
+        sims[str(size)] = {
+            "sims": stats.simulations,
+            "full_sims": stats.full_sims,
+            "delta_sims": stats.delta_sims,
         }
-        if not quick:
-            search["parallel_speedup"] = round(
-                wall_seconds["N64-j1"] / max(1e-9, wall_seconds[f"N64-j{jobs}"]),
-                2,
+        for leg_jobs, samples in walls.items():
+            label = f"N{size}-j{leg_jobs}"
+            wall_seconds[label] = round(statistics.median(samples), 3)
+            sims_per_sec[label] = int(
+                stats.simulations / max(1e-9, wall_seconds[label])
             )
-        payload["search"] = search
+    search: Dict[str, object] = {
+        "workload": "golden-search-mm@sgi-r10k-mini",
+        "sims": sims,
+        "winner_match": winner_match,
+        "wall_seconds": wall_seconds,
+        "sims_per_sec": sims_per_sec,
+        "best_sims_per_sec": max(sims_per_sec.values()),
+    }
+    if not quick:
+        search["parallel_speedup"] = round(
+            wall_seconds["N64-j1"] / max(1e-9, wall_seconds[f"N64-j{jobs}"]),
+            2,
+        )
+    payload["search"] = search
 
-    if "prescreen" in selected:
-        per_machine: Dict[str, Dict[str, object]] = {}
-        for name in MACHINES:
-            walls, (base_stats, base_winner), (pre_stats, pre_winner) = (
-                _wall_pair(
-                    lambda: _golden_search_once(name, 1, False),
-                    lambda: _golden_search_once(name, 1, True),
-                    model_repeats,
-                )
+    per_machine: Dict[str, Dict[str, object]] = {}
+    for name in MACHINES:
+        walls, (base_stats, base_winner), (pre_stats, pre_winner) = (
+            _wall_pair(
+                lambda: _golden_search_once(name, 1, False),
+                lambda: _golden_search_once(name, 1, True),
+                model_repeats,
             )
-            avoided = 1.0 - pre_stats.simulations / max(
-                1, base_stats.simulations
-            )
-            per_machine[name] = {
-                "sims_base": base_stats.simulations,
-                "sims_prescreen": pre_stats.simulations,
-                "prescreen_skips": pre_stats.prescreen_skips,
-                "avoided_frac": round(avoided, 4),
-                "winner_match": pre_winner == base_winner,
-                **walls,
-            }
-        golden = per_machine["sgi-r10k-mini"]
-        payload["prescreen"] = {
-            "margin": DEFAULT_MARGIN,
-            "per_machine": per_machine,
-            "avoided_frac": golden["avoided_frac"],
-            "winner_match": all(
-                row["winner_match"] for row in per_machine.values()
-            ),
+        )
+        avoided = 1.0 - pre_stats.simulations / max(
+            1, base_stats.simulations
+        )
+        per_machine[name] = {
+            "sims_base": base_stats.simulations,
+            "sims_prescreen": pre_stats.simulations,
+            "prescreen_skips": pre_stats.prescreen_skips,
+            "avoided_frac": round(avoided, 4),
+            "winner_match": pre_winner == base_winner,
+            **walls,
         }
+    golden = per_machine["sgi-r10k-mini"]
+    payload["prescreen"] = {
+        "margin": DEFAULT_MARGIN,
+        "per_machine": per_machine,
+        "avoided_frac": golden["avoided_frac"],
+        "winner_match": all(
+            row["winner_match"] for row in per_machine.values()
+        ),
+    }
 
-    if "learned" in selected:
-        learned_machines = {
-            name: _learned_leg(name, model_repeats) for name in MACHINES
-        }
-        payload["learned"] = {
-            "top_k": DEFAULT_TOP_K,
-            "explore": DEFAULT_EXPLORE,
-            "margin": DEFAULT_RANKER_MARGIN,
-            "seed": 0,
-            "per_machine": learned_machines,
-            "avoided_frac": learned_machines["sgi-r10k-mini"]["avoided_frac"],
-            "min_avoided_frac": min(
-                row["avoided_frac"] for row in learned_machines.values()
-            ),
-            "winner_match": all(
-                row["winner_match"] for row in learned_machines.values()
-            ),
-        }
+    learned_machines = {
+        name: _learned_leg(name, model_repeats) for name in MACHINES
+    }
+    payload["learned"] = {
+        "top_k": DEFAULT_TOP_K,
+        "explore": DEFAULT_EXPLORE,
+        "margin": DEFAULT_RANKER_MARGIN,
+        "seed": 0,
+        "per_machine": learned_machines,
+        "avoided_frac": learned_machines["sgi-r10k-mini"]["avoided_frac"],
+        "min_avoided_frac": min(
+            row["avoided_frac"] for row in learned_machines.values()
+        ),
+        "winner_match": all(
+            row["winner_match"] for row in learned_machines.values()
+        ),
+    }
     return payload
 
 
@@ -527,339 +500,58 @@ def _host_mismatch(floor: Dict[str, object]) -> Optional[str]:
     return None
 
 
-def _leg_selected(results: Dict[str, object], leg: str) -> bool:
-    """Whether a bench payload covers a leg group.  Payloads without a
-    ``legs`` list (older runs, test fixtures) cover everything; a payload
-    that *deselected* a leg is not gated on it — its gates were someone
-    else's job by construction."""
-    legs = results.get("legs")
-    return not isinstance(legs, list) or leg in legs
-
-
 def check_search_floor(
     results: Dict[str, object], floor: Dict[str, object]
 ) -> Tuple[List[str], List[str]]:
     """Compare a search-bench run against the committed floor.
 
-    Returns ``(failures, warnings)``.  ``hard`` gates (prescreen and
-    learned-ranker avoided fractions, winner matches) are deterministic —
-    same counts on any host — and always enforced, with no slack.
-    ``host_sensitive`` gates (the ``-j 1`` / ``-j N`` parallel speedup,
-    the wall-based sims/sec rate) get ``FLOOR_SLACK`` and are downgraded to
-    warnings when this host differs from the one the floor was measured
-    on: a 1-core runner cannot exhibit a 4-worker speedup, and failing
-    there would only teach people to ignore the gate.  A single-core
-    host is *always* treated as mismatched for these gates — even a
-    floor mistakenly recorded with ``cpu_count: 1`` cannot make parallel
-    wall-clock claims enforceable.  Gates whose leg group the run
-    deselected (``--legs``) are skipped; a *selected* leg missing its
-    payload section still fails.  A ``--quick`` run measures no N=64
-    legs, so it carries no parallel speedup and only warns about it.
+    Returns ``(failures, warnings)``.  Both gates (the ``-j 1`` / ``-j N``
+    parallel speedup, the wall-based sims/sec rate) are host-sensitive:
+    they get ``FLOOR_SLACK`` and are downgraded to warnings when this
+    host differs from the one the floor was measured on.  A 1-core
+    runner cannot exhibit a 4-worker speedup, and failing there would
+    only teach people to ignore the gate.  A single-core host is
+    *always* treated as mismatched — even a floor mistakenly recorded
+    with ``cpu_count: 1`` cannot make parallel wall-clock claims
+    enforceable.  A ``--quick`` run measures no N=64 legs, so it carries
+    no parallel speedup and only warns about it.
     """
-    failures: List[str] = []
     warnings: List[str] = []
-    mismatch = _host_mismatch(floor)
-    if mismatch is None and _host_context()["cpu_count"] == 1:
-        mismatch = "single-core host (cpu_count 1) cannot exhibit parallel speedup"
-    hard = floor.get("hard", {})
-    prescreen = results.get("prescreen", {})
-    min_avoided = hard.get("prescreen_avoided_frac")
-    if min_avoided is not None and _leg_selected(results, "prescreen"):
-        avoided = prescreen.get("avoided_frac", 0.0)
-        if avoided < min_avoided:
-            failures.append(
-                f"prescreen avoided {avoided:.1%} of golden-search sims, "
-                f"floor requires >= {min_avoided:.0%}"
-            )
-    if (
-        hard.get("prescreen_winner_match")
-        and _leg_selected(results, "prescreen")
-        and not prescreen.get("winner_match")
-    ):
-        mismatched = [
-            name
-            for name, row in prescreen.get("per_machine", {}).items()
-            if not row.get("winner_match")
-        ] or ["(no per-machine data)"]
-        failures.append(
-            "prescreen changed the tuned winner on: " + ", ".join(mismatched)
-        )
-    learned = results.get("learned", {})
-    min_learned = hard.get("learned_avoided_frac")
-    if min_learned is not None and _leg_selected(results, "learned"):
-        # gated on the *minimum* across machines: the claim is ">= 40%
-        # avoided with the winner unchanged on every machine model", not
-        # on one favourable machine
-        learned_avoided = learned.get("min_avoided_frac", 0.0)
-        if learned_avoided < min_learned:
-            failures.append(
-                f"learned ranker avoided {learned_avoided:.1%} of "
-                f"golden-search sims on its worst machine, floor requires "
-                f">= {min_learned:.0%} everywhere"
-            )
-    if (
-        hard.get("learned_winner_match")
-        and _leg_selected(results, "learned")
-        and not learned.get("winner_match")
-    ):
-        mismatched = [
-            name
-            for name, row in learned.get("per_machine", {}).items()
-            if not row.get("winner_match")
-        ] or ["(no per-machine data)"]
-        failures.append(
-            "learned ranker changed the tuned winner on: "
-            + ", ".join(mismatched)
-        )
-    min_speedup = floor.get("host_sensitive", {}).get("parallel_speedup")
-    if min_speedup is not None and not _leg_selected(results, "parallel"):
-        min_speedup = None
+    shortfalls: List[str] = []
+    gates = floor.get("host_sensitive", {})
+    search = results.get("search", {})
+    min_speedup = gates.get("parallel_speedup")
     if min_speedup is not None and results.get("quick"):
         warnings.append("parallel speedup not measured (--quick runs no N=64 legs)")
-        min_speedup = None
-    if min_speedup is not None:
-        actual = results.get("search", {}).get("parallel_speedup", 0.0)
+    elif min_speedup is not None:
+        actual = search.get("parallel_speedup", 0.0)
         limit = min_speedup * (1 - FLOOR_SLACK)
         if actual < limit:
-            message = (
+            shortfalls.append(
                 f"parallel speedup {actual}x is below {limit:.2f}x "
                 f"(floor {min_speedup}x - {FLOOR_SLACK:.0%} slack)"
             )
-            if mismatch:
-                warnings.append(
-                    f"{message} — warning only, host differs from the "
-                    f"floor's ({mismatch})"
-                )
-            else:
-                failures.append(message)
-    min_sims_rate = floor.get("host_sensitive", {}).get("best_sims_per_sec")
-    if min_sims_rate is not None and not _leg_selected(results, "parallel"):
-        min_sims_rate = None
+    min_sims_rate = gates.get("best_sims_per_sec")
     if min_sims_rate is not None:
-        actual_rate = results.get("search", {}).get("best_sims_per_sec", 0)
+        actual_rate = search.get("best_sims_per_sec", 0)
         limit = min_sims_rate * (1 - FLOOR_SLACK)
         if actual_rate < limit:
-            message = (
+            shortfalls.append(
                 f"best search rate {actual_rate:,} sims/sec is below "
                 f"{limit:,.0f} (floor {min_sims_rate:,} - "
                 f"{FLOOR_SLACK:.0%} slack)"
             )
-            if mismatch:
-                warnings.append(
-                    f"{message} — warning only, host differs from the "
-                    f"floor's ({mismatch})"
-                )
-            else:
-                failures.append(message)
-    return failures, warnings
-
-
-def _one_shot_golden_trace(size: int) -> List[Dict[str, object]]:
-    """The canonical trace the one-shot CLI recipe produces for the
-    golden mm request — the reference the served trace must match
-    byte-for-byte (docs/serving.md, "Determinism contract")."""
-    from repro.core import EcoOptimizer, SearchConfig
-    from repro.eval import EvalEngine
-    from repro.kernels import matmul
-    from repro.machines import get_machine
-    from repro.obs import Tracer, canonical
-
-    machine = get_machine("sgi")
-    tracer = Tracer(command="tune", kernel="mm", machine=machine.name,
-                    size=size, jobs=1)
-    engine = EvalEngine(machine, jobs=1, tracer=tracer)
-    EcoOptimizer(
-        matmul(), machine, SearchConfig(full_search_variants=2),
-        engine=engine,
-    ).optimize({"N": size})
-    tracer.snapshot_metrics(engine.metrics)
-    engine.close()
-    return canonical(tracer.events())
-
-
-def run_serve_bench(quick: bool = False) -> Dict[str, object]:
-    """Run the serving benchmark; returns the BENCH_serve payload.
-
-    Measures the daemon's three perf claims on the golden mm family
-    (``full_search_variants=2`` on the sgi mini machine — the workload
-    pinned by tests/test_search_golden.py), against live daemons on
-    throwaway stores:
-
-    * **warm repeat** — the same request submitted twice; the second
-      answer comes from the sealed request store (zero new searches)
-      and its wall time is compared to the cold search's;
-    * **dedup** — a fresh daemon gets the same request twice
-      back-to-back; the second submission must coalesce onto the first
-      in-flight search (2 requests, 1 search);
-    * **transfer** — N=32 tuned cold (``warm_start`` off) vs. tuned on
-      a daemon whose store already holds the N=24 answer: the
-      warm-started search must avoid a fraction of the simulations and
-      land on the identical winner (deterministic counts — hard gates);
-    * **trace identity** — the cold served request's canonical trace is
-      compared byte-for-byte against the one-shot CLI recipe's.
-
-    The dedup/search counts, sims and winners are deterministic on any
-    host; only the warm-repeat speedup is wall-clock (and its floor is
-    orders of magnitude below the observed ratio).
-    """
-    import shutil
-    import tempfile
-
-    from repro.serve import ServeClient, daemon_thread
-
-    base_req = {
-        "kernel": "mm", "machine": "sgi",
-        "config": {"full_search_variants": 2},
-    }
-    payload: Dict[str, object] = {
-        "schema": 1,
-        "quick": quick,
-        "python": platform.python_version(),
-        "host": _host_context(),
-        "methodology": (
-            "golden mm family (full_search_variants=2) served by live "
-            "daemons (-j 1) on throwaway stores: cold vs. stored-answer "
-            "wall, back-to-back dedup, N=24 -> N=32 warm-start transfer, "
-            "served canonical trace vs. the one-shot CLI recipe"
-        ),
-    }
-    tmp = tempfile.mkdtemp(prefix="repro-bench-serve-")
-    try:
-        # -- session 1: cold, warm repeat, cold N=32 reference ----------
-        sock1 = os.path.join(tmp, "s1.sock")
-        with daemon_thread(sock1, os.path.join(tmp, "store1"), jobs=1):
-            client = ServeClient(sock1)
-            start = time.perf_counter()
-            cold = client.submit(dict(base_req, size=24), wait=True,
-                                 trace=True)
-            cold_wall = time.perf_counter() - start
-            searches_after_cold = client.stats()["counters"]["searches"]
-            start = time.perf_counter()
-            warm = client.submit(dict(base_req, size=24), wait=True)
-            warm_wall = time.perf_counter() - start
-            searches_after_warm = client.stats()["counters"]["searches"]
-            cold32 = client.submit(
-                dict(base_req, size=32, warm_start=False), wait=True
-            )
-        payload["warm"] = {
-            "cold_wall_seconds": round(cold_wall, 3),
-            "warm_wall_seconds": round(max(1e-6, warm_wall), 6),
-            "warm_speedup": round(cold_wall / max(1e-6, warm_wall), 1),
-            "warm_cached": bool(warm.get("cached")),
-            "warm_new_searches": searches_after_warm - searches_after_cold,
-            "winner_match": warm["winner"] == cold["winner"],
-        }
-
-        # -- trace identity vs. the one-shot recipe ---------------------
-        direct = _one_shot_golden_trace(24)
-        served = cold["trace"]
-        payload["trace"] = {
-            "events": len(served),
-            "identical": json.dumps(served, sort_keys=True)
-            == json.dumps(direct, sort_keys=True),
-        }
-
-        # -- session 2: dedup coalescing + warm-start transfer ----------
-        sock2 = os.path.join(tmp, "s2.sock")
-        with daemon_thread(sock2, os.path.join(tmp, "store2"), jobs=1):
-            client = ServeClient(sock2)
-            first = client.submit(dict(base_req, size=24))
-            second = client.submit(dict(base_req, size=24))
-            dedup_result = client.result(first["key"], wait=True)
-            counters = client.stats()["counters"]
-            warm32 = client.submit(dict(base_req, size=32), wait=True)
-        payload["dedup"] = {
-            "requests": counters["requests"],
-            "dedup_hits": counters["dedup_hits"],
-            "searches": counters["searches"],
-            "coalesced": bool(second.get("dedup") or second.get("cached")),
-            "dedup_rate": round(
-                counters["dedup_hits"] / max(1, counters["requests"]), 4
-            ),
-            "winner_match": dedup_result["winner"] == cold["winner"],
-        }
-        sims_cold = cold32["served"]["sims"]
-        sims_warm = warm32["served"]["sims"]
-        payload["transfer"] = {
-            "sims_cold": sims_cold,
-            "sims_warm": sims_warm,
-            "avoided_frac": round(1.0 - sims_warm / max(1, sims_cold), 4),
-            "warm_start": bool(warm32["served"]["warm_start"]),
-            "donor": warm32["served"]["donor"],
-            "ranker": warm32["served"]["ranker"],
-            "winner_match": warm32["winner"] == cold32["winner"],
-        }
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return payload
-
-
-def check_serve_floor(
-    results: Dict[str, object], floor: Dict[str, object]
-) -> Tuple[List[str], List[str]]:
-    """Compare a serve-bench run against the committed floor.
-
-    Everything but the warm-repeat speedup is deterministic (dedup and
-    search counts, sims avoided, winners, trace bytes) and enforced
-    hard, with no slack.  The speedup gate is wall-clock but its floor
-    (10x) sits orders of magnitude below the observed ratio — a stored
-    answer costs a socket round-trip, a cold search costs seconds — so
-    it is enforced hard too; warnings are reserved for future
-    host-sensitive gates.
-    """
-    failures: List[str] = []
-    warnings: List[str] = []
-    hard = floor.get("hard", {})
-    warm = results.get("warm", {})
-    min_speedup = hard.get("warm_speedup")
-    if min_speedup is not None:
-        actual = warm.get("warm_speedup", 0.0)
-        if actual < min_speedup:
-            failures.append(
-                f"warm repeat answered only {actual}x faster than the cold "
-                f"search, floor requires >= {min_speedup}x"
-            )
-    if hard.get("warm_zero_searches") and warm.get("warm_new_searches", 1):
-        failures.append(
-            f"warm repeat ran {warm.get('warm_new_searches')} new "
-            f"search(es); a stored answer must run none"
-        )
-    if hard.get("warm_winner_match") and not warm.get("winner_match"):
-        failures.append("warm repeat returned a different winner")
-    dedup = results.get("dedup", {})
-    if hard.get("dedup_coalesced") and not dedup.get("coalesced"):
-        failures.append(
-            "back-to-back identical submissions did not coalesce onto one "
-            "in-flight search"
-        )
-    min_dedup = hard.get("dedup_rate")
-    if min_dedup is not None:
-        actual = dedup.get("dedup_rate", 0.0)
-        if actual < min_dedup:
-            failures.append(
-                f"dedup rate {actual:.1%} is below the floor's "
-                f"{min_dedup:.0%}"
-            )
-    if hard.get("dedup_winner_match") and not dedup.get("winner_match"):
-        failures.append("a coalesced request returned a different winner")
-    transfer = results.get("transfer", {})
-    min_avoided = hard.get("transfer_avoided_frac")
-    if min_avoided is not None:
-        actual = transfer.get("avoided_frac", 0.0)
-        if actual < min_avoided:
-            failures.append(
-                f"warm-start transfer avoided {actual:.1%} of the cold "
-                f"search's sims, floor requires >= {min_avoided:.0%}"
-            )
-    if hard.get("transfer_winner_match") and not transfer.get("winner_match"):
-        failures.append("warm-start transfer changed the tuned winner")
-    if hard.get("trace_identical") and not results.get("trace", {}).get(
-        "identical"
-    ):
-        failures.append(
-            "served canonical trace differs from the one-shot CLI recipe's"
-        )
-    return failures, warnings
+    mismatch = _host_mismatch(floor)
+    if mismatch is None and _host_context()["cpu_count"] == 1:
+        mismatch = "single-core host (cpu_count 1) cannot exhibit parallel speedup"
+    if mismatch:
+        warnings += [
+            f"{message} — warning only, host differs from the floor's "
+            f"({mismatch})"
+            for message in shortfalls
+        ]
+        return [], warnings
+    return shortfalls, warnings
 
 
 def _load_floor(path: str) -> Optional[Dict[str, object]]:
@@ -870,15 +562,7 @@ def _load_floor(path: str) -> Optional[Dict[str, object]]:
         return None
 
 
-def _main_sim(args) -> int:
-    floor_path = args.floor or FLOOR_PATH
-    out = args.out or "BENCH_sim.json"
-    results = run_sim_bench(quick=args.quick)
-    with open(out, "w") as handle:
-        json.dump(results, handle, indent=1)
-        handle.write("\n")
-
-    print(f"wrote {out}")
+def _print_sim(results: Dict[str, object]) -> None:
     for label, row in results["workloads"].items():
         extra = ""
         if "sims_per_sec" in row:
@@ -888,113 +572,54 @@ def _main_sim(args) -> int:
           f"{results['baseline']['speedup_vs_baseline']}x "
           f"(baseline {results['baseline']['golden_search_accesses_per_sec']:,})")
 
-    if args.check:
-        floor = _load_floor(floor_path)
-        if floor is None:
-            print(f"floor file {floor_path} not found: nothing to check against")
-            return 1
-        mismatch = _host_mismatch(floor)
-        if mismatch:
-            print(f"PERF WARNING: host differs from the floor's ({mismatch})")
-        failures = check_floor(results, floor)
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}")
-            return 1
-        print(f"floor check passed ({floor_path})")
-    return 0
 
-
-def _parse_legs(text: Optional[str]) -> Optional[Tuple[str, ...]]:
-    if not text:
-        return None
-    legs = tuple(part.strip() for part in text.split(",") if part.strip())
-    unknown = [leg for leg in legs if leg not in SEARCH_LEGS]
-    if unknown:
-        raise SystemExit(
-            f"--legs: unknown leg(s) {', '.join(unknown)} "
-            f"(choose from {', '.join(SEARCH_LEGS)})"
-        )
-    return legs
-
-
-def _main_search(args) -> int:
-    floor_path = args.floor or SEARCH_FLOOR_PATH
-    out = args.out or "BENCH_search.json"
-    results = run_search_bench(quick=args.quick, legs=_parse_legs(args.legs))
-    with open(out, "w") as handle:
-        json.dump(results, handle, indent=1)
-        handle.write("\n")
-
-    print(f"wrote {out} (legs: {', '.join(results['legs'])})")
-    if "search" in results:
-        search = results["search"]
-        walls = ", ".join(
-            f"{label}={seconds:.2f}s"
-            for label, seconds in search["wall_seconds"].items()
-        )
-        counts = ", ".join(
-            f"N{size}: {row['sims']} sims "
-            f"({row['full_sims']} full + {row['delta_sims']} delta)"
-            for size, row in search["sims"].items()
-        )
-        print(f"  {search['workload']}: {counts}; winner identical in "
-              f"every leg: {search['winner_match']}")
-        print(f"  median wall: {walls}")
-        rates = ", ".join(
-            f"{label}={rate:,}/s"
-            for label, rate in search["sims_per_sec"].items()
-        )
-        print(f"  sims/sec (wall): {rates}; "
-              f"best {search['best_sims_per_sec']:,}/s")
-        if "parallel_speedup" in search:
-            print(f"  parallel speedup at N=64, -j1 / -j{results['jobs']}: "
-                  f"{search['parallel_speedup']}x "
-                  f"(host has {results['host']['cpu_count']} cpus)")
-    if "prescreen" in results:
-        prescreen = results["prescreen"]
-        print(f"  prescreen (margin {prescreen['margin']}): "
-              f"avoided {prescreen['avoided_frac']:.1%} of golden-search "
-              f"sims, winner match on all machines: "
-              f"{prescreen['winner_match']}")
-        for name, row in prescreen["per_machine"].items():
-            print(f"    {name:22s} sims {row['sims_base']:>3} -> "
-                  f"{row['sims_prescreen']:>3}  "
-                  f"avoided {row['avoided_frac']:>6.1%}  "
-                  f"{_format_walls(row)}  "
-                  f"winner_match={row['winner_match']}")
-    if "learned" in results:
-        learned = results["learned"]
-        print(f"  learned ranker (top_k {learned['top_k']}, explore "
-              f"{learned['explore']}, margin {learned['margin']}): avoided "
-              f"{learned['avoided_frac']:.1%} of golden-search sims "
-              f"(min {learned['min_avoided_frac']:.1%} across machines), "
-              f"winner match on all machines: {learned['winner_match']}")
-        for name, row in learned["per_machine"].items():
-            print(f"    {name:22s} sims {row['sims_base']:>3} -> "
-                  f"{row['sims_ranked']:>3}  "
-                  f"avoided {row['avoided_frac']:>6.1%}  "
-                  f"{_format_walls(row)}  "
-                  f"winner_match={row['winner_match']}")
-
-    if args.check:
-        floor = _load_floor(floor_path)
-        if floor is None:
-            print(f"floor file {floor_path} not found: nothing to check against")
-            return 1
-        if results["host"]["single_core"]:
-            print("PERF WARNING: single-core host (cpu_count 1): parallel "
-                  "speedup and sims/sec rates here are not representative; "
-                  "host-sensitive gates are reported as warnings only")
-        failures, warnings = check_search_floor(results, floor)
-        for warning in warnings:
-            print(f"PERF WARNING: {warning}")
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}")
-            return 1
-        print(f"floor check passed ({floor_path})")
-    return 0
+def _print_search(results: Dict[str, object]) -> None:
+    search = results["search"]
+    walls = ", ".join(
+        f"{label}={seconds:.2f}s"
+        for label, seconds in search["wall_seconds"].items()
+    )
+    counts = ", ".join(
+        f"N{size}: {row['sims']} sims "
+        f"({row['full_sims']} full + {row['delta_sims']} delta)"
+        for size, row in search["sims"].items()
+    )
+    print(f"  {search['workload']}: {counts}; winner identical in "
+          f"every leg: {search['winner_match']}")
+    print(f"  median wall: {walls}")
+    rates = ", ".join(
+        f"{label}={rate:,}/s"
+        for label, rate in search["sims_per_sec"].items()
+    )
+    print(f"  sims/sec (wall): {rates}; "
+          f"best {search['best_sims_per_sec']:,}/s")
+    if "parallel_speedup" in search:
+        print(f"  parallel speedup at N=64, -j1 / -j{results['jobs']}: "
+              f"{search['parallel_speedup']}x "
+              f"(host has {results['host']['cpu_count']} cpus)")
+    prescreen = results["prescreen"]
+    print(f"  prescreen (margin {prescreen['margin']}): "
+          f"avoided {prescreen['avoided_frac']:.1%} of golden-search "
+          f"sims, winner match on all machines: "
+          f"{prescreen['winner_match']}")
+    for name, row in prescreen["per_machine"].items():
+        print(f"    {name:22s} sims {row['sims_base']:>3} -> "
+              f"{row['sims_prescreen']:>3}  "
+              f"avoided {row['avoided_frac']:>6.1%}  "
+              f"{_format_walls(row)}  "
+              f"winner_match={row['winner_match']}")
+    learned = results["learned"]
+    print(f"  learned ranker (top_k {learned['top_k']}, explore "
+          f"{learned['explore']}, margin {learned['margin']}): avoided "
+          f"{learned['avoided_frac']:.1%} of golden-search sims "
+          f"(min {learned['min_avoided_frac']:.1%} across machines), "
+          f"winner match on all machines: {learned['winner_match']}")
+    for name, row in learned["per_machine"].items():
+        print(f"    {name:22s} sims {row['sims_base']:>3} -> "
+              f"{row['sims_ranked']:>3}  "
+              f"avoided {row['avoided_frac']:>6.1%}  "
+              f"{_format_walls(row)}  "
+              f"winner_match={row['winner_match']}")
 
 
 def _format_walls(row: Dict[str, object]) -> str:
@@ -1003,234 +628,46 @@ def _format_walls(row: Dict[str, object]) -> str:
             f"({row['wall_speedup']:.2f}x)")
 
 
-def _main_serve(args) -> int:
-    floor_path = args.floor or SERVE_FLOOR_PATH
-    out = args.out or "BENCH_serve.json"
-    results = run_serve_bench(quick=args.quick)
+def run(args) -> int:
+    """``repro bench {sim,search}`` on the arguments ``repro.__main__``
+    parsed: run the suite, write its ``BENCH_<suite>.json``, print the
+    summary and, with ``--check``, gate against the committed floor.
+    Returns the exit status."""
+    if args.suite == "sim":
+        results = run_sim_bench(quick=args.quick)
+    else:
+        results = run_search_bench(quick=args.quick)
+    out = args.out or f"BENCH_{args.suite}.json"
     with open(out, "w") as handle:
         json.dump(results, handle, indent=1)
         handle.write("\n")
-
     print(f"wrote {out}")
-    warm = results["warm"]
-    print(f"  warm repeat: cold {warm['cold_wall_seconds']}s -> stored "
-          f"{warm['warm_wall_seconds']}s ({warm['warm_speedup']}x), "
-          f"{warm['warm_new_searches']} new searches, "
-          f"winner_match={warm['winner_match']}")
-    dedup = results["dedup"]
-    print(f"  dedup: {dedup['requests']} requests -> {dedup['searches']} "
-          f"search(es), {dedup['dedup_hits']} coalesced "
-          f"(rate {dedup['dedup_rate']:.1%}), "
-          f"winner_match={dedup['winner_match']}")
-    transfer = results["transfer"]
-    print(f"  transfer: sims {transfer['sims_cold']} -> "
-          f"{transfer['sims_warm']} (avoided {transfer['avoided_frac']:.1%}, "
-          f"donor {transfer['donor']}), "
-          f"winner_match={transfer['winner_match']}")
-    trace = results["trace"]
-    print(f"  trace: {trace['events']} canonical events, identical to "
-          f"one-shot: {trace['identical']}")
+    (_print_sim if args.suite == "sim" else _print_search)(results)
+    if not args.check:
+        return 0
 
-    if args.check:
-        floor = _load_floor(floor_path)
-        if floor is None:
-            print(f"floor file {floor_path} not found: nothing to check against")
-            return 1
-        failures, warnings = check_serve_floor(results, floor)
-        for warning in warnings:
-            print(f"PERF WARNING: {warning}")
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}")
-            return 1
-        print(f"floor check passed ({floor_path})")
-    return 0
-
-
-def trend_row(
-    sim: Optional[Dict[str, object]] = None,
-    search: Optional[Dict[str, object]] = None,
-    serve: Optional[Dict[str, object]] = None,
-    timestamp: Optional[float] = None,
-) -> Dict[str, object]:
-    """One history row summarizing the current ``BENCH_*.json`` payloads.
-
-    Pure function of the payloads (plus an explicit timestamp) so tests
-    can pin its shape; the headline numbers are exactly the ones the
-    committed floors gate on.
-    """
-    row: Dict[str, object] = {
-        "ts": round(timestamp if timestamp is not None else time.time(), 3),
-        "host": _host_context(),
-    }
-    if sim is not None:
-        workloads = sim.get("workloads", {})
-        golden = next(
-            (r for label, r in workloads.items()
-             if label.startswith("golden-search")), {}
-        )
-        row["sim"] = {
-            "quick": sim.get("quick"),
-            "golden_accesses_per_sec": golden.get("accesses_per_sec"),
-            "speedup_vs_baseline":
-                sim.get("baseline", {}).get("speedup_vs_baseline"),
-        }
-    if search is not None:
-        s = search.get("search", {})
-        prescreen = search.get("prescreen", {})
-        row["search"] = {
-            "quick": search.get("quick"),
-            "sims": s.get("sims"),
-            "best_sims_per_sec": s.get("best_sims_per_sec"),
-            "parallel_speedup": s.get("parallel_speedup"),
-            "prescreen_avoided_frac": prescreen.get("avoided_frac"),
-            "prescreen_winner_match": prescreen.get("winner_match"),
-            "prescreen_wall_speedup": _wall_speedups(prescreen),
-        }
-        learned = search.get("learned")
-        if learned is not None:
-            # the avoided-fraction trajectory the active-learning work
-            # moves; min across machines, matching the floor gate
-            row["search"]["learned_avoided_frac"] = learned.get(
-                "min_avoided_frac"
-            )
-            row["search"]["learned_winner_match"] = learned.get(
-                "winner_match"
-            )
-            row["search"]["learned_wall_speedup"] = _wall_speedups(learned)
-    if serve is not None:
-        # the serving headline numbers the serve floor gates on
-        row["serve"] = {
-            "quick": serve.get("quick"),
-            "warm_speedup": serve.get("warm", {}).get("warm_speedup"),
-            "dedup_rate": serve.get("dedup", {}).get("dedup_rate"),
-            "transfer_avoided_frac":
-                serve.get("transfer", {}).get("avoided_frac"),
-            "trace_identical": serve.get("trace", {}).get("identical"),
-        }
-    return row
-
-
-def _wall_speedups(leg: Dict[str, object]) -> Optional[Dict[str, float]]:
-    """Per-machine plain/pruned wall speedup of a model leg (``None``
-    for payloads recorded before the legs were timed)."""
-    speedups = {
-        name: row["wall_speedup"]
-        for name, row in leg.get("per_machine", {}).items()
-        if "wall_speedup" in row
-    }
-    return speedups or None
-
-
-def _main_trend(args) -> int:
-    """Append a summary row from the current BENCH files to the history.
-
-    Reads ``BENCH_sim.json`` / ``BENCH_search.json`` from the working
-    directory (whichever exist) and appends one JSONL row to
-    ``results/bench_history.jsonl`` (or ``--out``).
-    """
-    sim = _load_floor("BENCH_sim.json")
-    search = _load_floor("BENCH_search.json")
-    serve = _load_floor("BENCH_serve.json")
-    if sim is None and search is None and serve is None:
-        print("no BENCH_sim.json, BENCH_search.json or BENCH_serve.json in "
-              "the working directory: run `repro bench sim` / `repro bench "
-              "search` / `repro bench serve` first")
+    floor_path = args.floor or (
+        FLOOR_PATH if args.suite == "sim" else SEARCH_FLOOR_PATH
+    )
+    floor = _load_floor(floor_path)
+    if floor is None:
+        print(f"floor file {floor_path} not found: nothing to check against")
         return 1
-    row = trend_row(sim, search, serve)
-    out = args.out or HISTORY_PATH
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    # One O_APPEND write: POSIX appends of a single small write are
-    # atomic, so concurrent `bench trend` runs (e.g. parallel CI jobs
-    # sharing a history file) interleave whole rows, never fragments.
-    line = (json.dumps(row, sort_keys=True) + "\n").encode()
-    fd = os.open(out, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line)
-    finally:
-        os.close(fd)
-    with open(out) as handle:
-        count = sum(1 for line in handle if line.strip())
-    parts = []
-    if "sim" in row:
-        parts.append(
-            f"sim golden {row['sim']['golden_accesses_per_sec']:,}/s"
-        )
-    if "search" in row:
-        bits = []
-        if row["search"].get("best_sims_per_sec") is not None:
-            bits.append(f"best {row['search']['best_sims_per_sec']:,} sims/s")
-        if row["search"].get("prescreen_avoided_frac") is not None:
-            bits.append(
-                f"prescreen avoided "
-                f"{row['search']['prescreen_avoided_frac']:.1%}"
-            )
-        if row["search"].get("learned_avoided_frac") is not None:
-            bits.append(
-                f"learned avoided "
-                f"{row['search']['learned_avoided_frac']:.1%}"
-            )
-        for leg in ("prescreen", "learned"):
-            speedups = row["search"].get(f"{leg}_wall_speedup")
-            if speedups:
-                bits.append(f"{leg} wall speedup min {min(speedups.values())}x")
-        parts.append("search " + ", ".join(bits))
-    if "serve" in row:
-        bits = []
-        if row["serve"].get("warm_speedup") is not None:
-            bits.append(f"warm {row['serve']['warm_speedup']}x")
-        if row["serve"].get("dedup_rate") is not None:
-            bits.append(f"dedup {row['serve']['dedup_rate']:.1%}")
-        if row["serve"].get("transfer_avoided_frac") is not None:
-            bits.append(
-                f"transfer avoided "
-                f"{row['serve']['transfer_avoided_frac']:.1%}"
-            )
-        parts.append("serve " + ", ".join(bits))
-    print(f"appended to {out} (row {count}): " + "; ".join(parts))
+    if args.suite == "sim":
+        mismatch = _host_mismatch(floor)
+        warnings = [f"host differs from the floor's ({mismatch})"] if mismatch else []
+        failures = check_floor(results, floor)
+    else:
+        if results["host"]["single_core"]:
+            print("PERF WARNING: single-core host (cpu_count 1): parallel "
+                  "speedup and sims/sec rates here are not representative; "
+                  "host-sensitive gates are reported as warnings only")
+        failures, warnings = check_search_floor(results, floor)
+    for warning in warnings:
+        print(f"PERF WARNING: {warning}")
+    for failure in failures:
+        print(f"PERF REGRESSION: {failure}")
+    if failures:
+        return 1
+    print(f"floor check passed ({floor_path})")
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro bench {sim,search,trend}`` (also runnable
-    directly)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro bench")
-    parser.add_argument("suite", nargs="?",
-                        choices=("sim", "search", "serve", "trend"),
-                        default="sim",
-                        help="benchmark suite (sim: simulator throughput; "
-                             "search: -j 1 vs -j N wall + model pruning; "
-                             "serve: daemon dedup/warm-start serving; "
-                             "trend: append a BENCH_*.json summary row to "
-                             f"{HISTORY_PATH})")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller sizes, fewer repeats (the CI smoke mode)")
-    parser.add_argument("--check", action="store_true",
-                        help=f"fail if any workload regresses more than "
-                             f"{FLOOR_SLACK:.0%} below the committed floor")
-    parser.add_argument("--floor", default=None, metavar="FILE",
-                        help="floor file for --check (default: the suite's "
-                             "committed floor under benchmarks/perf/)")
-    parser.add_argument("--legs", default=None, metavar="L1,L2,...",
-                        help="search suite only: comma-separated leg groups "
-                             f"to run ({', '.join(SEARCH_LEGS)}); default "
-                             "all — gates for deselected legs are skipped")
-    parser.add_argument("-o", "--out", default=None, metavar="FILE",
-                        help="result file (default BENCH_sim.json / "
-                             "BENCH_search.json by suite)")
-    args = parser.parse_args(argv)
-    if args.suite == "trend":
-        return _main_trend(args)
-    if args.suite == "search":
-        return _main_search(args)
-    if args.suite == "serve":
-        return _main_serve(args)
-    return _main_sim(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

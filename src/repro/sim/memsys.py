@@ -43,7 +43,7 @@ Event kinds: 0 = load, 1 = store, 2 = prefetch.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

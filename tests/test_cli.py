@@ -39,6 +39,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "serve"],
+        ["bench", "trend"],
+        ["bench", "search", "--legs", "learned"],
+    ], ids=["serve", "trend", "legs"])
+    def test_bench_keeps_only_sim_and_search(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
+
 
 class TestCliTrace:
     @pytest.fixture(scope="class")
@@ -94,7 +106,7 @@ class TestCliTrace:
 
 
 class TestCliObservatory:
-    """The ISSUE 7 verbs: corpus / report accuracy / profile / bench trend."""
+    """The ISSUE 7 verbs: corpus / report accuracy / profile."""
 
     REFERENCE = "results/traces/mm_sgi_r10k.trace.jsonl"
 
@@ -136,16 +148,6 @@ class TestCliObservatory:
         out = capsys.readouterr().out
         assert "search profile — mm @ sgi-r10k-mini" in out
         assert "self time" in out
-
-    def test_bench_trend_appends_history_row(self, capsys, tmp_path):
-        history = tmp_path / "history.jsonl"
-        main(["bench", "trend", "--out", str(history)])
-        out = capsys.readouterr().out
-        assert "appended to" in out
-        (line,) = history.read_text().splitlines()
-        row = json.loads(line)
-        assert "ts" in row and "host" in row
-        assert "sim" in row or "search" in row
 
 
 class TestCliDoctor:

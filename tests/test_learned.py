@@ -8,22 +8,19 @@ The contracts under test:
   integrity layer; corrupt or missing artifacts refuse to load;
 * **exact memo** — a binding the model has measured (training or
   in-search observation) predicts at its measured ``log(cycles)``;
-* **pruning floor** — on the golden mm search the ranker avoids >= 40%
-  of the simulations with the tuned winner unchanged (the committed
-  ``benchmarks/perf/search_floor.json`` gate);
+* **pruning floor** — on the golden mm search, on every machine model,
+  a ranker trained on that machine's own base trace avoids >= 40% of
+  the simulations with the tuned winner unchanged;
 * **determinism across job counts** — with the ranker on, winners, skip
   counts and canonical traces are byte-identical at ``-j1`` and ``-j4``,
   with and without speculation;
-* **fail open** — a mismatched model warns and simulates everything;
-* **bench plumbing** — the learned floor gates, ``--legs`` selection
-  and the trend-row fields.
+* **fail open** — a mismatched model warns and simulates everything.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 
 import pytest
 
@@ -36,11 +33,10 @@ from repro.analysis.learned import (
     save_ranker,
     train_ranker,
 )
-from repro.bench import _parse_legs, check_search_floor, trend_row
 from repro.core import EcoOptimizer, SearchConfig
 from repro.eval import EvalEngine, machine_spec_hash
 from repro.kernels import matmul
-from repro.machines import get_machine
+from repro.machines import MACHINES, get_machine
 from repro.obs import Tracer, canonical
 from repro.obs.corpus import flatten_trace
 from repro.storage import StorageError
@@ -48,16 +44,16 @@ from repro.storage import StorageError
 SGI = get_machine("sgi")
 
 
-def _golden_search(jobs=1, ranker=None, prescreen=False):
+def _golden_search(jobs=1, ranker=None, prescreen=False, machine=SGI):
     """The golden mm search with an in-memory trace; returns
     (result, stats, tracer)."""
-    tracer = Tracer(kernel="mm", machine="sgi", size=24)
-    with EvalEngine(SGI, jobs=jobs, tracer=tracer) as engine:
+    tracer = Tracer(kernel="mm", machine=machine.name, size=24)
+    with EvalEngine(machine, jobs=jobs, tracer=tracer) as engine:
         config = SearchConfig(
             full_search_variants=2, prescreen=prescreen, ranker=ranker
         )
         result = EcoOptimizer(
-            matmul(), SGI, config, engine=engine
+            matmul(), machine, config, engine=engine
         ).optimize({"N": 24}).result
         stats = engine.stats
     return result, stats, tracer
@@ -191,15 +187,21 @@ class TestPredictions:
 
 
 class TestRankedSearch:
-    def test_ranker_meets_the_pruning_floor(self, base_run, ranker):
-        base_result, base_stats, _ = base_run
-        result, stats, _ = _golden_search(ranker=ranker)
+    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
+    def test_ranker_meets_the_pruning_floor(self, machine_name):
+        machine = get_machine(machine_name)
+        base_result, base_stats, tracer = _golden_search(machine=machine)
+        own = train_ranker(
+            flatten_trace(tracer.events()), "mm", machine_name, seed=0
+        )
+        result, stats, _ = _golden_search(ranker=own, machine=machine)
         avoided = 1.0 - stats.simulations / base_stats.simulations
         assert avoided >= 0.40
         assert stats.ranker_skips > 0
         assert result.variant.name == base_result.variant.name
         assert result.values == base_result.values
         assert result.prefetch == base_result.prefetch
+        assert result.pads == base_result.pads
         assert result.cycles == base_result.cycles
 
     def test_byte_identical_across_jobs_and_venues(self, ranker, host_cpus):
@@ -237,91 +239,3 @@ class TestRankedSearch:
         assert scope["config"]["ranker"] == ranker.fingerprint
         bare = EcoOptimizer(matmul(), SGI).journal_scope({"N": 24})
         assert bare["config"]["ranker"] is None
-
-
-class TestBenchPlumbing:
-    @staticmethod
-    def _results(min_avoided=0.45, winner=True, legs=None):
-        payload = {
-            "learned": {
-                "min_avoided_frac": min_avoided,
-                "avoided_frac": min_avoided,
-                "winner_match": winner,
-                "per_machine": {
-                    "ultrasparc-iie": {"winner_match": winner},
-                },
-            },
-        }
-        if legs is not None:
-            payload["legs"] = legs
-        return payload
-
-    @staticmethod
-    def _floor():
-        return {
-            "hard": {
-                "learned_avoided_frac": 0.40,
-                "learned_winner_match": True,
-            },
-        }
-
-    def test_passes_above_the_floor(self):
-        assert check_search_floor(self._results(), self._floor()) == ([], [])
-
-    def test_low_min_avoided_fails(self):
-        failures, _ = check_search_floor(
-            self._results(min_avoided=0.30), self._floor()
-        )
-        assert any("learned" in f and "worst machine" in f for f in failures)
-
-    def test_winner_mismatch_names_the_machine(self):
-        failures, _ = check_search_floor(
-            self._results(winner=False), self._floor()
-        )
-        assert any("ultrasparc-iie" in f for f in failures)
-
-    def test_deselected_leg_skips_its_gates(self):
-        results = {"legs": ["parallel"]}
-        assert check_search_floor(results, self._floor()) == ([], [])
-
-    def test_selected_but_missing_leg_fails(self):
-        results = {"legs": ["learned"]}
-        failures, _ = check_search_floor(results, self._floor())
-        assert any("learned" in f for f in failures)
-
-    def test_trend_row_records_the_learned_trajectory(self):
-        search = {
-            "quick": False,
-            "search": {"sims": 51, "best_sims_per_sec": 100,
-                       "parallel_speedup": 2.0},
-            "prescreen": {"avoided_frac": 0.29, "winner_match": True},
-            "learned": {"min_avoided_frac": 0.42, "winner_match": True},
-        }
-        row = trend_row(search=search, timestamp=0.0)
-        assert row["search"]["learned_avoided_frac"] == 0.42
-        assert row["search"]["learned_winner_match"] is True
-
-    def test_trend_row_carries_model_leg_wall_speedups(self):
-        def leg(speedup):
-            return {"per_machine": {"sgi-r10k-mini": {
-                "wall_seconds": {"base": 0.8, "pruned": 0.8 / speedup},
-                "wall_speedup": speedup,
-            }}}
-
-        search = {"search": {}, "prescreen": leg(0.9), "learned": leg(1.4)}
-        row = trend_row(search=search, timestamp=0.0)
-        assert row["search"]["prescreen_wall_speedup"] == {"sgi-r10k-mini": 0.9}
-        assert row["search"]["learned_wall_speedup"] == {"sgi-r10k-mini": 1.4}
-        # payloads recorded before the model legs were timed
-        old = trend_row(search={"search": {}, "prescreen": {}}, timestamp=0.0)
-        assert old["search"]["prescreen_wall_speedup"] is None
-
-    def test_trend_row_without_learned_leg(self):
-        row = trend_row(search={"search": {}, "prescreen": {}}, timestamp=0.0)
-        assert "learned_avoided_frac" not in row["search"]
-
-    def test_parse_legs(self):
-        assert _parse_legs(None) is None
-        assert _parse_legs("learned,prescreen") == ("learned", "prescreen")
-        with pytest.raises(SystemExit, match="unknown leg"):
-            _parse_legs("learned,warp")

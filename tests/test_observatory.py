@@ -17,9 +17,7 @@ The contracts under test:
   traces and a graceful degrade on older ones;
 * the tolerant reader skips-and-counts truncated lines, applies the
   schema-version compatibility rule, and the renderers announce rather
-  than crash on zero-evaluation traces;
-* ``bench trend`` rows are a pure, stable function of the BENCH
-  payloads.
+  than crash on zero-evaluation traces.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import json
 import pytest
 
 from repro.analysis.surrogate import DEFAULT_MARGIN
-from repro.bench import trend_row
 from repro.core import EcoOptimizer, SearchConfig
 from repro.eval import EvalEngine
 from repro.kernels import matmul
@@ -420,34 +417,3 @@ class TestReaderHardening:
         ]
         assert "no evaluations recorded" in render_summary(events)
         assert "no evaluations recorded" in render_convergence(events)
-
-
-class TestBenchTrend:
-    def test_trend_row_is_a_pure_stable_shape(self):
-        sim = {
-            "workloads": {
-                "golden-search-replay": {"accesses_per_sec": 2_000_000.0},
-            },
-            "baseline": {"speedup_vs_baseline": 12.5},
-        }
-        search = {
-            "search": {"sims": 51, "best_sims_per_sec": 120.0,
-                       "parallel_speedup": 1.4},
-            "prescreen": {"margin": 0.29, "avoided_frac": 0.294,
-                          "winner_match": True},
-        }
-        row = trend_row(sim=sim, search=search, timestamp=123.456789)
-        assert row["ts"] == 123.457
-        assert row["sim"]["golden_accesses_per_sec"] == 2_000_000.0
-        assert row["sim"]["speedup_vs_baseline"] == 12.5
-        assert row["search"]["sims"] == 51
-        assert row["search"]["prescreen_avoided_frac"] == 0.294
-        assert row["search"]["prescreen_winner_match"] is True
-        again = trend_row(sim=sim, search=search, timestamp=123.456789)
-        assert json.dumps(row, sort_keys=True) == json.dumps(
-            again, sort_keys=True)
-
-    def test_trend_row_tolerates_missing_suites(self):
-        row = trend_row(search={"search": {"sims": 3}}, timestamp=1.0)
-        assert "sim" not in row
-        assert row["search"]["sims"] == 3

@@ -4,7 +4,7 @@ The contracts under test (ISSUE 5 acceptance criteria):
 
 * **prescreen safety** — on the golden mm search, enabling the model
   prescreen skips simulations but never changes the tuned winner, on
-  every machine model;
+  every machine model, and avoids >= 25% of them on sgi-r10k-mini;
 * **speculation is unobservable** — a ``-j 4`` search finds the
   byte-identical result (points, history, full/delta split) of ``-j 1``
   and records the same canonical trace, even with the prescreen on,
@@ -14,13 +14,11 @@ The contracts under test (ISSUE 5 acceptance criteria):
   to the byte-identical result of an uninterrupted run;
 * the :class:`~repro.analysis.surrogate.Surrogate` unit contract
   (margin semantics, memoization, fail-open on unscorable candidates);
-* the ``bench search`` floor check: hard gates fail anywhere, the
-  host-sensitive speedup gate degrades to a warning on foreign hosts.
+* the ``bench search`` floor check: its host-sensitive gates fail on
+  the measured host and degrade to warnings on foreign ones.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -59,6 +57,10 @@ def _winner(result):
     )
 
 
+#: the prescreen's avoided-simulation floor on the reference machine
+PRESCREEN_AVOIDED_FLOOR = {"sgi-r10k-mini": 0.25}
+
+
 class TestPrescreenSafety:
     """The prescreen skips >0 simulations and never moves the winner."""
 
@@ -74,6 +76,10 @@ class TestPrescreenSafety:
         assert (
             pruned_engine.stats.simulations < base_engine.stats.simulations
         )
+        avoided = 1.0 - (
+            pruned_engine.stats.simulations / base_engine.stats.simulations
+        )
+        assert avoided >= PRESCREEN_AVOIDED_FLOOR.get(machine_name, 0.0)
 
     def test_skips_are_excluded_from_points_and_history(self):
         base, _ = _golden_search(SGI, prescreen=False)
@@ -261,13 +267,8 @@ class TestSurrogate:
 
 class TestSearchFloorCheck:
     @staticmethod
-    def _results(avoided=0.30, winner=True, speedup=2.5, sims_rate=300):
+    def _results(speedup=2.5, sims_rate=300):
         return {
-            "prescreen": {
-                "avoided_frac": avoided,
-                "winner_match": winner,
-                "per_machine": {"sgi-r10k-mini": {"winner_match": winner}},
-            },
             "search": {
                 "parallel_speedup": speedup,
                 "best_sims_per_sec": sims_rate,
@@ -278,10 +279,6 @@ class TestSearchFloorCheck:
     def _floor(cpu_count):
         return {
             "host": {"cpu_count": cpu_count},
-            "hard": {
-                "prescreen_avoided_frac": 0.25,
-                "prescreen_winner_match": True,
-            },
             "host_sensitive": {
                 "parallel_speedup": 2.0,
                 "best_sims_per_sec": 100,
@@ -305,18 +302,6 @@ class TestSearchFloorCheck:
     def test_passes_above_all_floors(self, monkeypatch):
         self._fake_host(monkeypatch, 4)
         assert check_search_floor(self._results(), self._floor(4)) == ([], [])
-
-    def test_low_avoided_fraction_fails_on_any_host(self):
-        floor = self._floor((os.cpu_count() or 1) + 7)  # foreign host
-        failures, warnings = check_search_floor(
-            self._results(avoided=0.10), floor
-        )
-        assert any("avoided" in f for f in failures)
-
-    def test_winner_mismatch_fails_and_names_the_machine(self):
-        floor = self._floor((os.cpu_count() or 1) + 7)
-        failures, _ = check_search_floor(self._results(winner=False), floor)
-        assert any("sgi-r10k-mini" in f for f in failures)
 
     def test_speedup_shortfall_fails_on_the_measured_host(self, monkeypatch):
         self._fake_host(monkeypatch, 4)

@@ -2,8 +2,10 @@
 store, the fair-share broker, engine reuse, and the daemon end-to-end.
 
 The daemon tests run real (small) searches through a live Unix-socket
-server on a background thread — the same ``daemon_thread`` harness the
-serve benchmark uses.
+server on a background thread (``daemon_thread``).  The golden served
+scenario at the end holds the serving gates: warm repeats, duplicate
+coalescing, warm-start transfer and trace identity with the one-shot
+CLI.
 """
 
 from __future__ import annotations
@@ -418,25 +420,108 @@ def test_served_store_is_doctor_clean(tmp_path):
     assert daemon.store.keys()
 
 
-# -- bench integration --------------------------------------------------
+# -- the golden served scenario -----------------------------------------
+#
+# The golden mm family (``full_search_variants=2`` on the sgi mini
+# machine, the search pinned by tests/test_search_golden.py) on fresh
+# ``-j1`` daemons: a cold N=24 request, its repeat and a cold N=32 on
+# one daemon; a back-to-back duplicate N=24 and a warm-started N=32 on
+# a second.  Everything but the warm-repeat speedup is deterministic.
+
+_GOLDEN = {"kernel": "mm", "machine": "sgi",
+           "config": {"full_search_variants": 2}}
 
 
-def test_trend_row_serve_columns():
-    from repro.bench import trend_row
+def _one_shot_trace(config, size):
+    """The canonical trace of the one-shot ``repro tune`` recipe on the
+    sgi mini machine at ``-j1`` — what a served request must match
+    byte-for-byte (docs/serving.md, "Determinism contract")."""
+    from repro.core import EcoOptimizer
+    from repro.eval import EvalEngine
+    from repro.obs import Tracer, canonical
 
-    payload = {
-        "quick": True,
-        "warm": {"warm_speedup": 123.4},
-        "dedup": {"dedup_rate": 0.5},
-        "transfer": {"avoided_frac": 0.26},
-        "trace": {"identical": True},
-    }
-    row = trend_row(serve=payload, timestamp=0.0)
-    assert row["serve"] == {
-        "quick": True,
-        "warm_speedup": 123.4,
-        "dedup_rate": 0.5,
-        "transfer_avoided_frac": 0.26,
-        "trace_identical": True,
-    }
-    assert "sim" not in row and "search" not in row
+    machine = get_machine("sgi")
+    tracer = Tracer(command="tune", kernel="mm", machine=machine.name,
+                    size=size, jobs=1)
+    with EvalEngine(machine, jobs=1, tracer=tracer) as engine:
+        EcoOptimizer(get_kernel("mm"), machine, config,
+                     engine=engine).optimize({"N": size})
+        tracer.snapshot_metrics(engine.metrics)
+    return canonical(tracer.events())
+
+
+def _same_json(a, b):
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    run = {}
+    with daemon_thread(root / "s1.sock", root / "store1", jobs=1):
+        client = ServeClient(root / "s1.sock")
+        start = time.perf_counter()
+        run["cold"] = client.submit(dict(_GOLDEN, size=24), wait=True,
+                                    trace=True)
+        cold_wall = time.perf_counter() - start
+        searches = client.stats()["counters"]["searches"]
+        start = time.perf_counter()
+        run["warm"] = client.submit(dict(_GOLDEN, size=24), wait=True)
+        warm_wall = time.perf_counter() - start
+        run["warm_new_searches"] = (
+            client.stats()["counters"]["searches"] - searches
+        )
+        run["warm_speedup"] = cold_wall / max(1e-6, warm_wall)
+        run["cold32"] = client.submit(
+            dict(_GOLDEN, size=32, warm_start=False), wait=True
+        )
+    with daemon_thread(root / "s2.sock", root / "store2", jobs=1):
+        client = ServeClient(root / "s2.sock")
+        first = client.submit(dict(_GOLDEN, size=24))
+        run["second"] = client.submit(dict(_GOLDEN, size=24))
+        run["dedup"] = client.result(first["key"], wait=True)
+        run["dedup_counters"] = client.stats()["counters"]
+        run["warm32"] = client.submit(dict(_GOLDEN, size=32), wait=True)
+    return run
+
+
+class TestGoldenServedScenario:
+    def test_repeat_answers_from_store(self, golden):
+        assert golden["warm"].get("cached") is True
+        assert golden["warm_new_searches"] == 0
+        assert golden["warm_speedup"] >= 10
+        assert golden["warm"]["winner"] == golden["cold"]["winner"]
+
+    def test_duplicate_coalesces(self, golden):
+        second = golden["second"]
+        assert second.get("dedup") or second.get("cached")
+        counters = golden["dedup_counters"]
+        assert counters["dedup_hits"] / max(1, counters["requests"]) >= 0.25
+        assert golden["dedup"]["winner"] == golden["cold"]["winner"]
+
+    def test_warm_start_transfers(self, golden):
+        cold, warm = golden["cold32"]["served"], golden["warm32"]["served"]
+        assert warm["warm_start"] is True
+        assert 1.0 - warm["sims"] / max(1, cold["sims"]) >= 0.20
+        assert golden["warm32"]["winner"] == golden["cold32"]["winner"]
+
+    def test_trace_matches_one_shot(self, golden):
+        from repro.core import SearchConfig
+
+        direct = _one_shot_trace(SearchConfig(full_search_variants=2), 24)
+        assert _same_json(golden["cold"]["trace"], direct)
+
+
+def test_default_submit_matches_default_tune(tmp_path):
+    """``repro submit`` and ``repro tune`` at their defaults run the same
+    search: same canonical trace, prescreen included."""
+    from repro.__main__ import _parser, _submit_request
+    from repro.core import SearchConfig
+
+    args = _parser().parse_args(["submit", "mm", "--size", "24"])
+    with daemon_thread(tmp_path / "s.sock", tmp_path / "store", jobs=1):
+        served = ServeClient(tmp_path / "s.sock").submit(
+            _submit_request(args), wait=True, trace=True
+        )
+    direct = _one_shot_trace(SearchConfig(prescreen=True), 24)
+    assert _same_json(served["trace"], direct)
