@@ -35,9 +35,10 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.missmodel import estimate_misses
 from repro.core.variants import Variant, cached_base
-from repro.ir.nest import ArrayRef, Assign, CBin, CVar, Kernel, Loop, Prefetch
+from repro.ir.nest import ArrayRef, Assign, Kernel, Loop, Prefetch
 from repro.machines import MachineSpec
 from repro.sim.cpu import iteration_issue_cycles
+from repro.sim.executor import _scalar_reads
 
 __all__ = [
     "DEFAULT_MARGIN",
@@ -226,17 +227,3 @@ def _body_issue(kernel, stmts, machine: MachineSpec) -> float:
         moves,
         len(scalars),
     )
-
-
-def _scalar_reads(stmt: Assign):
-    names = []
-
-    def visit(expr) -> None:
-        if isinstance(expr, CVar):
-            names.append(expr.name)
-        elif isinstance(expr, CBin):
-            visit(expr.left)
-            visit(expr.right)
-
-    visit(stmt.value)
-    return names

@@ -17,17 +17,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
-from repro.core.checkpoint import (
-    SearchJournal,
-    decode_cycles,
-    decode_prefetch,
-    decode_rng_state,
-    encode_cycles,
-    encode_prefetch,
-    encode_rng_state,
-)
 from repro.core.derive import derive_variants
 from repro.core.variants import PrefetchSite, Variant, prefetch_sites
 from repro.eval import EvalEngine
@@ -35,6 +26,11 @@ from repro.ir.nest import Kernel
 from repro.machines import MachineSpec
 
 __all__ = ["AnnealingSearch", "AnnealingResult"]
+
+#: starting temperature, on the relative-cycle scale of :meth:`_accept`
+_INITIAL_TEMPERATURE = 0.3
+#: geometric cooling factor applied after every step
+_COOLING = 0.92
 
 
 @dataclass
@@ -58,19 +54,12 @@ class AnnealingSearch:
     kernel: Kernel
     machine: MachineSpec
     seed: int = 0
-    initial_temperature: float = 0.3  # relative-cycle scale
-    cooling: float = 0.92
     #: evaluation engine (annealing is inherently sequential — each move
     #: depends on the last acceptance — but the engine's cache still spares
     #: it from re-simulating revisited states)
     engine: Optional[EvalEngine] = None
 
-    def run(
-        self,
-        problem: Mapping[str, int],
-        budget: int,
-        journal: Optional[SearchJournal] = None,
-    ) -> AnnealingResult:
+    def run(self, problem: Mapping[str, int], budget: int) -> AnnealingResult:
         if self.engine is None:
             self.engine = EvalEngine(self.machine)
         with self.engine.tracer.span(
@@ -79,9 +68,9 @@ class AnnealingSearch:
             machine=self.machine.name,
             budget=budget,
             seed=self.seed,
-            cooling=self.cooling,
+            cooling=_COOLING,
         ) as span:
-            result = self._run(problem, budget, journal)
+            result = self._run(problem, budget)
             span.set(
                 cycles=result.cycles if result.found_any else None,
                 accepted=result.accepted,
@@ -90,119 +79,29 @@ class AnnealingSearch:
         self.engine.metrics.counter("baseline.annealing.accepted").inc(result.accepted)
         return result
 
-    def _run(
-        self,
-        problem: Mapping[str, int],
-        budget: int,
-        journal: Optional[SearchJournal] = None,
-    ) -> AnnealingResult:
+    def _run(self, problem: Mapping[str, int], budget: int) -> AnnealingResult:
         rng = random.Random(self.seed)
         variants = derive_variants(self.kernel, self.machine, max_variants=20)
         state = self._initial_state(rng, variants)
-        state_cycles, transient = self._measure(state, problem)
+        state_cycles = self._measure(state, problem)
         best = (state_cycles, state)
-        temperature = self.initial_temperature
+        temperature = _INITIAL_TEMPERATURE
         points = 1
         accepted = 0
-        # The Metropolis chain is sequential — each move depends on the
-        # last acceptance — so the journal records the *entire* walk state
-        # (current point, best-so-far, temperature, RNG state) after every
-        # step; a resumed run restores the latest step and continues as if
-        # never interrupted.  Once any measurement fails transiently the
-        # chain may have diverged from a clean run, so journaling stops
-        # there and a resume replays from the last trustworthy step.
-        journal_ok = journal is not None and not transient
-        if journal is not None:
-            restored = self._restore(journal, variants)
-            if restored is not None:
-                (rng, state, state_cycles, best, temperature,
-                 points, accepted) = restored
-                journal_ok = True
         while points < budget:
             candidate = self._neighbour(rng, variants, state)
-            cycles, transient = self._measure(candidate, problem)
+            cycles = self._measure(candidate, problem)
             points += 1
             if self._accept(rng, state_cycles, cycles, temperature):
                 state, state_cycles = candidate, cycles
                 accepted += 1
                 if cycles < best[0]:
                     best = (cycles, candidate)
-            temperature *= self.cooling
-            if transient:
-                journal_ok = False
-            if journal_ok:
-                self._record_step(
-                    journal, points, rng, state, state_cycles, best,
-                    temperature, accepted,
-                )
+            temperature *= _COOLING
         cycles, (variant, values, prefetch) = best
         if not math.isfinite(cycles):
             return AnnealingResult(None, {}, {}, math.inf, points, accepted)
         return AnnealingResult(variant, values, prefetch, cycles, points, accepted)
-
-    # -- checkpointing ---------------------------------------------------
-    def _record_step(
-        self, journal, points, rng, state, state_cycles, best, temperature, accepted
-    ) -> None:
-        variant, values, prefetch = state
-        best_cycles, (best_variant, best_values, best_prefetch) = best
-        journal.record(
-            "annealing",
-            str(points),
-            {
-                "variant": variant.name,
-                "values": {k: int(v) for k, v in values.items()},
-                "prefetch": encode_prefetch(prefetch),
-                "state_cycles": encode_cycles(state_cycles),
-                "best_variant": best_variant.name,
-                "best_values": {k: int(v) for k, v in best_values.items()},
-                "best_prefetch": encode_prefetch(best_prefetch),
-                "best_cycles": encode_cycles(best_cycles),
-                "temperature": temperature,
-                "accepted": accepted,
-                "rng": encode_rng_state(rng.getstate()),
-            },
-        )
-
-    def _restore(self, journal, variants):
-        """The walk state at the highest contiguously recorded step."""
-        steps = journal.section("annealing")
-        by_name = {v.name: v for v in variants}
-        last = None
-        points = 1
-        while str(points + 1) in steps:
-            points += 1
-            last = steps[str(points)]
-        if last is None:
-            return None
-        try:
-            variant = by_name[last["variant"]]
-            best_variant = by_name[last["best_variant"]]
-            state = (
-                variant,
-                {k: int(v) for k, v in last["values"].items()},
-                decode_prefetch(last["prefetch"]),
-            )
-            best_state = (
-                best_variant,
-                {k: int(v) for k, v in last["best_values"].items()},
-                decode_prefetch(last["best_prefetch"]),
-            )
-            rng = random.Random()
-            rng.setstate(decode_rng_state(last["rng"]))
-            return (
-                rng,
-                state,
-                decode_cycles(last["state_cycles"]),
-                (decode_cycles(last["best_cycles"]), best_state),
-                float(last["temperature"]),
-                points,
-                int(last["accepted"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            # A journal written by an older/other code path: ignore it
-            # (resume is an optimization, correctness never depends on it).
-            return None
 
     # ------------------------------------------------------------------
     def _initial_state(self, rng, variants):
@@ -242,13 +141,11 @@ class AnnealingSearch:
                     prefetch[site] = rng.choice((1, 2, 4, 8))
         return (variant, values, prefetch)
 
-    def _measure(self, state, problem) -> Tuple[float, bool]:
-        """(cycles, transient): inf cycles may be a real infeasibility or a
-        transient environment failure — only the former may be journaled."""
+    def _measure(self, state, problem) -> float:
         variant, values, prefetch = state
         full = {**values, **dict(problem)}
         if not variant.feasible(full):
-            return math.inf, False
+            return math.inf
         if self.engine is None:
             self.engine = EvalEngine(self.machine)
         # Stays a one-point evaluation by design: a Metropolis chain is
@@ -257,7 +154,7 @@ class AnnealingSearch:
         outcome = self.engine.evaluate(
             self.kernel, variant, values, dict(problem), prefetch
         )
-        return outcome.cycles, outcome.transient
+        return outcome.cycles
 
     def _accept(self, rng, current: float, candidate: float, temperature: float) -> bool:
         if candidate <= current:

@@ -45,6 +45,12 @@ from repro.transforms import TransformError
 
 __all__ = ["MiniAtlas"]
 
+#: ATLAS times each candidate several times and keeps the minimum, because
+#: real timers are noisy.  The simulator is deterministic, so the
+#: repetitions are charged to the machine-time account rather than
+#: re-simulated.
+_TIMING_REPS = 3
+
 
 def _skeleton(with_copy: bool) -> Variant:
     """The fixed ATLAS matmul recipe as a Variant (single NB parameter)."""
@@ -80,12 +86,6 @@ class MiniAtlas:
     """ATLAS-style self-tuning matrix multiply."""
 
     machine: MachineSpec
-    copy_threshold_elems: Optional[int] = None  # default: L1-sized matrices
-    #: ATLAS times each candidate several times and keeps the minimum,
-    #: because real timers are noisy.  The simulator is deterministic, so
-    #: the repetitions are charged to the machine-time account rather than
-    #: re-simulated.
-    timing_reps: int = 3
     #: optional shared evaluation engine: sweeps then go through the same
     #: cache, parallelism and worker supervision (retries, timeouts) as
     #: every other search, instead of raw in-process ``execute()`` calls
@@ -99,9 +99,11 @@ class MiniAtlas:
         self.search_seconds = 0.0
         self.machine_seconds = 0.0
         self._cache: Dict[Tuple, float] = {}
-        if self.copy_threshold_elems is None:
-            # Copy once the three matrices stop fitting in L1 together.
-            self.copy_threshold_elems = self.machine.l1.capacity // 8
+
+    @property
+    def copy_threshold_elems(self) -> int:
+        """Copy once the three matrices stop fitting in L1 together."""
+        return self.machine.l1.capacity // 8
 
     @property
     def name(self) -> str:
@@ -163,7 +165,7 @@ class MiniAtlas:
             for index, key, values, tuning_n, distance in todo:
                 counters = self._run(values, {"N": tuning_n}, distance)
                 self.search_points += 1
-                self.machine_seconds += self.timing_reps * counters.seconds
+                self.machine_seconds += _TIMING_REPS * counters.seconds
                 self._cache[key] = counters.cycles
                 results[index] = counters.cycles
             return [float(r) for r in results]
@@ -203,7 +205,7 @@ class MiniAtlas:
         for (index, key, values, tuning_n, distance), outcome in zip(todo, outcomes):
             self.search_points += 1
             if outcome.counters is not None:
-                self.machine_seconds += self.timing_reps * outcome.counters.seconds
+                self.machine_seconds += _TIMING_REPS * outcome.counters.seconds
             if not outcome.transient:
                 # A transient failure is re-attemptable: keep it out of the
                 # sweep cache so a revisit measures instead of inheriting inf.

@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.checkpoint import SearchJournal, decode_cycles, encode_cycles
 from repro.core.derive import derive_variants
 from repro.core.variants import PrefetchSite, Variant, prefetch_sites
 from repro.eval import EvalEngine, EvalRequest
@@ -29,10 +28,6 @@ from repro.ir.nest import Kernel
 from repro.machines import MachineSpec
 
 __all__ = ["RandomSearch", "RandomSearchResult"]
-
-#: journaling granularity: evaluated cycles are checkpointed in chunks,
-#: so a killed run loses at most one chunk's worth of simulations
-_JOURNAL_CHUNK = 8
 
 _POW2_TILES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 _UNROLLS = (1, 2, 3, 4, 6, 8, 12, 16)
@@ -72,12 +67,7 @@ class RandomSearch:
     seed: int = 0
     engine: Optional[EvalEngine] = None
 
-    def run(
-        self,
-        problem: Mapping[str, int],
-        budget: int,
-        journal: Optional[SearchJournal] = None,
-    ) -> RandomSearchResult:
+    def run(self, problem: Mapping[str, int], budget: int) -> RandomSearchResult:
         engine = self.engine if self.engine is not None else EvalEngine(self.machine)
         with engine.tracer.span(
             "random-search",
@@ -86,7 +76,7 @@ class RandomSearch:
             budget=budget,
             seed=self.seed,
         ) as span:
-            result = self._run(engine, problem, budget, journal)
+            result = self._run(engine, problem, budget)
             span.set(
                 cycles=result.cycles if result.found_any else None,
                 wasted=result.wasted,
@@ -96,11 +86,7 @@ class RandomSearch:
         return result
 
     def _run(
-        self,
-        engine: EvalEngine,
-        problem: Mapping[str, int],
-        budget: int,
-        journal: Optional[SearchJournal] = None,
+        self, engine: EvalEngine, problem: Mapping[str, int], budget: int
     ) -> RandomSearchResult:
         rng = random.Random(self.seed)
         variants = derive_variants(self.kernel, self.machine, max_variants=20)
@@ -130,38 +116,17 @@ class RandomSearch:
             seen.add(key)
             samples.append((variant, values, prefetch))
 
-        # The sample draws are a pure function of the seed, so a resumed
-        # run regenerates them identically; only the measured cycles need
-        # journaling.  They are checkpointed in chunks as evaluation
-        # proceeds — a killed run replays finished chunks and re-simulates
-        # at most one partial chunk.  Chunks containing a transient
-        # failure are never recorded (re-attempting them is the point).
-        cycles_seen: List[float] = []
         with engine.stage("random"):
-            for start in range(0, len(samples), _JOURNAL_CHUNK):
-                chunk = samples[start : start + _JOURNAL_CHUNK]
-                recorded = (
-                    journal.get("random", str(start)) if journal is not None else None
-                )
-                if isinstance(recorded, list) and len(recorded) == len(chunk):
-                    cycles_seen.extend(decode_cycles(c) for c in recorded)
-                    continue
-                outcomes = engine.evaluate_batch(
-                    [
-                        EvalRequest.build(self.kernel, v, values, problem, prefetch)
-                        for v, values, prefetch in chunk
-                    ]
-                )
-                cycles_seen.extend(o.cycles for o in outcomes)
-                if journal is not None and not any(o.transient for o in outcomes):
-                    journal.record(
-                        "random",
-                        str(start),
-                        [encode_cycles(o.cycles) for o in outcomes],
-                    )
+            outcomes = engine.evaluate_batch(
+                [
+                    EvalRequest.build(self.kernel, v, values, problem, prefetch)
+                    for v, values, prefetch in samples
+                ]
+            )
         best: Tuple[float, Optional[Variant], Dict[str, int], Dict[PrefetchSite, int]]
         best = (math.inf, None, {}, {})
-        for (variant, values, prefetch), cycles in zip(samples, cycles_seen):
+        for (variant, values, prefetch), outcome in zip(samples, outcomes):
+            cycles = outcome.cycles
             if not math.isfinite(cycles):
                 wasted += 1  # failing build: budget spent, nothing learned
                 continue

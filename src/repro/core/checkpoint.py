@@ -29,8 +29,8 @@ concurrent processes pointed at one checkpoint directory cannot
 interleave a torn journal in the first place.
 
 Serialization helpers for the search-specific bits (prefetch sites, the
-``inf`` cycles of infeasible points, RNG state) live here too, so every
-search encodes them the same way.
+``inf`` cycles of infeasible points) live here too, so every search
+encodes them the same way.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.storage import (
     FileLock,
@@ -61,8 +61,6 @@ __all__ = [
     "decode_cycles",
     "encode_prefetch",
     "decode_prefetch",
-    "encode_rng_state",
-    "decode_rng_state",
 ]
 
 _FORMAT_VERSION = 1
@@ -264,14 +262,3 @@ def decode_prefetch(encoded: Mapping[str, int]) -> Dict[Any, int]:
         array, _, loop = name.partition("@")
         out[PrefetchSite(array, loop)] = int(distance)
     return out
-
-
-def encode_rng_state(state: Tuple) -> List[Any]:
-    """``random.Random.getstate()`` → JSON (version, ints, gauss-next)."""
-    version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
-
-
-def decode_rng_state(encoded: Sequence[Any]) -> Tuple:
-    version, internal, gauss_next = encoded
-    return (version, tuple(internal), gauss_next)

@@ -131,30 +131,21 @@ class EcoOptimizer:
             "max_variants": self.max_variants,
             "config": {
                 "full_search_variants": self.config.full_search_variants,
-                "max_linear_rounds": self.config.max_linear_rounds,
-                "prefetch_distances": list(self.config.prefetch_distances),
-                "min_tile": self.config.min_tile,
-                "max_unroll": self.config.max_unroll,
                 "search_padding": self.config.search_padding,
                 # prescreen changes which candidates are measured, so it is
                 # trajectory-affecting; pipelining is not (same decisions at
                 # any -j / pipeline mode), so it stays out of the scope.
                 "prescreen": self.config.prescreen,
-                "prescreen_margin": self.config.prescreen_margin,
                 # the learned ranker is trajectory-affecting the same way;
                 # the trained artifact's fingerprint (stable across the
-                # in-search online refits) scopes the checkpoint, so a
-                # journal written under one model never resumes under
-                # another
+                # in-search online refits, and covering the seed of its
+                # exploration draws) scopes the checkpoint, so a journal
+                # written under one model never resumes under another
                 "ranker": (
                     self.config.ranker.fingerprint
                     if self.config.ranker is not None
                     else None
                 ),
-                "ranker_top_k": self.config.ranker_top_k,
-                "ranker_explore": self.config.ranker_explore,
-                "ranker_margin": self.config.ranker_margin,
-                "ranker_seed": self.config.ranker_seed,
                 # a transfer-tuning warm start changes the visit order
                 # (the staged search climbs from the donor's point), so a
                 # journal written warm never resumes cold or under a

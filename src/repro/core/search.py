@@ -63,10 +63,17 @@ from repro.core.checkpoint import (
 from repro.core.variants import (
     PrefetchSite,
     Variant,
-    instantiate,
+    apply_prefetch,
+    cached_base,
     prefetch_sites,
 )
-from repro.eval import EvalEngine, EvalRequest, machine_spec_hash, stats_delta
+from repro.eval import (
+    EvalEngine,
+    EvalRequest,
+    machine_spec_hash,
+    stats_delta,
+    trace_signature,
+)
 from repro.ir.expr import Const, Mul
 from repro.ir.nest import Kernel, Prefetch, walk_statements
 from repro.machines import MachineSpec
@@ -75,43 +82,40 @@ from repro.transforms import TransformError
 
 __all__ = ["SearchConfig", "SearchResult", "GuidedSearch"]
 
+#: rounds of the ±step linear refinement after the shape/size stages
+MAX_LINEAR_ROUNDS = 2
+#: the prefetch-distance ladder: insert at the first, grow while it helps
+PREFETCH_DISTANCES = (1, 2, 4, 8)
+#: smallest cache tile and largest unroll factor the search considers
+MIN_TILE = 2
+MAX_UNROLL = 16
+
 
 @dataclass
 class SearchConfig:
     """Knobs for the guided search."""
 
     full_search_variants: int = 3
-    max_linear_rounds: int = 2
-    prefetch_distances: Tuple[int, ...] = (1, 2, 4, 8)
-    min_tile: int = 2
-    max_unroll: int = 16
     #: optional extension (the paper did this manually, §4.2): search one
     #: line of leading-dimension padding per array when copying was not
     #: selected, to stabilize conflict-miss pathologies
     search_padding: bool = False
     #: model-based prescreen (docs/search.md): skip simulating tiling
     #: candidates the surrogate model bounds worse than the stage's
-    #: running best by more than ``prescreen_margin``
+    #: running best by more than ``DEFAULT_MARGIN``
     prescreen: bool = False
-    prescreen_margin: float = DEFAULT_MARGIN
     #: learned batch ranker (docs/search.md, "Learned ranking"): each
     #: tiling round's candidate batch is ranked by the trained model
     #: (:class:`repro.analysis.learned.LearnedRanker`) and only the
-    #: predicted-best ``ranker_top_k`` plus ``ranker_explore`` seeded
+    #: predicted-best ``DEFAULT_TOP_K`` plus ``DEFAULT_EXPLORE`` seeded
     #: exploration draws are simulated; fresh measurements feed an online
-    #: refit.  ``None`` (and any kernel/machine mismatch) fails open to
-    #: simulating everything.  The search ranks through its own clone, so
-    #: a shared config's model artifact is never mutated.
+    #: refit.  Candidates predicted within ``DEFAULT_RANKER_MARGIN``
+    #: log-cycles of the best are always simulated — the model only skips
+    #: candidates it calls *clearly* worse.  ``None`` (and any
+    #: kernel/machine mismatch) fails open to simulating everything.  The
+    #: search ranks through its own clone, so a shared config's model
+    #: artifact is never mutated.
     ranker: Optional[LearnedRanker] = None
-    ranker_top_k: int = DEFAULT_TOP_K
-    ranker_explore: int = DEFAULT_EXPLORE
-    #: low-confidence guard: candidates predicted within this log-cycle
-    #: margin of a batch's predicted-best are always simulated — the
-    #: model only skips candidates it calls *clearly* worse
-    ranker_margin: float = DEFAULT_RANKER_MARGIN
-    #: seed of the exploration sampling; drawn in driver order, so the
-    #: sampled candidates are identical at every -j
-    ranker_seed: int = 0
     #: transfer-tuning warm start (docs/serving.md): per-variant seed
     #: points (``{variant name: {param: value}}``) carried from a donor
     #: search's winner.  A listed variant starts its staged search from
@@ -184,7 +188,7 @@ class GuidedSearch:
         #: outstanding speculative tickets, by search key
         self._tickets: Dict[Tuple, object] = {}
         self._surrogate: Optional[Surrogate] = (
-            Surrogate(kernel, machine, dict(problem), self.config.prescreen_margin)
+            Surrogate(kernel, machine, dict(problem), DEFAULT_MARGIN)
             if self.config.prescreen
             else None
         )
@@ -195,6 +199,10 @@ class GuidedSearch:
             reason = self.config.ranker.mismatch(kernel.name, machine)
             if reason is None:
                 self._ranker = self.config.ranker.clone()
+                #: exploration sampling, seeded by the artifact's training
+                #: seed and drawn in driver order, so the sampled
+                #: candidates are identical at every -j
+                self._ranker_rng = random.Random(self._ranker.seed)
             else:
                 # fail open: a mismatched model must not rank, and the
                 # search must still run (simulating everything)
@@ -204,7 +212,6 @@ class GuidedSearch:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        self._ranker_rng = random.Random(self.config.ranker_seed)
 
     # -- measurement ------------------------------------------------------
     def measure(
@@ -384,7 +391,7 @@ class GuidedSearch:
         their ``(predicted log-cycles, 1-based rank, exact)``; keys absent
         from the plan are always simulated.  The always-kept subset is
         :meth:`_rank_keep`'s: the ``top_k`` predicted-best (plus, with
-        ``band``, the confidence band) and ``ranker_explore`` seeded draws
+        ``band``, the confidence band) and ``DEFAULT_EXPLORE`` seeded draws
         from the rest — the exploration sample is what keeps the online
         refit honest about candidates the model writes off.  A tiling
         round decides each skip at consumption time (:meth:`_ranked`)
@@ -437,7 +444,7 @@ class GuidedSearch:
         """The always-kept subset of one ranked batch (items are
         ``(id, predicted, ..., exact)``): the ``top_k`` predicted-best,
         optionally (with ``band``, for batches with no measured frontier
-        to compare against) everything within the ``ranker_margin``
+        to compare against) everything within the ``DEFAULT_RANKER_MARGIN``
         confidence band of the predicted-best — the model must not order
         near-ties it cannot resolve — plus the seeded exploration draws.
 
@@ -450,17 +457,16 @@ class GuidedSearch:
         nothing would be skippable."""
         kept = {item[0] for item in ranked[: max(1, top_k)]}
         if band:
-            limit = ranked[0][1] + max(0.0, self.config.ranker_margin)
+            limit = ranked[0][1] + DEFAULT_RANKER_MARGIN
             for item in ranked:
                 if item[1] <= limit:
                     kept.add(item[0])
         rest = [item for item in ranked if item[0] not in kept]
         uncertain = [item for item in rest if not item[-1]]
-        explore = max(0, self.config.ranker_explore)
-        if len(uncertain) <= explore:
+        if len(uncertain) <= DEFAULT_EXPLORE:
             kept.update(item[0] for item in uncertain)
         else:
-            for pick in self._ranker_rng.sample(range(len(uncertain)), explore):
+            for pick in self._ranker_rng.sample(range(len(uncertain)), DEFAULT_EXPLORE):
                 kept.add(uncertain[pick][0])
         if all(item[0] in kept for item in ranked):
             return None
@@ -472,7 +478,7 @@ class GuidedSearch:
 
         A skippable candidate is skipped only when its predicted
         log-cycles exceed the frontier's measured log-cycles by more than
-        ``ranker_margin``: the model may veto clear losers, but a
+        ``DEFAULT_RANKER_MARGIN``: the model may veto clear losers, but a
         candidate it cannot confidently call worse than the running best
         is simulated.  Comparing against the measured frontier (which
         tightens as the round improves) rather than other predictions
@@ -489,7 +495,7 @@ class GuidedSearch:
         # an exact (memoized) prediction needs no error bar; strict >
         # still simulates dead ties, which cost one sim and never flip
         # a strict-improvement climb
-        threshold = 0.0 if exact else max(0.0, self.config.ranker_margin)
+        threshold = 0.0 if exact else DEFAULT_RANKER_MARGIN
         if predicted <= math.log(frontier_cycles) + threshold:
             return None  # too close to call: simulate
         return entry
@@ -658,7 +664,7 @@ class GuidedSearch:
             return [decode_cycles(c) for c in recorded["cycles"]]
         # no measured frontier exists before the screen, so the
         # confidence band is relative to the batch's own predicted best;
-        # it keeps ``full_search_variants`` (not ``ranker_top_k``)
+        # it keeps ``full_search_variants`` (not ``DEFAULT_TOP_K``)
         # predicted-best — keeping fewer would change the winner whenever
         # the model is merely good instead of perfect
         plan = self._rank_plan(
@@ -798,9 +804,9 @@ class GuidedSearch:
             for p in free:
                 value = share
                 if p in unroll_params:
-                    value = max(1, min(value, self.config.max_unroll))
+                    value = max(1, min(value, MAX_UNROLL))
                 else:
-                    value = max(self.config.min_tile, value)
+                    value = max(MIN_TILE, value)
                 values[p] = value
         warm = (self.config.warm_seeds or {}).get(variant.name)
         if warm:
@@ -818,9 +824,9 @@ class GuidedSearch:
         for p, v in out.items():
             v = max(1, int(v))
             if p in unroll_params:
-                v = min(v, self.config.max_unroll)
+                v = min(v, MAX_UNROLL)
             else:
-                v = max(self.config.min_tile, min(v, size_cap))
+                v = max(MIN_TILE, min(v, size_cap))
             out[p] = v
         return out
 
@@ -889,9 +895,7 @@ class GuidedSearch:
             candidate[p] = self._favor_divisor(candidate[p], delta)
             return None if candidate == frontier else candidate  # no-op move
 
-        return self._climb(
-            variant, values, moves, refine_move, rounds=self.config.max_linear_rounds
-        )
+        return self._climb(variant, values, moves, refine_move, rounds=MAX_LINEAR_ROUNDS)
 
     def _climb(
         self,
@@ -927,7 +931,7 @@ class GuidedSearch:
             nonlocal plan
             plan = self._rank_plan(
                 [(variant, candidate) for candidate in candidates(index)],
-                self.config.ranker_top_k,
+                DEFAULT_TOP_K,
                 band=False,
             )
             self._speculate(
@@ -981,7 +985,7 @@ class GuidedSearch:
         prefetch: Dict[PrefetchSite, int] = {}
         best_cycles = self.measure(variant, values, prefetch)
         sites = list(prefetch_sites(self.kernel, variant))
-        d0 = self.config.prefetch_distances[0]
+        d0 = PREFETCH_DISTANCES[0]
 
         def speculate_sites(start: int, current: Dict[PrefetchSite, int]) -> None:
             # First-distance trials of the remaining sites, assuming the
@@ -999,7 +1003,7 @@ class GuidedSearch:
             # walks it in order, so every speculated trial is on its path.
             self._speculate(
                 (variant, values, {**prefetch, site: distance}, None)
-                for distance in self.config.prefetch_distances[1:]
+                for distance in PREFETCH_DISTANCES[1:]
             )
             trial = dict(prefetch)
             trial[site] = d0
@@ -1008,7 +1012,7 @@ class GuidedSearch:
                 continue  # no benefit: remove the prefetch (paper rule)
             best_site_cycles = cycles
             best_distance = d0
-            for distance in self.config.prefetch_distances[1:]:
+            for distance in PREFETCH_DISTANCES[1:]:
                 trial[site] = distance
                 cycles = self.measure(variant, values, trial)
                 if cycles < best_site_cycles:
@@ -1031,11 +1035,16 @@ class GuidedSearch:
         site: PrefetchSite,
     ) -> bool:
         """Skip sites whose insertion adds no prefetch instructions (e.g.
-        arrays fully promoted to registers)."""
+        arrays fully promoted to registers).  The probe is ``instantiate``
+        built through the base-IR cache the engine and surrogate share."""
         try:
             trial = dict(prefetch)
             trial[site] = 1
-            inst = instantiate(self.kernel, variant, values, self.machine, trial)
+            signature = trace_signature(
+                self.kernel, variant, values, self.problem, self.machine
+            )
+            base = cached_base(signature, self.kernel, variant, values, self.machine)
+            inst = apply_prefetch(base, self.machine, trial)
         except (TransformError, KeyError):
             return False
         return any(

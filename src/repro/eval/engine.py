@@ -21,7 +21,7 @@ and adds what a bare ``execute()`` call cannot:
 * **worker supervision** — candidate executions crash, hang and get
   killed on real machines, so simulation attempts run under an
   :class:`EvalPolicy`: transient failures (including a broken process
-  pool) are retried with bounded exponential backoff, per-candidate
+  pool) are retried a bounded number of times, per-candidate
   timeouts abandon hung workers, a broken pool is recreated (and, when it
   keeps breaking, the engine degrades gracefully to serial execution).
   Supervision affects wall time only, never results: a candidate's final
@@ -160,8 +160,8 @@ class EvalOutcome:
 class EvalPolicy:
     """Supervision knobs for candidate execution (see docs/robustness.md).
 
-    The defaults retry real transient failures a couple of times with no
-    backoff and never time out — i.e. behaviour is unchanged for healthy
+    The defaults retry real transient failures a couple of times, at
+    once, and never time out — i.e. behaviour is unchanged for healthy
     runs, but a ``BrokenProcessPool`` or an OOM-killed candidate no longer
     aborts a whole search.
     """
@@ -172,9 +172,6 @@ class EvalPolicy:
     #: extra attempts per candidate after the first, for transient
     #: failures (timeouts, killed workers, MemoryError, injected faults)
     max_retries: int = 2
-    #: base of the exponential backoff between retry rounds (seconds);
-    #: attempt n sleeps ``backoff_seconds * 2**n`` (0 = no backoff)
-    backoff_seconds: float = 0.0
     #: how many times the engine rebuilds a broken process pool before
     #: degrading to serial execution for the rest of its lifetime
     max_pool_restarts: int = 3
@@ -184,8 +181,6 @@ class EvalPolicy:
             raise ValueError(f"timeout_seconds must be > 0, got {self.timeout_seconds}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_seconds < 0:
-            raise ValueError(f"backoff_seconds must be >= 0, got {self.backoff_seconds}")
         if self.max_pool_restarts < 0:
             raise ValueError(
                 f"max_pool_restarts must be >= 0, got {self.max_pool_restarts}"
@@ -469,7 +464,6 @@ class EvalEngine:
         machine: MachineSpec,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        cache_dir: Optional[str] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
         policy: Optional[EvalPolicy] = None,
@@ -480,7 +474,7 @@ class EvalEngine:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.machine = machine
         self.jobs = jobs
-        self.cache = cache if cache is not None else ResultCache(cache_dir)
+        self.cache = cache if cache is not None else ResultCache()
         self.stats = EvalStats()
         #: span tracer shared by the searches running on this engine; the
         #: no-op default makes instrumentation free when tracing is off
@@ -1047,10 +1041,6 @@ class EvalEngine:
         self.stats.corrupt_results += 1
         self.metrics.counter("eval.corrupt_results").inc()
 
-    def _backoff(self, attempt: int) -> None:
-        if self.policy.backoff_seconds > 0:
-            time.sleep(self.policy.backoff_seconds * (2 ** attempt))
-
     def _classify_attempt(
         self, result: Tuple[str, float, Optional[Counters]]
     ) -> Tuple[Optional[str], Tuple[str, float, Optional[Counters]]]:
@@ -1089,7 +1079,6 @@ class EvalEngine:
             if attempt >= self.policy.max_retries:
                 return ("transient", math.inf, None)
             self._note_retry(key, attempt, reason)
-            self._backoff(attempt)
             attempt += 1
 
     # -- in-flight entry lifecycle --------------------------------------
@@ -1218,7 +1207,6 @@ class EvalEngine:
                 entry.result = ("transient", math.inf, None)
                 break
             self._note_retry(entry.key, entry.attempt, reason)
-            self._backoff(entry.strikes)
             entry.strikes += 1
             entry.attempt += 1
             entry.future = None

@@ -46,29 +46,12 @@ class ProtocolError(ValueError):
 #: the trajectory-affecting SearchConfig knobs a request may set —
 #: exactly the fields the checkpoint journal scope records (plus the
 #: structural ``max_variants``, carried at the request top level)
-CONFIG_FIELDS = (
-    "full_search_variants",
-    "max_linear_rounds",
-    "prefetch_distances",
-    "min_tile",
-    "max_unroll",
-    "search_padding",
-    "prescreen",
-    "prescreen_margin",
-    "ranker_top_k",
-    "ranker_explore",
-    "ranker_margin",
-    "ranker_seed",
-)
+CONFIG_FIELDS = ("full_search_variants", "search_padding", "prescreen")
 
 #: lower bounds of the numeric knobs a search cannot run below (fewer
-#: than one fully searched variant or unroll, or a negative prescreen
-#: margin, fails the search instead of the request)
-_CONFIG_MINIMUMS = {
-    "full_search_variants": 1,
-    "max_unroll": 1,
-    "prescreen_margin": 0.0,
-}
+#: than one fully searched variant fails the search instead of the
+#: request)
+_CONFIG_MINIMUMS = {"full_search_variants": 1}
 
 _REQUEST_KEYS = {
     "kernel", "size", "problem", "machine", "config", "max_variants",
@@ -80,28 +63,14 @@ def _coerce(name: str, value: Any, default: Any) -> Any:
     """Coerce a config value to its default's type (bool before int:
     ``bool`` is an ``int`` subclass, and ``prescreen: 1`` must
     canonicalize equal to ``prescreen: true``)."""
+    if isinstance(default, bool):
+        if isinstance(value, (bool, int)) and value in (0, 1):
+            return bool(value)
+        raise ProtocolError(f"config.{name} must be a boolean: {value!r}")
     try:
-        if isinstance(default, bool):
-            if isinstance(value, (bool, int)) and value in (0, 1, True, False):
-                return bool(value)
-            raise ProtocolError(f"config.{name} must be a boolean: {value!r}")
-        if isinstance(default, int):
-            return int(value)
-        if isinstance(default, float):
-            return float(value)
-        if isinstance(default, tuple):  # prefetch_distances
-            distances = [int(v) for v in value]
-            if not distances or any(d < 1 for d in distances):
-                raise ProtocolError(
-                    f"config.{name} must be a non-empty list of positive "
-                    f"ints: {value!r}"
-                )
-            return distances
-    except ProtocolError:
-        raise
+        return int(value)
     except (TypeError, ValueError):
         raise ProtocolError(f"config.{name} has invalid value {value!r}") from None
-    raise ProtocolError(f"config.{name} is not a serializable knob")
 
 
 def canonical_request(raw: Mapping[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -186,7 +155,7 @@ def canonical_request(raw: Mapping[str, Any]) -> Tuple[Dict[str, Any], Dict[str,
                     f"config.{name} must be >= {minimum}: {raw_config[name]!r}"
                 )
         else:
-            config[name] = list(default) if isinstance(default, tuple) else default
+            config[name] = default
 
     try:
         max_variants = int(raw.get("max_variants", 12))
@@ -221,9 +190,7 @@ def config_from_canonical(config: Mapping[str, Any]):
     (ranker / warm seeds are attached by the daemon afterwards)."""
     from repro.core.search import SearchConfig
 
-    kwargs = dict(config)
-    kwargs["prefetch_distances"] = tuple(kwargs["prefetch_distances"])
-    return SearchConfig(**kwargs)
+    return SearchConfig(**config)
 
 
 # -- wire format ---------------------------------------------------------

@@ -357,7 +357,6 @@ def execute(
     kernel: Kernel,
     params: Mapping[str, int],
     machine: MachineSpec,
-    useful_flops: Optional[int] = None,
     reference: bool = False,
 ) -> Counters:
     """Simulate ``kernel`` with the given sizes on ``machine``.
@@ -371,9 +370,7 @@ def execute(
     runner = _Runner(kernel, dict(params), machine, reference=reference)
     runner.run()
     counters = runner.counters
-    if useful_flops is not None:
-        counters.useful_flops = useful_flops
-    elif kernel.flop_basis is not None:
+    if kernel.flop_basis is not None:
         counters.useful_flops = int(kernel.flop_basis.evaluate(params))
     else:
         counters.useful_flops = counters.flops

@@ -32,8 +32,7 @@ Pass 1 (classification, bulk numpy)
     resolution (level, latency, in-batch fill source or settled fill
     time) is a handful of arrays.  The TLB has its own code: a
     first-occurrence shortcut when a batch's pages fit one set, a
-    per-head dict replay otherwise.  Write-back state (the dirty set)
-    merges store positions with last-level victims.
+    per-head dict replay otherwise.
 
 Pass 2 (timing, Python loop over events only)
     Demand TLB misses, L1 misses and pending hits — a demand access that
@@ -44,11 +43,11 @@ Pass 2 (timing, Python loop over events only)
     ``extra`` accumulates stalls and TLB penalties, exactly mirroring how
     the reference's ``now`` evolves.  Each miss replays the
     ``_fill_from`` arithmetic (level latencies down the miss path, memory
-    bus reservation, write-back bus bump after the fill, demand stall to
-    the fill time).  The final LRU state of every touched set is written
-    back afterwards, with the concrete fill times.
+    bus reservation, demand stall to the fill time).  The final LRU state
+    of every touched set is written back afterwards, with the concrete
+    fill times.
 
-Exactness: hit/miss/eviction/TLB/write-back *counts* are byte-identical
+Exactness: hit/miss/eviction/TLB *counts* are byte-identical
 to the reference by construction — classification never consults time.
 Timing is exact event-for-event up to float reassociation (issue time is
 accumulated with a cumulative sum instead of one addition per access),
@@ -65,7 +64,6 @@ import numpy as np
 
 __all__ = ["process_batch"]
 
-_KIND_STORE = 1
 _KIND_PREFETCH = 2
 
 # Pass-2 event kinds.
@@ -122,13 +120,11 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
         kpos = np.nonzero(keep)[0]
         kaddr = addresses[kpos]
         klines = lines[kpos]
-        kkinds = kinds[kpos]
         kdemand = demand[kpos]
     else:
         kpos = None
         kaddr = addresses
         klines = lines
-        kkinds = kinds
         kdemand = demand
     m = len(kaddr)
     if m == 0:
@@ -251,7 +247,7 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
         ms.tlb_hits += m - len(thead_idx) + hit_heads
 
     # ----------------------------------------------------------------- L1
-    root, first, init1, runs, l1_final, _ = _classify(klines, l1, kdemand)
+    root, first, init1, runs, l1_final = _classify(klines, l1, kdemand)
     mk = np.nonzero(root == np.arange(m))[0]  # L1 misses, in position order
     n_miss = len(mk)
     # Pending hits: the first demand access since its line's fill, when
@@ -266,28 +262,21 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
     due = own | (p_val > now0)
     ph, p_ref, p_val = ph[due], p_ref[due], p_val[due]
 
-    # ------------------------------------------ deeper levels + write-backs
+    # ------------------------------------------------------ deeper levels
     levels = ms.caches
     maddr = kaddr[mk]
     kind = np.full(n_miss, _EV_MEMORY, dtype=np.int64)
     ref = np.full(n_miss, -1, dtype=np.int64)  # in-batch fill source
     val = np.zeros(n_miss)  # settled fill time of a resident hit
     dts = np.zeros(n_miss)  # latency accumulated down to the resolution
-    flags = kdemand[mk].astype(np.int64)  # 1 = demand, 2 = write-back
     ords = np.arange(n_miss)  # L1-miss ordinals still unresolved
     deep_final = []
-    victims = None
     dt = 0.0
-    for li in range(1, len(levels)):
+    for cache in levels[1:]:
         if not len(ords):
             break
-        cache = levels[li]
         dt += cache.spec.latency
-        r, _, init, _, final, vic = _classify(
-            maddr[ords] >> cache.line_bits,
-            cache,
-            victims=ms.model_writebacks and li == len(levels) - 1,
-        )
+        r, _, init, _, final = _classify(maddr[ords] >> cache.line_bits, cache)
         deep_final.append((cache, final, init, ords))
         hit = r != np.arange(len(ords))
         ho = ords[hit]
@@ -298,32 +287,7 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
         ref[ho[own]] = ords[hr[own]]
         val[ho[~own]] = init[hr[~own]]
         ords = ords[~hit]
-        if vic is not None:
-            victims = vic[~hit]
     dts[ords] = dt
-    wb_dt = dt - levels[-1].spec.latency  # issue -> last-level lookup
-    if ms.model_writebacks:
-        # Stores mark their last-level line dirty before the access is
-        # serviced; a miss's victim is written back if it is dirty then.
-        last = levels[-1]
-        st = np.nonzero(kkinds == _KIND_STORE)[0]
-        store_pos_l = opos_of(st).tolist()
-        store_line_l = (kaddr[st] >> last.line_bits).tolist()
-        dirty = ms._dirty
-        sp = 0
-        if victims is not None:
-            ev_o = ords[victims >= 0]
-            for o, pos, v in zip(
-                ev_o.tolist(), opos_of(mk[ev_o]).tolist(), victims[victims >= 0].tolist()
-            ):
-                while sp < len(store_pos_l) and store_pos_l[sp] <= pos:
-                    dirty.add(store_line_l[sp])
-                    sp += 1
-                if v in dirty:
-                    dirty.discard(v)
-                    ms.writebacks += 1
-                    flags[o] |= 2
-        dirty.update(store_line_l[sp:])
 
     # ------------------------------------------------------- pass 2: time
     n_tlb = len(tlb_pos)
@@ -342,7 +306,7 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
     ev_ref = np.concatenate((np.full(n_tlb, -1), p_ref, ref))
     ev_val = np.concatenate((pad[:n_tlb], p_val, val))
     ev_dt = np.concatenate((pad, dts))
-    ev_flag = np.concatenate((pad.astype(np.int64), flags))
+    ev_demand = np.concatenate((np.zeros(n_tlb + n_ph, dtype=bool), kdemand[mk]))
 
     extra = 0.0
     stall = 0.0
@@ -353,13 +317,13 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
     penalty = ms.machine.tlb.miss_penalty
     lat0 = l1.spec.latency
     below_l: List[float] = []  # per L1 miss, in order: fill time below L1
-    for k, t, r, v, d, f in zip(
+    for k, t, r, v, d, dem in zip(
         ev_kind[order].tolist(),
         base_t.tolist(),
         ev_ref[order].tolist(),
         ev_val[order].tolist(),
         ev_dt[order].tolist(),
-        ev_flag[order].tolist(),
+        ev_demand[order].tolist(),
     ):
         if k == _EV_TLB:
             extra += penalty
@@ -377,16 +341,13 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
             start = bus_free if bus_free > tlvl else tlvl
             bus_free = start + mcpl
             below = start + mem_lat
-            if f & 2:
-                wn = t + wb_dt
-                bus_free = (bus_free if bus_free > wn else wn) + mcpl
         else:
             pending = below_l[r] if r >= 0 else v
             hit_time = t + d
             below = pending if pending > hit_time else hit_time
         below_l.append(below)
         fill = below + lat0
-        if f & 1 and fill > t:  # demand miss stalls to the fill
+        if dem and fill > t:  # demand miss stalls to the fill
             stall += fill - t
             extra += fill - t
 
@@ -406,11 +367,11 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
         _store(cache, final, init, below_a[ords])
 
 
-def _classify(lines, cache, flags=None, victims=False):
+def _classify(lines, cache, flags=None):
     """Exact LRU classification of one cache level's access stream.
 
     Updates ``cache``'s hit/miss/eviction counters and returns
-    ``(root, first, init, runs, final, victim)``:
+    ``(root, first, init, runs, final)``:
 
     * ``root[i]`` — the stream index of the miss that filled access
       ``i``'s line (``i`` itself for a miss), or a negative ``r`` when
@@ -419,9 +380,7 @@ def _classify(lines, cache, flags=None, victims=False):
       access since its line's fill (None without ``flags``);
     * ``runs`` — the number of same-line runs in the per-set streams;
     * ``final`` — the touched sets' final residents, LRU -> MRU, for
-      :func:`_store`;
-    * ``victim[i]`` — the line access ``i`` evicted, or -1 (None unless
-      ``victims``).
+      :func:`_store`.
     """
     assoc = cache.spec.associativity
     mask = cache.set_mask
@@ -460,10 +419,10 @@ def _classify(lines, cache, flags=None, victims=False):
     prev[lo[1:][same]] = lo[:-1][same]
     hit = prev >= 0
     far = np.nonzero(hit & (hpos - prev > assoc))[0]
-    count = _dominance(prev) if (assoc > 2 and len(far)) or victims else None
     if assoc <= 2:
         hit[far] = False  # adjacent heads differ: the window holds >= 2 lines
     elif len(far):
+        count = _dominance(prev)
         hit[far] = count(far, prev[far] + 1) - prev[far] - 1 < assoc
     fill = ~hit  # a pseudo-access or a miss starts its line's residency
 
@@ -493,8 +452,7 @@ def _classify(lines, cache, flags=None, victims=False):
         first[order[fd[lead]]] = True
         first = first[R:]
 
-    real_miss = fill & (hsrc >= 0)
-    n_miss = int(np.count_nonzero(real_miss))
+    n_miss = int(np.count_nonzero(fill & (hsrc >= 0)))
     cache.misses += n_miss
     cache.hits += n - n_miss
     hset = hl & mask
@@ -511,25 +469,7 @@ def _classify(lines, cache, flags=None, victims=False):
     set_end = np.minimum.accumulate(np.where(brk, np.arange(len(li)), H)[::-1])[::-1]
     li = li[set_end - np.arange(len(li)) < assoc]
     final = (touched, hset[li], hl[li], hsrc[hroot[li]])
-    out = (root, first, np.array(init_vals), runs, final)
-    if not victims:
-        return out + (None,)
-
-    # A full set's miss evicts the line at the largest x whose window
-    # [x, j) holds ``assoc`` distinct lines: binary search per miss.
-    mj = np.nonzero(real_miss)[0]
-    start = np.searchsorted(hset, hset[mj])  # first head of the set
-    full = count(mj, start) - start >= assoc
-    mj, lo_x = mj[full], start[full]
-    hi_x = mj - 1
-    while np.any(lo_x < hi_x):
-        mid = (lo_x + hi_x + 1) >> 1
-        ok = count(mj, mid) - mid >= assoc
-        lo_x = np.where(ok, mid, lo_x)
-        hi_x = np.where(ok, hi_x, mid - 1)
-    victim_all = np.full(N, -1, dtype=np.int64)
-    victim_all[order[hidx[mj]]] = hl[lo_x]
-    return out + (victim_all[R:],)
+    return root, first, np.array(init_vals), runs, final
 
 
 def _dominance(prev):

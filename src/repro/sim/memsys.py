@@ -9,9 +9,6 @@ models:
 * memory bandwidth — every last-level miss occupies the memory bus for
   ``memory_cycles_per_line`` cycles and fills serialize, which is what
   bounds streaming kernels like Jacobi;
-* (optionally, ``model_writebacks=True``) write-back traffic: stores mark
-  their last-level line dirty, and evicting a dirty line occupies the
-  memory bus for another line transfer;
 * an exact vectorized two-pass fast path (:mod:`repro.sim.fastpath`):
   pass 1 classifies a whole batch hit/miss in bulk numpy, with one
   set-associative LRU classifier run on L1's stream and then on each
@@ -26,7 +23,7 @@ models:
   breaks the pair, because a prefetch's insert can change the set's
   contents.
 
-  Hit/miss/eviction/TLB/write-back counts are *exactly* those of
+  Hit/miss/eviction/TLB counts are *exactly* those of
   per-access simulation — classification never consults time.  Timing is
   exact up to float reassociation of the intra-batch issue-time sum (see
   the fastpath module docstring for the argument); it never drifts
@@ -69,16 +66,12 @@ class MemorySystem:
     def __init__(
         self,
         machine: MachineSpec,
-        model_writebacks: bool = False,
         reference: bool = False,
     ) -> None:
         self.machine = machine
-        self.model_writebacks = model_writebacks
         #: replay batches per access through the scalar path (the
         #: pre-fastpath simulator, kept as the differential baseline)
         self.reference = reference
-        self.writebacks = 0
-        self._dirty = set()
         self.caches = [CacheState(spec) for spec in machine.caches]
         # The TLB is modelled as a cache of pages: one "line" per page.
         tlb = machine.tlb
@@ -179,9 +172,6 @@ class MemorySystem:
             # happens off the critical path.
             now += self.machine.tlb.miss_penalty
             self.tlb_stall_cycles += self.machine.tlb.miss_penalty
-        if self.model_writebacks and kind == KIND_STORE:
-            last = self.caches[-1]
-            self._dirty.add(addr >> last.line_bits)
         l1 = self.caches[0]
         line = addr >> l1.line_bits
         pending = l1.lookup(line)
@@ -211,17 +201,7 @@ class MemorySystem:
         if pending is not None:
             return max(now + cache.spec.latency, pending)
         fill = self._fill_from(addr, now + cache.spec.latency, level + 1)
-        evicted = cache.insert(line, fill)
-        if (
-            self.model_writebacks
-            and evicted is not None
-            and level == len(self.caches) - 1
-            and evicted in self._dirty
-        ):
-            # Dirty line leaves the hierarchy: one more bus transfer.
-            self._dirty.discard(evicted)
-            self.writebacks += 1
-            self.bus_free = max(self.bus_free, now) + self.machine.memory_cycles_per_line
+        cache.insert(line, fill)
         return fill
 
     # -- results -------------------------------------------------------------

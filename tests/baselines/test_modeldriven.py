@@ -68,6 +68,6 @@ class TestAnnealing:
 
         search = AnnealingSearch(matmul(), SGI, seed=2)
         variants = derive_variants(matmul(), SGI)
-        start, _ = search._measure(search._initial_state(None, variants), {"N": 24})
+        start = search._measure(search._initial_state(None, variants), {"N": 24})
         result = search.run({"N": 24}, budget=30)
         assert result.cycles <= start

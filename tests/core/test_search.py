@@ -1,5 +1,6 @@
 """Guided-search tests (phase 2)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -131,3 +132,17 @@ class TestEcoOptimizer:
         eco = EcoOptimizer(matvec(), MACHINE, SearchConfig(full_search_variants=1))
         tuned = eco.optimize({"N": 32})
         validate_kernel(tuned.build())
+
+
+class TestSearchConfig:
+    def test_only_policy_choices_are_settable(self):
+        # the paper's step constants (linear rounds, prefetch ladder, tile
+        # and unroll bounds, model margins) are module constants, not knobs
+        names = tuple(f.name for f in dataclasses.fields(SearchConfig))
+        assert names == (
+            "full_search_variants",
+            "search_padding",
+            "prescreen",
+            "ranker",
+            "warm_seeds",
+        )

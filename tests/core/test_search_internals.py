@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core import GuidedSearch, SearchConfig, derive_variants
+from repro.core.search import MAX_UNROLL, MIN_TILE
 from repro.core.variants import PrefetchSite
 from repro.ir import builder as B
 from repro.ir.expr import Var
@@ -59,10 +60,10 @@ class TestStageBudget:
 class TestClamp:
     def test_unrolls_capped(self, search, variants):
         out = search._clamp(variants[0], {"UI": 99, "UJ": 0, "TJ": 10_000, "TK": 3})
-        assert out["UI"] == search.config.max_unroll
+        assert out["UI"] == MAX_UNROLL
         assert out["UJ"] == 1
         assert out["TJ"] == 24  # capped at the problem size
-        assert out["TK"] >= search.config.min_tile
+        assert out["TK"] >= MIN_TILE
 
 
 class TestPrefetchSiteFiltering:

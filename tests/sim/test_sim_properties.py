@@ -184,7 +184,7 @@ def _classifier_case(draw):
 @settings(max_examples=300, deadline=None)
 def test_lru_classifier_matches_cache_state(case):
     """``fastpath._classify`` against a ``CacheState.access`` loop: hits,
-    misses, evictions, victims, chain roots, first-flagged accesses and
+    misses, evictions, chain roots, first-flagged accesses and
     the final per-set LRU order (with fill times) are identical."""
     from repro.sim.fastpath import _classify, _store
 
@@ -196,18 +196,16 @@ def test_lru_classifier_matches_cache_state(case):
         for line in residents:  # unique fill times name the resident
             ref.sets[s][line] = fast.sets[s][line] = -1.0 - line
 
-    root, first, init, _, final, victim = _classify(
-        np.array(stream, dtype=np.int64), fast, np.array(flags), victims=True
+    root, first, init, _, final = _classify(
+        np.array(stream, dtype=np.int64), fast, np.array(flags)
     )
     filled_at = {}  # line -> stream index of the miss that filled it
     flagged = set()  # lines with a flagged access since their fill
     for i, (line, flag) in enumerate(zip(stream, flags)):
-        evicted = None
         if ref.lookup(line) is None:
-            evicted = ref.insert(line, float(i))
+            ref.insert(line, float(i))
             filled_at[line] = i
             flagged.discard(line)
-        assert victim[i] == (-1 if evicted is None else evicted)
         if line in filled_at:
             assert root[i] == filled_at[line]
         else:

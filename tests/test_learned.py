@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
@@ -33,7 +34,7 @@ from repro.analysis.learned import (
     save_ranker,
     train_ranker,
 )
-from repro.core import EcoOptimizer, SearchConfig
+from repro.core import EcoOptimizer, GuidedSearch, SearchConfig
 from repro.eval import EvalEngine, machine_spec_hash
 from repro.kernels import matmul
 from repro.machines import MACHINES, get_machine
@@ -231,6 +232,14 @@ class TestRankedSearch:
     def test_no_model_means_no_skips(self, base_run):
         _, base_stats, _ = base_run
         assert base_stats.ranker_skips == 0
+
+    def test_exploration_rng_follows_the_artifact_seed(self, rows, ranker):
+        for model in (ranker, train_ranker(rows, "mm", "sgi", seed=7)):
+            search = GuidedSearch(
+                matmul(), SGI, {"N": 24}, SearchConfig(ranker=model)
+            )
+            expected = random.Random(model.seed)
+            assert search._ranker_rng.getstate() == expected.getstate()
 
     def test_checkpoint_scope_names_the_model(self, ranker):
         config = SearchConfig(ranker=ranker)

@@ -28,6 +28,7 @@ from repro.serve import (
     request_key,
 )
 from repro.serve.client import ServeClient
+from repro.serve.protocol import CONFIG_FIELDS
 from repro.serve.store import RECORD_KIND
 from repro.storage.atomic import write_sealed
 
@@ -43,9 +44,9 @@ def _key(raw):
 class TestRequestKey:
     def test_config_key_order_is_irrelevant(self):
         a = _key({"kernel": "mm", "size": 24,
-                  "config": {"min_tile": 4, "max_unroll": 8}})
+                  "config": {"full_search_variants": 2, "search_padding": True}})
         b = _key({"kernel": "mm", "size": 24,
-                  "config": {"max_unroll": 8, "min_tile": 4}})
+                  "config": {"search_padding": True, "full_search_variants": 2}})
         assert a == b
 
     def test_default_equal_values_hash_like_omitted(self):
@@ -55,7 +56,7 @@ class TestRequestKey:
         explicit = {
             "full_search_variants": defaults.full_search_variants,
             "prescreen": defaults.prescreen,
-            "prefetch_distances": list(defaults.prefetch_distances),
+            "search_padding": defaults.search_padding,
         }
         assert _key({"kernel": "mm", "size": 24, "config": explicit}) == \
             _key({"kernel": "mm", "size": 24})
@@ -101,6 +102,23 @@ class TestRequestKey:
                 {"kernel": "mm", "size": 24, "config": {"prescren": True}}
             )
 
+    def test_config_keys_are_the_settable_search_knobs(self):
+        assert CONFIG_FIELDS == ("full_search_variants", "search_padding", "prescreen")
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_linear_rounds", 2), ("prefetch_distances", [1, 2, 4, 8]),
+        ("min_tile", 2), ("max_unroll", 16), ("prescreen_margin", 0.29),
+        ("ranker_top_k", 1), ("ranker_explore", 1), ("ranker_margin", 0.05),
+        ("ranker_seed", 0),
+    ])
+    def test_retired_config_keys_rejected(self, name, value):
+        # the search's fixed step constants are not request knobs, even
+        # when spelled at their value
+        with pytest.raises(ProtocolError, match="unknown config keys"):
+            canonical_request(
+                {"kernel": "mm", "size": 24, "config": {name: value}}
+            )
+
     def test_size_and_problem_together_rejected(self):
         with pytest.raises(ProtocolError, match="not both"):
             canonical_request(
@@ -123,12 +141,11 @@ class TestRequestKey:
             {"kernel": "mm", "size": 24, "max_variants": 0},
             {"kernel": "mm", "size": 24, "machine": 7},
             {"kernel": "mm", "size": 24, "config": {"prescreen": "yes"}},
-            {"kernel": "mm", "size": 24,
-             "config": {"prefetch_distances": []}},
+            {"kernel": "mm", "size": 24, "config": {"search_padding": 2}},
             {"kernel": "mm", "size": 24, "config": {"full_search_variants": 0}},
             {"kernel": "mm", "size": 24, "config": {"full_search_variants": -1}},
-            {"kernel": "mm", "size": 24, "config": {"max_unroll": 0}},
-            {"kernel": "mm", "size": 24, "config": {"prescreen_margin": -0.1}},
+            {"kernel": "mm", "size": 24,
+             "config": {"full_search_variants": "many"}},
         ):
             with pytest.raises(ProtocolError):
                 canonical_request(raw)

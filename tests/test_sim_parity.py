@@ -5,11 +5,11 @@ reference.
 scalar path — the pre-fastpath simulator, kept for exactly this purpose.
 The fast path's contract (see docs/simulator.md, "Fast path"):
 
-* hit/miss/eviction/TLB/write-back **counts are byte-identical** — pass-1
+* hit/miss/eviction/TLB **counts are byte-identical** — pass-1
   classification is a pure function of the ordered line sequence and
   never consults time;
-* the full LRU state (per-set key order and pending-fill times) and the
-  dirty-line set match after every batch;
+* the full LRU state (per-set key order and pending-fill times) matches
+  after every batch;
 * **timing agrees up to float reassociation** of the intra-batch
   issue-time sum (the fast path accumulates per-event issue charges with
   a vectorized cumulative sum; the scalar path adds them one by one) and
@@ -17,8 +17,8 @@ The fast path's contract (see docs/simulator.md, "Fast path"):
   below ``CYCLES_RTOL`` on every workload here.
 
 Two layers of evidence: randomized address-stream trials straight against
-``MemorySystem`` (stressing run collapsing, set chains, prefetch timing
-and write-backs), and whole-kernel executions through ``execute()``
+``MemorySystem`` (stressing run collapsing, set chains and prefetch
+timing), and whole-kernel executions through ``execute()``
 including the golden-search mm variant.  The registry machines all have
 an L1 of at most two ways, exactly two cache levels and a one-set TLB,
 so the randomized trials also rotate through synthetic hierarchies no
@@ -66,7 +66,7 @@ def _synthetic(name, caches, tlb=(16, 16)):
 
 #: hierarchies outside the registry's shape (L1 <= 2 ways, two levels,
 #: one-set TLB); their rotation length (7) is coprime with the trial's
-#: style (5), issue-charge (2) and write-back (3) periods
+#: style (5) and issue-charge (2) periods
 SYNTHETIC_MACHINES = (
     _synthetic("one-level", [(1024, 32, 2, 2)]),
     _synthetic("l1-4way", [(2048, 32, 4, 2), (16384, 64, 4, 12)]),
@@ -97,7 +97,7 @@ def _trial_machine(trial: int) -> MachineSpec:
 
 
 def _assert_state_parity(ref: MemorySystem, fast: MemorySystem) -> None:
-    """Counts byte-identical, LRU/dirty state identical, timing bounded."""
+    """Counts byte-identical, LRU state identical, timing bounded."""
     assert fast.hit_counts() == ref.hit_counts()
     assert fast.miss_counts() == ref.miss_counts()
     for level, (rc, fc) in enumerate(zip(ref.caches, fast.caches)):
@@ -109,8 +109,6 @@ def _assert_state_parity(ref: MemorySystem, fast: MemorySystem) -> None:
     assert (fast.tlb_hits, fast.tlb_misses) == (ref.tlb_hits, ref.tlb_misses)
     for rset, fset in zip(ref.tlb_sets, fast.tlb_sets):
         assert list(fset.keys()) == list(rset.keys())
-    assert fast.writebacks == ref.writebacks
-    assert fast._dirty == ref._dirty
     for attr in ("now", "stall_cycles", "tlb_stall_cycles", "bus_free"):
         r, f = getattr(ref, attr), getattr(fast, attr)
         assert f == pytest.approx(r, rel=1e-9, abs=1e-6), attr
@@ -138,9 +136,8 @@ class TestRandomTraceParity:
     def test_randomized_batches_match_reference(self, trial):
         rng = np.random.default_rng(1000 + trial)
         machine = _trial_machine(trial)
-        writebacks = trial % 3 == 0
-        ref = MemorySystem(machine, model_writebacks=writebacks, reference=True)
-        fast = MemorySystem(machine, model_writebacks=writebacks)
+        ref = MemorySystem(machine, reference=True)
+        fast = MemorySystem(machine)
         for _ in range(int(rng.integers(3, 7))):
             n = int(rng.integers(50, 2500))
             addr = _trace(rng, trial % 5, n)

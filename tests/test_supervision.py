@@ -61,8 +61,6 @@ class TestPolicy:
         with pytest.raises(ValueError):
             EvalPolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            EvalPolicy(backoff_seconds=-0.1)
-        with pytest.raises(ValueError):
             EvalPolicy(max_pool_restarts=-1)
 
     def test_defaults_are_benign(self):
