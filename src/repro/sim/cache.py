@@ -1,6 +1,7 @@
 """Set-associative LRU cache state.
 
-Lines are identified by their line number (address >> log2(line size)).
+Lines are identified by their line number (address >> log2(line size));
+the TLB is a ``CacheState`` whose lines are pages.
 Each set is a Python dict used as an ordered map: iteration order is
 insertion order, so the first key is the LRU line; a hit re-inserts the
 key to make it MRU.  The value stored per line is its *fill completion
@@ -74,7 +75,7 @@ class CacheState:
         return evicted
 
     def access(self, line: int, fill_time: float) -> Optional[float]:
-        """Combined lookup-then-insert-on-miss (convenience for tests)."""
+        """Combined lookup-then-insert-on-miss (the reference TLB access)."""
         present = self.lookup(line)
         if present is None:
             self.insert(line, fill_time)

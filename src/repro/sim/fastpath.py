@@ -15,24 +15,26 @@ two very different computations:
 ``process_batch`` exploits that split:
 
 Pass 1 (classification, bulk numpy)
-    One classifier, :func:`_classify`, serves every cache level.  Set
-    state is LRU (Mattson et al., 1970): an access hits iff fewer than
-    ``associativity`` distinct lines of its set were used since the
-    line's previous use.  The classifier prepends each touched set's
-    residents (LRU -> MRU) as pseudo-accesses, groups the stream by set
-    with one stable sort, collapses same-line runs to their heads and
-    decides each head from the window back to the previous head of its
-    line: a short window is a hit, a long one is a miss at one or two
-    ways (adjacent heads differ) and otherwise needs an exact
-    distinct-line count (a merge-sort tree, so its cost does not depend
-    on the window's length).  Each access gets its *root*: the miss
-    that filled its line this batch, or the resident it hit.  L1
-    classifies the kept stream; each deeper level classifies the
-    previous level's misses in position order, so every miss's
-    resolution (level, latency, in-batch fill source or settled fill
-    time) is a handful of arrays.  The TLB has its own code: a
-    first-occurrence shortcut when a batch's pages fit one set, a
-    per-head dict replay otherwise.
+    One classifier, :func:`_classify`, serves every cache level and the
+    TLB (a cache of pages).  Set state is LRU (Mattson et al., 1970): an
+    access hits iff fewer than ``associativity`` distinct lines of its
+    set were used since the line's previous use.  The classifier
+    prepends each touched set's residents (LRU -> MRU) as
+    pseudo-accesses, groups the stream by set with one stable sort,
+    collapses same-line runs to their heads and decides each head from
+    the window back to the previous head of its line: a short window is
+    a hit, and so is any window in a set that sees at most
+    ``associativity`` distinct lines (such a set never evicts).  At one
+    or two ways a longer window is a miss (adjacent heads differ); at
+    more, a bound from the heads' own reuse distances settles most such
+    windows as hits, and the rest get an exact distinct-line count (a
+    merge-sort tree, so its cost does not depend on the window's
+    length).  Each access
+    gets its *root*: the miss that filled its line this batch, or the
+    resident it hit.  The TLB classifies the kept stream's pages and L1
+    its lines; each deeper level classifies the previous level's misses
+    in position order, so every miss's resolution (level, latency,
+    in-batch fill source or settled fill time) is a handful of arrays.
 
 Pass 2 (timing, Python loop over events only)
     Demand TLB misses, L1 misses and pending hits — a demand access that
@@ -101,7 +103,7 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
     dropped = int(n - keep.sum())
     if dropped:
         l1.hits += dropped
-        ms.tlb_hits += dropped
+        ms.tlb.hits += dropped
 
     # Issue time is charged at each access's own position via a running
     # sum, so now_at(p) below reproduces the reference's sequential
@@ -136,115 +138,10 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
         """Original batch positions of the given kept-stream indices."""
         return kept_idx if kpos is None else kpos[kept_idx]
 
-    tlb_pos: List[int] = []  # positions of demand TLB misses
-
     # ---------------------------------------------------------------- TLB
-    pages = kaddr >> ms.page_bits
-    tlb_sets = ms.tlb_sets
-    tlb_mask = ms.tlb_set_mask
-    tlb_fast = False
-    if tlb_mask == 0:
-        # Single-set (fully associative) TLB: collapse the page stream to
-        # page-change heads (repeats are hits with no net LRU motion) and,
-        # when the batch touches at most ``associativity`` distinct pages,
-        # simulate only each page's *first occurrence*.  That is exact:
-        # with U <= A distinct pages a touched page is never evicted again
-        # (fewer than A distinct pages intervene between touches), and an
-        # eviction victim is always the oldest initial page that has not
-        # been touched yet — re-touches only reorder pages that can never
-        # be victims.  Final LRU order: untouched survivors keep their
-        # relative order, touched pages move to MRU by last occurrence.
-        phead = np.empty(m, dtype=bool)
-        phead[0] = True
-        np.not_equal(pages[1:], pages[:-1], out=phead[1:])
-        ph_idx = np.nonzero(phead)[0]
-        hp = pages[ph_idx]
-        nh = len(hp)
-        so = np.argsort(hp, kind="stable")
-        shp = hp[so]
-        gb = np.empty(nh, dtype=bool)
-        gb[0] = True
-        np.not_equal(shp[1:], shp[:-1], out=gb[1:])
-        gstart = np.nonzero(gb)[0]
-        assoc_t = ms.tlb_assoc
-        if len(gstart) <= assoc_t:
-            tlb_fast = True
-            gend = np.empty(len(gstart), dtype=np.int64)
-            gend[:-1] = gstart[1:]
-            gend[-1] = nh
-            firsts = so[gstart]  # first head occurrence per unique page
-            lasts = so[gend - 1]  # last head occurrence per unique page
-            upg_l = shp[gstart].tolist()
-            ways = tlb_sets[0]
-            occ = len(ways)
-            init_order = list(ways)  # LRU -> MRU at batch start
-            refreshed = set()
-            ptr = 0
-            n_miss_t = 0
-            firsts_l = firsts.tolist()
-            for k in np.argsort(firsts).tolist():
-                pg = upg_l[k]
-                if pg in ways:
-                    refreshed.add(pg)
-                    continue
-                n_miss_t += 1
-                h = firsts_l[k]
-                if kdemand[ph_idx[h]]:
-                    tlb_pos.append(int(opos_of(ph_idx[h : h + 1])[0]))
-                if occ >= assoc_t:
-                    while True:
-                        victim = init_order[ptr]
-                        ptr += 1
-                        if victim not in refreshed and victim in ways:
-                            break
-                    del ways[victim]
-                else:
-                    occ += 1
-                ways[pg] = True
-                refreshed.add(pg)
-            ms.tlb_misses += n_miss_t
-            ms.tlb_hits += m - n_miss_t
-            for k in np.argsort(lasts).tolist():
-                pg = upg_l[k]
-                ways[pg] = ways.pop(pg)  # refresh to MRU, order by last use
-    if not tlb_fast:
-        if tlb_mask:
-            tsets = pages & tlb_mask
-            torder = np.argsort(tsets, kind="stable")
-            t_pages = pages[torder]
-            t_sets = tsets[torder]
-            thead = np.empty(m, dtype=bool)
-            thead[0] = True
-            thead[1:] = (t_sets[1:] != t_sets[:-1]) | (t_pages[1:] != t_pages[:-1])
-        else:
-            torder = None
-            t_pages = pages
-            thead = np.empty(m, dtype=bool)
-            thead[0] = True
-            np.not_equal(t_pages[1:], t_pages[:-1], out=thead[1:])
-        thead_idx = np.nonzero(thead)[0]
-        head_kept = thead_idx if torder is None else torder[thead_idx]
-        head_pages_l = t_pages[thead_idx].tolist()
-        head_demand_l = kdemand[head_kept].tolist()
-        head_opos_l = opos_of(head_kept).tolist()
-        assoc = ms.tlb_assoc
-        hit_heads = 0
-        miss_heads = 0
-        for pg, is_demand, pos in zip(head_pages_l, head_demand_l, head_opos_l):
-            ways = tlb_sets[pg & tlb_mask]
-            if pg in ways:
-                del ways[pg]
-                ways[pg] = True
-                hit_heads += 1
-                continue
-            miss_heads += 1
-            if len(ways) >= assoc:
-                del ways[next(iter(ways))]
-            ways[pg] = True
-            if is_demand:
-                tlb_pos.append(pos)
-        ms.tlb_misses += miss_heads
-        ms.tlb_hits += m - len(thead_idx) + hit_heads
+    tlb = ms.tlb
+    troot, _, tinit, _, tlb_final = _classify(kaddr >> tlb.line_bits, tlb)
+    tlb_miss = np.nonzero((troot == np.arange(m)) & kdemand)[0]  # demand only
 
     # ----------------------------------------------------------------- L1
     root, first, init1, runs, l1_final = _classify(klines, l1, kdemand)
@@ -290,10 +187,10 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
     dts[ords] = dt
 
     # ------------------------------------------------------- pass 2: time
-    n_tlb = len(tlb_pos)
+    n_tlb = len(tlb_miss)
     n_ph = len(ph)
     key = np.concatenate(
-        (np.array(tlb_pos, dtype=np.int64) * 2, opos_of(ph) * 2 + 1, opos_of(mk) * 2 + 1)
+        (opos_of(tlb_miss) * 2, opos_of(ph) * 2 + 1, opos_of(mk) * 2 + 1)
     )
     order = np.argsort(key)
     pos_sorted = key[order] >> 1
@@ -363,6 +260,7 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
     fresh = np.zeros(m)
     fresh[mk] = below_a + lat0
     _store(l1, l1_final, init1, fresh)
+    _store(tlb, tlb_final, tinit, np.zeros(m))  # a page's value is unused
     for cache, final, init, ords in deep_final:
         _store(cache, final, init, below_a[ords])
 
@@ -396,10 +294,14 @@ def _classify(lines, cache, flags=None):
         init_vals.extend(ways.values())
     R = len(init_lines)
     stream = np.concatenate((np.array(init_lines, dtype=np.int64), lines))
-    # (a set index of at most 16 bits sorts by radix: several times faster)
-    order = np.argsort((stream & mask).astype(np.min_scalar_type(mask)), kind="stable")
-    sl = stream[order]
     N = n + R
+    if mask:
+        # (a set index of at most 16 bits sorts by radix: several times faster)
+        order = np.argsort((stream & mask).astype(np.min_scalar_type(mask)), kind="stable")
+        sl = stream[order]
+    else:  # one set: the stream is already in set order
+        order = np.arange(N)
+        sl = stream
     head = np.empty(N, dtype=bool)
     head[0] = True
     np.not_equal(sl[1:], sl[:-1], out=head[1:])  # one line, one set
@@ -419,11 +321,22 @@ def _classify(lines, cache, flags=None):
     prev[lo[1:][same]] = lo[:-1][same]
     hit = prev >= 0
     far = np.nonzero(hit & (hpos - prev > assoc))[0]
+    hset = hl & mask
+    # A set with at most ``assoc`` distinct lines (residents included)
+    # never evicts: its far heads are hits without a window count.
+    distinct = np.bincount(hset[~hit], minlength=mask + 1)
+    far = far[distinct[hset[far]] > assoc]
     if assoc <= 2:
         hit[far] = False  # adjacent heads differ: the window holds >= 2 lines
     elif len(far):
-        count = _dominance(prev)
-        hit[far] = count(far, prev[far] + 1) - prev[far] - 1 < assoc
+        # Bound a far head's window: its first ``d`` heads, plus the later
+        # ones whose own previous head lies over ``d`` back (only those
+        # can be their line's first in the window).  Below ``assoc``, a hit.
+        d = assoc // 2
+        back = np.zeros(H + 1, dtype=np.int64)
+        np.cumsum((prev < 0) | (hpos - prev > d), out=back[1:])
+        far = far[d + back[far] - back[prev[far] + d + 1] >= assoc]
+        hit[far] = _dominance(prev, far, prev[far] + 1) - prev[far] - 1 < assoc
     fill = ~hit  # a pseudo-access or a miss starts its line's residency
 
     # Root: the latest fill head of the line (positions in ``lo`` order
@@ -455,7 +368,6 @@ def _classify(lines, cache, flags=None):
     n_miss = int(np.count_nonzero(fill & (hsrc >= 0)))
     cache.misses += n_miss
     cache.hits += n - n_miss
-    hset = hl & mask
     fills = np.bincount(hset[fill], minlength=mask + 1)
     cache.evictions += int(np.maximum(fills - assoc, 0).sum())
     runs = n - int(np.count_nonzero(~head[1:] & (order[:-1] >= R)))
@@ -472,32 +384,30 @@ def _classify(lines, cache, flags=None):
     return root, first, np.array(init_vals), runs, final
 
 
-def _dominance(prev):
-    """``count(j, t)`` = #{k < j : prev[k] < t}, vectorized over queries.
+def _dominance(prev, j, t):
+    """``#{k < j : prev[k] < t}`` for each query ``(j, t)``, vectorized.
 
     A merge-sort tree: level ``b`` holds ``prev`` sorted within aligned
-    blocks of ``2**b`` (one global sort of ``block * span + prev``), and
-    a prefix ``[0, j)`` is one block per set bit of ``j``, each counted
-    with one ``searchsorted``.
+    blocks of ``2**b``, and a prefix ``[0, j)`` is one block per set bit
+    of ``j``, each counted with one ``searchsorted``.  A level is built
+    only from the blocks its queries read, one level at a time, so memory
+    stays O(len(prev)).
     """
     H = len(prev)
     span = H + 1
-    levels = []
+    c = np.zeros(len(j), dtype=np.int64)
     b = 0
     while (1 << b) <= H:
-        levels.append(np.sort((np.arange(H) >> b) * span + prev + 1))
+        on = np.nonzero((j >> b) & 1)[0]
+        if len(on):
+            blk = (j[on] >> b) - 1
+            used = np.unique(blk)  # each a full block below its query
+            members = ((used[:, None] << b) + np.arange(1 << b)).ravel()
+            keys = np.sort((members >> b) * span + prev[members])
+            below = np.searchsorted(used, blk) << b  # members of earlier blocks
+            c[on] += np.searchsorted(keys, blk * span + t[on]) - below
         b += 1
-
-    def count(j, t):
-        c = np.zeros(len(j), dtype=np.int64)
-        for b, keys in enumerate(levels):
-            on = np.nonzero((j >> b) & 1)[0]
-            if len(on):
-                blk = (j[on] >> b) - 1
-                c[on] += np.searchsorted(keys, blk * span + t[on] + 1) - (blk << b)
-        return c
-
-    return count
+    return c
 
 
 def _store(cache, final, init, fresh) -> None:

@@ -3,17 +3,18 @@
 The memory system consumes the address stream produced by the executor and
 models:
 
-* a TLB and N levels of set-associative LRU cache (line fill times kept
-  per line, so non-blocking prefetches hide latency exactly to the extent
-  the prefetch distance allows);
+* N levels of set-associative LRU cache (line fill times kept per line,
+  so non-blocking prefetches hide latency exactly to the extent the
+  prefetch distance allows) and a TLB, which is one more
+  :class:`~repro.sim.cache.CacheState` whose lines are pages;
 * memory bandwidth — every last-level miss occupies the memory bus for
   ``memory_cycles_per_line`` cycles and fills serialize, which is what
   bounds streaming kernels like Jacobi;
 * an exact vectorized two-pass fast path (:mod:`repro.sim.fastpath`):
   pass 1 classifies a whole batch hit/miss in bulk numpy, with one
-  set-associative LRU classifier run on L1's stream and then on each
-  deeper level's miss stream (the TLB has its own first-occurrence and
-  per-head code), and keeps every miss's resolution as arrays; pass 2
+  set-associative LRU classifier run on the page stream (the TLB), on
+  L1's stream and then on each deeper level's miss stream, and keeps
+  every miss's resolution as arrays; pass 2
   replays only the timing-relevant events — misses, demand TLB misses,
   the first demand hit on an in-flight fill — sequentially for
   ``now``/``bus_free``/stall accounting.  A demand access whose
@@ -40,11 +41,11 @@ Event kinds: 0 = load, 1 = store, 2 = prefetch.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.machines import MachineSpec
+from repro.machines import CacheSpec, MachineSpec
 from repro.sim import fastpath
 from repro.sim.cache import CacheState
 
@@ -73,14 +74,12 @@ class MemorySystem:
         #: pre-fastpath simulator, kept as the differential baseline)
         self.reference = reference
         self.caches = [CacheState(spec) for spec in machine.caches]
-        # The TLB is modelled as a cache of pages: one "line" per page.
+        # The TLB is modelled as a cache of pages: one "line" per page (the
+        # value stored per page is unused).
         tlb = machine.tlb
-        self.tlb_sets: List[dict] = [dict() for _ in range(tlb.num_sets)]
-        self.tlb_set_mask = tlb.num_sets - 1
-        self.tlb_assoc = tlb.associativity
-        self.tlb_hits = 0
-        self.tlb_misses = 0
-        self.page_bits = tlb.page_size.bit_length() - 1
+        self.tlb = CacheState(
+            CacheSpec("TLB", tlb.reach, tlb.page_size, tlb.associativity, 0)
+        )
         self.now = 0.0
         self.bus_free = 0.0
         self.stall_cycles = 0.0
@@ -91,6 +90,14 @@ class MemorySystem:
         self.batches = 0  # access_vector calls
         self.collapsed = 0  # accesses classified in bulk, never replayed
         self.timing_events = 0  # pass-2 events sequentially replayed
+
+    @property
+    def tlb_hits(self) -> int:
+        return self.tlb.hits
+
+    @property
+    def tlb_misses(self) -> int:
+        return self.tlb.misses
 
     # -- bulk interface ----------------------------------------------------
     def advance(self, cycles: float) -> None:
@@ -138,7 +145,7 @@ class MemorySystem:
         if kind != KIND_PREFETCH:
             if line == self._last_demand_line:
                 l1.hits += 1
-                self.tlb_hits += 1
+                self.tlb.hits += 1
                 self.collapsed += 1
                 self.now += cycles_per_access
                 return
@@ -150,24 +157,10 @@ class MemorySystem:
         self._access_one(address, kind, cycles_per_access)
 
     # -- core simulation ----------------------------------------------------
-    def _tlb_access(self, page: int) -> bool:
-        """True on TLB hit.  LRU within the page's set."""
-        ways = self.tlb_sets[page & self.tlb_set_mask]
-        if page in ways:
-            del ways[page]
-            ways[page] = True
-            self.tlb_hits += 1
-            return True
-        self.tlb_misses += 1
-        if len(ways) >= self.tlb_assoc:
-            del ways[next(iter(ways))]
-        ways[page] = True
-        return False
-
     def _access_one(self, addr: int, kind: int, cycles_per_access: float) -> None:
         now = self.now + cycles_per_access
         prefetch = kind == KIND_PREFETCH
-        if not self._tlb_access(addr >> self.page_bits) and not prefetch:
+        if self.tlb.access(self.tlb.line_of(addr), 0.0) is None and not prefetch:
             # Demand TLB miss stalls for the table walk; a prefetch's walk
             # happens off the critical path.
             now += self.machine.tlb.miss_penalty

@@ -5,8 +5,9 @@ A seeded generator writes small affine nests in the textual frontend
 transposed subscripts, a reduction, optionally a scalar temporary and a
 software prefetch.  Each nest runs through ``execute`` on the fast path
 and with ``reference=True`` (the per-access scalar simulator), on the
-four registry machines and one synthetic machine with a 4-way L1.  Every
-counter must be equal and cycles must agree within ``CYCLES_RTOL``.
+four registry machines and two synthetic ones, with a 4-way L1 and a
+four-set TLB.  Every counter must be equal and cycles must agree within
+``CYCLES_RTOL``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.sim.executor import execute
 from tests.test_sim_parity import ALL_MACHINES, CYCLES_RTOL, SYNTHETIC_MACHINES
 
 FUZZ_MACHINES = tuple(MACHINES[name] for name in ALL_MACHINES) + tuple(
-    m for m in SYNTHETIC_MACHINES if m.name == "l1-4way"
+    m for m in SYNTHETIC_MACHINES if m.name in ("l1-4way", "tlb-4set")
 )
 
 COUNTERS = (

@@ -108,12 +108,10 @@ def test_collapse_exactness_property(addrs, data):
     assert vec.miss_counts() == ref.miss_counts()
     assert vec.hit_counts() == ref.hit_counts()
     assert (vec.tlb_hits, vec.tlb_misses) == (ref.tlb_hits, ref.tlb_misses)
-    for vc, rc in zip(vec.caches, ref.caches):
+    for vc, rc in zip(vec.caches + [vec.tlb], ref.caches + [ref.tlb]):
         assert vc.evictions == rc.evictions
         for vset, rset in zip(vc.sets, rc.sets):
             assert list(vset) == list(rset)
-    for vset, rset in zip(vec.tlb_sets, ref.tlb_sets):
-        assert list(vset) == list(rset)
     for attr in ("now", "stall_cycles", "tlb_stall_cycles", "bus_free"):
         assert getattr(vec, attr) == pytest.approx(
             getattr(ref, attr), rel=1e-9, abs=1e-6
@@ -168,7 +166,7 @@ def test_prefetch_never_slows_down_a_second_pass(addrs):
 def _classifier_case(draw):
     """A cache shape, random initial residents per set and a line stream
     (lines drawn from a small pool so sets see reuse and conflicts)."""
-    assoc = draw(st.integers(1, 16))
+    assoc = draw(st.integers(1, 64))
     num_sets = draw(st.sampled_from([1, 2, 4, 8]))
     pool = draw(st.integers(1, 4 * assoc * num_sets))
     stream = draw(st.lists(st.integers(0, pool), min_size=1, max_size=200))

@@ -100,15 +100,14 @@ def _assert_state_parity(ref: MemorySystem, fast: MemorySystem) -> None:
     """Counts byte-identical, LRU state identical, timing bounded."""
     assert fast.hit_counts() == ref.hit_counts()
     assert fast.miss_counts() == ref.miss_counts()
-    for level, (rc, fc) in enumerate(zip(ref.caches, fast.caches)):
-        assert fc.evictions == rc.evictions, f"L{level + 1} evictions"
+    assert (fast.tlb_hits, fast.tlb_misses) == (ref.tlb_hits, ref.tlb_misses)
+    levels = [(f"L{i + 1}", rc, fc) for i, (rc, fc) in enumerate(zip(ref.caches, fast.caches))]
+    for name, rc, fc in levels + [("TLB", ref.tlb, fast.tlb)]:
+        assert fc.evictions == rc.evictions, f"{name} evictions"
         for rset, fset in zip(rc.sets, fc.sets):
-            assert list(fset.keys()) == list(rset.keys()), f"L{level + 1} LRU order"
+            assert list(fset.keys()) == list(rset.keys()), f"{name} LRU order"
             for line in rset:
                 assert fset[line] == pytest.approx(rset[line], rel=1e-9, abs=1e-6)
-    assert (fast.tlb_hits, fast.tlb_misses) == (ref.tlb_hits, ref.tlb_misses)
-    for rset, fset in zip(ref.tlb_sets, fast.tlb_sets):
-        assert list(fset.keys()) == list(rset.keys())
     for attr in ("now", "stall_cycles", "tlb_stall_cycles", "bus_free"):
         r, f = getattr(ref, attr), getattr(fast, attr)
         assert f == pytest.approx(r, rel=1e-9, abs=1e-6), attr
