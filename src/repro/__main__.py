@@ -501,17 +501,18 @@ def _cmd_tune(args) -> None:
         checkpoint_path=checkpoint_path, resume=args.resume,
         fs_faults=args.inject_fs_faults,
     )
-    tuned = optimizer.optimize(_problem(kernel, args.size))
+    problem = _problem(kernel, args.size)
+    tuned = optimizer.optimize(problem)
     if optimizer.journal is not None:
         print(f"checkpoint: {optimizer.journal.describe()}")
-    problem = _problem(kernel, args.size)
     if args.explain:
         from repro.core import explain
 
         print(explain(tuned, problem))
     else:
         print(tuned.describe())
-        counters = tuned.measure(problem)
+        # the search already simulated its winner at this size
+        counters = tuned.result.counters
         print(f"\nat N={args.size}: {counters.mflops:.1f} MFLOPS "
               f"({100 * counters.mflops / machine.peak_mflops:.1f}% of peak)")
     if args.stats:
@@ -526,7 +527,7 @@ def _cmd_tune(args) -> None:
         print(f"wrote trace {args.trace} ({len(tracer.events())} events)")
     engine.close()
     if args.emit:
-        source = emit_c(tuned.build(), with_main=True, main_params=_problem(kernel, args.size))
+        source = emit_c(tuned.build(), with_main=True, main_params=problem)
         with open(args.emit, "w") as handle:
             handle.write(source)
         print(f"wrote {args.emit}")

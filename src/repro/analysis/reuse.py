@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.dependence import _solve_uniform, _subscript_matrix
 from repro.ir.expr import Const
@@ -120,19 +120,6 @@ class ReuseSummary:
 
     def spatial_refs(self, loop: str) -> List[ArrayRef]:
         return list(self.carried(loop)[1])
-
-    def temporal_score(self, loop: str, among: Optional[Sequence[ArrayRef]] = None) -> int:
-        """Number of references whose temporal reuse ``loop`` carries."""
-        refs = self.temporal_refs(loop)
-        if among is not None:
-            refs = [r for r in refs if r in among]
-        return len(refs)
-
-    def spatial_score(self, loop: str, among: Optional[Sequence[ArrayRef]] = None) -> int:
-        refs = self.spatial_refs(loop)
-        if among is not None:
-            refs = [r for r in refs if r in among]
-        return len(refs)
 
     def reuse_amount(self, ref: ArrayRef, loop: str, trip_count: int) -> int:
         """The paper's ``R_l(r)``: N_l, CLS or 1."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.variants import (
@@ -33,14 +33,12 @@ from repro.core.variants import (
     LevelPlan,
     PrefetchSite,
     Variant,
-    instantiate,
 )
 from repro.eval import EvalEngine, EvalOutcome, EvalRequest
 from repro.ir.expr import Const, Var
-from repro.ir.nest import Kernel
 from repro.kernels import matmul
 from repro.machines import MachineSpec
-from repro.sim import Counters, execute
+from repro.sim import Counters
 from repro.transforms import TransformError
 
 __all__ = ["MiniAtlas"]
@@ -86,12 +84,14 @@ class MiniAtlas:
     """ATLAS-style self-tuning matrix multiply."""
 
     machine: MachineSpec
-    #: optional shared evaluation engine: sweeps then go through the same
-    #: cache, parallelism and worker supervision (retries, timeouts) as
-    #: every other search, instead of raw in-process ``execute()`` calls
+    #: the evaluation engine every sweep and measurement goes through
+    #: (cache, parallelism, worker supervision); a private serial engine
+    #: when none is shared
     engine: Optional[EvalEngine] = None
 
     def __post_init__(self) -> None:
+        if self.engine is None:
+            self.engine = EvalEngine(self.machine)
         self.kernel = matmul()
         self._tuned: Optional[Dict[str, int]] = None
         self._prefetch_distance = 0
@@ -132,23 +132,18 @@ class MiniAtlas:
     _KU_GRID = (1, 2, 4, 8)
 
     # -- measurement -------------------------------------------------------
-    def _measure_point(
-        self, values: Dict[str, int], tuning_n: int, prefetch_distance: int
-    ) -> float:
-        return self._measure_grid([(values, tuning_n, prefetch_distance)])[0]
-
     def _measure_grid(
         self, points: List[Tuple[Dict[str, int], int, int]]
     ) -> List[float]:
         """Cycles for one sweep's candidate points, in input order.
 
-        With a shared engine the whole axis goes to ``evaluate_batch`` in
-        one call: ATLAS's orthogonal sweeps are embarrassingly parallel,
-        and the argmin consumes results in input order, so an engine with
-        workers simulates the axis concurrently without being able to
-        change the selected point.  Per-point accounting (search points,
-        rep-weighted machine seconds, the sweep cache and its
-        transient-failure rule) matches the old point-at-a-time path.
+        The whole axis goes to ``evaluate_batch`` in one call: ATLAS's
+        orthogonal sweeps are embarrassingly parallel, and the argmin
+        consumes results in input order, so an engine with workers
+        simulates the axis concurrently without being able to change the
+        selected point.  Per-point accounting: search points,
+        rep-weighted machine seconds, and the sweep cache with its
+        transient-failure rule.
         """
         results: List[Optional[float]] = []
         todo: List[Tuple[int, Tuple, Dict[str, int], int, int]] = []
@@ -160,14 +155,6 @@ class MiniAtlas:
             results.append(None)
             todo.append((len(results) - 1, key, values, tuning_n, distance))
         if not todo:
-            return [float(r) for r in results]
-        if self.engine is None:
-            for index, key, values, tuning_n, distance in todo:
-                counters = self._run(values, {"N": tuning_n}, distance)
-                self.search_points += 1
-                self.machine_seconds += _TIMING_REPS * counters.seconds
-                self._cache[key] = counters.cycles
-                results[index] = counters.cycles
             return [float(r) for r in results]
         variants: List[Variant] = []
         requests: List[EvalRequest] = []
@@ -231,7 +218,6 @@ class MiniAtlas:
     ) -> EvalOutcome:
         """One candidate through the engine, with ATLAS's no-copy fallback
         when the copy skeleton cannot be built at this size."""
-        assert self.engine is not None
         variant, prefetch = self._plan(problem, prefetch_distance)
         outcome = self.engine.evaluate(
             self.kernel, variant, values, dict(problem), prefetch
@@ -241,18 +227,6 @@ class MiniAtlas:
                 self.kernel, _skeleton(False), values, dict(problem), prefetch
             )
         return outcome
-
-    def _run(
-        self, values: Dict[str, int], problem: Mapping[str, int], prefetch_distance: int
-    ) -> Counters:
-        variant, prefetch = self._plan(problem, prefetch_distance)
-        try:
-            inst = instantiate(self.kernel, variant, values, self.machine, prefetch)
-        except TransformError:
-            inst = instantiate(
-                self.kernel, _skeleton(False), values, self.machine, prefetch
-            )
-        return execute(inst, problem, self.machine)
 
     # -- tuning -------------------------------------------------------------
     def tune(self, tuning_n: int) -> Dict[str, int]:
@@ -312,12 +286,10 @@ class MiniAtlas:
     def measure(self, problem: Mapping[str, int]) -> Counters:
         if self._tuned is None:
             raise RuntimeError("call tune() before measure()")
-        if self.engine is not None:
-            outcome = self._evaluate(self._tuned, problem, self._prefetch_distance)
-            if outcome.counters is not None:
-                return outcome.counters
-            raise TransformError(
-                f"mini-ATLAS measurement failed ({outcome.status}) "
-                f"at {dict(problem)}"
-            )
-        return self._run(self._tuned, problem, self._prefetch_distance)
+        outcome = self._evaluate(self._tuned, problem, self._prefetch_distance)
+        if outcome.counters is not None:
+            return outcome.counters
+        raise TransformError(
+            f"mini-ATLAS measurement failed ({outcome.status}) "
+            f"at {dict(problem)}"
+        )

@@ -20,15 +20,15 @@ buys — the paper's open question (1) in §1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.core.derive import derive_variants
 from repro.core.search import GuidedSearch, SearchConfig
-from repro.core.variants import PrefetchSite, Variant, instantiate, prefetch_sites
+from repro.core.variants import PrefetchSite, Variant, prefetch_sites
 from repro.eval import EvalEngine
 from repro.ir.nest import Kernel
 from repro.machines import MachineSpec
-from repro.sim import Counters, execute
+from repro.sim import Counters
 from repro.transforms import TransformError
 
 __all__ = ["ModelDriven"]
@@ -40,9 +40,14 @@ class ModelDriven:
 
     kernel: Kernel
     machine: MachineSpec
-    #: optional shared engine: the *final* measurement (not part of the
-    #: search budget) is then cached alongside everyone else's results
+    #: the engine the *final* measurement (not part of the search
+    #: budget) runs through, cached alongside everyone else's results
+    #: when shared; a private serial engine otherwise
     engine: Optional[EvalEngine] = None
+
+    def __post_init__(self) -> None:
+        if self.engine is None:
+            self.engine = EvalEngine(self.machine)
 
     @property
     def name(self) -> str:
@@ -91,28 +96,25 @@ class ModelDriven:
 
     def measure(self, problem: Mapping[str, int]) -> Counters:
         variant, values, prefetch = self.plan(problem)
-        if self.engine is not None:
-            with self.engine.tracer.span(
-                "model-driven",
-                kernel=self.kernel.name,
-                machine=self.machine.name,
-                variant=variant.name,
-                values=dict(values),
-            ) as span:
-                outcome = self.engine.evaluate(
-                    self.kernel, variant, values, dict(problem), prefetch
+        with self.engine.tracer.span(
+            "model-driven",
+            kernel=self.kernel.name,
+            machine=self.machine.name,
+            variant=variant.name,
+            values=dict(values),
+        ) as span:
+            outcome = self.engine.evaluate(
+                self.kernel, variant, values, dict(problem), prefetch
+            )
+            span.set(cycles=outcome.cycles if outcome.feasible else None)
+        self.engine.metrics.counter("baseline.modeldriven.plans").inc()
+        if outcome.counters is None:
+            if outcome.transient:
+                # Environment trouble, not a bad plan: retrying the
+                # whole measurement later can succeed.
+                raise TransformError(
+                    "model-driven: measurement failed transiently "
+                    "(retries exhausted) — re-run to re-attempt"
                 )
-                span.set(cycles=outcome.cycles if outcome.feasible else None)
-            self.engine.metrics.counter("baseline.modeldriven.plans").inc()
-            if outcome.counters is None:
-                if outcome.transient:
-                    # Environment trouble, not a bad plan: retrying the
-                    # whole measurement later can succeed.
-                    raise TransformError(
-                        "model-driven: measurement failed transiently "
-                        "(retries exhausted) — re-run to re-attempt"
-                    )
-                raise TransformError("model-driven: chosen variant failed to build")
-            return outcome.counters
-        inst = instantiate(self.kernel, variant, values, self.machine, prefetch)
-        return execute(inst, dict(problem), self.machine)
+            raise TransformError("model-driven: chosen variant failed to build")
+        return outcome.counters

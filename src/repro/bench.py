@@ -314,8 +314,9 @@ def run_search_bench(
       interleaved, median of the repeats.  The winner and every
       per-point decision are byte-identical across legs (the determinism
       tests pin this), so the comparison is pure parallelism: batch
-      fan-out plus speculation, which runs only at ``-j N`` on a
-      multi-CPU host.  N=24 is the golden size; the full run adds N=64,
+      fan-out plus the engine's speculation
+      (:meth:`~repro.eval.EvalEngine.speculate`), which runs only when
+      the engine can overlap work — ``-j N`` on a multi-CPU host.  N=24 is the golden size; the full run adds N=64,
       where a simulation costs enough for speculation to pay, and
       ``parallel_speedup`` is ``-j 1`` wall / ``-j N`` wall there.  The
       speedup only means something on a host with >= ``jobs`` cores —

@@ -185,8 +185,6 @@ class GuidedSearch:
         self.points = 0
         self.machine_seconds = 0.0
         self.history: List[Tuple[str, Dict[str, int], float]] = []
-        #: outstanding speculative tickets, by search key
-        self._tickets: Dict[Tuple, object] = {}
         self._surrogate: Optional[Surrogate] = (
             Surrogate(kernel, machine, dict(problem), DEFAULT_MARGIN)
             if self.config.prescreen
@@ -238,8 +236,8 @@ class GuidedSearch:
         """Cycles for a batch of independent experiments, in input order.
 
         Model-infeasible points cost nothing (inf without an experiment);
-        the rest go to the evaluation engine in one batch, which consumes
-        any ticket :meth:`_speculate` already started for them and, with
+        the rest go to the evaluation engine in one batch, which adopts
+        any work :meth:`_speculate` already started for them and, with
         ``jobs > 1``, simulates the others concurrently.  Accounting
         (points, history, machine seconds) is folded in input order,
         making the result — including ``SearchResult.history`` —
@@ -247,7 +245,6 @@ class GuidedSearch:
         """
         normalized = [self._norm(*item) for item in items]
         requests: List[EvalRequest] = []
-        tickets = []
         request_index: List[Optional[int]] = []
         for variant, values, prefetch, pads, key, runnable in normalized:
             if runnable:
@@ -257,12 +254,10 @@ class GuidedSearch:
                         self.kernel, variant, values, self.problem, prefetch, pads
                     )
                 )
-                if key in self._tickets:
-                    tickets.append(self._tickets.pop(key))
             else:
                 request_index.append(None)
         outcomes = (
-            self.engine.evaluate_batch(requests, tickets) if requests else []
+            self.engine.evaluate_batch(requests) if requests else []
         )
 
         results: List[float] = []
@@ -314,35 +309,21 @@ class GuidedSearch:
 
     # -- speculation ------------------------------------------------------
     def _speculate(self, items) -> None:
-        """Start likely-upcoming experiments in the background.
-
-        Runs only when the engine can overlap work with the search
-        (:attr:`EvalEngine.can_overlap`); otherwise a no-op.  Speculation
-        never touches accounting: a speculated point the search never
-        consumes is abandoned, and its result — even if it finished — is
-        discarded without reaching the cache, stats or trace.
+        """Hint likely-upcoming experiments to the engine
+        (:meth:`EvalEngine.speculate`).  ``items`` is consumed lazily and
+        only when the engine can overlap work with the search, so at
+        ``-j 1`` speculation costs nothing — not even the filters of the
+        generator the caller passes.  Speculation never touches
+        accounting: the engine discards what the search never consumes.
         """
-        if not self.engine.can_overlap:
-            return
-        for variant, values, prefetch, pads in items:
-            variant, values, prefetch, pads, key, runnable = self._norm(
-                variant, values, prefetch, pads
+        self.engine.speculate(
+            EvalRequest.build(self.kernel, variant, values, self.problem,
+                              prefetch, pads)
+            for variant, values, prefetch, pads, _, runnable in (
+                self._norm(*item) for item in items
             )
-            if not runnable or key in self._tickets:
-                continue
-            self._tickets[key] = self.engine.submit(
-                EvalRequest.build(
-                    self.kernel, variant, values, self.problem, prefetch, pads
-                ),
-                speculative=True,
-            )
-
-    def _abandon_pending(self) -> None:
-        """Drop every outstanding speculative ticket (stage boundary or
-        a new running best made the speculated frontier stale)."""
-        while self._tickets:
-            _, ticket = self._tickets.popitem()
-            self.engine.abandon(ticket)
+            if runnable
+        )
 
     def _prescreened(
         self,
@@ -959,11 +940,11 @@ class GuidedSearch:
                     improved = True
                     # The speculated frontier assumed the old best:
                     # re-plan and re-speculate the remaining moves from it.
-                    self._abandon_pending()
+                    self.engine.drop_speculation()
                     replan(index)
             if not improved:
                 break
-        self._abandon_pending()
+        self.engine.drop_speculation()
         return best
 
     def _favor_divisor(self, value: int, delta: int) -> int:
@@ -1022,9 +1003,9 @@ class GuidedSearch:
                     break
             prefetch[site] = best_distance
             best_cycles = best_site_cycles
-            self._abandon_pending()
+            self.engine.drop_speculation()
             speculate_sites(index + 1, prefetch)
-        self._abandon_pending()
+        self.engine.drop_speculation()
         return values, prefetch
 
     def _site_effective(
@@ -1091,7 +1072,7 @@ class GuidedSearch:
                 best, best_cycles = candidate, cycles
             else:
                 break
-        self._abandon_pending()
+        self.engine.drop_speculation()
         return best
 
     # -- optional padding axis (extension; the paper padded manually) --------
@@ -1127,9 +1108,9 @@ class GuidedSearch:
             cycles = self.measure(variant, values, prefetch, trial)
             if cycles < best_cycles:
                 pads, best_cycles = trial, cycles
-                self._abandon_pending()
+                self.engine.drop_speculation()
                 speculate_pads(index + 1, pads)
-        self._abandon_pending()
+        self.engine.drop_speculation()
         return pads
 
 

@@ -106,6 +106,15 @@ class ResultCache:
     def get_memory(self, key: str) -> Optional[CachedResult]:
         return self._memory.get(key)
 
+    def __contains__(self, key: str) -> bool:
+        """Whether either layer holds ``key``.  A probe only: a disk entry
+        is neither read, verified nor promoted to memory, so probing never
+        changes which layer a later :meth:`get_memory`/:meth:`get_disk`
+        lookup is answered from."""
+        if key in self._memory:
+            return True
+        return self.path is not None and self._file_for(key).exists()
+
     def get_disk(self, key: str) -> Optional[CachedResult]:
         """Read a disk entry; a corrupted entry counts as a miss and is
         quarantined so the next write repairs it and the evidence keeps."""
@@ -217,6 +226,3 @@ class ResultCache:
 
     def __len__(self) -> int:
         return len(self._memory)
-
-    def clear_memory(self) -> None:
-        self._memory.clear()

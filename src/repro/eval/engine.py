@@ -59,7 +59,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.variants import (
     PrefetchSite,
@@ -89,7 +89,6 @@ __all__ = [
     "EvalPolicy",
     "EvalRequest",
     "EvalStats",
-    "EvalTicket",
     "StageStats",
 ]
 
@@ -409,51 +408,37 @@ def _result_is_corrupt(cycles: float, counters: Optional[Counters]) -> bool:
     return counters is not None and counters.cycles != cycles
 
 
-@dataclass(frozen=True)
-class EvalTicket:
-    """Handle for one submitted candidate (see :meth:`EvalEngine.submit`).
-
-    A ticket is a *promise to account*: nothing is added to the engine's
-    stats, metrics, cache or trace until the ticket is resolved, so the
-    observable record is written in resolution (decision) order — the same
-    order at any job count — while the simulation itself may already be
-    running in a worker.
-    """
-
-    key: str
-    request: EvalRequest
-
-
 @dataclass
 class _Inflight:
-    """Engine-side state of one submitted candidate key.
+    """Engine-side state of one unconsumed cache-miss candidate, by key.
 
-    One entry exists per distinct candidate key with outstanding tickets,
-    plus parked speculative work (``refs == 0``): results that finished
-    after their ticket was abandoned are held here — *never* published to
-    the result cache — so a later submit of the same key can consume them
-    without re-simulating and without a cache hit appearing where a ``-j
-    1`` run would have simulated.
+    An entry is opened by :meth:`EvalEngine.speculate` or by the batch
+    that consumes it, and removed when :meth:`EvalEngine.resolve`
+    consumes it.  Speculated work that no batch consumed stays *parked*
+    here — never published to the result cache — so a later batch of the
+    same key adopts it without re-simulating and without a cache hit
+    appearing where a ``-j 1`` run would have simulated.
     """
 
     key: str
-    #: what a simulation attempt runs on (cache misses only)
-    payload: Optional[Tuple] = None
-    refs: int = 0
-    #: lazy-serial: execution deferred to resolution (jobs == 1, serial
-    #: fallback, or a batch with a single miss)
-    deferred: bool = False
+    #: what a simulation attempt runs on
+    payload: Tuple
+    #: attempts run in-process at consumption (jobs == 1, serial
+    #: fallback, or a batch with a single miss); cleared on dispatch
+    deferred: bool = True
     future: Optional[Future] = None
     #: pool generation the future was submitted on (stale-break detection)
     generation: int = 0
-    #: submissions so far — gates the deterministic fault plan
+    #: attempts so far — gates the deterministic fault plan
     attempt: int = 0
     #: failures charged against ``policy.max_retries``
     strikes: int = 0
-    #: final supervised (status, cycles, counters), once settled
-    result: Optional[Tuple[str, float, Optional[Counters]]] = None
-    #: (source, hit) when the submit-time cache peek found the key
-    cached: Optional[Tuple[str, CachedResult]] = None
+    #: already counted in ``pipeline.speculative_parked``
+    parked: bool = False
+
+
+#: one consumed candidate: (request, outcome, full/delta kind, wall)
+_Record = Tuple[EvalRequest, EvalOutcome, Optional[str], float]
 
 
 class EvalEngine:
@@ -499,15 +484,8 @@ class EvalEngine:
         self._disk_failures_seen = 0
         self._disk_enospc_seen = 0
         self._quarantined_seen = 0
-        #: in-flight / parked candidate state, by key (submit/resolve API)
+        #: unconsumed cache-miss candidates (in flight or parked), by key
         self._inflight: Dict[str, _Inflight] = {}
-        #: cache-hit source seen by a submit's peek, until that key is
-        #: consumed: a disk entry is promoted to memory on read, so a
-        #: speculative peek that is later abandoned and re-submitted must
-        #: keep reporting "disk", exactly as a ``-j 1`` run sees it
-        self._hit_sources: Dict[str, str] = {}
-        #: records of the batch being consumed (see :meth:`resolve`)
-        self._batch: Optional[List[Tuple]] = None
         #: bumped on every pool teardown (break or recycle): futures from
         #: an older generation observing BrokenProcessPool are collateral
         #: of an already-counted break, not a new one
@@ -533,127 +511,119 @@ class EvalEngine:
         request = EvalRequest.build(kernel, variant, values, problem, prefetch, pads)
         return self.evaluate_batch([request])[0]
 
-    def evaluate_batch(
-        self,
-        requests: Sequence[EvalRequest],
-        tickets: Sequence[EvalTicket] = (),
-    ) -> List[EvalOutcome]:
+    def evaluate_batch(self, requests: Sequence[EvalRequest]) -> List[EvalOutcome]:
         """Evaluate candidates, returning outcomes in input order.
 
-        Identical candidates within the batch are submitted (and so
-        simulated and recorded) once.  Every distinct candidate is
-        submitted, then resolved in first-occurrence order: cache misses
+        Identical candidates within the batch are consumed (and so
+        simulated and recorded) once, in first-occurrence order.  A key
+        with speculated work in flight adopts it; the other cache misses
         run on the process pool when ``jobs > 1`` and the batch has more
-        than one, else serially in-process at resolution.  ``tickets``
-        are already-submitted (speculated) tickets; a request whose key
-        one of them holds consumes it instead of submitting again.
+        than one, else serially in-process at consumption.
         """
         start = time.perf_counter()
         self.stats.batches += 1
         keys = [self._key_of(req) for req in requests]
-        adopted = {ticket.key: ticket for ticket in tickets}
-        unique: Dict[str, EvalTicket] = {}
+        unique: Dict[str, EvalRequest] = {}
         for req, key in zip(requests, keys):
-            if key not in unique:
-                unique[key] = adopted.get(key) or self._submit(req, key, defer=True)
-        misses = [self._inflight[key] for key in unique if self._inflight[key].deferred]
-        if len(misses) > 1 and self.jobs > 1:
-            for entry in misses:
-                self._dispatch(entry)
-        self._batch = records = []
-        try:
-            outcomes = {key: self.resolve(ticket) for key, ticket in unique.items()}
-        finally:
-            self._batch = None
+            unique.setdefault(key, req)
+        if self.jobs > 1:
+            misses = [
+                key for key in unique
+                if key not in self._inflight and key not in self.cache
+            ]
+            if len(misses) > 1:
+                for key in misses:
+                    self._dispatch(self._open(unique[key], key))
+        records = [self.resolve(req, key) for key, req in unique.items()]
         self._sync_disk_failures()
-        self._record(records, batch_size=len(requests))
+        self._record(records, len(requests))
         self.stats.wall_seconds += time.perf_counter() - start
+        outcomes = {key: record[1] for key, record in zip(unique, records)}
         return [outcomes[key] for key in keys]
 
-    # -- futures-style API ----------------------------------------------
-    # submit() starts a candidate; resolve() consumes it.  ALL observable
-    # accounting — cache hits, simulations, cache writes, metrics, trace
-    # events — happens at resolve time, in the caller's (deterministic)
-    # decision order, so a speculating search at -j N produces records
-    # that are byte-identical to -j 1.  Speculative results whose tickets
-    # were abandoned are parked engine-side (never published to the
-    # cache): they can only re-enter the record through a fresh submit +
-    # resolve.
+    # -- speculation ----------------------------------------------------
+    # speculate() starts likely-upcoming candidates early; a later batch
+    # of the same key adopts the running work.  ALL observable accounting
+    # — cache hits, simulations, cache writes, metrics, trace events —
+    # happens when resolve() consumes a key, in the caller's
+    # (deterministic) decision order, so a speculating search at -j N
+    # produces records that are byte-identical to -j 1.  Speculated work
+    # nobody consumes is dropped or parked engine-side, never published
+    # to the cache.
 
     @property
     def can_overlap(self) -> bool:
-        """Whether submitted work can run alongside its caller: a worker
+        """Whether speculated work can run alongside its caller: a worker
         pool (``jobs > 1``, no serial fallback) on a multi-CPU host.
-        Searches speculate only then; otherwise speculation is pure
-        submit/abandon bookkeeping."""
+        :meth:`speculate` is a no-op otherwise."""
         return (
             self.jobs > 1
             and not self._serial_fallback
             and (os.cpu_count() or 1) > 1
         )
 
-    def submit(self, request: EvalRequest, *, speculative: bool = False) -> EvalTicket:
-        """Register a candidate for evaluation and (at ``jobs > 1``)
-        start it on the worker pool immediately.
+    def speculate(self, requests: Iterable[EvalRequest]) -> None:
+        """Start candidates a later batch will probably consume.
 
-        At ``jobs == 1`` (or after serial fallback) execution is deferred
-        to :meth:`resolve`.  ``speculative`` marks work that the caller
-        may abandon; it only affects the pipeline metrics.
+        Does nothing — without iterating ``requests`` — unless the engine
+        can overlap work (:attr:`can_overlap`).  Keys already in flight
+        or in the result cache are skipped; the cache probe does not
+        promote disk entries to memory, so consumption counts memory and
+        disk hits exactly as a ``-j 1`` run does.
+        """
+        if not self.can_overlap:
+            return
+        for request in requests:
+            start = time.perf_counter()
+            key = self._key_of(request)
+            if key not in self._inflight and key not in self.cache:
+                self._dispatch(self._open(request, key))
+                self.metrics.counter("pipeline.speculative_submits").inc()
+            self.stats.wall_seconds += time.perf_counter() - start
+
+    def drop_speculation(self) -> None:
+        """Discard every unconsumed candidate (the speculated frontier
+        went stale).  Unstarted work is cancelled, so a later batch re-runs
+        it from attempt 0 exactly as ``-j 1`` would; running or finished
+        work is parked — invisible to every accounting surface — for a
+        later batch of the same key (its eventual result is what
+        consumption would compute: the fault plan is deterministic in
+        ``(key, attempt)``)."""
+        for key, entry in list(self._inflight.items()):
+            future = entry.future
+            if future is not None and not future.cancel():
+                if not entry.parked:
+                    entry.parked = True
+                    self.metrics.counter("pipeline.speculative_parked").inc()
+                continue
+            del self._inflight[key]
+            if future is not None:
+                self._note_inflight()
+
+    def resolve(self, request: EvalRequest, key: str) -> _Record:
+        """Consume one candidate of a batch: a result-cache hit, else its
+        in-flight entry settled (running any deferred or retried work);
+        count it and cache it.
+
+        This is the engine's one accounting path.  It returns the
+        candidate's ``(request, outcome, full/delta kind, wall)`` record;
+        :meth:`evaluate_batch` writes the metrics and trace events of the
+        whole batch once it is consumed, in input order.
         """
         start = time.perf_counter()
-        ticket = self._submit(request, self._key_of(request), defer=self.jobs <= 1)
-        if speculative:
-            self.metrics.counter("pipeline.speculative_submits").inc()
-        self.stats.wall_seconds += time.perf_counter() - start
-        return ticket
-
-    def _submit(self, request: EvalRequest, key: str, *, defer: bool) -> EvalTicket:
-        entry = self._inflight.get(key)
-        if entry is None:
-            entry = _Inflight(key=key)
-            hit = self.cache.get_memory(key)
-            source = "memory"
-            if hit is None:
-                hit = self.cache.get_disk(key)
-                source = "disk"
-            if hit is not None:
-                # Pin the peeked source: the peek above promoted a disk
-                # entry to memory, and accounting must not depend on
-                # whether an abandoned speculative peek happened first.
-                source = self._hit_sources.setdefault(key, source)
-                entry.cached = (source, hit)
-            else:
-                entry.payload = self._payload_of(request)
-            self._inflight[key] = entry
-        entry.refs += 1
-        if (entry.cached is None and entry.result is None
-                and entry.future is None):
-            if defer:
-                entry.deferred = True
-            else:
-                self._dispatch(entry)
-        return EvalTicket(key=key, request=request)
-
-    def resolve(self, ticket: EvalTicket) -> EvalOutcome:
-        """Consume one ticket: wait for its result (running any deferred
-        or retried work), count it, cache it and record it.
-
-        This is the engine's one accounting path.  Inside
-        :meth:`evaluate_batch` the metrics and trace events are held
-        until the whole batch is consumed, then written in input order.
-        """
-        start = time.perf_counter()
-        entry = self._inflight[ticket.key]
         kind: Optional[str] = None
-        if entry.cached is not None:
-            source, hit = entry.cached
-            self._hit_sources.pop(entry.key, None)
+        hit, source = self.cache.get_memory(key), "memory"
+        if hit is None:
+            hit, source = self.cache.get_disk(key), "disk"
+        if hit is not None:
+            self._inflight.pop(key, None)
             self._count_hit(source)
             status = "infeasible" if math.isinf(hit.cycles) else "ok"
-            outcome = EvalOutcome(entry.key, hit.cycles, hit.counters,
-                                  source, status)
+            outcome = EvalOutcome(key, hit.cycles, hit.counters, source, status)
         else:
+            entry = self._inflight.get(key) or self._open(request, key)
             status, cycles, counters = self._settle(entry)
+            del self._inflight[key]
             kind = self._account_sim(entry.payload[7], counters)
             if counters is not None:
                 self.stats.sim_seconds += counters.sim_seconds
@@ -666,51 +636,9 @@ class EvalEngine:
             else:
                 if counters is None:
                     self.stats.failures += 1
-                self.cache.put(entry.key, CachedResult(cycles, counters))
-            outcome = EvalOutcome(entry.key, cycles, counters, "sim", status)
-        self._release(entry)
-        record = (ticket.request, outcome, kind, time.perf_counter() - start)
-        if self._batch is not None:
-            self._batch.append(record)
-        else:
-            self._sync_disk_failures()
-            self._record([record])
-            self.stats.wall_seconds += time.perf_counter() - start
-        return outcome
-
-    def abandon(self, ticket: EvalTicket) -> None:
-        """Drop a speculative ticket without consuming its result.
-
-        Unstarted work is cancelled; a result that is already running (or
-        done) is parked on the entry — invisible to every accounting
-        surface — where a later submit of the same key can pick it up.
-        """
-        entry = self._inflight.get(ticket.key)
-        if entry is None:
-            return
-        entry.refs -= 1
-        if entry.refs > 0:
-            return
-        future = entry.future
-        if future is not None:
-            if future.cancel():
-                # Never started: drop entirely — a later submit re-runs
-                # it from attempt 0, exactly as -j 1 would have.
-                entry.future = None
-                del self._inflight[entry.key]
-                self._note_inflight()
-            else:
-                # Running or done: park for possible reuse (its eventual
-                # result is what consumption would compute — the fault
-                # plan is deterministic in (key, attempt)).
-                self.metrics.counter("pipeline.speculative_parked").inc()
-            return
-        if entry.result is not None:
-            # Settled but unconsumed (rare: shared entry whose other
-            # ticket resolved first) — keep for reuse.
-            return
-        # Deferred / cached peek only: nothing ran, drop entirely.
-        del self._inflight[entry.key]
+                self.cache.put(key, CachedResult(cycles, counters))
+            outcome = EvalOutcome(key, cycles, counters, "sim", status)
+        return (request, outcome, kind, time.perf_counter() - start)
 
     def note_prescreen_skip(
         self,
@@ -763,23 +691,15 @@ class EvalEngine:
                 event, variant=variant_name, values=dict(values), **attrs
             )
 
-    def _record(
-        self,
-        records: Sequence[Tuple[EvalRequest, EvalOutcome, Optional[str], float]],
-        batch_size: Optional[int] = None,
-    ) -> None:
-        """Metrics + trace events for consumed outcomes, in order.
+    def _record(self, records: Sequence[_Record], batch_size: int) -> None:
+        """Metrics + trace events for one consumed batch, in order.
 
-        ``records`` are ``(request, outcome, full/delta kind, wall)``;
-        ``batch_size`` is given for an :meth:`evaluate_batch` call, which
-        also counts the batch.  Emission happens in the calling process
-        after the results are gathered, so the event stream is identical
-        at any job count.
+        Emission happens in the calling process after the results are
+        gathered, so the event stream is identical at any job count.
         """
         metrics = self.metrics
-        if batch_size is not None:
-            metrics.counter("eval.batches").inc()
-            metrics.histogram("eval.batch_size").observe(batch_size)
+        metrics.counter("eval.batches").inc()
+        metrics.histogram("eval.batch_size").observe(batch_size)
         for _, outcome, _, _ in records:
             self._outcome_metrics(outcome)
         if self.stats.evaluations:
@@ -905,8 +825,7 @@ class EvalEngine:
         """Prepare the engine for the next independent search.
 
         Clears every piece of *per-search* memoization — stats, the
-        in-flight/parked candidate table, the first-seen hit sources and
-        the consumed-signature set behind the full/delta split — so the
+        in-flight/parked candidate table and the consumed-signature set behind the full/delta split — so the
         next search's accounting starts from zero and is byte-identical
         to what a fresh engine would record.  Everything expensive stays
         alive: the worker pool (spawn cost is the whole point of reuse),
@@ -921,11 +840,10 @@ class EvalEngine:
         sinks at per-search receivers (the daemon gives every request its
         own trace buffer).
         """
-        leftover = [e for e in self._inflight.values() if e.future is not None]
-        for entry in leftover:
-            entry.future.cancel()
+        for entry in self._inflight.values():
+            if entry.future is not None:
+                entry.future.cancel()
         self._inflight.clear()
-        self._hit_sources.clear()
         self._seen_signatures.clear()
         self._stage = None
         self._max_inflight = 0
@@ -979,9 +897,13 @@ class EvalEngine:
             ),
         )
 
-    def _attempt_payload(self, payload: Tuple, key: str, attempt: int,
-                         in_worker: bool) -> Tuple:
-        return (*payload, key, attempt, self.fault_plan, in_worker)
+    def _open(self, request: EvalRequest, key: str) -> _Inflight:
+        entry = self._inflight[key] = _Inflight(key, self._payload_of(request))
+        return entry
+
+    def _attempt_payload(self, entry: _Inflight, in_worker: bool) -> Tuple:
+        return (*entry.payload, entry.key, entry.attempt, self.fault_plan,
+                in_worker)
 
     def _count_hit(self, source: str) -> None:
         if source == "memory":
@@ -1022,10 +944,13 @@ class EvalEngine:
         return "full"
 
     # -- supervised execution -------------------------------------------
-    # Both paths preserve the determinism guarantee: a candidate's final
-    # (status, cycles, counters) is a pure function of the candidate and
-    # the fault plan — retries, timeouts and pool restarts change wall
-    # time and supervision counters, never results.
+    # In-process and pooled attempts alike preserve the determinism
+    # guarantee: a candidate's final (status, cycles, counters) is a pure
+    # function of the candidate and the fault plan — retries, timeouts
+    # and pool restarts change wall time and supervision counters, never
+    # results.  None of these touch stats/metrics/cache/trace beyond the
+    # supervision counters: that belongs to the consumption point
+    # (resolve), which calls them in deterministic consumption order.
 
     def _note_retry(self, key: str, attempt: int, reason: str) -> None:
         self.stats.retries += 1
@@ -1053,56 +978,13 @@ class EvalEngine:
             return "transient", result
         return None, result
 
-    def _run_serial(self, payload: Tuple, key: str) -> Tuple[str, float, Optional[Counters]]:
-        """One candidate, in process, with bounded retries.
-
-        Timeouts cannot preempt an in-process simulation; an injected
-        hang (:class:`InjectedHang`) still counts one, so the serial and
-        parallel chaos paths account alike.
-        """
-        attempt = 0
-        while True:
-            reason = None
-            try:
-                result = _simulate(self._attempt_payload(payload, key, attempt, False))
-            except InjectedHang:
-                self._note_timeout()
-                reason = "timeout"
-                result = ("transient", math.inf, None)
-            except _TRANSIENT_ERRORS as error:
-                reason = type(error).__name__
-                result = ("transient", math.inf, None)
-            if reason is None:
-                reason, result = self._classify_attempt(result)
-                if reason is None:
-                    return result
-            if attempt >= self.policy.max_retries:
-                return ("transient", math.inf, None)
-            self._note_retry(key, attempt, reason)
-            attempt += 1
-
-    # -- in-flight entry lifecycle --------------------------------------
-    # These are the *raw* scheduling primitives: they run candidates and
-    # park results, but never touch stats/metrics/cache/trace — all of
-    # that belongs to the consumption point (resolve), which calls them
-    # in deterministic consumption order.
-
-    def _release(self, entry: _Inflight) -> None:
-        entry.refs -= 1
-        if entry.refs <= 0:
-            self._inflight.pop(entry.key, None)
-
     def _dispatch(self, entry: _Inflight) -> None:
         """Start (or restart) an entry on the pool; degrade to deferred
         serial execution if the pool cannot accept work."""
         while not self._serial_fallback:
             pool = self._ensure_pool()
             try:
-                future = pool.submit(
-                    _simulate,
-                    self._attempt_payload(entry.payload, entry.key,
-                                          entry.attempt, True),
-                )
+                future = pool.submit(_simulate, self._attempt_payload(entry, True))
             except BrokenProcessPool:
                 # Submission itself failed: nothing ran, resubmit as-is.
                 self._handle_pool_break()
@@ -1130,87 +1012,105 @@ class EvalEngine:
             self.metrics.gauge("pipeline.max_in_flight").set(live)
 
     def _settle(self, entry: _Inflight) -> Tuple[str, float, Optional[Counters]]:
-        """Supervised wait for one entry's result (no accounting).
+        """Supervised run of one entry to its final result (no accounting).
 
-        The same failure budgets as the old round-based gather apply:
-        per-candidate *strikes* (timeouts, transient errors, corrupt
-        results) draw on ``policy.max_retries``; *pool deaths* draw on
-        ``policy.max_pool_restarts`` — a killed worker takes every
-        in-flight candidate with it and the OS does not say which task
-        was responsible, so pool breaks bump the attempt number (an
-        injected kill fault must not re-fire forever) without charging
-        any candidate's retry budget.  A candidate that timed out while
-        *running* leaves its worker wedged, so the pool is recycled; a
-        future cancelled before starting (queued behind slow work, or
-        swept up in a recycle) is re-dispatched as-is — not a failure of
-        this candidate.
+        One loop settles every candidate: each attempt — in-process for a
+        deferred entry, else on the pool — is classified, a failed one
+        (timeout, transient error, corrupt result) is charged a *strike*
+        against ``policy.max_retries``, and the retry runs where the entry
+        runs.  *Pool deaths* draw on ``policy.max_pool_restarts`` instead:
+        a killed worker takes every in-flight candidate with it and the
+        OS does not say which task was responsible, so pool breaks bump
+        the attempt number (an injected kill fault must not re-fire
+        forever) without charging any candidate's retry budget.
         """
-        while entry.result is None:
-            if entry.future is None:
-                if entry.deferred or self.jobs <= 1 or self._serial_fallback:
-                    entry.result = self._run_serial(entry.payload, entry.key)
-                    break
+        while True:
+            if not entry.deferred and entry.future is None:
                 self._dispatch(entry)
-                continue
-            future = entry.future
-            reason = None
-            result = None
-            timed_out_running = False
-            wait_start = time.perf_counter()
-            try:
-                result = future.result(timeout=self.policy.timeout_seconds)
-            except CancelledError:
-                # Swept up in a pool recycle before starting: free rerun.
-                entry.future = None
-                continue
-            except FutureTimeout:
-                if future.cancel():
-                    # Never started: not a timeout of *this* candidate.
-                    entry.future = None
-                    continue
-                self._note_timeout()
-                timed_out_running = True
-                reason = "timeout"
-            except InjectedHang:
-                # The worker's own simulated hang completed before our
-                # wait expired (e.g. no timeout configured).
-                self._note_timeout()
-                reason = "timeout"
-            except BrokenProcessPool:
-                if entry.generation == self._pool_generation:
-                    self._handle_pool_break()
-                    self._note_retry(entry.key, entry.attempt, "worker_died")
-                # else: stale break, already handled by another entry's
-                # wait — resubmit quietly (one restart note per break).
-                entry.attempt += 1
-                entry.future = None
-                continue
-            except _TRANSIENT_ERRORS as error:
-                reason = type(error).__name__
-            finally:
-                if self.jobs > 1:
-                    idle = (time.perf_counter() - wait_start) * max(
-                        0, self.jobs - self._live_inflight() - 1
-                    )
-                    if idle > 0:
-                        self.metrics.counter(
-                            "pipeline.idle_slot_seconds"
-                        ).inc(round(idle, 6))
-            if timed_out_running:
-                self._recycle_pool()
+            if entry.deferred:
+                attempt = self._attempt_here(entry)
+            else:
+                attempt = self._attempt_pooled(entry)
+                if attempt is None:
+                    continue  # lost to something else: rerun as-is
+            reason, result = attempt
             if reason is None:
                 reason, result = self._classify_attempt(result)
                 if reason is None:
-                    entry.result = result
-                    break
+                    return result
             if entry.strikes >= self.policy.max_retries:
-                entry.result = ("transient", math.inf, None)
-                break
+                return ("transient", math.inf, None)
             self._note_retry(entry.key, entry.attempt, reason)
             entry.strikes += 1
             entry.attempt += 1
             entry.future = None
-        return entry.result
+
+    def _attempt_here(self, entry: _Inflight) -> Tuple[Optional[str], Optional[Tuple]]:
+        """One in-process attempt: ``(retry reason | None, result)``.
+
+        Timeouts cannot preempt an in-process simulation; an injected
+        hang (:class:`InjectedHang`) still counts one, so in-process and
+        pooled chaos runs account alike.
+        """
+        try:
+            return None, _simulate(self._attempt_payload(entry, False))
+        except InjectedHang:
+            self._note_timeout()
+            return "timeout", None
+        except _TRANSIENT_ERRORS as error:
+            return type(error).__name__, None
+
+    def _attempt_pooled(
+        self, entry: _Inflight
+    ) -> Optional[Tuple[Optional[str], Optional[Tuple]]]:
+        """Wait for one pooled attempt: ``(retry reason | None, result)``,
+        or ``None`` when the attempt was lost without being this
+        candidate's failure and must simply run again.
+
+        A candidate that timed out while *running* leaves its worker
+        wedged, so the pool is recycled; a future cancelled before
+        starting (queued behind slow work, or swept up in a recycle) is
+        not a failure of this candidate.
+        """
+        future = entry.future
+        attempt = None
+        timed_out_running = False
+        wait_start = time.perf_counter()
+        try:
+            attempt = None, future.result(timeout=self.policy.timeout_seconds)
+        except CancelledError:
+            entry.future = None
+        except FutureTimeout:
+            if future.cancel():
+                entry.future = None
+            else:
+                self._note_timeout()
+                timed_out_running = True
+                attempt = "timeout", None
+        except InjectedHang:
+            # The worker's own simulated hang completed before our
+            # wait expired (e.g. no timeout configured).
+            self._note_timeout()
+            attempt = "timeout", None
+        except BrokenProcessPool:
+            if entry.generation == self._pool_generation:
+                self._handle_pool_break()
+                self._note_retry(entry.key, entry.attempt, "worker_died")
+            # else: stale break, already handled by another entry's
+            # wait — resubmit quietly (one restart note per break).
+            entry.attempt += 1
+            entry.future = None
+        except _TRANSIENT_ERRORS as error:
+            attempt = type(error).__name__, None
+        finally:
+            idle = (time.perf_counter() - wait_start) * max(
+                0, self.jobs - self._live_inflight() - 1
+            )
+            if idle > 0:
+                self.metrics.counter("pipeline.idle_slot_seconds").inc(round(idle, 6))
+        if timed_out_running:
+            self._recycle_pool()
+        return attempt
 
     def _ensure_pool(self):
         if self._external_pool is not None:

@@ -115,11 +115,6 @@ class CExpr:
     def substitute(self, mapping: Mapping[str, ExprLike]) -> "CExpr":
         raise NotImplementedError
 
-    def free_index_vars(self) -> FrozenSet[str]:
-        return frozenset().union(
-            frozenset(), *(ref.free_vars() for ref in self.reads())
-        )
-
     # -- operator sugar (builds CBin trees) -----------------------------
     def __add__(self, other: "CExpr") -> "CExpr":
         return CBin("+", self, _as_cexpr(other))
@@ -250,10 +245,6 @@ class Assign(Statement):
 
     target: Union[ArrayRef, str]
     value: CExpr
-
-    @property
-    def is_scalar_target(self) -> bool:
-        return isinstance(self.target, str)
 
     def substitute(self, mapping: Mapping[str, ExprLike]) -> "Assign":
         target = self.target

@@ -7,8 +7,9 @@ canonical trace (so a repeat request replays the exact evidence), and
 serving provenance (warm-start donor, ranker fingerprint).  Records are
 sealed (:mod:`repro.storage.records`), written atomically under a
 cross-process file lock, and quarantined on checksum failure — the same
-integrity discipline as every other store, so ``repro doctor`` audits
-it for free.
+integrity discipline as every other store.  ``repro doctor`` does not
+scan this store (it audits the cache, corpus and checkpoints); a corrupt
+record is caught by :meth:`RequestStore.get`'s checksum instead.
 
 ``nearest`` is the transfer-tuning index: among completed requests for
 the same kernel on the same machine spec, the one closest in
@@ -60,8 +61,7 @@ class RequestStore:
 
         A record that fails its checksum is quarantined and reported as
         a miss — the daemon re-runs the search instead of serving a
-        corrupt answer, and the evidence lands in ``quarantine/`` for
-        ``repro doctor``.
+        corrupt answer, and the evidence is kept in ``quarantine/``.
         """
         cached = self._bodies.get(key)
         if cached is not None:

@@ -8,8 +8,11 @@ jammed mm and Jacobi variant has) is compiled once into a fused program —
 per-iteration access patterns plus a per-access issue-cycle charge — and
 executed by materializing the whole subtree's address stream with numpy
 (ragged iteration spaces flattened with repeat/cumsum arithmetic) instead
-of one tiny batch per innermost trip.  Loops that cannot fuse (deeper
-nests, duplicate loop variables) iterate in Python and fuse below.
+of one tiny batch per innermost trip.  Every access of a fused program
+has an affine byte address, so a chunk of instances emits with one
+integer matmul.  Loops that cannot fuse (deeper nests, duplicate loop
+variables, a non-affine subscript) iterate in Python and fuse below, or
+run an innermost body on the vectorized per-trip path.
 
 Issue time is folded into the stream exactly: a statement's issue cycles
 ride on its first access, loop overhead rides on each iteration's first
@@ -38,6 +41,7 @@ search: phase 2 calls ``execute`` for every experiment it performs.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -45,7 +49,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.codegen.layout import ArrayLayout, MemoryLayout
-from repro.ir.expr import Add, Const, Mul, Var
+from repro.ir.expr import Const, affine_view
 from repro.ir.nest import (
     ArrayRef,
     Assign,
@@ -117,45 +121,6 @@ class _Entry:
         self.cpa = cpa
 
 
-def _as_affine(expr) -> Optional[Tuple[int, Dict[str, int]]]:
-    """``expr`` as ``const + sum(coeff * var)``, or None if not affine."""
-    if isinstance(expr, Const):
-        return expr.value, {}
-    if isinstance(expr, Var):
-        return 0, {expr.name: 1}
-    if isinstance(expr, Add):
-        const = 0
-        coeffs: Dict[str, int] = {}
-        for term in expr.terms:
-            r = _as_affine(term)
-            if r is None:
-                return None
-            c, m = r
-            const += c
-            for k, v in m.items():
-                coeffs[k] = coeffs.get(k, 0) + v
-        return const, coeffs
-    if isinstance(expr, Mul):
-        scale = 1
-        linear: Optional[Tuple[int, Dict[str, int]]] = None
-        for factor in expr.factors:
-            r = _as_affine(factor)
-            if r is None:
-                return None
-            c, m = r
-            if m:
-                if linear is not None:  # var * var: not affine
-                    return None
-                linear = (c, m)
-            else:
-                scale *= c
-        if linear is None:
-            return scale, {}
-        c, m = linear
-        return scale * c, {k: v * scale for k, v in m.items()}
-    return None
-
-
 class _EmitPlan:
     """Affine address plan of one entry list: every access's byte address
     is ``consts[e] + coeffs[e] @ vars``, so a whole chunk of instances
@@ -177,14 +142,33 @@ class _EmitPlan:
     )
 
     def __init__(self, entries: List["_Entry"]) -> None:
-        self.entries = entries  # strong ref: keeps the id-key valid
+        self.entries = entries
 
 
-#: sentinel: entry list has a non-affine subscript, use the generic path
-_NO_PLAN = object()
+@functools.lru_cache(maxsize=4096)
+def _affine_index(index_expr) -> Optional[Tuple[int, Tuple[Tuple[str, int], ...]]]:
+    """``index_expr`` as ``(const, ((var, coeff), ...))`` over every
+    variable it reads, or None if it is not affine.  Memoized: the same
+    subscripts recur in every candidate of a variant."""
+    view = affine_view(index_expr, sorted(index_expr.free_vars()))
+    if view is None or not isinstance(view.rest, Const):
+        return None
+    return view.rest.value, view.coeffs
 
 
-def _plan_entries(entries: List["_Entry"]):
+def _affine(entries: List["_Entry"]) -> bool:
+    """Whether every access of ``entries`` has an affine address — the
+    condition for their loop to fuse."""
+    return all(
+        _affine_index(index_expr) is not None
+        for entry in entries
+        if entry.access is not None
+        for index_expr in entry.access.ref.indices
+    )
+
+
+def _plan_entries(entries: List["_Entry"]) -> _EmitPlan:
+    """The emit plan of one entry list whose accesses are all affine."""
     plan = _EmitPlan(entries)
     plan.phantoms = []
     rows = []  # (stream_offset, entry, const, {var: coeff})
@@ -197,13 +181,11 @@ def _plan_entries(entries: List["_Entry"]):
         const = layout.base
         coeffs: Dict[str, int] = {}
         for index_expr, stride in zip(entry.access.ref.indices, layout.strides):
-            r = _as_affine(index_expr)
-            if r is None:
-                return _NO_PLAN
-            c, m = r
-            const += (c - 1) * stride * layout.element_size
-            for k, v in m.items():
-                coeffs[k] = coeffs.get(k, 0) + v * stride * layout.element_size
+            c, terms = _affine_index(index_expr)
+            scale = stride * layout.element_size
+            const += (c - 1) * scale
+            for name, coeff in terms:
+                coeffs[name] = coeffs.get(name, 0) + coeff * scale
         for k in coeffs:
             if k not in col:
                 col[k] = len(col)
@@ -237,6 +219,9 @@ class _StmtSlot:
     stores: int
     prefetches: int
     scalar_moves: int
+    #: the entries' emit plan, built when the slot first emits (loops
+    #: that never run — e.g. an unroll remainder — never pay for one)
+    plan: Optional[_EmitPlan] = None
 
 
 @dataclass
@@ -262,6 +247,8 @@ class _FusedLoop:
     #: measured stream entries per root iteration (updated after every
     #: run; sizes the root-iteration slabs that bound domain memory)
     est_entries: Optional[int] = None
+    #: leaf: the entries' emit plan, built when the loop first emits
+    plan: Optional[_EmitPlan] = None
 
 
 class _StructuralCache:
@@ -423,9 +410,6 @@ class _Runner:
         )
         self._schedules = _StructuralCache()
         self._programs = _StructuralCache(structural=False)
-        # id(entries) -> _EmitPlan | _NO_PLAN; the plan holds a strong
-        # reference to its entry list, so the id cannot be recycled.
-        self._emit_plans: Dict[int, object] = {}
 
     def run(self) -> None:
         env: Dict[str, int] = dict(self.params)
@@ -646,6 +630,8 @@ class _Runner:
                 entries = [_Entry(a, a.kind, cpa) for a in schedule.accesses]
             else:
                 entries = [_Entry(None, _PHANTOM, issue)]
+            if not _affine(entries):
+                return None
             return _FusedLoop(
                 loop.var, loop.lower, loop.upper, loop.step,
                 True, entries, schedule, None, 0.0, len(entries),
@@ -659,6 +645,8 @@ class _Runner:
                 continue
             if stmts:
                 slot = self._compile_stmt_slot(stmts)
+                if slot is None:
+                    return None
                 slots.append(slot)
                 fixed += len(slot.entries)
                 stmts = []
@@ -668,6 +656,8 @@ class _Runner:
             slots.append(sub)
         if stmts:
             slot = self._compile_stmt_slot(stmts)
+            if slot is None:
+                return None
             slots.append(slot)
             fixed += len(slot.entries)
         return _FusedLoop(
@@ -675,10 +665,11 @@ class _Runner:
             False, None, None, slots, self.machine.loop_overhead, fixed,
         )
 
-    def _compile_stmt_slot(self, stmts: List[Statement]) -> _StmtSlot:
+    def _compile_stmt_slot(self, stmts: List[Statement]) -> Optional[_StmtSlot]:
         """Statement-path semantics as a stream pattern: each statement's
         issue cycles ride on its first access; access-free statements
-        become phantoms (their advance folds into the next kept entry)."""
+        become phantoms (their advance folds into the next kept entry).
+        None when an access is not affine."""
         entries: List[_Entry] = []
         flops = 0
         loads = stores = prefetches = moves = 0
@@ -716,6 +707,8 @@ class _Runner:
                            KIND_STORE, carry + 1.0)
                 )
                 stores += 1
+        if not _affine(entries):
+            return None
         return _StmtSlot(entries, flops, loads, stores, prefetches, moves)
 
     # -- cross-loop batching: run ------------------------------------------
@@ -880,7 +873,7 @@ class _Runner:
             env_chunk: Dict[str, object] = dict(env)
             for name, vec in dom.env.items():
                 env_chunk[name] = vec[lo:hi]
-            self._emit_entries(node.entries, starts, env_chunk, stream, node.var)
+            self._emit_entries(node, starts, env_chunk, stream, node.var)
             return
         stream.cpa[starts] = node.overhead  # per-iteration phantom
         running = starts + 1
@@ -891,7 +884,7 @@ class _Runner:
                     env_chunk = dict(env)
                     for name, vec in dom.env.items():
                         env_chunk[name] = vec[lo:hi]
-                self._emit_entries(slot.entries, running, env_chunk, stream, node.var)
+                self._emit_entries(slot, running, env_chunk, stream, node.var)
                 running = running + len(slot.entries)
                 continue
             child = dom.children[si]
@@ -918,57 +911,17 @@ class _Runner:
 
     def _emit_entries(
         self,
-        entries: List[_Entry],
+        owner: Union[_FusedLoop, _StmtSlot],
         starts: np.ndarray,
         env_vec: Dict[str, object],
         stream: _Stream,
         loop_var: str,
     ) -> None:
-        plan = self._emit_plans.get(id(entries))
+        """Scatter one entry list's instances into the stream, through
+        the owner's emit plan."""
+        plan = owner.plan
         if plan is None:
-            plan = _plan_entries(entries)
-            self._emit_plans[id(entries)] = plan
-        if plan is not _NO_PLAN:
-            self._emit_planned(plan, starts, env_vec, stream, loop_var)
-            return
-        counters = self.counters
-        for e_i, entry in enumerate(entries):
-            dest = starts + e_i if e_i else starts
-            if entry.access is None:
-                stream.cpa[dest] = entry.cpa
-                continue
-            access = entry.access
-            layout = access.layout
-            offset = np.zeros(len(starts), dtype=np.int64)
-            for index_expr, stride in zip(access.ref.indices, layout.strides):
-                idx = index_expr.evaluate(env_vec)
-                offset += (np.asarray(idx, dtype=np.int64) - 1) * stride
-            addrs = layout.base + offset * layout.element_size
-            stream.addr[dest] = addrs
-            stream.kind[dest] = entry.kind
-            stream.cpa[dest] = entry.cpa
-            stream.keep[dest] = True
-            lo = int(addrs.min())
-            hi = int(addrs.max())
-            if lo < layout.base or hi >= layout.end:
-                if entry.kind != KIND_PREFETCH:
-                    raise ExecutionError(
-                        f"{access.ref} out of bounds in fused loop {loop_var} "
-                        f"(addresses [{lo}, {hi}] outside "
-                        f"[{layout.base}, {layout.end}))"
-                    )
-                bad = (addrs < layout.base) | (addrs >= layout.end)
-                counters.dropped_prefetches += int(bad.sum())
-                stream.keep[dest[bad]] = False
-
-    def _emit_planned(
-        self,
-        plan: _EmitPlan,
-        starts: np.ndarray,
-        env_vec: Dict[str, object],
-        stream: _Stream,
-        loop_var: str,
-    ) -> None:
+            plan = owner.plan = _plan_entries(owner.entries)
         for off, cpa in plan.phantoms:
             stream.cpa[starts + off if off else starts] = cpa
         if not len(plan.offs):

@@ -49,11 +49,11 @@ class FuseEngine(EvalEngine):
         super().__init__(*args, **kwargs)
         self.fuse = fuse
 
-    def evaluate_batch(self, requests, tickets=()):
+    def evaluate_batch(self, requests):
         if self.fuse <= 0:
             raise Interrupt()
         self.fuse -= 1
-        return super().evaluate_batch(requests, tickets)
+        return super().evaluate_batch(requests)
 
 
 class TestJournal:

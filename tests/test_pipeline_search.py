@@ -20,13 +20,15 @@ The contracts under test (ISSUE 5 acceptance criteria):
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from repro.analysis import DEFAULT_MARGIN, SkipVerdict, Surrogate
 from repro.bench import FLOOR_SLACK, check_search_floor
 from repro.core import EcoOptimizer, SearchConfig
 from repro.core.derive import derive_variants
-from repro.eval import EvalEngine
+from repro.eval import EvalEngine, ResultCache
 from repro.kernels import matmul
 from repro.machines import MACHINES, get_machine
 from repro.obs import Tracer, canonical
@@ -35,10 +37,10 @@ from tests.conftest import forced_cpu_count
 SGI = get_machine("sgi")
 
 
-def _golden_search(machine, *, prescreen=False, jobs=1, tracer=None):
+def _golden_search(machine, *, prescreen=False, jobs=1, tracer=None, cache=None):
     """The golden mm search (same setup as test_search_golden)."""
     config = SearchConfig(full_search_variants=2, prescreen=prescreen)
-    with EvalEngine(machine, jobs=jobs, tracer=tracer) as engine:
+    with EvalEngine(machine, jobs=jobs, tracer=tracer, cache=cache) as engine:
         result = EcoOptimizer(
             matmul(), machine, config, engine=engine
         ).optimize({"N": 24}).result
@@ -132,6 +134,45 @@ class TestSpeculationIsUnobservable:
         assert (submits > 0) == (host_cpus > 1)
 
 
+class TestSpeculationOnAWarmDiskCache:
+    def test_j4_counts_the_hits_of_j1(self, tmp_path):
+        """Speculation probes the on-disk cache without promoting its
+        entries to memory, so a speculating ``-j 4`` search on a warm
+        disk cache counts the same memory and disk hits, runs the same
+        simulations and records the same canonical trace as ``-j 1``."""
+        warm = tmp_path / "warm"
+        # the prescreened search simulates a subset of the plain one's
+        # candidates: the plain searches below mix disk hits with misses
+        _golden_search(SGI, prescreen=True, cache=ResultCache(warm))
+        runs = {}
+        for jobs in (1, 4):
+            root = tmp_path / f"j{jobs}"
+            shutil.copytree(warm, root)
+            tracer = Tracer(kernel="mm", machine="sgi", size=24)
+            with forced_cpu_count(8):
+                result, engine = _golden_search(
+                    SGI, jobs=jobs, tracer=tracer, cache=ResultCache(root)
+                )
+            runs[jobs] = (result, engine, canonical(tracer.events()))
+        (serial, serial_engine, serial_trace) = runs[1]
+        (parallel, parallel_engine, parallel_trace) = runs[4]
+        assert _winner(parallel) == _winner(serial)
+        assert parallel.history == serial.history
+
+        def counts(engine):
+            stats = engine.stats
+            return (stats.memory_hits, stats.disk_hits, stats.simulations,
+                    stats.full_sims, stats.delta_sims)
+
+        assert counts(parallel_engine) == counts(serial_engine)
+        assert serial_engine.stats.disk_hits > 0
+        assert serial_engine.stats.simulations > 0
+        assert parallel_trace == serial_trace
+        assert parallel_engine.metrics.counter(
+            "pipeline.speculative_submits"
+        ).value > 0
+
+
 class Interrupt(Exception):
     """Stands in for a crash inside an in-process search."""
 
@@ -149,11 +190,11 @@ class FuseResolveEngine(EvalEngine):
         super().__init__(*args, **kwargs)
         self.fuse = fuse
 
-    def resolve(self, ticket):
+    def resolve(self, request, key):
         if self.fuse <= 0:
             raise Interrupt()
         self.fuse -= 1
-        return super().resolve(ticket)
+        return super().resolve(request, key)
 
 
 class TestSpeculationIsCrashSafe:

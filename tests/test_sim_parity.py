@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.frontend import parse_kernel
 from repro.kernels import KERNELS
 from repro.machines import MACHINES, CacheSpec, MachineSpec, TlbSpec
 from repro.sim.executor import execute
@@ -189,6 +190,18 @@ def _kernel_cases():
     yield "mm-golden-4x2", _golden_mm(4, 2), {"N": 48}
     jacobi = unroll_and_jam(KERNELS["jacobi"](), "J", 4, reassociate=True)
     yield "jacobi-uaj", jacobi, {"N": 48}
+    # a non-affine subscript: the nest does not fuse, so its statement
+    # runs on the scalar path and its inner loop once per trip
+    yield "product-subscript", parse_kernel(_PRODUCT_SUBSCRIPT), {"N": 24}
+
+
+_PRODUCT_SUBSCRIPT = """kernel product(N):
+    array A[N * N], B[N, N], C[N]
+    do I = 1, N:
+        C[I] = C[I] + B[I, 1]
+        do J = 1, N:
+            B[I, J] = B[I, J] + A[I * J]
+"""
 
 
 _CASES = list(_kernel_cases())
