@@ -27,10 +27,7 @@ Commands:
   re-simulation of recorded prescreen skips;
 * ``profile TRACE.jsonl`` — per-stage wall-time attribution of a search
   (stage spans + per-eval wall attrs);
-* ``bench sim [--quick] [--check]`` — measure simulator throughput
-  (``BENCH_sim.json``), optionally gating against the committed floor
-  in ``benchmarks/perf/sim_floor.json`` (see ``docs/simulator.md``);
-* ``bench search [--quick] [--check]`` — time the search: ``-j 1``
+* ``bench [--quick] [--check] [-o FILE]`` — time the search: ``-j 1``
   vs ``-j N`` wall clock and the plain/pruned walls of the model
   prescreen and the learned ranker (``BENCH_search.json``, floor
   ``benchmarks/perf/search_floor.json``; see ``docs/search.md``);
@@ -240,21 +237,18 @@ def _parser() -> argparse.ArgumentParser:
                              default=list(_EXPERIMENTS))
     _add_engine_options(experiments)
 
-    bench = sub.add_parser("bench", help="tracked performance benchmarks")
-    bench.add_argument("suite", choices=("sim", "search"),
-                       help="benchmark suite to run (sim: simulator throughput; "
-                            "search: -j 1 vs -j N wall + plain/pruned walls "
-                            "of the prescreen and the learned ranker)")
+    bench = sub.add_parser(
+        "bench",
+        help="search benchmark: -j 1 vs -j N wall + plain/pruned walls "
+             "of the prescreen and the learned ranker",
+    )
     bench.add_argument("--quick", action="store_true",
                        help="smaller sizes, fewer repeats (the CI smoke mode)")
     bench.add_argument("--check", action="store_true",
                        help="exit non-zero on regression vs the committed floor "
-                            "(benchmarks/perf/<suite>_floor.json)")
-    bench.add_argument("--floor", default=None, metavar="FILE",
-                       help="alternate floor file for --check")
+                            "(benchmarks/perf/search_floor.json)")
     bench.add_argument("-o", "--out", default=None, metavar="FILE",
-                       help="result file (default BENCH_sim.json / "
-                            "BENCH_search.json by suite)")
+                       help="result file (default BENCH_search.json)")
 
     trace = sub.add_parser("trace", help="analyze a recorded search trace")
     trace.add_argument("action", choices=("summary", "timeline", "convergence", "chrome"))

@@ -1,36 +1,13 @@
-"""Tracked performance benchmarks: ``repro bench sim`` and ``repro
-bench search`` (see :func:`run_search_bench` for the second).
+"""Tracked performance benchmark: ``repro bench`` times the guided
+search (see :func:`run_search_bench` for its legs and methodology).
 
-The fast path's value claim — simulating a candidate costs microseconds,
-so thousands-of-points empirical searches are cheap — is a perf property,
-and perf properties regress silently unless measured.  This module is the
-measurement: a small fixed workload suite timed with a noise-robust
-protocol, emitted as ``BENCH_sim.json`` and checked in CI against a
-committed floor (``benchmarks/perf/sim_floor.json``).
-
-Methodology (matters more than the numbers):
-
-* **whole-execute boundary** — throughput is ``sim_accesses /
-  sim_seconds`` where ``sim_seconds`` spans the entire ``execute()``
-  call (IR walk, address-stream emission, memory-system simulation), not
-  just the memory-system inner loop.  That is the quantity a search
-  actually pays per candidate, and it is the same boundary the recorded
-  pre-optimization baseline was measured at;
-* **best-of-N** — each workload runs ``repeats`` times in-process and
-  the *best* rate is kept.  On shared/noisy hosts single runs vary by
-  2x; the best run is the closest observable to the machine's true
-  capability and is stable enough to gate on;
-* **conservative floors** — the committed floor is set well below the
-  typical best-of-N result, and the CI check allows a further
-  ``FLOOR_SLACK`` regression before failing.  The gate is meant to catch
-  order-of-magnitude regressions (e.g. the fast path silently degrading
-  to the scalar reference), not 10% jitter.
-
-Workloads: plain ``mm`` and ``jacobi`` executions on both mini machines
-(the SGI's caches are 2-way, the UltraSPARC's L1 direct-mapped and its
-L2 4-way, where the classifier counts distinct lines), plus the golden-search
-workload — the full guided mm search from ``tests/test_search_golden.py``
-— which is the end-to-end number the search-cost claims rest on.
+It writes ``BENCH_search.json`` and, with ``--check``, compares the
+run against the committed floor in ``benchmarks/perf/search_floor.json``.
+Both floor gates are wall clock of identical work, so they are
+host-sensitive: they carry ``FLOOR_SLACK`` and only warn on a host
+unlike the one the floor was measured on.  Deterministic properties of
+the search (sims avoided, winners, the simulator's fast-path
+accounting) are tier-1 tests, not bench gates.
 """
 
 from __future__ import annotations
@@ -42,22 +19,17 @@ import statistics
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.executor import execute
-
 __all__ = [
-    "run_sim_bench",
     "run_search_bench",
-    "check_floor",
     "check_search_floor",
     "run",
     "FLOOR_SLACK",
 ]
 
-#: a workload fails the CI gate only below ``floor * (1 - FLOOR_SLACK)``
+#: a gate fails only below ``floor * (1 - FLOOR_SLACK)``
 FLOOR_SLACK = 0.30
 
-#: where the committed floors live (relative to the repo root)
-FLOOR_PATH = "benchmarks/perf/sim_floor.json"
+#: where the committed floor lives (relative to the repo root)
 SEARCH_FLOOR_PATH = "benchmarks/perf/search_floor.json"
 
 
@@ -65,7 +37,7 @@ def _host_context() -> Dict[str, object]:
     """The host facts a floor's validity depends on.
 
     Wall-clock gates (parallel speedup) only transfer between hosts with
-    comparable parallel hardware, so both bench payloads and floor files
+    comparable parallel hardware, so the bench payload and the floor file
     record the host they were measured on; ``--check`` downgrades
     host-sensitive failures to warnings when the hosts differ.
     """
@@ -77,121 +49,6 @@ def _host_context() -> Dict[str, object]:
         "single_core": cpu_count == 1,
         "platform": platform.system().lower(),
         "python": platform.python_version(),
-    }
-
-#: pre-optimization baseline, recorded once when the fast path landed:
-#: the scalar simulator on the golden-search workload, measured with this
-#: same protocol (whole-execute boundary, best-of-4, same host class).
-BASELINE = {
-    "description": (
-        "scalar per-access simulator (pre fast-path) on the golden-search "
-        "mm workload; whole-execute boundary, best-of-4, single-vCPU host"
-    ),
-    "golden_search_accesses_per_sec": 280620,
-}
-
-
-def _kernel_workloads(quick: bool):
-    size = 32 if quick else 48
-    for machine_name in ("sgi-r10k-mini", "ultrasparc-iie-mini"):
-        for kernel_name in ("mm", "jacobi"):
-            yield (
-                f"{kernel_name}@{machine_name}",
-                kernel_name,
-                machine_name,
-                {"N": size},
-            )
-
-
-def _bench_execute(kernel_name: str, machine_name: str, params: Dict[str, int],
-                   repeats: int) -> Dict[str, object]:
-    from repro.kernels import KERNELS
-    from repro.machines import MACHINES
-
-    machine = MACHINES[machine_name]
-    kernel = KERNELS[kernel_name]()
-    best_rate = 0.0
-    best_seconds = float("inf")
-    accesses = 0
-    execute(kernel, params, machine)  # warmup (caches, numpy, allocator)
-    for _ in range(repeats):
-        counters = execute(kernel, params, machine)
-        accesses = counters.sim_accesses
-        if counters.sim_seconds < best_seconds:
-            best_seconds = counters.sim_seconds
-        best_rate = max(best_rate, counters.sim_accesses_per_sec)
-    return {
-        "accesses": accesses,
-        "best_sim_seconds": round(best_seconds, 6),
-        "accesses_per_sec": int(best_rate),
-    }
-
-
-def _bench_golden_search(repeats: int) -> Dict[str, object]:
-    """The guided mm search pinned by tests/test_search_golden.py: 51
-    simulations, ~800k memory events — the end-to-end search-cost probe."""
-    from repro.core import EcoOptimizer, SearchConfig
-    from repro.eval import EvalEngine
-    from repro.kernels import matmul
-    from repro.machines import get_machine
-
-    machine = get_machine("sgi")
-
-    def one_run():
-        engine = EvalEngine(machine)
-        EcoOptimizer(
-            matmul(), machine, SearchConfig(full_search_variants=2),
-            engine=engine,
-        ).optimize({"N": 24})
-        return engine.stats
-
-    one_run()  # warmup
-    best_rate = 0.0
-    best_seconds = float("inf")
-    stats = None
-    for _ in range(repeats):
-        stats = one_run()
-        best_rate = max(best_rate, stats.sim_accesses_per_sec)
-        best_seconds = min(best_seconds, stats.sim_seconds)
-    return {
-        "accesses": stats.sim_accesses,
-        "simulations": stats.simulations,
-        "best_sim_seconds": round(best_seconds, 6),
-        "accesses_per_sec": int(best_rate),
-        "sims_per_sec": (
-            int(stats.simulations / best_seconds) if best_seconds > 0 else 0
-        ),
-    }
-
-
-def run_sim_bench(quick: bool = False) -> Dict[str, object]:
-    """Run the simulator benchmark suite; returns the BENCH_sim payload."""
-    repeats = 2 if quick else 5
-    workloads: Dict[str, Dict[str, object]] = {}
-    for label, kernel_name, machine_name, params in _kernel_workloads(quick):
-        workloads[label] = _bench_execute(
-            kernel_name, machine_name, params, repeats
-        )
-    golden = _bench_golden_search(1 if quick else repeats)
-    workloads["golden-search-mm@sgi-r10k-mini"] = golden
-    baseline = dict(BASELINE)
-    base_rate = baseline["golden_search_accesses_per_sec"]
-    baseline["speedup_vs_baseline"] = round(
-        golden["accesses_per_sec"] / base_rate, 1
-    )
-    return {
-        "schema": 1,
-        "quick": quick,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "host": _host_context(),
-        "methodology": (
-            "accesses_per_sec = sim_accesses / sim_seconds at the "
-            "whole-execute() boundary, best of N in-process repeats "
-            "after one warmup run"
-        ),
-        "workloads": workloads,
-        "baseline": baseline,
     }
 
 
@@ -461,31 +318,6 @@ def run_search_bench(
     return payload
 
 
-def check_floor(results: Dict[str, object],
-                floor: Dict[str, object]) -> List[str]:
-    """Compare a bench run against the committed floor.
-
-    Returns human-readable failure strings (empty = pass).  A workload in
-    the floor file but missing from the run is a failure — deleting a
-    workload must be a conscious floor update, not a silent skip.
-    """
-    failures: List[str] = []
-    workloads = results.get("workloads", {})
-    for label, min_rate in floor.get("accesses_per_sec", {}).items():
-        row = workloads.get(label)
-        if row is None:
-            failures.append(f"{label}: workload missing from bench run")
-            continue
-        rate = row.get("accesses_per_sec", 0)
-        limit = min_rate * (1 - FLOOR_SLACK)
-        if rate < limit:
-            failures.append(
-                f"{label}: {rate:,} accesses/sec is below "
-                f"{limit:,.0f} (floor {min_rate:,} - {FLOOR_SLACK:.0%} slack)"
-            )
-    return failures
-
-
 def _host_mismatch(floor: Dict[str, object]) -> Optional[str]:
     """Why this host cannot enforce the floor's host-sensitive gates
     (``None`` when the floor records no host, or the hosts match)."""
@@ -563,17 +395,6 @@ def _load_floor(path: str) -> Optional[Dict[str, object]]:
         return None
 
 
-def _print_sim(results: Dict[str, object]) -> None:
-    for label, row in results["workloads"].items():
-        extra = ""
-        if "sims_per_sec" in row:
-            extra = f"  ({row['simulations']} sims, {row['sims_per_sec']:,}/s)"
-        print(f"  {label:40s} {row['accesses_per_sec']:>12,} accesses/sec{extra}")
-    print(f"  speedup vs pre-fastpath baseline: "
-          f"{results['baseline']['speedup_vs_baseline']}x "
-          f"(baseline {results['baseline']['golden_search_accesses_per_sec']:,})")
-
-
 def _print_search(results: Dict[str, object]) -> None:
     search = results["search"]
     walls = ", ".join(
@@ -630,45 +451,34 @@ def _format_walls(row: Dict[str, object]) -> str:
 
 
 def run(args) -> int:
-    """``repro bench {sim,search}`` on the arguments ``repro.__main__``
-    parsed: run the suite, write its ``BENCH_<suite>.json``, print the
-    summary and, with ``--check``, gate against the committed floor.
-    Returns the exit status."""
-    if args.suite == "sim":
-        results = run_sim_bench(quick=args.quick)
-    else:
-        results = run_search_bench(quick=args.quick)
-    out = args.out or f"BENCH_{args.suite}.json"
+    """``repro bench`` on the arguments ``repro.__main__`` parsed: run
+    the search benchmark, write its JSON, print the summary and, with
+    ``--check``, gate against the committed floor.  Returns the exit
+    status."""
+    results = run_search_bench(quick=args.quick)
+    out = args.out or "BENCH_search.json"
     with open(out, "w") as handle:
         json.dump(results, handle, indent=1)
         handle.write("\n")
     print(f"wrote {out}")
-    (_print_sim if args.suite == "sim" else _print_search)(results)
+    _print_search(results)
     if not args.check:
         return 0
 
-    floor_path = args.floor or (
-        FLOOR_PATH if args.suite == "sim" else SEARCH_FLOOR_PATH
-    )
-    floor = _load_floor(floor_path)
+    floor = _load_floor(SEARCH_FLOOR_PATH)
     if floor is None:
-        print(f"floor file {floor_path} not found: nothing to check against")
+        print(f"floor file {SEARCH_FLOOR_PATH} not found: nothing to check against")
         return 1
-    if args.suite == "sim":
-        mismatch = _host_mismatch(floor)
-        warnings = [f"host differs from the floor's ({mismatch})"] if mismatch else []
-        failures = check_floor(results, floor)
-    else:
-        if results["host"]["single_core"]:
-            print("PERF WARNING: single-core host (cpu_count 1): parallel "
-                  "speedup and sims/sec rates here are not representative; "
-                  "host-sensitive gates are reported as warnings only")
-        failures, warnings = check_search_floor(results, floor)
+    if results["host"]["single_core"]:
+        print("PERF WARNING: single-core host (cpu_count 1): parallel "
+              "speedup and sims/sec rates here are not representative; "
+              "host-sensitive gates are reported as warnings only")
+    failures, warnings = check_search_floor(results, floor)
     for warning in warnings:
         print(f"PERF WARNING: {warning}")
     for failure in failures:
         print(f"PERF REGRESSION: {failure}")
     if failures:
         return 1
-    print(f"floor check passed ({floor_path})")
+    print(f"floor check passed ({SEARCH_FLOOR_PATH})")
     return 0

@@ -10,8 +10,10 @@
 * the search trajectory (points per variant, best-point progression);
 * a counter comparison against the untransformed kernel.
 
-This is diagnostic output, not part of the search: it re-runs exactly two
-simulations (tuned and naive) at the requested size.
+This is diagnostic output, not part of the search: it simulates the naive
+kernel at the requested size, and the tuned one too unless that is the
+size the search measured its winner at (then the search's counters are
+reused).
 """
 
 from __future__ import annotations
@@ -88,7 +90,10 @@ def explain(tuned: TunedKernel, problem: Optional[Mapping[str, int]] = None) -> 
 
     # --- measured effect ------------------------------------------------------
     naive = execute(tuned.kernel, problem, machine)
-    opt = tuned.measure(problem)
+    if problem == result.counters.params:
+        opt = result.counters
+    else:
+        opt = tuned.measure(problem)
     out(f"Measured at {problem}:")
     out(f"  {'':14}{'naive':>14}{'tuned':>14}{'change':>10}")
     for label, a, b in (

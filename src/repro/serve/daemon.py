@@ -424,6 +424,12 @@ class ServeDaemon:
 
         return sink
 
+    def _bump(self, name: str) -> None:
+        """Count on the event loop, which owns ``counters``.  Search
+        threads queue it with ``call_soon_threadsafe``; it runs before
+        the search's own completion reaches ``_run_job``."""
+        self.counters[name] += 1
+
     def _fanout(self, job: _Job, event: Dict[str, Any]) -> None:
         for queue in list(job.watchers):
             queue.put_nowait(event)
@@ -465,7 +471,7 @@ class ServeDaemon:
                 }
                 served["warm_start"] = True
                 served["donor"] = donor_key
-                self.counters["warm_starts"] += 1
+                self._loop.call_soon_threadsafe(self._bump, "warm_starts")
                 ranker = self._donor_ranker(donor_key)
                 if ranker is not None and ranker.mismatch(
                     kernel.name, machine
@@ -492,7 +498,7 @@ class ServeDaemon:
             tracer.snapshot_metrics(engine.metrics)
         finally:
             self.hub.checkin(spec_hash, engine)
-        self.counters["searches"] += 1
+        self._loop.call_soon_threadsafe(self._bump, "searches")
         result = tuned.result
         events = tracer.events()
         body = {

@@ -52,12 +52,6 @@ class Counters:
     sim_timing_events: int = 0
 
     @property
-    def sim_accesses_per_sec(self) -> float:
-        if self.sim_seconds <= 0:
-            return 0.0
-        return self.sim_accesses / self.sim_seconds
-
-    @property
     def l1_misses(self) -> int:
         return self.cache_misses[0] if self.cache_misses else 0
 

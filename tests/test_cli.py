@@ -43,8 +43,10 @@ class TestCli:
         ["bench", "serve"],
         ["bench", "trend"],
         ["bench", "search", "--legs", "learned"],
-    ], ids=["serve", "trend", "legs"])
-    def test_bench_keeps_only_sim_and_search(self, argv, capsys):
+        ["bench", "sim"],
+        ["bench", "--floor", "x.json"],
+    ], ids=["serve", "trend", "legs", "sim", "floor"])
+    def test_bench_keeps_only_search(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2

@@ -14,7 +14,7 @@ The contracts under test (ISSUE 5 acceptance criteria):
   to the byte-identical result of an uninterrupted run;
 * the :class:`~repro.analysis.surrogate.Surrogate` unit contract
   (margin semantics, memoization, fail-open on unscorable candidates);
-* the ``bench search`` floor check: its host-sensitive gates fail on
+* the ``repro bench`` floor check: its host-sensitive gates fail on
   the measured host and degrade to warnings on foreign ones.
 """
 

@@ -173,3 +173,28 @@ def test_search_trajectory_is_pinned(trajectories, mode):
         "ranker_skips": stats.ranker_skips,
     } == golden["counts"]
     assert _sha256_json(canonical(tracer.events())) == golden["trace"]
+
+
+#: summed ``sim`` attrs of the plain golden search's eval events: one
+#: fused batch per simulation, and fewer pass-2 timing events than
+#: accesses.  The scalar reference (``execute(..., reference=True)``)
+#: replays every access and records no batches, collapses or timing
+#: events, so a fast path that silently falls back to it fails here.
+GOLDEN_SIM_ACCOUNTING = {
+    "accesses": 811_506,
+    "batches": 51,
+    "collapsed": 673_919,
+    "timing_events": 67_699,
+}
+
+
+def test_simulator_accounting_is_pinned(trajectories):
+    _, stats, tracer = trajectories["plain"]
+    totals = dict.fromkeys(GOLDEN_SIM_ACCOUNTING, 0)
+    for event in tracer.events():
+        if event["type"] == "event" and event["name"] == "eval":
+            for name, value in event["attrs"].get("sim", {}).items():
+                totals[name] += value
+    assert totals == GOLDEN_SIM_ACCOUNTING
+    assert totals["batches"] == stats.simulations
+    assert totals["timing_events"] < totals["accesses"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 import time
 
 import pytest
@@ -423,6 +424,33 @@ def test_shutdown_drains_in_flight(tmp_path):
         reply = client.shutdown()
         assert reply["drained"] == 1
         assert daemon.store.get(key) is not None
+
+
+class _WriterRecordingDict(dict):
+    """A counters dict that records which thread wrote each key."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.writers = []
+
+    def __setitem__(self, key, value):
+        self.writers.append((key, threading.current_thread().name))
+        super().__setitem__(key, value)
+
+
+def test_counters_are_written_on_the_event_loop(tmp_path):
+    with daemon_thread(tmp_path / "s.sock", tmp_path / "store") as daemon:
+        daemon.counters = _WriterRecordingDict(daemon.counters)
+        client = ServeClient(tmp_path / "s.sock")
+        client.submit(_request(12), wait=True)
+        warm = client.submit(_request(16), wait=True)
+        assert warm["served"]["warm_start"] is True
+        assert daemon.counters["searches"] == 2
+        assert daemon.counters["warm_starts"] == 1
+    written = {key for key, _ in daemon.counters.writers}
+    assert {"requests", "searches", "warm_starts"} <= written
+    # daemon_thread runs the event loop on its "repro-serve" thread
+    assert {thread for _, thread in daemon.counters.writers} == {"repro-serve"}
 
 
 def test_served_store_is_doctor_clean(tmp_path):
