@@ -27,8 +27,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.ir.expr import Const, affine_view
-from repro.ir.nest import ArrayRef, Kernel, array_refs, loop_order
+from repro.ir.nest import ArrayRef, Kernel, affine_subscripts, array_refs, loop_order
 
 __all__ = [
     "Dependence",
@@ -64,24 +63,6 @@ class Dependence:
 
     def entry(self, loop: str) -> Entry:
         return self.entries[self.loops.index(loop)]
-
-
-def _subscript_matrix(
-    ref: ArrayRef, loops: Sequence[str]
-) -> Optional[Tuple[List[List[int]], List[object]]]:
-    """Per-dimension affine coefficients over ``loops`` plus the rest term.
-
-    Returns ``None`` when any subscript is non-affine in the loop indices.
-    """
-    rows: List[List[int]] = []
-    rests: List[object] = []
-    for index in ref.indices:
-        view = affine_view(index, loops)
-        if view is None:
-            return None
-        rows.append([view.coefficient(var) for var in loops])
-        rests.append(view.rest)
-    return rows, rests
 
 
 def _solve_uniform(
@@ -158,69 +139,73 @@ def _solve_uniform_cached(
 
 
 def compute_dependences(kernel: Kernel) -> List[Dependence]:
-    """All dependences among the kernel's array references.
+    """All dependences among the kernel's array references, over the loops
+    of :func:`~repro.ir.nest.loop_order`, each (source, sink, kind,
+    distances) once.
 
-    The kernel is expected to be in its original (pre-transformation) form;
-    dependence information drives phase-1 decisions only.
+    Any form of the kernel is accepted: the transforms check their own
+    legality on the IR they are given, which is already tiled or copied
+    when unroll-and-jam runs inside a variant build.
     """
     loops = loop_order(kernel)
     accesses = list(array_refs(kernel.body))
-    matrices: Dict[int, Optional[Tuple[List[List[int]], List[object]]]] = {}
-
-    def matrix_of(idx: int):
-        if idx not in matrices:
-            matrices[idx] = _subscript_matrix(accesses[idx][0], loops)
-        return matrices[idx]
-
+    # equal references share an id, so pairs compare and dedup as ints
+    ids: Dict[ArrayRef, int] = {}
+    ref_ids = [ids.setdefault(ref, len(ids)) for ref, _ in accesses]
+    subscripts = [affine_subscripts(ref, loops) for ref in ids]
+    free = (None,) * len(loops)
     deps: List[Dependence] = []
+    seen = set()
+
+    def record(idx1, idx2, kinds, entries: Tuple[Entry, ...], reduction=False) -> None:
+        for kind in kinds:
+            key = (ref_ids[idx1], ref_ids[idx2], kind, entries)
+            if key not in seen:
+                seen.add(key)
+                deps.append(
+                    Dependence(
+                        accesses[idx1][0], accesses[idx2][0], kind, loops, entries,
+                        reduction=reduction,
+                    )
+                )
+
     for idx1, (ref1, w1) in enumerate(accesses):
         for idx2 in range(idx1, len(accesses)):
             ref2, w2 = accesses[idx2]
             if ref1.array != ref2.array or not (w1 or w2):
                 continue
-            self_pair = idx1 == idx2
             kinds = _dependence_kinds(w1, w2)
-            sub1 = matrix_of(idx1)
-            sub2 = matrix_of(idx2)
+            sub1 = subscripts[ref_ids[idx1]]
+            sub2 = subscripts[ref_ids[idx2]]
             if sub1 is None or sub2 is None:
-                for kind in kinds:
-                    deps.append(Dependence(ref1, ref2, kind, loops, (None,) * len(loops)))
+                record(idx1, idx2, kinds, free)
                 continue
-            matrix1, rest1 = sub1
-            matrix2, rest2 = sub2
-            if matrix1 == matrix2:
-                delta = _constant_deltas(rest1, rest2)
-                if delta is None:
-                    for kind in kinds:
-                        deps.append(
-                            Dependence(ref1, ref2, kind, loops, (None,) * len(loops))
-                        )
+            (matrix1, rest1), (matrix2, rest2) = sub1, sub2
+            distances = [a.distance(b) for a, b in zip(rest1, rest2)]
+            if matrix1 != matrix2:
+                if not _gcd_test_excludes(matrix1, matrix2, distances):
+                    record(idx1, idx2, kinds, free)
+                continue
+            if None in distances:
+                # A symbolic offset difference (e.g. N vs 1): sizes are
+                # positive but unknown, so keep the dependence with
+                # unknown distances.
+                record(idx1, idx2, kinds, free)
+                continue
+            for signed in (distances, [-d for d in distances]):
+                solved = _solve_uniform(matrix1, signed, len(loops))
+                if solved is None:
                     continue
-                for signed in (delta, [-d for d in delta]):
-                    solved = _solve_uniform(matrix1, signed, len(loops))
-                    if solved is None:
-                        continue
-                    entries, exact = solved
-                    if not exact:
-                        entries = [None] * len(loops)
-                    if self_pair and all(e == 0 for e in entries):
-                        continue  # an access paired with itself: not a dependence
-                    reduction = ref1 == ref2
-                    for kind in kinds:
-                        deps.append(
-                            Dependence(
-                                ref1, ref2, kind, loops, tuple(entries),
-                                reduction=reduction,
-                            )
-                        )
-                    if all(d == 0 for d in delta):
-                        break  # delta == -delta: one record suffices
-            else:
-                if _gcd_test_excludes(matrix1, rest1, matrix2, rest2):
-                    continue
-                for kind in kinds:
-                    deps.append(Dependence(ref1, ref2, kind, loops, (None,) * len(loops)))
-    return _dedup(deps)
+                entries, exact = solved
+                if not exact:
+                    entries = [None] * len(loops)
+                if idx1 == idx2 and all(e == 0 for e in entries):
+                    continue  # an access paired with itself: not a dependence
+                reduction = ref_ids[idx1] == ref_ids[idx2]
+                record(idx1, idx2, kinds, tuple(entries), reduction)
+                if all(d == 0 for d in distances):
+                    break  # delta == -delta: one record suffices
+    return deps
 
 
 def _dependence_kinds(w1: bool, w2: bool) -> Tuple[str, ...]:
@@ -235,49 +220,22 @@ def _dependence_kinds(w1: bool, w2: bool) -> Tuple[str, ...]:
     return ("flow", "anti")
 
 
-def _constant_deltas(rest1, rest2) -> Optional[List[int]]:
-    deltas = []
-    for a, b in zip(rest1, rest2):
-        diff = a - b
-        if not isinstance(diff, Const):
-            # Symbolic offset difference (e.g. N vs 1): sizes are positive
-            # but unknown; be conservative only if they could coincide.  We
-            # treat symbolic differences as "never equal" only when they
-            # differ by a parameter; that is unsound in general, so keep the
-            # dependence with unknown distances instead.
-            return None
-        deltas.append(diff.value)
-    return deltas
-
-
-def _gcd_test_excludes(matrix1, rest1, matrix2, rest2) -> bool:
-    """Per-dimension GCD test; True when some dimension can never be equal."""
-    for row1, row2, a, b in zip(matrix1, matrix2, rest1, rest2):
-        diff = a - b
-        if not isinstance(diff, Const):
+def _gcd_test_excludes(matrix1, matrix2, distances: Sequence[Optional[int]]) -> bool:
+    """Per-dimension GCD test over the dimensions whose remainders are a
+    constant distance apart; True when one of them can never be equal."""
+    for row1, row2, diff in zip(matrix1, matrix2, distances):
+        if diff is None:
             continue
-        coeffs = [c for c in row1] + [-c for c in row2]
         divisor = 0
-        for c in coeffs:
+        for c in list(row1) + [-c for c in row2]:
             divisor = gcd(divisor, abs(c))
         if divisor == 0:
-            if diff.value != 0:
+            if diff != 0:
                 return True
             continue
-        if diff.value % divisor != 0:
+        if diff % divisor != 0:
             return True
     return False
-
-
-def _dedup(deps: List[Dependence]) -> List[Dependence]:
-    seen = set()
-    unique = []
-    for dep in deps:
-        key = (dep.source, dep.sink, dep.kind, dep.entries)
-        if key not in seen:
-            seen.add(key)
-            unique.append(dep)
-    return unique
 
 
 # ---------------------------------------------------------------------------

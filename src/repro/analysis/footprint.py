@@ -17,12 +17,10 @@ references form one footprint, not six).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.dependence import _subscript_matrix
 from repro.ir.expr import Const, Expr, ExprLike, as_expr, emax
-from repro.ir.nest import ArrayRef, Kernel, loop_order
+from repro.ir.nest import ArrayRef, Kernel, affine_subscripts, loop_order
 
 __all__ = [
     "ref_extents",
@@ -33,13 +31,6 @@ __all__ = [
     "footprint_pages",
     "prefix_footprints",
 ]
-
-
-def _matrix_for(kernel: Kernel, ref: ArrayRef, loops: Sequence[str]):
-    sub = _subscript_matrix(ref, list(loops))
-    if sub is None:
-        raise ValueError(f"{ref}: non-affine subscripts, no footprint model")
-    return sub
 
 
 def ref_extents(
@@ -53,18 +44,7 @@ def ref_extents(
     ``extents`` maps loop variables to their symbolic trip counts within
     the tile; loops not mentioned contribute a single iteration.
     """
-    if loops is None:
-        loops = loop_order(kernel)
-    matrix, _ = _matrix_for(kernel, ref, loops)
-    dims: List[Expr] = []
-    for row in matrix:
-        extent: Expr = Const(1)
-        for coeff, var in zip(row, loops):
-            if coeff == 0 or var not in extents:
-                continue
-            extent = extent + abs(coeff) * (as_expr(extents[var]) - 1)
-        dims.append(extent)
-    return dims
+    return group_footprint_dims(kernel, [ref], extents, loops)
 
 
 def ref_footprint_elems(
@@ -144,7 +124,10 @@ def prefix_footprints(
     """
     if loops is None:
         loops = loop_order(kernel)
-    matrix, _ = _matrix_for(kernel, ref, loops)
+    found = affine_subscripts(ref, loops)
+    if found is None:
+        raise ValueError(f"{ref}: non-affine subscripts, no footprint model")
+    matrix, _ = found
     dims = [1] * len(matrix)
     out: List[int] = []
     for col in reversed(range(len(loops))):
@@ -246,24 +229,37 @@ def group_footprint_dims(
     extents: Mapping[str, ExprLike],
     loops: Optional[Sequence[str]] = None,
 ) -> List[Expr]:
-    """Per-dimension union extents of same-array references (symbolic)."""
+    """Per-dimension union extents of same-array references (symbolic).
+
+    Raises ``ValueError`` unless every reference is affine in ``loops``
+    with the same coefficients and constant offsets from the first one.
+    """
     if loops is None:
         loops = loop_order(kernel)
-    base = group[0]
-    matrix, rest = _matrix_for(kernel, base, loops)
+    found = [affine_subscripts(ref, loops) for ref in group]
+    for ref, sub in zip(group, found):
+        if sub is None:
+            raise ValueError(f"{ref}: non-affine subscripts, no footprint model")
+    matrix, rest = found[0]
     # Spread per dimension = max minus min constant offset across the group
     # (relative deltas to the base reference; the base itself contributes 0).
     lows = [0] * len(matrix)
     highs = [0] * len(matrix)
-    for ref in group[1:]:
-        other_matrix, other_rest = _matrix_for(kernel, ref, loops)
+    for other_matrix, other_rest in found[1:]:
         if other_matrix != matrix:
             raise ValueError("group_footprint_dims: non-uniform group")
         for dim, (a, b) in enumerate(zip(rest, other_rest)):
-            diff = b - a
-            if not isinstance(diff, Const):
+            diff = b.distance(a)
+            if diff is None:
                 raise ValueError("group_footprint_dims: symbolic offsets")
-            lows[dim] = min(lows[dim], diff.value)
-            highs[dim] = max(highs[dim], diff.value)
-    dims = ref_extents(kernel, base, extents, loops)
-    return [dim + (high - low) for low, high, dim in zip(lows, highs, dims)]
+            lows[dim] = min(lows[dim], diff)
+            highs[dim] = max(highs[dim], diff)
+    dims: List[Expr] = []
+    for row, low, high in zip(matrix, lows, highs):
+        extent: Expr = Const(1)
+        for coeff, var in zip(row, loops):
+            if coeff == 0 or var not in extents:
+                continue
+            extent = extent + abs(coeff) * (as_expr(extents[var]) - 1)
+        dims.append(extent + (high - low))
+    return dims

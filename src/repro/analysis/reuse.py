@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.analysis.dependence import _solve_uniform, _subscript_matrix
-from repro.ir.expr import Const
-from repro.ir.nest import ArrayRef, Kernel, array_refs, loop_order
+from repro.analysis.dependence import _solve_uniform
+from repro.ir.nest import ArrayRef, Kernel, Subscripts, affine_subscripts, array_refs, loop_order
 
 __all__ = ["RefReuse", "GroupReuse", "ReuseSummary", "analyze_reuse"]
 
@@ -144,13 +143,13 @@ def analyze_reuse(kernel: Kernel, line_size: int = 32) -> ReuseSummary:
         seen[ref] = seen.get(ref, False) or is_write
 
     ref_infos: List[RefReuse] = []
-    matrices: Dict[ArrayRef, Tuple[List[List[int]], List[object]]] = {}
+    subscripts: Dict[ArrayRef, Subscripts] = {}
     for ref, is_write in seen.items():
-        sub = _subscript_matrix(ref, loops)
+        sub = affine_subscripts(ref, loops)
         if sub is None:
             ref_infos.append(RefReuse(ref, is_write, frozenset(), frozenset()))
             continue
-        matrices[ref] = sub
+        subscripts[ref] = sub
         matrix, _ = sub
         element = kernel.array(ref.array).element_size
         window = max(1, line_size // element)
@@ -168,7 +167,7 @@ def analyze_reuse(kernel: Kernel, line_size: int = 32) -> ReuseSummary:
                 spatial.add(var)
         ref_infos.append(RefReuse(ref, is_write, frozenset(temporal), frozenset(spatial)))
 
-    groups = _group_reuse(kernel, loops, matrices, line_size)
+    groups = _group_reuse(kernel, loops, subscripts, line_size)
     line_elems = max(1, line_size // 8)
     return ReuseSummary(loops, line_elems, ref_infos, groups)
 
@@ -176,27 +175,19 @@ def analyze_reuse(kernel: Kernel, line_size: int = 32) -> ReuseSummary:
 def _group_reuse(
     kernel: Kernel,
     loops: Tuple[str, ...],
-    matrices: Dict[ArrayRef, Tuple[List[List[int]], List[object]]],
+    subscripts: Dict[ArrayRef, Subscripts],
     line_size: int,
 ) -> List[GroupReuse]:
     groups: List[GroupReuse] = []
-    refs = list(matrices)
-    for ref_a, ref_b in itertools.combinations(refs, 2):
+    for ref_a, ref_b in itertools.combinations(subscripts, 2):
         if ref_a.array != ref_b.array:
             continue
-        matrix_a, rest_a = matrices[ref_a]
-        matrix_b, rest_b = matrices[ref_b]
+        matrix_a, rest_a = subscripts[ref_a]
+        matrix_b, rest_b = subscripts[ref_b]
         if matrix_a != matrix_b:
             continue
-        deltas = []
-        constant = True
-        for a, b in zip(rest_a, rest_b):
-            diff = a - b
-            if not isinstance(diff, Const):
-                constant = False
-                break
-            deltas.append(diff.value)
-        if not constant:
+        deltas = [a.distance(b) for a, b in zip(rest_a, rest_b)]
+        if None in deltas:
             continue
         element = kernel.array(ref_a.array).element_size
         window = max(1, line_size // element)
@@ -207,7 +198,7 @@ def _group_reuse(
 
 
 def _classify_group(
-    matrix: List[List[int]],
+    matrix: Sequence[Sequence[int]],
     deltas: List[int],
     loops: Tuple[str, ...],
     window: int,

@@ -195,7 +195,6 @@ def instantiate_base(
         tile_specs,
         control_order=[control_name(loop) for loop in variant.control_order],
         point_order=list(variant.point_order),
-        check_legality=True,
         reassociate=True,
     )
 

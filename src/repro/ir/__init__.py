@@ -2,33 +2,38 @@
 
 Public surface:
 
-* :mod:`repro.ir.expr` — symbolic integer expressions (bounds, subscripts);
-* :mod:`repro.ir.nest` — arrays, statements, loops, kernels, traversals;
+* :mod:`repro.ir.expr` — symbolic integer expressions (bounds, subscripts)
+  and their integer linear form (:func:`~repro.ir.expr.linear_form`);
+* :mod:`repro.ir.nest` — arrays, statements, loops, kernels, traversals,
+  and :func:`~repro.ir.nest.affine_subscripts`, the per-dimension
+  coefficient rows every subscript analysis reads;
 * :mod:`repro.ir.builder` — convenience constructors;
 * :mod:`repro.ir.printer` — paper-style pseudocode output;
 * :mod:`repro.ir.validate` — structural checks.
 """
 
 from repro.ir.expr import (
-    AffineView,
     Add,
     Const,
     Expr,
     FloorDiv,
+    LinearForm,
     Max,
     Min,
     Mod,
     Mul,
     Var,
-    affine_view,
     as_expr,
     emax,
     emin,
+    linear_form,
 )
 from repro.ir.nest import (
     ArrayDecl,
     ArrayRef,
     Assign,
+    Subscripts,
+    affine_subscripts,
     CBin,
     CExpr,
     CNum,
@@ -61,13 +66,15 @@ __all__ = [
     "Mod",
     "Min",
     "Max",
-    "AffineView",
-    "affine_view",
+    "LinearForm",
+    "linear_form",
     "as_expr",
     "emin",
     "emax",
     "ArrayDecl",
     "ArrayRef",
+    "Subscripts",
+    "affine_subscripts",
     "CExpr",
     "CNum",
     "CRead",

@@ -8,9 +8,12 @@ Expressions are immutable trees over integer constants, named variables
   numpy arrays.  The same expression tree therefore serves the interpreter
   (scalar execution used as a semantics oracle) and the trace compiler
   (vectorized address generation over the innermost loop).
-* ``affine_view`` decomposes an expression as ``sum(coeff_i * var_i) + rest``
-  with *integer* coefficients, which is what the dependence and reuse
-  analyses consume.
+* :func:`linear_form` decomposes an expression as ``const + sum(coeff *
+  atom)`` with *integer* coefficients over variables and opaque terms.
+  It is the one integer form of a subscript: the analyses, transforms
+  and simulator read coefficients from it, and decide that two
+  subscripts are a constant distance apart by comparing their terms
+  (:meth:`LinearForm.distance`) instead of subtracting expressions.
 
 Construction goes through the smart constructors (:func:`add`, :func:`mul`,
 ...) or operator overloading, both of which fold constants and flatten
@@ -20,6 +23,7 @@ nested sums/products so structurally equal expressions compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -42,8 +46,8 @@ __all__ = [
     "mod",
     "emin",
     "emax",
-    "AffineView",
-    "affine_view",
+    "LinearForm",
+    "linear_form",
 ]
 
 ExprLike = Union["Expr", int]
@@ -437,69 +441,66 @@ def emax(*args: ExprLike) -> Expr:
 
 
 @dataclass(frozen=True)
-class AffineView:
-    """Decomposition of an expression as ``sum(coeffs[v] * v) + rest``.
+class LinearForm:
+    """An expression as ``const + sum(coeff * atom)`` with integer
+    coefficients.
 
-    ``coeffs`` maps variable names to non-zero *integer* coefficients and
-    ``rest`` holds everything else (constants and terms over variables not
-    in the requested set).
+    An atom is a :class:`Var` or an opaque non-linear term (a product of
+    non-constant factors, a division, a modulo, a ``min`` or a ``max``),
+    kept whole.  ``terms`` holds no zero coefficient and is canonically
+    ordered — variables by name, then the other atoms — so two forms are
+    a constant distance apart exactly when their ``terms`` are equal.
     """
 
-    coeffs: Tuple[Tuple[str, int], ...]
-    rest: Expr
+    const: int
+    terms: Tuple[Tuple[Expr, int], ...]
 
-    def coefficient(self, var: str) -> int:
-        return dict(self.coeffs).get(var, 0)
+    def distance(self, other: "LinearForm") -> Optional[int]:
+        """``self - other`` when that is a constant, else None."""
+        if self.terms != other.terms:
+            return None
+        return self.const - other.const
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.coeffs)
+    @property
+    def affine(self) -> bool:
+        """True when every atom is a variable (no opaque term)."""
+        return all(isinstance(atom, Var) for atom, _ in self.terms)
 
 
-def affine_view(expr: Expr, variables: Sequence[str]) -> Optional[AffineView]:
-    """Decompose ``expr`` as an affine form over ``variables``.
+def _atom_key(item: Tuple[Expr, int]):
+    atom = item[0]
+    if isinstance(atom, Var):
+        return (0, atom.name)
+    return (1, repr(atom))
 
-    Returns ``None`` when ``expr`` is not affine with integer coefficients in
-    those variables (e.g. products of two loop indices, or ``i // 2``).
-    """
-    wanted = set(variables)
-    coeffs: Dict[str, int] = {}
-    rest_terms = []
 
-    def visit(node: Expr, scale: int) -> bool:
-        if isinstance(node, Const):
-            rest_terms.append(Const(node.value * scale))
-            return True
-        if isinstance(node, Var):
-            if node.name in wanted:
-                coeffs[node.name] = coeffs.get(node.name, 0) + scale
+def _collect(expr: Expr, scale: int, coeffs: Dict[Expr, int]) -> int:
+    """Add ``scale * expr``'s atoms to ``coeffs``; return its constant."""
+    if isinstance(expr, Const):
+        return scale * expr.value
+    if isinstance(expr, Add):
+        return sum(_collect(term, scale, coeffs) for term in expr.terms)
+    atom = expr
+    if isinstance(expr, Mul):
+        others = []
+        for factor in expr.factors:
+            if isinstance(factor, Const):
+                scale *= factor.value
             else:
-                rest_terms.append(mul(scale, node))
-            return True
-        if isinstance(node, Add):
-            return all(visit(term, scale) for term in node.terms)
-        if isinstance(node, Mul):
-            const = 1
-            others = []
-            for factor in node.factors:
-                if isinstance(factor, Const):
-                    const *= factor.value
-                else:
-                    others.append(factor)
-            involved = [f for f in others if f.free_vars() & wanted]
-            if not involved:
-                rest_terms.append(mul(scale, node))
-                return True
-            if len(others) == 1 and isinstance(others[0], Var):
-                name = others[0].name
-                coeffs[name] = coeffs.get(name, 0) + scale * const
-                return True
-            return False
-        if node.free_vars() & wanted:
-            return False
-        rest_terms.append(mul(scale, node))
-        return True
+                others.append(factor)
+        if len(others) == 1:
+            return _collect(others[0], scale, coeffs)
+        atom = Mul(tuple(others))
+    coeffs[atom] = coeffs.get(atom, 0) + scale
+    return 0
 
-    if not visit(expr, 1):
-        return None
-    coeff_items = tuple(sorted((k, v) for k, v in coeffs.items() if v != 0))
-    return AffineView(coeff_items, add(*rest_terms) if rest_terms else ZERO)
+
+@lru_cache(maxsize=8192)
+def linear_form(expr: Expr) -> LinearForm:
+    """The :class:`LinearForm` of ``expr``.  Memoized (bounded): the same
+    subscripts recur in every analysis, transform and simulation of a
+    kernel and of its variants."""
+    coeffs: Dict[Expr, int] = {}
+    const = _collect(expr, 1, coeffs)
+    terms = sorted(((a, c) for a, c in coeffs.items() if c != 0), key=_atom_key)
+    return LinearForm(const, tuple(terms))

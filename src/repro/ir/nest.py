@@ -20,13 +20,15 @@ pseudocode (``DO K = 1,N``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.ir.expr import Expr, ExprLike, Var, as_expr
+from repro.ir.expr import Expr, ExprLike, LinearForm, Var, as_expr, linear_form
 
 __all__ = [
     "ArrayDecl",
     "ArrayRef",
+    "Subscripts",
+    "affine_subscripts",
     "CExpr",
     "CNum",
     "CRead",
@@ -45,6 +47,7 @@ __all__ = [
     "find_loop",
     "count_flops",
     "array_refs",
+    "scalars_read",
 ]
 
 
@@ -99,6 +102,40 @@ class ArrayRef:
 
     def __str__(self) -> str:
         return f"{self.array}[" + ",".join(str(ix) for ix in self.indices) + "]"
+
+
+#: per-dimension integer coefficients over a loop list, and the loop-free
+#: remainder of each dimension
+Subscripts = Tuple[Tuple[Tuple[int, ...], ...], Tuple[LinearForm, ...]]
+
+
+def affine_subscripts(ref: ArrayRef, loops: Sequence[str]) -> Optional[Subscripts]:
+    """``ref``'s subscripts as integer coefficient rows over ``loops`` (one
+    row per dimension, one column per loop) plus each dimension's
+    loop-free remainder.
+
+    Two references with equal rows touch elements a constant distance
+    apart in a dimension exactly when :meth:`LinearForm.distance` of
+    their remainders there is not None.  Returns None when a loop
+    variable appears inside an opaque (non-linear) atom.
+    """
+    wanted = frozenset(loops)
+    rows = []
+    rests = []
+    for index in ref.indices:
+        form = linear_form(index)
+        coeffs: Dict[str, int] = {}
+        rest = []
+        for atom, coeff in form.terms:
+            if isinstance(atom, Var) and atom.name in wanted:
+                coeffs[atom.name] = coeff
+            elif atom.free_vars() & wanted:
+                return None
+            else:
+                rest.append((atom, coeff))
+        rows.append(tuple(coeffs.get(var, 0) for var in loops))
+        rests.append(LinearForm(form.const, tuple(rest)))
+    return tuple(rows), tuple(rests)
 
 
 class CExpr:
@@ -418,6 +455,15 @@ def count_flops(stmt: Statement) -> int:
     if isinstance(stmt, Assign):
         return stmt.value.flops()
     return 0
+
+
+def scalars_read(expr: CExpr) -> FrozenSet[str]:
+    """Names of the scalars (temporaries and constants) ``expr`` reads."""
+    if isinstance(expr, CVar):
+        return frozenset((expr.name,))
+    if isinstance(expr, CBin):
+        return scalars_read(expr.left) | scalars_read(expr.right)
+    return frozenset()
 
 
 def map_statements(

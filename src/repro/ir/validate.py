@@ -17,6 +17,7 @@ from repro.ir.nest import (
     Node,
     Prefetch,
     Statement,
+    scalars_read,
 )
 
 __all__ = ["ValidationError", "validate_kernel"]
@@ -69,8 +70,7 @@ def _validate_statement(
         raise ValidationError(f"{kernel.name}: unknown statement {stmt!r}")
     for ref in stmt.value.reads():
         _check_ref(kernel, ref, bound, arrays)
-    used_scalars = _scalar_uses(stmt)
-    missing = used_scalars - scalars
+    missing = scalars_read(stmt.value) - scalars
     if missing:
         raise ValidationError(
             f"{kernel.name}: scalars {sorted(missing)} read before assignment "
@@ -80,22 +80,6 @@ def _validate_statement(
         _check_ref(kernel, stmt.target, bound, arrays)
     else:
         scalars.add(stmt.target)
-
-
-def _scalar_uses(stmt: Assign) -> Set[str]:
-    from repro.ir.nest import CBin, CVar
-
-    names: Set[str] = set()
-
-    def visit(expr) -> None:
-        if isinstance(expr, CVar):
-            names.add(expr.name)
-        elif isinstance(expr, CBin):
-            visit(expr.left)
-            visit(expr.right)
-
-    visit(stmt.value)
-    return names
 
 
 def _validate_nodes(

@@ -41,7 +41,6 @@ search: phase 2 calls ``execute`` for every experiment it performs.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -49,7 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.codegen.layout import ArrayLayout, MemoryLayout
-from repro.ir.expr import Const, affine_view
+from repro.ir.expr import linear_form
 from repro.ir.nest import (
     ArrayRef,
     Assign,
@@ -145,22 +144,11 @@ class _EmitPlan:
         self.entries = entries
 
 
-@functools.lru_cache(maxsize=4096)
-def _affine_index(index_expr) -> Optional[Tuple[int, Tuple[Tuple[str, int], ...]]]:
-    """``index_expr`` as ``(const, ((var, coeff), ...))`` over every
-    variable it reads, or None if it is not affine.  Memoized: the same
-    subscripts recur in every candidate of a variant."""
-    view = affine_view(index_expr, sorted(index_expr.free_vars()))
-    if view is None or not isinstance(view.rest, Const):
-        return None
-    return view.rest.value, view.coeffs
-
-
 def _affine(entries: List["_Entry"]) -> bool:
     """Whether every access of ``entries`` has an affine address — the
     condition for their loop to fuse."""
     return all(
-        _affine_index(index_expr) is not None
+        linear_form(index_expr).affine
         for entry in entries
         if entry.access is not None
         for index_expr in entry.access.ref.indices
@@ -181,11 +169,11 @@ def _plan_entries(entries: List["_Entry"]) -> _EmitPlan:
         const = layout.base
         coeffs: Dict[str, int] = {}
         for index_expr, stride in zip(entry.access.ref.indices, layout.strides):
-            c, terms = _affine_index(index_expr)
+            form = linear_form(index_expr)
             scale = stride * layout.element_size
-            const += (c - 1) * scale
-            for name, coeff in terms:
-                coeffs[name] = coeffs.get(name, 0) + coeff * scale
+            const += (form.const - 1) * scale
+            for var, coeff in form.terms:
+                coeffs[var.name] = coeffs.get(var.name, 0) + coeff * scale
         for k in coeffs:
             if k not in col:
                 col[k] = len(col)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.dependence import compute_dependences, permutation_legal
 from repro.ir.nest import Kernel, Loop
@@ -14,15 +14,13 @@ __all__ = ["permute"]
 def permute(
     kernel: Kernel,
     new_order: Sequence[str],
-    check_legality: bool = True,
     reassociate: bool = False,
 ) -> Kernel:
     """Reorder the loops of a perfect nest to ``new_order`` (outer→inner).
 
-    ``new_order`` must be a permutation of the nest's loop variables.  With
-    ``check_legality`` (default) the permutation is verified against the
-    kernel's dependences and a :class:`TransformError` is raised when it
-    would reverse one.  ``reassociate`` waives reduction dependences
+    ``new_order`` must be a permutation of the nest's loop variables.  The
+    permutation is verified against the kernel's dependences and a
+    :class:`TransformError` is raised when it would reverse one.  ``reassociate`` waives reduction dependences
     (floating-point sum reordering, the paper's ``roundoff=3``).
     """
     loops = perfect_nest_loops(kernel)
@@ -39,12 +37,11 @@ def permute(
                 f"{kernel.name}: loop {loop.var} has bounds depending on other "
                 f"loops; permutation of non-rectangular nests is unsupported"
             )
-    if check_legality:
-        deps = compute_dependences(kernel)
-        if not permutation_legal(deps, new_order, allow_reassociation=reassociate):
-            raise TransformError(
-                f"{kernel.name}: permutation to {tuple(new_order)} reverses a dependence"
-            )
+    deps = compute_dependences(kernel)
+    if not permutation_legal(deps, new_order, allow_reassociation=reassociate):
+        raise TransformError(
+            f"{kernel.name}: permutation to {tuple(new_order)} reverses a dependence"
+        )
     body = loops[-1].body
     for var in reversed(new_order):
         template = by_var[var]

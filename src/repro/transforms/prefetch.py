@@ -19,17 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir.expr import Expr, Var
-from repro.ir.nest import (
-    ArrayRef,
-    Assign,
-    Kernel,
-    Loop,
-    Node,
-    Prefetch,
-    Statement,
-    map_statements,
-)
+from repro.ir.expr import Var, linear_form
+from repro.ir.nest import ArrayRef, Kernel, Loop, Node, Prefetch, Statement, map_statements
 from repro.transforms.util import TransformError, is_statement_body, replace_loop
 
 __all__ = ["insert_prefetch", "remove_prefetch", "prefetched_arrays"]
@@ -77,13 +68,15 @@ def _build_prefetches(
             if stmt.target not in refs:
                 refs.append(stmt.target)
     shift = {loop.var: Var(loop.var) + distance}
-    groups: Dict[Tuple[Expr, ...], List[Tuple[int, ArrayRef]]] = {}
+    # refs whose dimension-0 subscripts differ only by a constant share a
+    # group, keyed by the non-constant terms and the other subscripts
+    groups: Dict[Tuple, List[Tuple[int, ArrayRef]]] = {}
     for ref in refs:
         if loop.var not in ref.free_vars():
             continue  # invariant in the loop: nothing new to prefetch
-        offset = _dim0_const(ref)
-        key = (_dim0_sans_const(ref),) + tuple(ref.indices[1:])
-        groups.setdefault(key, []).append((offset, ref))
+        dim0 = linear_form(ref.indices[0])
+        key = (dim0.terms,) + tuple(ref.indices[1:])
+        groups.setdefault(key, []).append((dim0.const, ref))
     prefetches: List[Prefetch] = []
     for members in groups.values():
         members.sort(key=lambda pair: pair[0])
@@ -101,21 +94,6 @@ def _build_prefetches(
         for ref in chosen:
             prefetches.append(Prefetch(ref.substitute(shift)))
     return prefetches
-
-
-def _dim0_const(ref: ArrayRef) -> int:
-    from repro.ir.expr import Add, Const
-
-    expr = ref.indices[0]
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Add):
-        return sum(t.value for t in expr.terms if isinstance(t, Const))
-    return 0
-
-
-def _dim0_sans_const(ref: ArrayRef) -> Expr:
-    return ref.indices[0] - _dim0_const(ref)
 
 
 def remove_prefetch(kernel: Kernel, array: Optional[str] = None) -> Kernel:

@@ -35,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.ir.expr import Const, Expr, FloorDiv, Max, Min, Mod, Var, affine_view
+from repro.ir.expr import Add, Const, Expr, FloorDiv, LinearForm, Max, Min, Mod, Var, add, linear_form
 from repro.ir.nest import (
     ArrayRef,
     Assign,
@@ -48,13 +48,18 @@ from repro.ir.nest import (
     Node,
     Prefetch,
     Statement,
+    affine_subscripts,
 )
-from repro.transforms.util import TransformError, is_statement_body, replace_loop
+from repro.transforms.util import is_statement_body, replace_loop
 
 __all__ = ["scalar_replace"]
 
 
-def scalar_replace(kernel: Kernel, var: str, max_rotation_span: int = 4) -> Kernel:
+#: widest offset span a rotating group may cover (one scalar per offset)
+MAX_ROTATION_SPAN = 4
+
+
+def scalar_replace(kernel: Kernel, var: str) -> Kernel:
     """Promote register-reusable references in every ``var`` loop.
 
     Loops named ``var`` whose bodies contain nested loops are left alone.
@@ -64,7 +69,7 @@ def scalar_replace(kernel: Kernel, var: str, max_rotation_span: int = 4) -> Kern
     def rewrite(loop: Loop) -> Tuple[Node, ...]:
         if not is_statement_body(loop):
             return (loop,)
-        return _replace_in_loop(loop, counter, max_rotation_span)
+        return _replace_in_loop(loop, counter)
 
     return kernel.with_body(replace_loop(kernel.body, var, rewrite))
 
@@ -97,17 +102,10 @@ def _collect_refs(stmts: Sequence[Statement]) -> List[_RefFacts]:
     return list(facts.values())
 
 
-def _definitely_disjoint(ref1: ArrayRef, ref2: ArrayRef) -> bool:
-    for a, b in zip(ref1.indices, ref2.indices):
-        diff = a - b
-        if isinstance(diff, Const) and diff.value != 0:
-            return True
-    return False
-
-
 def _array_promotion_safe(array: str, facts: Sequence[_RefFacts]) -> bool:
     """Promotion of ``array``'s refs requires no possible aliasing when the
-    array is written inside the loop."""
+    array is written inside the loop: every two distinct references must
+    sit a constant nonzero distance apart in some dimension."""
     mine = [f for f in facts if f.ref.array == array]
     if not any(f.written for f in mine):
         return True
@@ -115,7 +113,10 @@ def _array_promotion_safe(array: str, facts: Sequence[_RefFacts]) -> bool:
         for f2 in mine[i + 1 :]:
             if f1.ref == f2.ref:
                 continue
-            if not _definitely_disjoint(f1.ref, f2.ref):
+            if not any(
+                linear_form(a).distance(linear_form(b)) not in (None, 0)
+                for a, b in zip(f1.ref.indices, f2.ref.indices)
+            ):
                 return False
     return True
 
@@ -148,34 +149,29 @@ class _Rotation:
         return ArrayRef(self.array, tuple(indices))
 
 
-def _rotation_key(ref: ArrayRef, var: str) -> Optional[Tuple[int, Tuple[Expr, ...], Expr, int]]:
-    """(dim, other-index tuple, base rest, const offset) when the ref walks
-    ``var`` through exactly one dimension with coefficient 1."""
-    views = [affine_view(ix, [var]) for ix in ref.indices]
-    if any(v is None for v in views):
+def _rotation_key(
+    ref: ArrayRef, var: str
+) -> Optional[Tuple[int, Tuple[Expr, ...], LinearForm]]:
+    """(dim, other-index tuple, remainder) when the ref walks ``var``
+    through exactly one dimension with coefficient 1; the remainder is
+    that dimension's ``var``-free part, whose constant is the ref's
+    offset."""
+    found = affine_subscripts(ref, (var,))
+    if found is None:
         return None
-    carrying = [d for d, v in enumerate(views) if v.coefficient(var) != 0]
-    if len(carrying) != 1:
+    rows, rests = found
+    carrying = [d for d, row in enumerate(rows) if row[0] != 0]
+    if len(carrying) != 1 or rows[carrying[0]][0] != 1:
         return None
     dim = carrying[0]
-    if views[dim].coefficient(var) != 1:
-        return None
-    rest = views[dim].rest
-    # Split the rest into (symbolic part, constant offset).
-    offset = _additive_const(rest)
-    base = rest - offset
     others = tuple(ix for d, ix in enumerate(ref.indices) if d != dim)
-    return dim, others, base, offset
+    return dim, others, rests[dim]
 
 
-def _additive_const(expr: Expr) -> int:
-    from repro.ir.expr import Add
-
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Add):
-        return sum(t.value for t in expr.terms if isinstance(t, Const))
-    return 0
+def _base_rest(index: Expr, var: str) -> Expr:
+    """``index`` without its ``var`` term and its constant, in term order."""
+    terms = index.terms if isinstance(index, Add) else (index,)
+    return add(*(t for t in terms if not isinstance(t, Const) and t != Var(var)))
 
 
 def _rewrite_reads(expr: CExpr, mapping: Dict[ArrayRef, str]) -> CExpr:
@@ -191,9 +187,7 @@ def _rewrite_reads(expr: CExpr, mapping: Dict[ArrayRef, str]) -> CExpr:
     return expr
 
 
-def _replace_in_loop(
-    loop: Loop, counter, max_rotation_span: int
-) -> Tuple[Node, ...]:
+def _replace_in_loop(loop: Loop, counter) -> Tuple[Node, ...]:
     stmts = [s for s in loop.body if isinstance(s, Statement)]
     facts = _collect_refs(stmts)
     arrays = {f.ref.array for f in facts}
@@ -231,14 +225,16 @@ def _replace_in_loop(
             key = _rotation_key(ref, loop.var)
             if key is None:
                 continue
-            dim, others, base, offset = key
-            groups.setdefault((ref.array, dim, others, base), []).append((offset, fact))
-        for (array, dim, others, base), members in groups.items():
+            dim, others, rest = key
+            groups.setdefault((ref.array, dim, others, rest.terms), []).append(
+                (rest.const, fact)
+            )
+        for (array, dim, _, _), members in groups.items():
             offsets = sorted({off for off, _ in members})
             if len(offsets) < 2:
                 continue
             span = offsets[-1] - offsets[0]
-            if span > max_rotation_span:
+            if span > MAX_ROTATION_SPAN:
                 continue
             gid = next(counter)
             scalars = {
@@ -246,6 +242,7 @@ def _replace_in_loop(
                 for off in range(offsets[0], offsets[-1] + 1)
             }
             sample = members[0][1].ref
+            base = _base_rest(sample.indices[dim], loop.var)
             rotation = _Rotation(array, dim, sample.indices, base, {}, scalars)
             var_expr = Var(loop.var)
             for off, fact in members:

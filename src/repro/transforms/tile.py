@@ -16,9 +16,9 @@ sizes are correct, not just multiples of the tile size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.analysis.dependence import compute_dependences, tiling_legal
+from repro.analysis.dependence import compute_dependences, permutation_legal, tiling_legal
 from repro.ir.expr import Var, emin
 from repro.ir.nest import Kernel, Loop
 from repro.transforms.util import TransformError, perfect_nest_loops
@@ -46,7 +46,6 @@ def tile_nest(
     tiles: Sequence[TileSpec],
     control_order: Optional[Sequence[str]] = None,
     point_order: Optional[Sequence[str]] = None,
-    check_legality: bool = True,
     reassociate: bool = False,
 ) -> Kernel:
     """Tile a perfect nest.
@@ -93,21 +92,18 @@ def tile_nest(
     elif sorted(point_order) != sorted(original_order):
         raise TransformError("point_order must be a permutation of the nest's loops")
 
-    if check_legality:
-        deps = compute_dependences(kernel)
-        band = set(tiled_vars)
-        # Loop order changes require permutation legality; tiling requires
-        # the tiled band to be fully permutable.  Full permutability of all
-        # loops implies both; check the weakest sufficient conditions.
-        if not tiling_legal(deps, tuple(band), allow_reassociation=reassociate):
-            raise TransformError(f"loops {sorted(band)} are not fully permutable")
-        from repro.analysis.dependence import permutation_legal
-
-        # Approximate the tiled execution order by the tiled loops (in
-        # controlling order) followed by the point loops.
-        effective = tuple(s.loop for s in ordered_specs) + tuple(point_order)
-        if not permutation_legal(deps, effective, allow_reassociation=reassociate):
-            raise TransformError(f"tiled order {effective} reverses a dependence")
+    deps = compute_dependences(kernel)
+    band = set(tiled_vars)
+    # Loop order changes require permutation legality; tiling requires
+    # the tiled band to be fully permutable.  Full permutability of all
+    # loops implies both; check the weakest sufficient conditions.
+    if not tiling_legal(deps, tuple(band), allow_reassociation=reassociate):
+        raise TransformError(f"loops {sorted(band)} are not fully permutable")
+    # Approximate the tiled execution order by the tiled loops (in
+    # controlling order) followed by the point loops.
+    effective = tuple(s.loop for s in ordered_specs) + tuple(point_order)
+    if not permutation_legal(deps, effective, allow_reassociation=reassociate):
+        raise TransformError(f"tiled order {effective} reverses a dependence")
 
     body = loops[-1].body
     for var in reversed(list(point_order)):

@@ -7,20 +7,22 @@ from repro.ir.expr import (
     Add,
     Const,
     FloorDiv,
+    LinearForm,
     Min,
     Mod,
     Mul,
     Var,
-    affine_view,
     add,
     as_expr,
     emax,
     emin,
     floordiv,
+    linear_form,
     mod,
     mul,
     sub,
 )
+from repro.ir.nest import ArrayRef, affine_subscripts
 
 I = Var("I")
 J = Var("J")
@@ -161,42 +163,76 @@ class TestFreeVars:
         assert Const(5).free_vars() == frozenset()
 
 
+def split(expr, loops):
+    """``expr``'s coefficients over ``loops`` and its loop-free remainder,
+    read through :func:`affine_subscripts` (None when not affine)."""
+    found = affine_subscripts(ArrayRef("A", (expr,)), loops)
+    if found is None:
+        return None
+    (row,), (rest,) = found
+    return {var: c for var, c in zip(loops, row) if c}, rest
+
+
 class TestAffineView:
+    """A subscript split over a loop list, through the linear form."""
+
     def test_simple_affine(self):
-        view = affine_view(2 * I + 3 * J + 5, ["I", "J"])
-        assert view.as_dict() == {"I": 2, "J": 3}
-        assert view.rest == Const(5)
+        coeffs, rest = split(2 * I + 3 * J + 5, ["I", "J"])
+        assert coeffs == {"I": 2, "J": 3}
+        assert rest == linear_form(Const(5)) == LinearForm(5, ())
 
     def test_affine_with_symbolic_rest(self):
-        view = affine_view(I + N - 1, ["I"])
-        assert view.as_dict() == {"I": 1}
-        assert view.rest == N - 1
+        coeffs, rest = split(I + N - 1, ["I"])
+        assert coeffs == {"I": 1}
+        assert rest == linear_form(N - 1)
 
     def test_coefficient_of_absent_var_is_zero(self):
-        view = affine_view(I + 1, ["I", "J"])
-        assert view.coefficient("J") == 0
+        found = affine_subscripts(ArrayRef("A", (I + 1,)), ["I", "J"])
+        assert found[0] == ((1, 0),)
 
     def test_cancelling_coefficients_dropped(self):
-        view = affine_view(I - I + J, ["I", "J"])
-        assert view.as_dict() == {"J": 1}
+        coeffs, _ = split(I - I + J, ["I", "J"])
+        assert coeffs == {"J": 1}
 
     def test_product_of_loop_vars_is_not_affine(self):
-        assert affine_view(mul(I, J), ["I", "J"]) is None
+        assert split(mul(I, J), ["I", "J"]) is None
 
     def test_floordiv_of_loop_var_is_not_affine(self):
-        assert affine_view(I // 2, ["I"]) is None
+        assert split(I // 2, ["I"]) is None
 
     def test_param_product_stays_in_rest(self):
-        view = affine_view(I + mul(N, N), ["I"])
-        assert view.as_dict() == {"I": 1}
-        assert view.rest == mul(N, N)
+        coeffs, rest = split(I + mul(N, N), ["I"])
+        assert coeffs == {"I": 1}
+        assert rest == linear_form(mul(N, N))
 
     def test_scaled_nonaffine_rejected(self):
-        assert affine_view(mul(2, I, J), ["I"]) is None
+        assert split(mul(2, I, J), ["I"]) is None
 
     def test_min_over_tracked_var_rejected(self):
-        assert affine_view(emin(I, N), ["I"]) is None
+        assert split(emin(I, N), ["I"]) is None
 
     def test_min_over_untracked_vars_ok(self):
-        view = affine_view(I + emin(N, Const(100)), ["I"])
-        assert view.as_dict() == {"I": 1}
+        coeffs, _ = split(I + emin(N, Const(100)), ["I"])
+        assert coeffs == {"I": 1}
+
+
+class TestLinearForm:
+    def test_terms_are_canonically_ordered(self):
+        assert linear_form(I + N + J).terms == linear_form(N + J + I).terms
+        assert linear_form(I + N + J).terms == ((I, 1), (J, 1), (N, 1))
+
+    def test_opaque_atoms_follow_variables(self):
+        form = linear_form(3 * mul(N, N) + emin(I, N) - 2 * I + 7)
+        assert form.const == 7
+        assert form.terms == ((I, -2), (emin(I, N), 1), (mul(N, N), 3))
+        assert not form.affine
+        assert linear_form(2 * I - J).affine
+
+    def test_distance_is_a_constant_or_none(self):
+        assert linear_form(I + N + 3).distance(linear_form(N + I - 1)) == 4
+        assert linear_form(I + 1).distance(linear_form(I + 1)) == 0
+        assert linear_form(I + N).distance(linear_form(I + 1)) is None
+        assert linear_form(2 * I).distance(linear_form(I)) is None
+
+    def test_memo_is_bounded(self):
+        assert linear_form.cache_info().maxsize is not None

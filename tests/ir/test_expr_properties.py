@@ -2,14 +2,15 @@
 
 The invariants checked here underpin everything downstream: evaluation must
 agree with Python integer arithmetic, substitution must commute with
-evaluation, and the affine view must be a faithful decomposition.
+evaluation, and the integer linear form must be a faithful decomposition.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir.expr import Const, Var, affine_view, emax, emin
+from repro.ir.expr import Const, Var, emax, emin, linear_form
+from repro.ir.nest import ArrayRef, affine_subscripts
 
 VARS = ("I", "J", "K")
 
@@ -77,12 +78,17 @@ def test_vector_evaluation_matches_scalar(expr, env):
 @given(exprs(), envs)
 @settings(max_examples=200)
 def test_affine_view_reconstructs(expr, env):
-    """When an affine view exists, coeffs . vars + rest == expr."""
-    view = affine_view(expr, VARS)
-    if view is None:
+    """When the subscript splits over the variables, coeffs . vars + rest
+    == expr; and the linear form itself always reconstructs expr."""
+    form = linear_form(expr)
+    total = form.const + sum(c * atom.evaluate(env) for atom, c in form.terms)
+    assert total == expr.evaluate(env)
+    found = affine_subscripts(ArrayRef("A", (expr,)), VARS)
+    if found is None:
         return
-    total = view.rest.evaluate(env)
-    for name, coeff in view.coeffs:
+    (row,), (rest,) = found
+    total = rest.const + sum(c * atom.evaluate(env) for atom, c in rest.terms)
+    for name, coeff in zip(VARS, row):
         total += coeff * env[name]
     assert total == expr.evaluate(env)
 

@@ -171,7 +171,6 @@ def _golden_mm(uaj_i: int = 8, uaj_j: int = 2):
         [TileSpec("I", "II", 8), TileSpec("K", "KK", 12)],
         control_order=["II", "KK"],
         point_order=["I", "J", "K"],
-        check_legality=True,
         reassociate=True,
     )
     t = unroll_and_jam(t, "I", uaj_i, reassociate=True)

@@ -54,20 +54,6 @@ class TestPermute:
         with pytest.raises(TransformError, match="reverses a dependence"):
             permute(k, ("I", "J"))
 
-    def test_illegal_permutation_allowed_when_unchecked(self):
-        k = B.kernel(
-            "skew",
-            params=("N",),
-            arrays=(B.array("A", N, N),),
-            body=B.loop(
-                "J", 2, N - 1,
-                B.loop("I", 2, N - 1,
-                       B.assign(B.aref("A", I, J), B.read("A", I - 1, J + 1) + 1.0)),
-            ),
-        )
-        out = permute(k, ("I", "J"), check_legality=False)
-        assert loop_order(out) == ("I", "J")
-
     def test_rejects_non_perfect_nest(self):
         k = B.kernel(
             "imp",

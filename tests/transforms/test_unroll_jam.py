@@ -1,13 +1,17 @@
 """Unroll-and-jam tests: fringe exactness and jamming structure."""
 
+import numpy as np
 import pytest
 
+from repro.codegen.interp import allocate_arrays, run_kernel
+from repro.frontend.parser import parse_kernel
 from repro.ir import builder as B
 from repro.ir.expr import Var
-from repro.ir.nest import Loop, walk_loops, walk_statements
+from repro.ir.nest import Loop, loop_order, walk_loops, walk_statements
 from repro.kernels import jacobi, matmul
 from repro.transforms import TileSpec, TransformError, tile_nest, unroll_and_jam
 
+from tests.sim.test_nest_fuzz import generate_nest
 from tests.transforms.helpers import assert_equivalent
 
 N = Var("N")
@@ -123,3 +127,73 @@ class TestUnrollJamErrors:
         once = unroll_and_jam(mm, "I", 2)
         with pytest.raises(TransformError, match="already has step"):
             unroll_and_jam(once, "I", 2)
+
+
+class TestScalarTemporaries:
+    """Jamming interleaves the copies statement by statement and keeps
+    scalar names, so a scalar temporary whose value differs between the
+    copies would be read by one copy after the next copy overwrote it."""
+
+    def _nest(self, t_value):
+        return B.kernel(
+            "tmp",
+            params=("N",),
+            arrays=(B.array("A", N + 3), B.array("B", N, N + 3), B.array("C", N)),
+            body=B.loop(
+                "I", 1, N,
+                B.loop(
+                    "J", 1, N,
+                    B.assign("t", t_value * 2.0),
+                    B.assign(
+                        B.aref("C", J),
+                        B.read("C", J) + B.scalar("t") * B.read("B", J, I + 2),
+                    ),
+                ),
+            ),
+        )
+
+    def test_scalar_reading_the_unrolled_index_is_refused(self):
+        kernel = self._nest(B.read("A", I + 2))
+        with pytest.raises(TransformError, match="scalar temporaries"):
+            unroll_and_jam(kernel, "I", 2, reassociate=True)
+
+    def test_scalar_carried_across_iterations_is_refused(self):
+        k = B.kernel(
+            "carry",
+            params=("N",),
+            arrays=(B.array("A", N), B.array("C", N)),
+            body=(
+                B.assign("s", B.num(0.0)),
+                B.loop(
+                    "I", 1, N,
+                    B.loop(
+                        "J", 1, N,
+                        B.assign(B.aref("C", J), B.read("C", J) + B.scalar("s")),
+                        B.assign("s", B.read("A", J) * 2.0),
+                    ),
+                ),
+            ),
+        )
+        with pytest.raises(TransformError, match="scalar temporaries"):
+            unroll_and_jam(k, "I", 2, reassociate=True)
+
+    def test_scalar_invariant_in_the_unrolled_index_is_jammed(self):
+        kernel = self._nest(B.read("A", J))
+        out = unroll_and_jam(kernel, "I", 2, reassociate=True)
+        assert_equivalent(kernel, out, {"N": 5})
+
+    @pytest.mark.parametrize("seed", [4, 9, 25, 31])
+    def test_generated_nests_with_scalar_temporaries(self, seed):
+        """Generated nests whose jammed copies once read the last copy's
+        temporary: the jam is now refused or the result matches."""
+        text, params = generate_nest(seed)
+        kernel = parse_kernel(text)
+        try:
+            out = unroll_and_jam(kernel, loop_order(kernel)[-2], 2, reassociate=True)
+        except TransformError:
+            return
+        arrays = allocate_arrays(kernel, params, seed=seed)
+        want = run_kernel(kernel, params, arrays)
+        got = run_kernel(out, params, arrays)
+        for name in want:
+            assert np.allclose(got[name], want[name]), name
