@@ -1,12 +1,6 @@
 """Compiler analyses: dependence, reuse, footprint, profitability."""
 
-from repro.analysis.dependence import (
-    Dependence,
-    compute_dependences,
-    permutation_legal,
-    tiling_legal,
-    unroll_and_jam_legal,
-)
+from repro.analysis.dependence import Dependence, compute_dependences, recipe_refusal
 from repro.analysis.footprint import (
     footprint_elems,
     footprint_lines,
@@ -49,9 +43,7 @@ __all__ = [
     "train_ranker",
     "Dependence",
     "compute_dependences",
-    "permutation_legal",
-    "tiling_legal",
-    "unroll_and_jam_legal",
+    "recipe_refusal",
     "RefReuse",
     "GroupReuse",
     "ReuseSummary",

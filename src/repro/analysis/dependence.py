@@ -15,24 +15,29 @@ Legality predicates (:func:`permutation_legal`, :func:`tiling_legal`,
 :func:`unroll_and_jam_legal`) reason exactly about free entries: a
 dependence *instance* is any assignment of integers to the free entries
 that makes the vector lexicographically positive in the original loop
-order (the zero vector is a loop-independent dependence and never blocks
-these transformations on single-statement bodies).
+order.  A zero vector is loop-independent: only unroll-and-jam, which
+interleaves its copies statement by statement, must then check statement
+order.  Their one caller is :func:`recipe_refusal`, which decides each
+transformation recipe on the source nest, whose dependences it computes
+once per kernel; the transforms themselves are mechanical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.ir.nest import ArrayRef, Kernel, affine_subscripts, array_refs, loop_order
+from repro.ir.nest import ArrayRef, Assign, Kernel, Node, affine_subscripts, array_refs
+from repro.ir.nest import find_loop, loop_order, scalars_read, walk_statements
 
 __all__ = [
     "Dependence",
     "compute_dependences",
     "permutation_legal",
+    "recipe_refusal",
     "tiling_legal",
     "unroll_and_jam_legal",
 ]
@@ -42,10 +47,12 @@ Entry = Optional[int]  # None = unconstrained distance along that loop
 
 @dataclass(frozen=True)
 class Dependence:
-    """A dependence between two references, over ``loops`` (outer→inner).
+    """A dependence from ``source`` to ``sink`` over ``loops`` (outer→inner):
+    the sink runs ``entries`` iterations after the source.  ``statements``
+    are the two accesses' statements, numbered in textual order.
 
-    ``reduction`` marks a location accumulated across iterations (source
-    and sink subscripts identical): reordering it only reassociates a sum,
+    ``reduction`` marks an accumulation inside one statement (it reads and
+    writes the same subscript): reordering it only reassociates a sum,
     which the legality predicates may be told to permit — the paper's
     evaluation compiles with ``roundoff=3``, which grants exactly that.
     """
@@ -55,14 +62,12 @@ class Dependence:
     kind: str  # "flow", "anti", "output"
     loops: Tuple[str, ...]
     entries: Tuple[Entry, ...]
+    statements: Tuple[int, int]
     reduction: bool = False
 
     def __str__(self) -> str:
         vec = ",".join("*" if e is None else str(e) for e in self.entries)
         return f"{self.kind} {self.source}->{self.sink} ({vec})"
-
-    def entry(self, loop: str) -> Entry:
-        return self.entries[self.loops.index(loop)]
 
 
 def _solve_uniform(
@@ -78,9 +83,9 @@ def _solve_uniform(
     proving *illegality*... hence we treat inexact vectors as fully free).
     Returns ``None`` when the system has no solution (no dependence).
 
-    Memoized: reuse analysis and the transforms' legality checks solve the
-    same few systems over and over.  Each call gets its own ``entries``
-    list, so a caller mutating it cannot change a later answer.
+    Memoized: reuse analysis and the recipe check solve the same few
+    systems over and over.  Each call gets its own ``entries`` list, so
+    a caller mutating it cannot change a later answer.
     """
     solved = _solve_uniform_cached(
         tuple(tuple(row) for row in matrix), tuple(delta), nloops
@@ -143,81 +148,70 @@ def compute_dependences(kernel: Kernel) -> List[Dependence]:
     of :func:`~repro.ir.nest.loop_order`, each (source, sink, kind,
     distances) once.
 
-    Any form of the kernel is accepted: the transforms check their own
-    legality on the IR they are given, which is already tiled or copied
-    when unroll-and-jam runs inside a variant build.
+    Meant for a source nest: :func:`recipe_refusal` decides a recipe's
+    legality there, before any transform runs.  On transformed IR the
+    first nest path may be a copy loop nest, which hides the point loops.
     """
     loops = loop_order(kernel)
-    accesses = list(array_refs(kernel.body))
+    accesses = [
+        (stmt, ref, write)
+        for stmt, node in enumerate(walk_statements(kernel.body))
+        for ref, write in array_refs((node,))
+    ]
     # equal references share an id, so pairs compare and dedup as ints
     ids: Dict[ArrayRef, int] = {}
-    ref_ids = [ids.setdefault(ref, len(ids)) for ref, _ in accesses]
+    ref_ids = [ids.setdefault(ref, len(ids)) for _, ref, _ in accesses]
     subscripts = [affine_subscripts(ref, loops) for ref in ids]
-    free = (None,) * len(loops)
+    # (statement, ref id) of each read: writing it there accumulates
+    reads = {(stmt, ref_ids[i]) for i, (stmt, _, write) in enumerate(accesses) if not write}
     deps: List[Dependence] = []
     seen = set()
-
-    def record(idx1, idx2, kinds, entries: Tuple[Entry, ...], reduction=False) -> None:
-        for kind in kinds:
-            key = (ref_ids[idx1], ref_ids[idx2], kind, entries)
-            if key not in seen:
-                seen.add(key)
-                deps.append(
-                    Dependence(
-                        accesses[idx1][0], accesses[idx2][0], kind, loops, entries,
-                        reduction=reduction,
-                    )
-                )
-
-    for idx1, (ref1, w1) in enumerate(accesses):
+    for idx1, (_, ref1, w1) in enumerate(accesses):
         for idx2 in range(idx1, len(accesses)):
-            ref2, w2 = accesses[idx2]
+            _, ref2, w2 = accesses[idx2]
             if ref1.array != ref2.array or not (w1 or w2):
                 continue
-            kinds = _dependence_kinds(w1, w2)
-            sub1 = subscripts[ref_ids[idx1]]
-            sub2 = subscripts[ref_ids[idx2]]
-            if sub1 is None or sub2 is None:
-                record(idx1, idx2, kinds, free)
-                continue
-            (matrix1, rest1), (matrix2, rest2) = sub1, sub2
-            distances = [a.distance(b) for a, b in zip(rest1, rest2)]
-            if matrix1 != matrix2:
-                if not _gcd_test_excludes(matrix1, matrix2, distances):
-                    record(idx1, idx2, kinds, free)
-                continue
-            if None in distances:
-                # A symbolic offset difference (e.g. N vs 1): sizes are
-                # positive but unknown, so keep the dependence with
-                # unknown distances.
-                record(idx1, idx2, kinds, free)
-                continue
-            for signed in (distances, [-d for d in distances]):
-                solved = _solve_uniform(matrix1, signed, len(loops))
-                if solved is None:
-                    continue
-                entries, exact = solved
-                if not exact:
-                    entries = [None] * len(loops)
-                if idx1 == idx2 and all(e == 0 for e in entries):
-                    continue  # an access paired with itself: not a dependence
-                reduction = ref_ids[idx1] == ref_ids[idx2]
-                record(idx1, idx2, kinds, tuple(entries), reduction)
-                if all(d == 0 for d in distances):
-                    break  # delta == -delta: one record suffices
+            vectors = _distance_vectors(
+                subscripts[ref_ids[idx1]], subscripts[ref_ids[idx2]], len(loops)
+            )
+            for (src, snk), entries in zip(((idx1, idx2), (idx2, idx1)), vectors):
+                if entries is None or (idx1 == idx2 and all(e == 0 for e in entries)):
+                    continue  # none, or an access paired with itself
+                (stmt1, source, w_src), (stmt2, sink, w_snk) = accesses[src], accesses[snk]
+                kind = "output" if w_src and w_snk else "flow" if w_src else "anti"
+                key = (ref_ids[src], stmt1, ref_ids[snk], stmt2, kind, entries)
+                if key not in seen:
+                    seen.add(key)
+                    reduction = key[0] == key[2] and (stmt1, key[0]) in reads and stmt1 == stmt2
+                    deps.append(
+                        Dependence(source, sink, kind, loops, entries, (stmt1, stmt2), reduction)
+                    )
     return deps
 
 
-def _dependence_kinds(w1: bool, w2: bool) -> Tuple[str, ...]:
-    """Dependence kinds for a reference pair.
-
-    A read/write pair induces both a flow and an anti dependence (whichever
-    access runs first plays source); kinds do not affect the legality
-    predicates but are reported for diagnostics.
-    """
-    if w1 and w2:
-        return ("output",)
-    return ("flow", "anti")
+def _distance_vectors(sub1, sub2, nloops: int):
+    """The distance vectors from the first reference to the second and from
+    the second to the first (``None`` where no dependence runs that way),
+    given their :func:`~repro.ir.nest.affine_subscripts`."""
+    free = (None,) * nloops
+    if sub1 is None or sub2 is None:
+        return free, free
+    (matrix1, rest1), (matrix2, rest2) = sub1, sub2
+    distances = [a.distance(b) for a, b in zip(rest1, rest2)]
+    if matrix1 != matrix2:
+        if _gcd_test_excludes(matrix1, matrix2, distances):
+            return None, None
+        return free, free
+    if None in distances:
+        # A symbolic offset difference (e.g. N vs 1): sizes are positive
+        # but unknown, so keep the dependence with unknown distances.
+        return free, free
+    vectors = []
+    for signed in (distances, [-d for d in distances]):
+        solved = _solve_uniform(matrix1, signed, nloops)
+        # an inexact (coupled) solution over-approximates as fully free
+        vectors.append(solved and (tuple(solved[0]) if solved[1] else free))
+    return vectors
 
 
 def _gcd_test_excludes(matrix1, matrix2, distances: Sequence[Optional[int]]) -> bool:
@@ -337,9 +331,12 @@ def unroll_and_jam_legal(
     """Is unroll-and-jam of ``loop`` (jamming into all inner loops) legal?
 
     Illegal iff some dependence instance has zero distance in every loop
-    outer to ``loop``, positive distance in ``loop``, and a lexicographically
-    negative distance subvector over the inner loops (jamming would reverse
-    it).  With ``allow_reassociation``, reduction dependences are waived.
+    outer to ``loop`` and positive distance in ``loop``, and either a
+    lexicographically negative distance subvector over the inner loops, or
+    a zero one with the sink's statement textually before the source's:
+    the jammed copies run statement by statement, so either way the sink
+    would run first.  With ``allow_reassociation``, reduction dependences
+    are waived.
     """
     for dep in deps:
         if allow_reassociation and dep.reduction:
@@ -347,35 +344,109 @@ def unroll_and_jam_legal(
         if loop not in dep.loops:
             continue
         pos = dep.loops.index(loop)
-        assignment: Dict[int, int] = {}
-        feasible = True
-        for outer in range(pos):
-            entry = dep.entries[outer]
-            if entry is None:
-                assignment[outer] = 0
-            elif entry != 0:
-                feasible = False
-                break
-        if not feasible:
-            continue
+        if any(entry not in (0, None) for entry in dep.entries[:pos]):
+            continue  # carried by an outer loop
         entry = dep.entries[pos]
-        if entry is None:
-            assignment[pos] = 1
-        elif entry <= 0:
+        if entry is not None and entry <= 0:
             continue
-        # Inner subvector: lexicographically negative possible?
-        if _lex_negative_possible(dep.entries, range(pos + 1, len(dep.entries))):
+        inner = dep.entries[pos + 1 :]
+        if _lex_negative_possible(inner):
+            return False
+        source, sink = dep.statements
+        if sink < source and all(entry == 0 for entry in inner):
             return False
     return True
 
 
-def _lex_negative_possible(entries: Sequence[Entry], positions) -> bool:
-    for pos in positions:
-        entry = entries[pos]
-        if entry is None:
-            return True  # set it negative
-        if entry < 0:
-            return True
+def _lex_negative_possible(entries: Sequence[Entry]) -> bool:
+    for entry in entries:
+        if entry is None or entry < 0:
+            return True  # a free entry can be set negative
         if entry > 0:
             return False
+    return False
+
+
+# ---------------------------------------------------------------------------
+# The recipe check
+# ---------------------------------------------------------------------------
+
+
+def recipe_refusal(
+    kernel: Kernel,
+    band: Sequence[str],
+    point_order: Sequence[str],
+    jams: Sequence[str] = (),
+    allow_reassociation: bool = False,
+) -> Optional[str]:
+    """Why a recipe is illegal on its source nest ``kernel``, or None.
+
+    The recipe tiles the ``band`` loops (controlling loops in that order,
+    outermost first; none for a plain permutation), runs the point loops
+    in ``point_order`` and unroll-and-jams each loop of ``jams``.  It is
+    legal when the band is fully permutable, ``point_order`` reverses no
+    dependence, and jamming each of ``jams`` in ``point_order`` reverses
+    none and mixes no scalar temporaries (:func:`_mixes_scalars`).
+    ``allow_reassociation`` waives reduction dependences.  The verdict
+    holds for every tile size and unroll factor, and under copy
+    optimization, which renames a read-only tile.
+
+    A tile or an unrolled block may hold both ends of a dependence: within
+    a tile the point order alone decides, and each jam is judged with the
+    distances of the jammed loops outer to it set to 0.
+    """
+    deps = _source_dependences(kernel)
+    if not tiling_legal(deps, band, allow_reassociation):
+        return f"loops {sorted(band)} are not fully permutable"
+    if not permutation_legal(deps, point_order, allow_reassociation):
+        return f"loop order {tuple(point_order)} reverses a dependence"
+    jammed = sorted(jams, key=list(point_order).index)
+    for depth, loop in enumerate(jammed):
+        judged = [_reordered(dep, point_order, jammed[:depth]) for dep in deps]
+        if not unroll_and_jam_legal(judged, loop, allow_reassociation):
+            return f"unroll-and-jam of {loop} reverses a dependence"
+        found = find_loop(kernel.body, loop)
+        if found is not None and _mixes_scalars(found.body, loop):
+            return f"unroll-and-jam of {loop} would mix up the copies' scalar temporaries"
+    return None
+
+
+@lru_cache(maxsize=64)
+def _source_dependences(kernel: Kernel) -> Tuple[Dependence, ...]:
+    """:func:`compute_dependences` of a source nest, once per kernel."""
+    return tuple(compute_dependences(kernel))
+
+
+def _reordered(dep: Dependence, order: Sequence[str], zeroed: Sequence[str]) -> Dependence:
+    """``dep`` over the loops of ``order`` (its other loops dropped), with
+    the distances along ``zeroed`` set to 0."""
+    positions = [dep.loops.index(var) for var in order if var in dep.loops]
+    return replace(
+        dep,
+        loops=tuple(dep.loops[p] for p in positions),
+        entries=tuple(0 if dep.loops[p] in zeroed else dep.entries[p] for p in positions),
+    )
+
+
+def _mixes_scalars(body: Tuple[Node, ...], var: str) -> bool:
+    """Whether jamming copies of ``body`` would let one copy read a scalar
+    temporary that another copy wrote.
+
+    The copies are interleaved statement by statement and scalars keep
+    their names, which is safe only while every copy writes each scalar
+    the same value before reading it.  That fails when a scalar is read
+    before its first write in ``body`` (its value carries over from an
+    earlier iteration) or is written from a reference that reads ``var``.
+    A scalar computed from such a scalar needs no check of its own: the
+    first one already refuses the jam.
+    """
+    assigns = [s for s in walk_statements(body) if isinstance(s, Assign)]
+    unwritten = {s.target for s in assigns if isinstance(s.target, str)}
+    for stmt in assigns:
+        if unwritten & scalars_read(stmt.value):
+            return True
+        if isinstance(stmt.target, str):
+            if any(var in ref.free_vars() for ref in stmt.value.reads()):
+                return True
+            unwritten.discard(stmt.target)
     return False

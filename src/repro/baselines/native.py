@@ -12,28 +12,25 @@ Models what MIPSpro / Sun Workshop do at ``-O3`` for these loop nests,
   large-size decay to TLB behaviour;
 * unroll-and-jam of the outer loops by a fixed factor plus scalar
   replacement (software-pipelining-style register use).
+
+Each step is taken only on step-1 loops the recipe check allows without
+reassociating sums (a ``-O3`` compiler does not reorder them).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
-from repro.analysis.dependence import compute_dependences, permutation_legal, tiling_legal
+from repro.analysis.dependence import recipe_refusal
 from repro.analysis.profitability import access_weights
 from repro.analysis.reuse import analyze_reuse
-from repro.ir.nest import Kernel, find_loop, loop_order
+from repro.ir.nest import Kernel, loop_order
 from repro.machines import MachineSpec
 from repro.sim import Counters, execute
-from repro.transforms import (
-    TileSpec,
-    TransformError,
-    permute,
-    scalar_replace,
-    tile_nest,
-    unroll_and_jam,
-)
+from repro.transforms import TileSpec, permute, scalar_replace, tile_nest, unroll_and_jam
+from repro.transforms.util import fresh_name, perfect_nest_loops
 
 __all__ = ["NativeCompiler"]
 
@@ -70,8 +67,7 @@ class NativeCompiler:
         # Sort outer->inner by ascending spatial score (ties: descending
         # temporal, so reuse-carrying loops sit outside).
         ranked = sorted(loops, key=lambda l: (spatial(l), -temporal(l)))
-        deps = compute_dependences(self.kernel)
-        if permutation_legal(deps, ranked):
+        if recipe_refusal(self.kernel, (), ranked) is None:
             return tuple(ranked)
         return loops
 
@@ -87,28 +83,22 @@ class NativeCompiler:
         """Produce the optimized kernel (deterministic)."""
         order = self.best_order()
         result = permute(self.kernel, order)
-        deps = compute_dependences(self.kernel)
-        inner_two = order[-2:]
-        tiled = False
-        if len(order) >= 2 and tiling_legal(deps, inner_two):
-            size = self.tile_size()
-            try:
+        stepped = {loop.var for loop in perfect_nest_loops(self.kernel) if loop.step != 1}
+        if len(order) >= 2:
+            inner_two = order[-2:]
+            if not stepped and recipe_refusal(self.kernel, inner_two, order) is None:
+                size = self.tile_size()
+                taken = set(order) | {decl.name for decl in self.kernel.arrays}
                 result = tile_nest(
                     result,
-                    [TileSpec(var, var + var, size) for var in inner_two],
+                    [TileSpec(var, fresh_name(var + var, taken), size) for var in inner_two],
                     point_order=list(order),
                 )
-                tiled = True
-            except TransformError:
-                result = permute(self.kernel, order)
-        # Unroll-and-jam the loop just above the innermost, then promote.
-        if len(order) >= 2:
-            try:
-                result = unroll_and_jam(result, order[-2], _UNROLL)
-            except TransformError:
-                pass
-        result = scalar_replace(result, order[-1])
-        return result
+            # Unroll-and-jam the loop just above the innermost, then promote.
+            outer = order[-2]
+            if outer not in stepped and not recipe_refusal(self.kernel, (), order, (outer,)):
+                result = unroll_and_jam(result, outer, _UNROLL)
+        return scalar_replace(result, order[-1])
 
     def measure(self, problem: Mapping[str, int]) -> Counters:
         return execute(self.compile(), problem, self.machine)

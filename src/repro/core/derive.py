@@ -36,7 +36,8 @@ from repro.analysis.profitability import most_profitable_loops, most_profitable_
 from repro.analysis.reuse import ReuseSummary, analyze_reuse
 from repro.core.variants import Constraint, CopyPlan, LevelPlan, Variant
 from repro.ir.expr import Const, Expr, Var, as_expr
-from repro.ir.nest import ArrayRef, Kernel, array_refs, find_loop, loop_order
+from repro.ir.nest import ArrayRef, Kernel, Prefetch, array_refs, find_loop, loop_order
+from repro.ir.nest import walk_statements
 from repro.machines import MachineSpec
 
 __all__ = ["derive_variants"]
@@ -282,33 +283,25 @@ def _copy_plan(
     tiles: Dict[str, str],
     level: int,
 ) -> Optional[CopyPlan]:
-    """A copy candidate when every dimension of the retained array is tiled
-    and indexed by a single point loop.  (For Jacobi, where the I dimension
-    is untiled, this returns None — the paper likewise rejects copying
-    there as unprofitable.)"""
+    """A copy candidate when the retained array is read-only and every
+    reference to it, prefetch targets included, indexes each dimension by
+    exactly a tiled point loop: copying redirects each reference into the
+    tile window of every dimension, which an offset or a stride would
+    leave.  (For Jacobi, where the I dimension is untiled, this returns
+    None — the paper likewise rejects copying there as unprofitable.)"""
     arrays = {r.array for r in retained}
     if len(arrays) != 1:
         return None
     array = next(iter(arrays))
-    # Copy applies only to read-only arrays.
-    from repro.ir.nest import Assign, walk_statements
-
-    for stmt in walk_statements(kernel.body):
-        if isinstance(stmt, Assign) and isinstance(stmt.target, ArrayRef):
-            if stmt.target.array == array:
-                return None
-    ref = retained[0]
-    dims: List[Tuple[int, str]] = []
-    for d, index in enumerate(ref.indices):
-        free = sorted(index.free_vars())
-        if len(free) != 1:
+    indices = retained[0].indices
+    if any(not isinstance(index, Var) or index.name not in tiles for index in indices):
+        return None
+    hints = [(s.ref, False) for s in walk_statements(kernel.body) if isinstance(s, Prefetch)]
+    for ref, write in list(array_refs(kernel.body)) + hints:
+        if ref.array == array and (write or ref.indices != indices):
             return None
-        var = free[0]
-        if var not in tiles:
-            return None
-        dims.append((d, var))
-    temp = _temp_name(kernel, level)
-    return CopyPlan(array=array, temp=temp, dims=tuple(dims), level=level)
+    dims = tuple((d, index.name) for d, index in enumerate(indices))
+    return CopyPlan(array=array, temp=_temp_name(kernel, level), dims=dims, level=level)
 
 
 _TEMP_NAMES = ("P", "Q", "R", "S")

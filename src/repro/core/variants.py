@@ -16,12 +16,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.analysis.dependence import recipe_refusal
 from repro.ir.expr import Expr, Var
 from repro.ir.nest import ArrayRef, Kernel
 from repro.machines import MachineSpec
 from repro.transforms import (
     CopyDim,
     TileSpec,
+    TransformError,
     apply_copy,
     insert_prefetch,
     scalar_replace,
@@ -185,7 +187,16 @@ def instantiate_base(
     distance or pads — same :func:`repro.eval.keys.trace_signature` — can
     share one base and apply their cheap suffixes independently
     (:func:`apply_prefetch`, then ``pad_arrays``).
+
+    Raises ``TransformError`` when the recipe is illegal on ``kernel``
+    (:func:`recipe_refusal` on the source nest, with reassociation
+    permitted — see :func:`instantiate`; a loop unrolled by 1 is not
+    jammed).
     """
+    jams = [loop for loop, param in variant.unrolls if int(values[param]) > 1]
+    refusal = recipe_refusal(kernel, variant.control_order, variant.point_order, jams, True)
+    if refusal is not None:
+        raise TransformError(f"{kernel.name} {variant.name}: {refusal}")
     tile_specs = [
         TileSpec(loop, control_name(loop), int(values[param]))
         for loop, param in variant.tiles
@@ -195,7 +206,6 @@ def instantiate_base(
         tile_specs,
         control_order=[control_name(loop) for loop in variant.control_order],
         point_order=list(variant.point_order),
-        reassociate=True,
     )
 
     tile_map = variant.tile_map
@@ -213,7 +223,7 @@ def instantiate_base(
             continue
         factor = int(values[param])
         if factor > 1:
-            result = unroll_and_jam(result, loop, factor, reassociate=True)
+            result = unroll_and_jam(result, loop, factor)
 
     return scalar_replace(result, variant.register_loop)
 
@@ -296,11 +306,11 @@ def instantiate(
     Raises ``KeyError`` when a needed parameter is missing from ``values``
     and ``TransformError`` when the recipe is inapplicable.
 
-    Legality checks run with reassociation permitted: the paper's
-    evaluation compiles with ``roundoff=3`` (Table 3), i.e. floating-point
-    sums may be reordered.  Tiled/interleaved reductions (e.g. blocking
-    both filter loops of a convolution) are therefore allowed; results
-    then match the original to rounding, not bitwise.
+    The recipe's legality is decided with reassociation permitted: the
+    paper's evaluation compiles with ``roundoff=3`` (Table 3), i.e.
+    floating-point sums may be reordered.  Tiled/interleaved reductions
+    (e.g. blocking both filter loops of a convolution) are therefore
+    allowed; results then match the original to rounding, not bitwise.
 
     Implemented as :func:`instantiate_base` + :func:`apply_prefetch`, the
     split the evaluation engine's delta path reuses.

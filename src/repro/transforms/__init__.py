@@ -1,10 +1,12 @@
 """Code transformations: permutation, tiling, unroll-and-jam, scalar
 replacement, copy optimization and software prefetching.
 
-Each transformation validates its preconditions (raising
-:class:`~repro.transforms.util.TransformError`) and checks legality against
-the dependence analysis where applicable.  Semantics preservation of every
-transform is verified against the IR interpreter in the test suite.
+Each transformation validates its structural preconditions (raising
+:class:`~repro.transforms.util.TransformError`) and is otherwise
+mechanical: dependence legality is decided once per recipe, on the source
+nest, by :func:`~repro.analysis.dependence.recipe_refusal`.  Semantics
+preservation of every transform is verified against the IR interpreter in
+the test suite.
 """
 
 from repro.transforms.copyopt import CopyDim, apply_copy

@@ -20,7 +20,9 @@ and the tile size; it
    index the temporary with tile-relative subscripts.
 
 The array must be read-only in the kernel (copy-out of written tiles is
-not needed for the paper's kernels and is not supported).
+not needed for the paper's kernels and is not supported), and every
+reference must index each copied dimension by exactly its point loop
+variable: an offset or a stride would read outside the copied tile.
 """
 
 from __future__ import annotations
@@ -182,7 +184,10 @@ def _redirect_refs(
         indices = []
         for d, index in enumerate(ref.indices):
             if d in dim_by_index:
-                indices.append(index - Var(dim_by_index[d].control_var) + 1)
+                spec = dim_by_index[d]
+                if index != Var(spec.point_var):
+                    raise TransformError(f"apply_copy: {ref} leaves the copied tile")
+                indices.append(index - Var(spec.control_var) + 1)
             else:
                 indices.append(index)
         return ArrayRef(temp, tuple(indices))

@@ -4,24 +4,18 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.dependence import compute_dependences, permutation_legal
 from repro.ir.nest import Kernel, Loop
 from repro.transforms.util import TransformError, perfect_nest_loops
 
 __all__ = ["permute"]
 
 
-def permute(
-    kernel: Kernel,
-    new_order: Sequence[str],
-    reassociate: bool = False,
-) -> Kernel:
+def permute(kernel: Kernel, new_order: Sequence[str]) -> Kernel:
     """Reorder the loops of a perfect nest to ``new_order`` (outer→inner).
 
-    ``new_order`` must be a permutation of the nest's loop variables.  The
-    permutation is verified against the kernel's dependences and a
-    :class:`TransformError` is raised when it would reverse one.  ``reassociate`` waives reduction dependences
-    (floating-point sum reordering, the paper's ``roundoff=3``).
+    ``new_order`` must be a permutation of the nest's loop variables.
+    Legality is the recipe's, decided on the source nest by
+    :func:`~repro.analysis.dependence.recipe_refusal`.
     """
     loops = perfect_nest_loops(kernel)
     by_var = {loop.var: loop for loop in loops}
@@ -37,11 +31,6 @@ def permute(
                 f"{kernel.name}: loop {loop.var} has bounds depending on other "
                 f"loops; permutation of non-rectangular nests is unsupported"
             )
-    deps = compute_dependences(kernel)
-    if not permutation_legal(deps, new_order, allow_reassociation=reassociate):
-        raise TransformError(
-            f"{kernel.name}: permutation to {tuple(new_order)} reverses a dependence"
-        )
     body = loops[-1].body
     for var in reversed(new_order):
         template = by_var[var]

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.analysis.dependence import compute_dependences, permutation_legal, tiling_legal
 from repro.ir.expr import Var, emin
 from repro.ir.nest import Kernel, Loop
 from repro.transforms.util import TransformError, perfect_nest_loops
@@ -46,17 +45,15 @@ def tile_nest(
     tiles: Sequence[TileSpec],
     control_order: Optional[Sequence[str]] = None,
     point_order: Optional[Sequence[str]] = None,
-    reassociate: bool = False,
 ) -> Kernel:
     """Tile a perfect nest.
 
     ``tiles`` gives the loops to tile; ``control_order`` the outer-to-inner
     order of the controlling loops (default: original relative order of the
     tiled loops); ``point_order`` the order of all point loops (default:
-    original order).  Legality requires the tiled loops to form a fully
-    permutable band and the resulting control+point order to preserve all
-    dependences; ``reassociate`` waives reduction dependences (sum
-    reordering, the paper's ``roundoff=3``).
+    original order).  Legality (a fully permutable band, an order that
+    reverses no dependence) is the recipe's, decided on the source nest by
+    :func:`~repro.analysis.dependence.recipe_refusal`.
     """
     loops = perfect_nest_loops(kernel)
     by_var = {loop.var: loop for loop in loops}
@@ -91,19 +88,6 @@ def tile_nest(
         point_order = original_order
     elif sorted(point_order) != sorted(original_order):
         raise TransformError("point_order must be a permutation of the nest's loops")
-
-    deps = compute_dependences(kernel)
-    band = set(tiled_vars)
-    # Loop order changes require permutation legality; tiling requires
-    # the tiled band to be fully permutable.  Full permutability of all
-    # loops implies both; check the weakest sufficient conditions.
-    if not tiling_legal(deps, tuple(band), allow_reassociation=reassociate):
-        raise TransformError(f"loops {sorted(band)} are not fully permutable")
-    # Approximate the tiled execution order by the tiled loops (in
-    # controlling order) followed by the point loops.
-    effective = tuple(s.loop for s in ordered_specs) + tuple(point_order)
-    if not permutation_legal(deps, effective, allow_reassociation=reassociate):
-        raise TransformError(f"tiled order {effective} reverses a dependence")
 
     body = loops[-1].body
     for var in reversed(list(point_order)):

@@ -22,33 +22,24 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.analysis.dependence import compute_dependences, unroll_and_jam_legal
 from repro.ir.expr import Var, emax
-from repro.ir.nest import Assign, Kernel, Loop, Node, scalars_read, walk_statements
+from repro.ir.nest import Kernel, Loop, Node
 from repro.transforms.util import TransformError, replace_loop
 
 __all__ = ["unroll_and_jam", "unroll_jam_body"]
 
 
-def unroll_and_jam(
-    kernel: Kernel,
-    var: str,
-    factor: int,
-    reassociate: bool = False,
-) -> Kernel:
+def unroll_and_jam(kernel: Kernel, var: str, factor: int) -> Kernel:
     """Unroll-and-jam every loop named ``var`` in ``kernel`` by ``factor``.
 
-    Raises :class:`TransformError` when jamming would reverse a dependence
-    (``reassociate`` waives reduction dependences) or mix up the copies'
-    scalar temporaries.
+    Legality (no reversed dependence, no shared scalar temporary) is the
+    recipe's, decided on the source nest by
+    :func:`~repro.analysis.dependence.recipe_refusal`.
     """
     if factor < 1:
         raise TransformError(f"unroll factor must be >= 1, got {factor}")
     if factor == 1:
         return kernel
-    deps = compute_dependences(kernel)
-    if not unroll_and_jam_legal(deps, var, allow_reassociation=reassociate):
-        raise TransformError(f"unroll-and-jam of {var} reverses a dependence")
 
     found = []
 
@@ -65,10 +56,6 @@ def unroll_and_jam(
 def _unroll_one(loop: Loop, factor: int) -> Tuple[Node, ...]:
     if loop.step != 1:
         raise TransformError(f"loop {loop.var} already has step {loop.step}")
-    if _mixes_scalars(loop.body, loop.var):
-        raise TransformError(
-            f"unroll-and-jam of {loop.var} would mix up the copies' scalar temporaries"
-        )
     for child in loop.body:
         if isinstance(child, Loop):
             dependent = (child.lower.free_vars() | child.upper.free_vars()) & {loop.var}
@@ -93,30 +80,6 @@ def _unroll_one(loop: Loop, factor: int) -> Tuple[Node, ...]:
     )
     fringe = Loop(loop.var, fringe_lower, loop.upper, 1, loop.body, loop.role)
     return (main, fringe)
-
-
-def _mixes_scalars(body: Tuple[Node, ...], var: str) -> bool:
-    """Whether jamming copies of ``body`` would let one copy read a scalar
-    temporary that another copy wrote.
-
-    The copies are interleaved statement by statement and scalars keep
-    their names, which is safe only while every copy writes each scalar
-    the same value before reading it.  That fails when a scalar is read
-    before its first write in ``body`` (its value carries over from an
-    earlier iteration) or is written from a reference that reads ``var``.
-    A scalar computed from such a scalar needs no check of its own: the
-    first one already refuses the jam.
-    """
-    assigns = [s for s in walk_statements(body) if isinstance(s, Assign)]
-    unwritten = {s.target for s in assigns if isinstance(s.target, str)}
-    for stmt in assigns:
-        if unwritten & scalars_read(stmt.value):
-            return True
-        if isinstance(stmt.target, str):
-            if any(var in ref.free_vars() for ref in stmt.value.reads()):
-                return True
-            unwritten.discard(stmt.target)
-    return False
 
 
 def unroll_jam_body(

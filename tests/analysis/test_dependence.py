@@ -98,6 +98,36 @@ class TestSyntheticDependences:
         deps = compute_dependences(k)
         assert not tiling_legal(deps, ("J", "I"))
 
+    def test_dependence_runs_from_the_access_that_runs_first(self):
+        # A[I,J] = A[I-1,J]: the write at I is read one I iteration later
+        k = self._nest(B.aref("A", I, J), B.read("A", I - 1, J) + 0.0)
+        flow = [d for d in compute_dependences(k) if d.kind == "flow"]
+        assert [(str(d.source), str(d.sink), d.entries) for d in flow] == [
+            ("A[I,J]", "A[(I - 1),J]", (0, 1))
+        ]
+
+    def test_same_subscript_in_two_statements_is_not_a_reduction(self):
+        # X[I] = B[I]; A[I,J] = X[I]: a temporary, not an accumulation
+        k = B.kernel(
+            "t",
+            params=("N",),
+            arrays=(B.array("A", N, N), B.array("B", N), B.array("X", N)),
+            body=B.loop(
+                "J", 1, N,
+                B.loop(
+                    "I", 1, N,
+                    B.assign(B.aref("X", I), B.read("B", I) + 0.0),
+                    B.assign(B.aref("A", I, J), B.read("X", I) + 0.0),
+                ),
+            ),
+        )
+        deps = [d for d in compute_dependences(k) if d.source.array == "X"]
+        assert {d.statements for d in deps} >= {(0, 1), (1, 0)}
+        assert not any(d.reduction for d in deps)
+        # jamming J would run the second copy's write before the first's read
+        assert not unroll_and_jam_legal(deps, "J", allow_reassociation=True)
+        assert unroll_and_jam_legal(deps, "I", allow_reassociation=True)
+
     def test_unroll_and_jam_illegal_on_reversal(self):
         # Dependence (1,-1) carried by J with negative inner entry: jamming J
         # would run the I iterations in the wrong order.

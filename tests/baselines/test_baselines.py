@@ -7,6 +7,7 @@ from repro.baselines import MiniAtlas, NativeCompiler, VendorBlas
 from repro.baselines.blas import _dgemm_variant
 from repro.codegen.interp import allocate_arrays, run_kernel
 from repro.core.variants import instantiate
+from repro.frontend.parser import parse_kernel
 from repro.kernels import jacobi, matmul, matvec
 from repro.machines import get_machine
 from repro.sim import execute
@@ -33,6 +34,33 @@ class TestNativeCompiler:
         ref = run_kernel(jac, {"N": 8}, arrays, {"c": 0.5})
         out = run_kernel(compiled, {"N": 8}, arrays, {"c": 0.5})
         np.testing.assert_array_equal(ref["A"], out["A"])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a stepped loop: neither tiled nor jammed
+            "kernel stepped(N):\n"
+            "    array A[2 * N], B[2 * N, 2 * N]\n"
+            "    do J = 1, N, 2:\n"
+            "        do I = 1, N:\n"
+            "            A[I] = A[I] + B[I, J]\n",
+            # an array named like a controlling loop
+            "kernel named(N):\n"
+            "    array II[N], JJ[N, N]\n"
+            "    do J = 1, N:\n"
+            "        do I = 1, N:\n"
+            "            II[I] = II[I] + JJ[I, J]\n",
+        ],
+        ids=["stepped", "named"],
+    )
+    def test_native_compiles_what_it_cannot_tile(self, text):
+        kernel = parse_kernel(text)
+        compiled = NativeCompiler(kernel, SGI).compile()
+        arrays = allocate_arrays(kernel, {"N": 9})
+        ref = run_kernel(kernel, {"N": 9}, arrays)
+        out = run_kernel(compiled, {"N": 9}, arrays)
+        for name in ref:
+            np.testing.assert_array_equal(ref[name], out[name])
 
     def test_native_beats_naive(self):
         mm = matmul()

@@ -171,10 +171,9 @@ def _golden_mm(uaj_i: int = 8, uaj_j: int = 2):
         [TileSpec("I", "II", 8), TileSpec("K", "KK", 12)],
         control_order=["II", "KK"],
         point_order=["I", "J", "K"],
-        reassociate=True,
     )
-    t = unroll_and_jam(t, "I", uaj_i, reassociate=True)
-    t = unroll_and_jam(t, "J", uaj_j, reassociate=True)
+    t = unroll_and_jam(t, "I", uaj_i)
+    t = unroll_and_jam(t, "J", uaj_j)
     t = scalar_replace(t, "K")
     t = insert_prefetch(t, "A", 2, "K", line_elems=4)
     t = insert_prefetch(t, "B", 2, "K", line_elems=4)
@@ -187,7 +186,7 @@ def _kernel_cases():
         yield f"{name}-plain", KERNELS[name](), params
     yield "mm-golden", _golden_mm(), {"N": 48}
     yield "mm-golden-4x2", _golden_mm(4, 2), {"N": 48}
-    jacobi = unroll_and_jam(KERNELS["jacobi"](), "J", 4, reassociate=True)
+    jacobi = unroll_and_jam(KERNELS["jacobi"](), "J", 4)
     yield "jacobi-uaj", jacobi, {"N": 48}
     # a non-affine subscript: the nest does not fuse, so its statement
     # runs on the scalar path and its inner loop once per trip

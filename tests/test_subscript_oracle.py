@@ -25,7 +25,6 @@ import pytest
 
 from repro.analysis.dependence import (
     Dependence,
-    _dependence_kinds,
     _solve_uniform,
     compute_dependences,
 )
@@ -159,49 +158,52 @@ def gcd_test_excludes(matrix1, rest1, matrix2, rest2) -> bool:
 
 def oracle_dependences(kernel: Kernel) -> List[Dependence]:
     loops = loop_order(kernel)
-    accesses = list(array_refs(kernel.body))
-    matrices = [subscript_matrix(ref, loops) for ref, _ in accesses]
+    accesses = [
+        (stmt, ref, write)
+        for stmt, node in enumerate(walk_statements(kernel.body))
+        for ref, write in array_refs((node,))
+    ]
+    matrices = [subscript_matrix(ref, loops) for _, ref, _ in accesses]
+    reads = {(stmt, ref) for stmt, ref, write in accesses if not write}
+    free = (None,) * len(loops)
     deps: List[Dependence] = []
-    for idx1, (ref1, w1) in enumerate(accesses):
+    for idx1, (_, ref1, w1) in enumerate(accesses):
         for idx2 in range(idx1, len(accesses)):
-            ref2, w2 = accesses[idx2]
+            _, ref2, w2 = accesses[idx2]
             if ref1.array != ref2.array or not (w1 or w2):
                 continue
-            kinds = _dependence_kinds(w1, w2)
-            free = [Dependence(ref1, ref2, k, loops, (None,) * len(loops)) for k in kinds]
             sub1, sub2 = matrices[idx1], matrices[idx2]
             if sub1 is None or sub2 is None:
-                deps.extend(free)
-                continue
-            (matrix1, rest1), (matrix2, rest2) = sub1, sub2
-            if matrix1 != matrix2:
-                if not gcd_test_excludes(matrix1, rest1, matrix2, rest2):
-                    deps.extend(free)
-                continue
-            delta = constant_deltas(rest1, rest2)
-            if delta is None:
-                deps.extend(free)
-                continue
-            for signed in (delta, [-d for d in delta]):
-                solved = _solve_uniform(matrix1, signed, len(loops))
-                if solved is None:
+                vectors = [free, free]
+            elif sub1[0] != sub2[0]:
+                if gcd_test_excludes(sub1[0], sub1[1], sub2[0], sub2[1]):
                     continue
-                entries, exact = solved
-                if not exact:
-                    entries = [None] * len(loops)
-                if idx1 == idx2 and all(e == 0 for e in entries):
+                vectors = [free, free]
+            elif constant_deltas(sub1[1], sub2[1]) is None:
+                vectors = [free, free]
+            else:
+                delta = constant_deltas(sub1[1], sub2[1])
+                vectors = []
+                for signed in (delta, [-d for d in delta]):
+                    solved = _solve_uniform(sub1[0], signed, len(loops))
+                    if solved is None:
+                        vectors.append(None)
+                        continue
+                    entries, exact = solved
+                    vectors.append(tuple(entries) if exact else free)
+            for (src, snk), entries in zip(((idx1, idx2), (idx2, idx1)), vectors):
+                if entries is None or (idx1 == idx2 and all(e == 0 for e in entries)):
                     continue
-                for kind in kinds:
-                    deps.append(
-                        Dependence(ref1, ref2, kind, loops, tuple(entries),
-                                   reduction=ref1 == ref2)
-                    )
-                if all(d == 0 for d in delta):
-                    break
+                (stmt1, source, write1), (stmt2, sink, write2) = accesses[src], accesses[snk]
+                kind = "output" if write1 and write2 else "flow" if write1 else "anti"
+                reduction = source == sink and stmt1 == stmt2 and (stmt1, source) in reads
+                deps.append(
+                    Dependence(source, sink, kind, loops, entries, (stmt1, stmt2), reduction)
+                )
     seen = set()
     unique = []
     for dep in deps:
-        key = (dep.source, dep.sink, dep.kind, dep.entries)
+        key = (dep.source, dep.sink, dep.kind, dep.entries, dep.statements)
         if key not in seen:
             seen.add(key)
             unique.append(dep)

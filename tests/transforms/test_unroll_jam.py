@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.dependence import recipe_refusal
 from repro.codegen.interp import allocate_arrays, run_kernel
 from repro.frontend.parser import parse_kernel
 from repro.ir import builder as B
@@ -109,6 +110,7 @@ class TestUnrollJamErrors:
             unroll_and_jam(k, "J", 2)
 
     def test_illegal_jam_rejected(self):
+        """Legality is the recipe check's; ``unroll_and_jam`` is mechanical."""
         k = B.kernel(
             "skew",
             params=("N",),
@@ -119,8 +121,7 @@ class TestUnrollJamErrors:
                        B.assign(B.aref("A", I, J), B.read("A", I + 1, J - 1) + 1.0)),
             ),
         )
-        with pytest.raises(TransformError, match="reverses a dependence"):
-            unroll_and_jam(k, "J", 2)
+        assert "reverses a dependence" in recipe_refusal(k, (), ("J", "I"), ("J",))
 
     def test_already_stepped_loop_rejected(self):
         mm = matmul()
@@ -132,7 +133,8 @@ class TestUnrollJamErrors:
 class TestScalarTemporaries:
     """Jamming interleaves the copies statement by statement and keeps
     scalar names, so a scalar temporary whose value differs between the
-    copies would be read by one copy after the next copy overwrote it."""
+    copies would be read by one copy after the next copy overwrote it.
+    The recipe check refuses such a jam."""
 
     def _nest(self, t_value):
         return B.kernel(
@@ -154,8 +156,8 @@ class TestScalarTemporaries:
 
     def test_scalar_reading_the_unrolled_index_is_refused(self):
         kernel = self._nest(B.read("A", I + 2))
-        with pytest.raises(TransformError, match="scalar temporaries"):
-            unroll_and_jam(kernel, "I", 2, reassociate=True)
+        refusal = recipe_refusal(kernel, (), ("I", "J"), ("I",), allow_reassociation=True)
+        assert "scalar temporaries" in refusal
 
     def test_scalar_carried_across_iterations_is_refused(self):
         k = B.kernel(
@@ -174,12 +176,13 @@ class TestScalarTemporaries:
                 ),
             ),
         )
-        with pytest.raises(TransformError, match="scalar temporaries"):
-            unroll_and_jam(k, "I", 2, reassociate=True)
+        refusal = recipe_refusal(k, (), ("I", "J"), ("I",), allow_reassociation=True)
+        assert "scalar temporaries" in refusal
 
     def test_scalar_invariant_in_the_unrolled_index_is_jammed(self):
         kernel = self._nest(B.read("A", J))
-        out = unroll_and_jam(kernel, "I", 2, reassociate=True)
+        assert recipe_refusal(kernel, (), ("I", "J"), ("I",), allow_reassociation=True) is None
+        out = unroll_and_jam(kernel, "I", 2)
         assert_equivalent(kernel, out, {"N": 5})
 
     @pytest.mark.parametrize("seed", [4, 9, 25, 31])
@@ -188,10 +191,10 @@ class TestScalarTemporaries:
         temporary: the jam is now refused or the result matches."""
         text, params = generate_nest(seed)
         kernel = parse_kernel(text)
-        try:
-            out = unroll_and_jam(kernel, loop_order(kernel)[-2], 2, reassociate=True)
-        except TransformError:
+        order = loop_order(kernel)
+        if recipe_refusal(kernel, (), order, order[-2:-1], allow_reassociation=True):
             return
+        out = unroll_and_jam(kernel, order[-2], 2)
         arrays = allocate_arrays(kernel, params, seed=seed)
         want = run_kernel(kernel, params, arrays)
         got = run_kernel(out, params, arrays)
