@@ -29,7 +29,6 @@ __all__ = [
     "footprint_elems",
     "footprint_lines",
     "footprint_pages",
-    "prefix_footprints",
 ]
 
 
@@ -104,40 +103,6 @@ def footprint_elems(
     for group in by_array.values():
         total = total + group_footprint_elems(kernel, group, extents, loops)
     return total
-
-
-def prefix_footprints(
-    kernel: Kernel,
-    ref: ArrayRef,
-    trips: Mapping[str, int],
-    loops: Optional[Sequence[str]] = None,
-) -> List[int]:
-    """Numeric footprint of one reference, in elements, over each
-    innermost prefix of ``loops``: entry ``k`` covers the ``k + 1``
-    innermost loops at trip counts ``trips``, the last entry the whole
-    nest.
-
-    Integer arithmetic equal to evaluating :func:`ref_footprint_elems`
-    with those trip counts as the extents, one prefix at a time, but with
-    the subscript matrix computed once.  Raises ``ValueError`` for
-    non-affine subscripts, as the symbolic form does.
-    """
-    if loops is None:
-        loops = loop_order(kernel)
-    found = affine_subscripts(ref, loops)
-    if found is None:
-        raise ValueError(f"{ref}: non-affine subscripts, no footprint model")
-    matrix, _ = found
-    dims = [1] * len(matrix)
-    out: List[int] = []
-    for col in reversed(range(len(loops))):
-        span = trips[loops[col]] - 1
-        total = 1
-        for row, coeffs in enumerate(matrix):
-            dims[row] += abs(coeffs[col]) * span
-            total *= dims[row]
-        out.append(total)
-    return out
 
 
 def footprint_lines(

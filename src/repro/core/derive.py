@@ -8,7 +8,10 @@ variants.
 
 * **Register level** — the selected loop moves innermost; every other
   loop is a candidate for unroll-and-jam with a symbolic unroll factor,
-  constrained by the register-file footprint (``UI*UJ <= 32``).
+  constrained by the register-file footprint (``UI*UJ <= 32``).  Once a
+  variant's loop order is fixed, a loop whose jam alone the recipe check
+  (:func:`~repro.analysis.dependence.recipe_refusal`) refuses leaves the
+  unroll set and the constraint: no binding unrolling it could build.
 * **Cache levels** — the selected loop moves to the outermost remaining
   position; the loops indexing the retained references' data are tiled
   (symbolic tile sizes), constrained by the usable cache fraction
@@ -17,6 +20,8 @@ variants.
   when every dimension of the retained array is tiled; and, at the last
   level, a *no-tiling* branch whose constraint involves the problem size
   (this is the paper's v1, "considered for small arrays").
+* **Stepped loops** — tiling and unroll-and-jam need step-1 loops, so a
+  nest with a stepped loop is refused outright (``ValueError``).
 * **Pruning** — following §4.2, variants of high-rank (3-D-data) kernels
   that tile at two or more cache levels are pruned (cache and TLB
   conflicts for large arrays), and structurally identical variants are
@@ -31,13 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.dependence import recipe_refusal
 from repro.analysis.footprint import footprint_elems
 from repro.analysis.profitability import most_profitable_loops, most_profitable_refs
 from repro.analysis.reuse import ReuseSummary, analyze_reuse
 from repro.core.variants import Constraint, CopyPlan, LevelPlan, Variant
 from repro.ir.expr import Const, Expr, Var, as_expr
 from repro.ir.nest import ArrayRef, Kernel, Prefetch, array_refs, find_loop, loop_order
-from repro.ir.nest import walk_statements
+from repro.ir.nest import walk_loops, walk_statements
 from repro.machines import MachineSpec
 
 __all__ = ["derive_variants"]
@@ -76,7 +82,17 @@ def derive_variants(
     machine: MachineSpec,
     max_variants: int = 12,
 ) -> List[Variant]:
-    """Run the Figure 3 algorithm; returns variants in preference order."""
+    """Run the Figure 3 algorithm; returns variants in preference order.
+
+    Raises ``ValueError`` for a nest with a stepped loop: tiling and
+    unroll-and-jam need step-1 loops, so no variant of it could build.
+    """
+    for loop in walk_loops(kernel.body):
+        if loop.step != 1:
+            raise ValueError(
+                f"{kernel.name}: loop {loop.var} has step {loop.step}; "
+                "variants are derived for step-1 loops only"
+            )
     summary = analyze_reuse(kernel, machine.l1.line_size)
     loops = loop_order(kernel)
     refs = _distinct_refs(kernel)
@@ -88,23 +104,10 @@ def derive_variants(
             most_profitable_refs(kernel, summary, reg_loop, refs)
         )
         branch.mapped.extend(branch.reg_retained)
-        unroll_loops = [v for v in loops if v != reg_loop]
-        branch.unrolls = {v: "U" + v for v in unroll_loops}
-        extents = {v: Var("U" + v) for v in unroll_loops}
-        fp = footprint_elems(kernel, list(branch.reg_retained), extents, loops)
-        label = f"{fp} <= {machine.fp_registers} (register file)"
-        branch.constraints.append(
-            Constraint(fp, Const(machine.fp_registers), label)
-        )
-        branch.levels.append(
-            LevelPlan(
-                level="Reg",
-                loop=reg_loop,
-                retained=branch.reg_retained,
-                transform="unroll-and-jam " + " and ".join(unroll_loops),
-                params=tuple("U" + v for v in unroll_loops),
-            )
-        )
+        branch.unrolls = {v: "U" + v for v in loops if v != reg_loop}
+        constraint, plan = _register_plan(kernel, machine, branch, loops)
+        branch.constraints.append(constraint)
+        branch.levels.append(plan)
         branches.append(branch)
 
     for level in range(1, machine.num_cache_levels + 1):
@@ -156,6 +159,53 @@ def _distinct_refs(kernel: Kernel) -> List[ArrayRef]:
         if ref not in seen:
             seen.append(ref)
     return seen
+
+
+def _register_plan(
+    kernel: Kernel, machine: MachineSpec, branch: _Branch, loops: Tuple[str, ...]
+) -> Tuple[Constraint, LevelPlan]:
+    """The register level of ``branch``: the register-file constraint on
+    its unroll factors and its Table 4 row."""
+    unroll_loops = [v for v in loops if v in branch.unrolls]
+    extents = {v: Var(branch.unrolls[v]) for v in unroll_loops}
+    fp = footprint_elems(kernel, list(branch.reg_retained), extents, loops)
+    label = f"{fp} <= {machine.fp_registers} (register file)"
+    plan = LevelPlan(
+        level="Reg",
+        loop=branch.register_loop,
+        retained=branch.reg_retained,
+        transform=(
+            "unroll-and-jam " + " and ".join(unroll_loops) if unroll_loops else "-"
+        ),
+        params=tuple(branch.unrolls[v] for v in unroll_loops),
+    )
+    return Constraint(fp, Const(machine.fp_registers), label), plan
+
+
+def _drop_refused_jams(
+    kernel: Kernel,
+    machine: MachineSpec,
+    branch: _Branch,
+    loops: Tuple[str, ...],
+    control_order: Tuple[str, ...],
+    point_order: Tuple[str, ...],
+) -> None:
+    """Drop each unroll loop whose jam alone the recipe check refuses
+    (with reassociation, as ``instantiate_base`` asks): every binding
+    unrolling it by more than 1 would be refused.  Its parameter leaves
+    the register-file constraint.  A recipe refused even without jams
+    keeps its unrolls; nothing of it builds either way."""
+    if recipe_refusal(kernel, control_order, point_order, (), True) is not None:
+        return
+    kept = {
+        loop: param
+        for loop, param in branch.unrolls.items()
+        if recipe_refusal(kernel, control_order, point_order, (loop,), True) is None
+    }
+    if kept == branch.unrolls:
+        return
+    branch.unrolls = kept
+    branch.constraints[0], branch.levels[0] = _register_plan(kernel, machine, branch, loops)
 
 
 def _trip_count(kernel: Kernel, var: str) -> Expr:
@@ -333,6 +383,7 @@ def _assemble(
         # Control loops follow the original loop order (the paper's TLB
         # heuristic: consecutive tiles in data-layout order).
         control_order = tuple(v for v in loops if v in branch.tiles)
+        _drop_refused_jams(kernel, machine, branch, loops, control_order, point_order)
         # Temp names must be unique within a variant.
         copies = []
         taken = {decl.name for decl in kernel.arrays}

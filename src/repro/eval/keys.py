@@ -11,7 +11,11 @@ on-disk result cache (:mod:`repro.eval.cache`).
 
 Everything is serialized through stable, human-auditable forms (the IR
 pseudo-printer, ``str(Expr)``, sorted item lists) rather than ``pickle``
-or ``hash()``, both of which vary across interpreter runs.
+or ``hash()``, both of which vary across interpreter runs.  The kernel,
+variant and machine of a search recur in every key it makes, so each
+object's canonical JSON is rendered once and kept in a bounded memo
+(:func:`_canonical`); a key is byte-identical to dumping the whole
+payload at once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Mapping, Optional
+import threading
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.variants import PrefetchSite, Variant
 from repro.ir.nest import Kernel
@@ -94,10 +99,53 @@ def machine_spec_hash(machine: MachineSpec) -> str:
     a learned model is never trained across silently-mixed specs, and
     the check a loaded model artifact applies before ranking.
     """
-    canonical = json.dumps(
-        machine_fingerprint(machine), sort_keys=True, separators=(",", ":")
-    )
+    canonical = _canonical(machine, machine_fingerprint)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def _dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: canonical JSON of the kernels, variants and machines keys were made
+#: for, by object identity.  Each entry holds its object, so an id stays
+#: that object's while the entry lives; the objects are frozen
+#: dataclasses, so the JSON never goes stale.  The lock covers searches
+#: running on threads of one process (the serve daemon's).
+_CANONICAL_CAP = 64
+_CANONICAL: Dict[int, Tuple[object, str]] = {}
+_CANONICAL_LOCK = threading.Lock()
+
+
+def _canonical(obj: Any, fingerprint: Callable[[Any], dict]) -> str:
+    """``fingerprint(obj)`` as canonical JSON, rendered once per object."""
+    with _CANONICAL_LOCK:
+        found = _CANONICAL.get(id(obj))
+        if found is not None and found[0] is obj:
+            return found[1]
+    text = _dumps(fingerprint(obj))
+    with _CANONICAL_LOCK:
+        _CANONICAL.pop(id(obj), None)
+        _CANONICAL[id(obj)] = (obj, text)
+        while len(_CANONICAL) > _CANONICAL_CAP:
+            del _CANONICAL[next(iter(_CANONICAL))]
+    return text
+
+
+def _digest(
+    kernel: Kernel, variant: Variant, machine: MachineSpec, payload: Dict[str, Any]
+) -> str:
+    """SHA-256 of the canonical JSON of ``payload`` plus the kernel,
+    variant and machine fingerprints (keys in sorted order at every
+    level, as ``json.dumps(..., sort_keys=True)`` writes them)."""
+    parts = {key: _dumps(value) for key, value in payload.items()}
+    parts["kernel"] = _canonical(kernel, kernel_fingerprint)
+    parts["variant"] = _canonical(variant, variant_fingerprint)
+    parts["machine"] = _canonical(machine, machine_fingerprint)
+    canonical = "{" + ",".join(
+        f"{_dumps(key)}:{parts[key]}" for key in sorted(parts)
+    ) + "}"
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def candidate_key(
@@ -111,18 +159,14 @@ def candidate_key(
 ) -> str:
     """SHA-256 hex digest identifying one candidate experiment."""
     payload = {
-        "kernel": kernel_fingerprint(kernel),
-        "variant": variant_fingerprint(variant),
         "values": sorted((k, int(v)) for k, v in values.items()),
         "prefetch": sorted(
             (site.array, site.loop, int(d)) for site, d in (prefetch or {}).items()
         ),
         "pads": sorted((k, int(v)) for k, v in (pads or {}).items() if v),
         "problem": sorted((k, int(v)) for k, v in problem.items()),
-        "machine": machine_fingerprint(machine),
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _digest(kernel, variant, machine, payload)
 
 
 def trace_signature(
@@ -148,11 +192,7 @@ def trace_signature(
     re-runs; what the signature licenses is sharing the front end.
     """
     payload = {
-        "kernel": kernel_fingerprint(kernel),
-        "variant": variant_fingerprint(variant),
         "values": sorted((k, int(v)) for k, v in values.items()),
         "problem": sorted((k, int(v)) for k, v in problem.items()),
-        "machine": machine_fingerprint(machine),
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _digest(kernel, variant, machine, payload)

@@ -1,21 +1,28 @@
 """Static miss-model tests (the motivation experiment's substrate)."""
 
 import random
+import sys
+import threading
+from dataclasses import replace
 from math import prod
 
 import pytest
 
 from repro.analysis.footprint import footprint_elems
-from repro.analysis.missmodel import _trip_counts, estimate_misses
+from repro.analysis import missmodel
+from repro.analysis.missmodel import estimate_misses
 from repro.analysis.reuse import analyze_reuse
 from repro.analysis.surrogate import Surrogate
 from repro.core.derive import derive_variants
-from repro.core.variants import Variant, instantiate
+from repro.core.variants import Variant, instantiate, instantiate_base
 from repro.frontend import parse_kernel
-from repro.ir.nest import array_refs, loop_order
+from repro.ir.nest import array_refs, find_loop, loop_order, walk_loops
 from repro.kernels import KERNELS, get_kernel, matmul, matvec
 from repro.machines import MACHINES, get_machine
 from repro.sim import execute
+from repro.transforms import TransformError
+
+from tests.sim.test_nest_fuzz import generate_nest
 
 SGI = get_machine("sgi")
 
@@ -93,14 +100,40 @@ def _listed(summary, loop, spatial):
     return found
 
 
+def oracle_trip_counts(kernel, loops, params):
+    """Each loop's trip count at the first iteration of its enclosing
+    loops, the loop found by name."""
+    env, trips = dict(params), {}
+    for var in loops:
+        loop = find_loop(kernel.body, var)
+        trips[var] = max(0, loop.trip_count(env))
+        env[var] = int(loop.lower.evaluate(env))
+    return trips
+
+
 def symbolic_estimate(kernel, params, machine):
     """The miss model as a symbolic footprint per (ref, loop prefix, level)
-    plus list-based reuse membership: the oracle for the numeric model."""
+    plus list-based reuse membership, analysed afresh on every call: the
+    oracle for the numeric model and its per-shape memo."""
     loops = loop_order(kernel)
     summary = analyze_reuse(kernel, machine.l1.line_size)
-    trips = _trip_counts(kernel, loops, params)
+    trips = oracle_trip_counts(kernel, loops, params)
     refs = list(dict.fromkeys(ref for ref, _ in array_refs(kernel.body)))
     total_iterations = prod(max(1, trips[v]) for v in loops)
+    listed = {
+        (var, spatial): _listed(summary, var, spatial)
+        for var in loops
+        for spatial in (False, True)
+    }
+    footprints = {}
+
+    def footprint(ref, inner):
+        if (ref, inner) not in footprints:
+            extents = {v: trips[v] for v in inner}
+            expr = footprint_elems(kernel, [ref], extents, loops)
+            footprints[ref, inner] = int(expr.evaluate(params))
+        return footprints[ref, inner]
+
     per_level, per_ref = [], {}
     for cache in machine.caches:
         level_total = 0
@@ -109,22 +142,17 @@ def symbolic_estimate(kernel, params, machine):
             capacity_elems = max(1, cache.capacity // element)
             line_elems = max(1, cache.line_size // element)
             reuse_factor = 1.0
-            inner = []
+            inner = ()
             for var in reversed(loops):
-                inner.append(var)
-                extents = {v: trips[v] for v in inner}
-                fp = int(footprint_elems(kernel, [ref], extents, loops).evaluate(params))
-                if fp > capacity_elems:
+                inner += (var,)
+                if footprint(ref, inner) > capacity_elems:
                     break
-                if ref in _listed(summary, var, spatial=False):
+                if ref in listed[var, False]:
                     reuse_factor *= max(1, trips[var])
-                elif ref in _listed(summary, var, spatial=True):
+                elif ref in listed[var, True]:
                     reuse_factor *= line_elems
             misses = int(total_iterations / max(1.0, reuse_factor))
-            extents_all = {v: trips[v] for v in loops}
-            touched = int(
-                footprint_elems(kernel, [ref], extents_all, loops).evaluate(params)
-            )
+            touched = footprint(ref, tuple(loops))
             misses = max(misses, max(1, touched // line_elems))
             level_total += misses
             per_ref.setdefault(str(ref), []).append(misses)
@@ -213,3 +241,168 @@ kernel nl(N):
             copies=(), levels=(), constraints=(),
         )
         assert Surrogate(kernel, SGI, {"N": 8}).score(variant, {}) is None
+
+
+# -- the per-shape memo against the oracle ----------------------------------
+
+#: (tile size, unroll factor) bindings every derived variant is built at
+MEMO_BINDINGS = tuple((tile, unroll) for unroll in (1, 2, 3) for tile in (3, 4))
+MEMO_MACHINES = ("sgi", "sun")
+
+
+def _clear_shapes():
+    with missmodel._SHAPES_LOCK:
+        missmodel._SHAPES.clear()
+
+
+def _estimate(kernel, params, machine):
+    est = estimate_misses(kernel, params, machine)
+    return est.per_level, dict(est.per_ref)
+
+
+def _memo_cases(kernel, sizes):
+    """(label, IR, problem, machine) for ``kernel`` itself and for every
+    derived variant at :data:`MEMO_BINDINGS`, each at both problem
+    ``sizes``; a nest with a stepped loop has no variants."""
+    stepped = any(loop.step != 1 for loop in walk_loops(kernel.body))
+    for mname in MEMO_MACHINES:
+        machine = get_machine(mname)
+        for problem in sizes:
+            yield f"{kernel.name}/{mname}/source/{problem}", kernel, problem, machine
+        if stepped:
+            continue
+        for variant in derive_variants(kernel, machine):
+            tiles = {p for _, p in variant.tiles}
+            for tile, unroll in MEMO_BINDINGS:
+                values = {p: tile if p in tiles else unroll for p in variant.param_names}
+                try:
+                    inst = instantiate_base(kernel, variant, values, machine)
+                except TransformError:
+                    continue
+                for problem in sizes:
+                    label = f"{kernel.name}/{mname}/{variant.name}/{values}/{problem}"
+                    yield label, inst, problem, machine
+
+
+def assert_memo_matches_oracle(kernel, sizes):
+    """Each case equals the symbolic oracle cold (memo cleared) and warm
+    (cases in order, so tile sizes, problem sizes and machines after the
+    first share a shape the memo already holds)."""
+    cases = list(_memo_cases(kernel, sizes))
+    want = {}
+    for label, inst, problem, machine in cases:
+        _clear_shapes()
+        want[label] = symbolic_estimate(inst, problem, machine)
+        assert _estimate(inst, problem, machine) == want[label], ("cold", label)
+    _clear_shapes()
+    for label, inst, problem, machine in cases:
+        assert _estimate(inst, problem, machine) == want[label], ("warm", label)
+    assert len(missmodel._SHAPES) < len(cases)
+
+
+def assert_nest_model_matches_oracle(seed):
+    text, params = generate_nest(seed)
+    assert_memo_matches_oracle(parse_kernel(text), ({"N": params["N"]}, {"N": 40}))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generated_nest_model_matches_oracle(seed):
+    assert_nest_model_matches_oracle(seed)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_paper_kernel_model_matches_oracle(name):
+    kernel = get_kernel(name)
+    sizes = ({"N": 7, "F": 3}, {"N": 40, "F": 5})
+    assert_memo_matches_oracle(kernel, [{p: s[p] for p in kernel.params} for s in sizes])
+
+
+def test_line_and_element_sizes_are_part_of_the_shape():
+    """Every registered machine has a 32-byte L1 line, so a shape seen on
+    one must not be reused for a 16- or 64-byte line, nor for the same
+    accesses over arrays of another element size."""
+    base = instantiate(
+        matmul(), derive_variants(matmul(), SGI)[0],
+        {"TI": 4, "TJ": 4, "TK": 4, "UI": 2, "UJ": 2, "UK": 2}, SGI,
+    )
+    singles = replace(base, arrays=tuple(replace(d, element_size=4) for d in base.arrays))
+    l1, *rest = SGI.caches
+    machines = [SGI] + [
+        replace(SGI, caches=(replace(l1, line_size=line), *rest)) for line in (16, 64)
+    ]
+    cases = [(kernel, m) for kernel in (base, singles) for m in machines]
+    _clear_shapes()
+    for kernel, machine in cases:
+        want = symbolic_estimate(kernel, {"N": 24}, machine)
+        assert _estimate(kernel, {"N": 24}, machine) == want, (kernel.arrays[0], machine.l1)
+    assert len(missmodel._SHAPES) == len(cases)
+
+
+def _scored_cases():
+    """Bindings of mm and stencil2d spanning a dozen shapes or more."""
+    cases = []
+    for name in ("mm", "stencil2d"):
+        kernel = get_kernel(name)
+        sizes = [{p: 12 for p in kernel.params}, {p: 20 for p in kernel.params}]
+        cases.extend(
+            (inst, problem, machine)
+            for _, inst, problem, machine in _memo_cases(kernel, sizes)
+        )
+    return cases
+
+
+def _shape_key(case):
+    kernel, _, machine = case
+    path, refs, writes = missmodel._nest(kernel)
+    return tuple(loop.var for loop in path), refs, writes, machine.l1.line_size
+
+
+def test_memo_never_exceeds_its_cap(monkeypatch):
+    cases = _scored_cases()
+    _clear_shapes()
+    want = [_estimate(*case) for case in cases]
+    monkeypatch.setattr(missmodel, "_SHAPE_CAP", 3)
+    _clear_shapes()
+    for case, expected in zip(cases, want):
+        assert _estimate(*case) == expected
+        assert len(missmodel._SHAPES) <= 3
+    assert len(missmodel._SHAPES) == 3
+    assert len({_shape_key(case) for case in cases}) > 12
+
+
+def test_threads_scoring_at_once_get_the_serial_results(monkeypatch):
+    """Four threads score the same bindings, each in its own order, into
+    a memo small enough that they evict each other's shapes."""
+    cases = _scored_cases()
+    _clear_shapes()
+    want = [_estimate(*case) for case in cases]
+    monkeypatch.setattr(missmodel, "_SHAPE_CAP", 4)
+    _clear_shapes()
+    start = threading.Barrier(4)
+    got = [None] * 4
+    errors = []
+
+    def score(worker):
+        order = list(range(len(cases)))
+        random.Random(worker).shuffle(order)
+        try:
+            start.wait()
+            results = {i: _estimate(*cases[i]) for i in order}
+            got[worker] = [results[i] for i in range(len(cases))]
+        except Exception as exc:  # reported below: a thread cannot fail the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=score, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert got == [want] * 4
+    assert len(missmodel._SHAPES) <= 4

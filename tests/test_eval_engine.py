@@ -9,11 +9,13 @@ re-run against a warm cache performs zero simulator invocations.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -27,10 +29,14 @@ from repro.eval import (
     EvalRequest,
     ResultCache,
     candidate_key,
+    machine_spec_hash,
     stats_delta,
+    trace_signature,
 )
-from repro.kernels import matmul
-from repro.machines import get_machine
+from repro.eval.keys import kernel_fingerprint, machine_fingerprint, variant_fingerprint
+from repro.frontend import parse_kernel
+from repro.kernels import KERNELS, matmul
+from repro.machines import MACHINES, get_machine
 
 SGI = get_machine("sgi")
 SUN = get_machine("sun")
@@ -114,6 +120,121 @@ class TestCandidateKey:
             check=True,
         ).stdout.strip()
         assert remote == local
+
+
+def _uncached_digest(payload):
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _dsl_kernel():
+    return parse_kernel(
+        """
+kernel saxpy2(N):
+    array X[N, N], Y[N, N]
+    do J = 1, N:
+        do I = 1, N:
+            Y[I, J] = Y[I, J] + 2.5 * X[I, J]
+"""
+    )
+
+
+class TestCachedFingerprints:
+    """Keys splice each object's memoized canonical JSON into the payload;
+    they must stay byte-identical to dumping the whole payload at once."""
+
+    @pytest.mark.parametrize("kname", sorted(KERNELS) + ["dsl"])
+    def test_keys_match_the_uncached_computation(self, kname):
+        kernel = _dsl_kernel() if kname == "dsl" else KERNELS[kname]()
+        problem = {p: 16 for p in kernel.params}
+        for mname in sorted(MACHINES):
+            machine = get_machine(mname)
+            assert machine_spec_hash(machine) == _uncached_digest(
+                machine_fingerprint(machine)
+            )[:16]
+            for variant in derive_variants(kernel, machine)[:3]:
+                values = {p: 2 + i for i, p in enumerate(variant.param_names)}
+                site = PrefetchSite(kernel.arrays[0].name, variant.register_loop)
+                common = {
+                    "kernel": kernel_fingerprint(kernel),
+                    "variant": variant_fingerprint(variant),
+                    "values": sorted(values.items()),
+                    "problem": sorted(problem.items()),
+                    "machine": machine_fingerprint(machine),
+                }
+                # twice: the first call renders the JSON, the second reuses it
+                for _ in range(2):
+                    assert trace_signature(
+                        kernel, variant, values, problem, machine
+                    ) == _uncached_digest(common)
+                    key = candidate_key(
+                        kernel, variant, values, {site: 3}, {"A": 2}, problem, machine
+                    )
+                    assert key == _uncached_digest(
+                        dict(
+                            common,
+                            prefetch=[[site.array, site.loop, 3]],
+                            pads=[["A", 2]],
+                        )
+                    )
+
+    def test_threads_keying_at_once_get_the_uncached_keys(self, monkeypatch):
+        """Four threads make keys for more kernels than a shrunken memo
+        holds, so they evict each other's entries."""
+        from repro.eval import keys
+
+        machine = get_machine("sgi")
+        cases = []
+        for kernel in [_dsl_kernel() for _ in range(4)] + [matmul(), KERNELS["jacobi"]()]:
+            variant = derive_variants(kernel, machine)[0]
+            values = {p: 4 for p in variant.param_names}
+            problem = {p: 16 for p in kernel.params}
+            cases.append((kernel, variant, values, problem, machine))
+        want = [
+            _uncached_digest({
+                "kernel": kernel_fingerprint(kernel),
+                "variant": variant_fingerprint(variant),
+                "values": sorted(values.items()),
+                "problem": sorted(problem.items()),
+                "machine": machine_fingerprint(machine),
+            })
+            for kernel, variant, values, problem, machine in cases
+        ]
+        monkeypatch.setattr(keys, "_CANONICAL_CAP", 3)
+        got, errors = [None] * 4, []
+
+        def work(worker):
+            try:
+                got[worker] = [
+                    [trace_signature(*case) for case in cases] for _ in range(20)
+                ]
+            except Exception as exc:  # reported below: a thread cannot fail the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert got == [[want] * 20] * 4
+        assert len(keys._CANONICAL) <= 3
+
+    def test_memo_is_bounded_and_keyed_by_identity(self):
+        from repro.eval import keys
+
+        kernels = [_dsl_kernel() for _ in range(keys._CANONICAL_CAP + 5)]
+        for kernel in kernels:
+            keys._canonical(kernel, kernel_fingerprint)
+            assert len(keys._CANONICAL) <= keys._CANONICAL_CAP
+        for kernel in kernels[-3:]:
+            assert keys._CANONICAL[id(kernel)][0] is kernel
 
 
 class TestResultCache:

@@ -28,6 +28,7 @@ from repro.analysis.dependence import (
     _mixes_scalars,
     compute_dependences,
     permutation_legal,
+    recipe_refusal,
     tiling_legal,
     unroll_and_jam_legal,
 )
@@ -43,7 +44,7 @@ from repro.core.variants import (
 from repro.frontend.parser import parse_kernel
 from repro.ir import builder as B
 from repro.ir.expr import Var
-from repro.ir.nest import Kernel, affine_subscripts, array_refs, find_loop, loop_order
+from repro.ir.nest import Kernel, affine_subscripts, array_refs, find_loop, loop_order, walk_loops
 from repro.kernels import KERNELS
 from repro.machines import get_machine
 from repro.transforms import TileSpec, TransformError, tile_nest, unroll_and_jam
@@ -176,9 +177,44 @@ def _verdicts(kernel: Kernel):
 # -- the oracle ---------------------------------------------------------------
 
 
+def _stepped_loops(kernel: Kernel) -> List[str]:
+    return [loop.var for loop in walk_loops(kernel.body) if loop.step != 1]
+
+
 def assert_generated_nest_sound(seed: int) -> None:
+    """Phase 1 refuses a nest with a stepped loop, naming the loop; every
+    variant of any other nest is refused or correct, and each of its
+    unroll loops can be jammed alone."""
     text, params = generate_nest(seed)
-    assert_variants_refused_or_correct(parse_kernel(text), params)
+    kernel = parse_kernel(text)
+    stepped = _stepped_loops(kernel)
+    if stepped:
+        for name in MACHINES:
+            with pytest.raises(ValueError, match=f"loop {stepped[0]} has step 2"):
+                derive_variants(kernel, get_machine(name))
+        return
+    assert_variants_refused_or_correct(kernel, params)
+    assert_unrolls_jam_alone(kernel)
+
+
+def assert_unrolls_jam_alone(kernel: Kernel) -> None:
+    """Each unroll loop of a derived variant whose recipe is legal can be
+    jammed alone, and the register-file constraint and the register
+    level's parameters name exactly the unroll parameters."""
+    for name in MACHINES:
+        for variant in derive_variants(kernel, get_machine(name)):
+            band, order = variant.control_order, variant.point_order
+            params = {param for _, param in variant.unrolls}
+            if recipe_refusal(kernel, band, order, (), True) is not None:
+                continue
+            for loop, _ in variant.unrolls:
+                assert recipe_refusal(kernel, band, order, (loop,), True) is None, (
+                    name, variant.name, loop,
+                )
+            register = variant.constraints[0]
+            assert "register file" in register.label
+            assert register.expr.free_vars() <= params, (name, variant.name)
+            assert set(variant.levels[0].params) == params, (name, variant.name)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -193,6 +229,45 @@ def test_paper_kernel_variants_are_accepted_and_correct(name):
     kernel = KERNELS[name]()
     params = {p: PAPER_PARAMS[p] for p in kernel.params}
     assert assert_variants_refused_or_correct(kernel, params) == []
+    assert_unrolls_jam_alone(kernel)
+
+
+def test_phase_1_refuses_a_stepped_nest():
+    """Tiling and unroll-and-jam need step-1 loops, so phase 1 refuses
+    the nest outright instead of deriving variants that can never build."""
+    kernel = parse_kernel(
+        """
+kernel stepped(N):
+    array A[N, N], B[N]
+    do J = 1, N, 2:
+        do I = 1, N:
+            B[I] = B[I] + A[I, J]
+"""
+    )
+    for name in MACHINES:
+        with pytest.raises(ValueError, match="stepped: loop J has step 2"):
+            derive_variants(kernel, get_machine(name))
+
+
+def test_phase_1_drops_a_jam_that_mixes_scalars():
+    """Seed 31 computes ``t = A[I] * 2.0`` inside ``do J``: jamming I
+    would let one copy read another copy's ``t``.  No variant unrolls I,
+    none names ``UI``, and each builds with every unroll factor at 2."""
+    text, params = generate_nest(31)
+    kernel = parse_kernel(text)
+    arrays = allocate_arrays(kernel, params, seed=1)
+    want = _run(kernel, params, arrays)
+    for name in MACHINES:
+        machine = get_machine(name)
+        variants = derive_variants(kernel, machine)
+        assert variants
+        for variant in variants:
+            assert "I" not in variant.unroll_map, (name, variant.name)
+            assert all("UI" not in str(c.expr) for c in variant.constraints)
+            built = instantiate_base(kernel, variant, _values(variant, 3, 2), machine)
+            got = _run(built, params, arrays)
+            for decl in kernel.arrays:
+                assert np.allclose(got[decl.name], want[decl.name]), (name, variant.name)
 
 
 def test_verdicts_match_the_per_build_checks():
@@ -203,6 +278,7 @@ def test_verdicts_match_the_per_build_checks():
     split a reduction's subscript, so it lost its waiver; the recipe
     check accepts those builds, and each one matches the interpreter."""
     cases = [(parse_kernel(text), params) for text, params in map(generate_nest, range(40))]
+    cases = [(kernel, params) for kernel, params in cases if not _stepped_loops(kernel)]
     cases += [(KERNELS[name](), PAPER_PARAMS) for name in sorted(KERNELS)]
     for kernel, sizes in cases:
         params = {p: sizes[p] for p in kernel.params}
