@@ -18,13 +18,11 @@ Commands:
   flattened per-candidate table;
 * ``model train|info|eval`` — the learned ranking surrogate: fit a
   seeded ridge ranker on the flattened corpus (or trace files), inspect
-  a sealed model artifact, or score one against corpus rows (see
-  ``docs/search.md``, "Learned ranking");
-* ``report accuracy TRACE.jsonl ...`` — calibrate the analytical models
-  against the measured cycles a trace records: rank correlation, worst
-  misranking, prescreen margin sweep, ``--model`` side-by-side scoring
-  of a learned ranker on the same points, and (``--audit``) a seeded
-  re-simulation of recorded prescreen skips;
+  a sealed model artifact, or score one against corpus rows or
+  ``--traces`` files — rank correlation and log-cycle error over the
+  unique measured pure-tiling points, the model-accuracy report (see
+  ``docs/search.md``, "Learned ranking"; the paper's miss-model
+  accuracy is ``repro.experiments.model_vs_empirical``);
 * ``profile TRACE.jsonl`` — per-stage wall-time attribution of a search
   (stage spans + per-eval wall attrs);
 * ``bench [--quick] [--check] [-o FILE]`` — time the search: ``-j 1``
@@ -273,29 +271,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="restrict export to one ingested trace id")
     corpus.add_argument("-o", "--output", metavar="FILE", default=None,
                         help="write output to FILE instead of stdout")
-
-    report = sub.add_parser(
-        "report", help="model-accuracy reports from recorded traces"
-    )
-    report.add_argument("action", choices=("accuracy",))
-    report.add_argument("traces", nargs="+", metavar="TRACE.jsonl")
-    report.add_argument("--audit", type=int, nargs="?", const=5, default=0,
-                        metavar="N",
-                        help="re-simulate up to N sampled prescreen skips per "
-                             "search to measure the realized false-skip rate "
-                             "(default sample when given without N: 5)")
-    report.add_argument("--seed", type=int, default=42,
-                        help="sampling seed for --audit (default 42)")
-    report.add_argument("--model", metavar="MODEL.json", default=None,
-                        help="also score this trained learned ranker on the "
-                             "same measured points, side by side with the "
-                             "analytical surrogate")
-    report.add_argument("--margins", default=None, metavar="M1,M2,...",
-                        help="comma-separated margins for the sweep "
-                             "(default: 0.0 .. 0.5 including the calibrated "
-                             "0.29)")
-    report.add_argument("-o", "--output", metavar="FILE", default=None,
-                        help="write the report to FILE instead of stdout")
 
     model = sub.add_parser(
         "model",
@@ -769,50 +744,6 @@ def _cmd_corpus(args) -> None:
     _write_or_print(corpus.export(args.format, args.trace_id), args.output)
 
 
-def _parse_margins(text: Optional[str]):
-    from repro.obs.accuracy import DEFAULT_SWEEP_MARGINS
-
-    if not text:
-        return DEFAULT_SWEEP_MARGINS
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as error:
-        raise SystemExit(f"--margins: {error}")
-
-
-def _cmd_report(args) -> None:
-    from repro.obs.accuracy import analyze_trace, render_accuracy
-    from repro.obs.reader import read_trace
-
-    margins = _parse_margins(args.margins)
-    model = None
-    if args.model:
-        from repro.analysis.learned import load_ranker
-
-        try:
-            model = load_ranker(args.model)
-        except OSError as error:
-            raise SystemExit(f"repro report: cannot read {args.model}: {error}")
-    sections = []
-    for path in args.traces:
-        load = read_trace(path)
-        for warning in load.warnings:
-            print(f"warning: {path}: {warning}", file=sys.stderr)
-        if load.skipped_lines:
-            print(
-                f"warning: {path}: skipped {load.skipped_lines} unreadable "
-                f"line(s)",
-                file=sys.stderr,
-            )
-        analyses = analyze_trace(
-            load.events, margins=margins, audit=args.audit, seed=args.seed,
-            model=model,
-        )
-        header = f"== {path} =="
-        sections.append(header + "\n" + render_accuracy(analyses))
-    _write_or_print("\n".join(sections), args.output)
-
-
 def _model_rows(args) -> list:
     """Flattened training/eval rows: trace files when given, else the
     corpus."""
@@ -1012,8 +943,6 @@ def main(argv: Optional[List[str]] = None) -> None:
             _cmd_trace(args)
         elif args.command == "corpus":
             _cmd_corpus(args)
-        elif args.command == "report":
-            _cmd_report(args)
         elif args.command == "model":
             _cmd_model(args)
         elif args.command == "profile":

@@ -3,8 +3,6 @@
 from repro.analysis.dependence import Dependence, compute_dependences, recipe_refusal
 from repro.analysis.footprint import (
     footprint_elems,
-    footprint_lines,
-    footprint_pages,
     group_footprint_elems,
     ref_extents,
     ref_footprint_elems,
@@ -52,8 +50,6 @@ __all__ = [
     "ref_footprint_elems",
     "group_footprint_elems",
     "footprint_elems",
-    "footprint_lines",
-    "footprint_pages",
     "access_weights",
     "most_profitable_loops",
     "most_profitable_refs",

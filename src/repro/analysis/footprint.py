@@ -27,8 +27,6 @@ __all__ = [
     "ref_footprint_elems",
     "group_footprint_elems",
     "footprint_elems",
-    "footprint_lines",
-    "footprint_pages",
 ]
 
 
@@ -103,89 +101,6 @@ def footprint_elems(
     for group in by_array.values():
         total = total + group_footprint_elems(kernel, group, extents, loops)
     return total
-
-
-def footprint_lines(
-    kernel: Kernel,
-    refs: Sequence[ArrayRef],
-    extents: Mapping[str, ExprLike],
-    params: Mapping[str, int],
-    line_size: int,
-    loops: Optional[Sequence[str]] = None,
-) -> int:
-    """Numeric footprint in cache lines for concrete parameter values.
-
-    Column-major layout: only dimension 0 is contiguous, so lines are
-    counted as ``ceil(dim0_bytes / line) * prod(other dims)`` per array
-    (a slight overestimate when columns happen to be line-adjacent).
-    """
-    if loops is None:
-        loops = loop_order(kernel)
-    by_array: Dict[str, List[ArrayRef]] = {}
-    for ref in refs:
-        by_array.setdefault(ref.array, []).append(ref)
-    total = 0
-    for array, group in by_array.items():
-        element = kernel.array(array).element_size
-        dims = _numeric_group_extents(kernel, group, extents, params, loops)
-        lines = -(-dims[0] * element // line_size)
-        for extent in dims[1:]:
-            lines *= extent
-        total += lines
-    return total
-
-
-def footprint_pages(
-    kernel: Kernel,
-    refs: Sequence[ArrayRef],
-    extents: Mapping[str, ExprLike],
-    params: Mapping[str, int],
-    page_size: int,
-    loops: Optional[Sequence[str]] = None,
-) -> int:
-    """Numeric TLB footprint in pages for concrete parameter values.
-
-    Each non-contiguous column segment of a tile starts on its own page in
-    the worst case, so the page count is ``prod(extents of dims >= 1)``
-    multiplied by the pages each contiguous segment spans; when a whole
-    array column is shorter than a page, adjacent columns share pages and
-    the count is scaled down accordingly.
-    """
-    if loops is None:
-        loops = loop_order(kernel)
-    by_array: Dict[str, List[ArrayRef]] = {}
-    for ref in refs:
-        by_array.setdefault(ref.array, []).append(ref)
-    total = 0
-    for array, group in by_array.items():
-        decl = kernel.array(array)
-        element = decl.element_size
-        dims = _numeric_group_extents(kernel, group, extents, params, loops)
-        segment_bytes = dims[0] * element
-        segments = 1
-        for extent in dims[1:]:
-            segments *= extent
-        column_bytes = int(decl.shape[0].evaluate(params)) * element
-        if column_bytes >= page_size:
-            pages_per_segment = -(-segment_bytes // page_size) + 1
-            pages = segments * pages_per_segment
-        else:
-            # Consecutive columns are page-contiguous; segments share pages.
-            columns_per_page = max(1, page_size // column_bytes)
-            pages = -(-segments // columns_per_page) + 1
-        total += min(pages, -(-int(decl.size_expr().evaluate(params)) * element // page_size) + 1)
-    return total
-
-
-def _numeric_group_extents(
-    kernel: Kernel,
-    group: Sequence[ArrayRef],
-    extents: Mapping[str, ExprLike],
-    params: Mapping[str, int],
-    loops: Sequence[str],
-) -> List[int]:
-    symbolic = group_footprint_dims(kernel, group, extents, loops)
-    return [max(1, int(dim.evaluate(params))) for dim in symbolic]
 
 
 def group_footprint_dims(

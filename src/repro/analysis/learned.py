@@ -608,8 +608,8 @@ def evaluate_ranker(
     """Score a trained ranker against flattened rows (held-out or not).
 
     Returns rank correlation and log-space error over the usable
-    pure-tiling rows — the same yardsticks ``repro report accuracy``
-    applies to the analytical surrogate.  Scores the *operational*
+    pure-tiling rows; this is ``repro model eval``, the model-accuracy
+    report.  Scores the *operational*
     predictor, memo included: rows the model was trained on score
     exactly; the ``training`` metrics on the artifact are the
     regression-only (generalization) figures.

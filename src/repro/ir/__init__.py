@@ -45,7 +45,6 @@ from repro.ir.nest import (
     Prefetch,
     Statement,
     array_refs,
-    count_flops,
     find_loop,
     loop_order,
     map_statements,
@@ -92,7 +91,6 @@ __all__ = [
     "loop_order",
     "find_loop",
     "array_refs",
-    "count_flops",
     "map_statements",
     "format_kernel",
     "validate_kernel",

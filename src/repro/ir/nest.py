@@ -45,7 +45,6 @@ __all__ = [
     "walk_loops",
     "loop_order",
     "find_loop",
-    "count_flops",
     "array_refs",
     "scalars_read",
 ]
@@ -448,13 +447,6 @@ def array_refs(nodes: Tuple[Node, ...]) -> Iterator[Tuple[ArrayRef, bool]]:
             yield from ((ref, False) for ref in stmt.value.reads())
             if isinstance(stmt.target, ArrayRef):
                 yield (stmt.target, True)
-
-
-def count_flops(stmt: Statement) -> int:
-    """Arithmetic operations executed by one instance of ``stmt``."""
-    if isinstance(stmt, Assign):
-        return stmt.value.flops()
-    return 0
 
 
 def scalars_read(expr: CExpr) -> FrozenSet[str]:

@@ -11,8 +11,6 @@ Three pieces (see ``docs/observability.md``):
   toolchain behind ``repro trace summary|timeline|convergence|chrome``;
 * :mod:`repro.obs.corpus` — the content-addressed trace corpus and its
   flattened per-candidate table (``repro corpus ...``);
-* :mod:`repro.obs.accuracy` — the model-accuracy observatory
-  (``repro report accuracy``);
 * :mod:`repro.obs.profile` — per-stage search-cost attribution
   (``repro profile``).
 """
@@ -82,20 +80,7 @@ __all__ = [
     "Corpus",
     "flatten_trace",
     "trace_id",
-    "analyze_trace",
-    "render_accuracy",
     "profile_trace",
     "render_profile",
 ]
 
-
-def __getattr__(name):
-    # repro.obs.accuracy re-scores candidates with the search's own
-    # models, so it imports repro.core — which imports the engine, which
-    # imports this package.  Loading it lazily keeps the export surface
-    # without the cycle.
-    if name in ("analyze_trace", "render_accuracy"):
-        from repro.obs import accuracy
-
-        return getattr(accuracy, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,8 +20,8 @@ is ingestable, with its ``skipped_lines`` recorded in the index.
 
 The read side is :func:`flatten_trace`: the per-candidate table
 (bindings, measured cycles, per-level misses, stage, cache/full/delta
-outcome) that downstream consumers — ``repro report accuracy``, the
-future learned surrogate — use instead of re-parsing raw spans.  Rows
+outcome) that the learned ranker (``repro model train|eval``,
+:mod:`repro.analysis.learned`) reads instead of re-parsing raw spans.  Rows
 derive only from canonical (timing-free) event content, so the table is
 byte-identical across job counts, with or without speculation.
 """

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
-from repro.ir.nest import Kernel, Loop, Node, Statement, walk_loops
+from repro.ir.nest import Kernel, Loop, Node, Statement
 
 __all__ = [
     "TransformError",
     "replace_loop",
-    "innermost_loops",
     "perfect_nest_loops",
     "is_statement_body",
     "fresh_name",
@@ -41,15 +40,6 @@ def replace_loop(
         else:
             result.append(node)
     return tuple(result)
-
-
-def innermost_loops(nodes: Tuple[Node, ...]) -> List[Loop]:
-    """Loops whose bodies contain no nested loops."""
-    return [
-        loop
-        for loop in walk_loops(nodes)
-        if not any(isinstance(child, Loop) for child in loop.body)
-    ]
 
 
 def is_statement_body(loop: Loop) -> bool:

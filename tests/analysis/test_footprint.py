@@ -4,8 +4,6 @@ import pytest
 
 from repro.analysis.footprint import (
     footprint_elems,
-    footprint_lines,
-    footprint_pages,
     group_footprint_elems,
     ref_extents,
     ref_footprint_elems,
@@ -79,33 +77,6 @@ class TestGroupFootprint:
 
 
 class TestNumericFootprints:
-    def test_lines_rounding(self):
-        mm = matmul()
-        lines = footprint_lines(
-            mm, [_ref(mm, "C")], {"I": Var("UI"), "J": Var("UJ")},
-            params={"UI": 3, "UJ": 2, "N": 100}, line_size=32,
-        )
-        # 3 elements = 24 bytes -> 1 line per column, 2 columns.
-        assert lines == 2
-
-    def test_pages_tall_columns(self):
-        mm = matmul()
-        pages = footprint_pages(
-            mm, [_ref(mm, "B")], {"K": TK, "J": TJ},
-            params={"TK": 64, "TJ": 4, "N": 512}, page_size=512,
-        )
-        # Each of 4 column segments spans 64*8/512 = 1 page (+1 misalignment).
-        assert pages == 8
-
-    def test_pages_capped_by_array_size(self):
-        mm = matmul()
-        pages = footprint_pages(
-            mm, [_ref(mm, "B")], {"K": Var("TKv"), "J": Var("TJv")},
-            params={"TKv": 1000, "TJv": 1000, "N": 16}, page_size=4096,
-        )
-        # Whole array is 16*16*8 = 2KB: at most 1 page + alignment slack.
-        assert pages <= 2
-
     def test_table4_constraint_shapes(self):
         """The symbolic footprints reproduce the paper's Table 4 bounds:
         UI*UJ <= 32 registers, TJ*TK <= 2048 L1 elements."""

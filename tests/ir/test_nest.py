@@ -10,7 +10,6 @@ from repro.ir.nest import (
     Loop,
     Prefetch,
     array_refs,
-    count_flops,
     find_loop,
     loop_order,
     map_statements,
@@ -126,11 +125,6 @@ class TestKernelHelpers:
     def test_array_refs_skips_prefetch(self):
         body = (Prefetch(B.aref("A", Const(1), Const(1))),)
         assert list(array_refs(body)) == []
-
-    def test_count_flops(self):
-        stmt = next(walk_statements(matmul().body))
-        assert count_flops(stmt) == 2
-        assert count_flops(Prefetch(B.aref("A", Const(1), Const(1)))) == 0
 
     def test_kernel_array_lookup(self):
         mm = matmul()

@@ -5,6 +5,14 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.analysis.learned import MODEL_RECORD_KIND, load_ranker
+from repro.core import EcoOptimizer, SearchConfig
+from repro.eval import EvalEngine
+from repro.kernels import matmul
+from repro.machines import get_machine
+from repro.obs import Tracer
+from repro.obs.corpus import flatten_trace
+from repro.storage import open_record
 
 
 class TestCli:
@@ -108,7 +116,7 @@ class TestCliTrace:
 
 
 class TestCliObservatory:
-    """The ISSUE 7 verbs: corpus / report accuracy / profile."""
+    """The trace-toolchain verbs: corpus / profile."""
 
     REFERENCE = "results/traces/mm_sgi_r10k.trace.jsonl"
 
@@ -138,18 +146,62 @@ class TestCliObservatory:
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("trace,search,kernel,machine")
 
-    def test_report_accuracy_on_reference_trace(self, capsys):
-        main(["report", "accuracy", self.REFERENCE])
-        out = capsys.readouterr().out
-        assert "model accuracy — mm @ sgi-r10k-mini" in out
-        assert "worst misranking:" in out
-        assert "<- default" in out
-
     def test_profile_on_reference_trace(self, capsys):
         main(["profile", self.REFERENCE])
         out = capsys.readouterr().out
         assert "search profile — mm @ sgi-r10k-mini" in out
         assert "self time" in out
+
+
+class TestCliModel:
+    """``repro model train|info|eval --traces`` on one traced golden
+    mm@sgi N=24 search: ``eval`` is the model-accuracy report."""
+
+    @pytest.fixture(scope="class")
+    def golden_trace(self, tmp_path_factory):
+        machine = get_machine("sgi")
+        tracer = Tracer(kernel="mm", machine=machine.name, size=24)
+        with EvalEngine(machine, tracer=tracer) as engine:
+            EcoOptimizer(
+                matmul(), machine, SearchConfig(full_search_variants=2),
+                engine=engine,
+            ).optimize({"N": 24})
+        path = tmp_path_factory.mktemp("model") / "golden.trace.jsonl"
+        tracer.dump(path)
+        return path, tracer.events()
+
+    @pytest.fixture(scope="class")
+    def model_path(self, golden_trace, tmp_path_factory):
+        trace, _ = golden_trace
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        main(["model", "train", str(path), "--kernel", "mm",
+              "--machine", "sgi", "--traces", str(trace)])
+        return path
+
+    def test_train_writes_a_sealed_artifact(self, model_path):
+        body = open_record(model_path.read_text(), MODEL_RECORD_KIND)
+        assert (body["kernel"], body["machine"]) == ("mm", "sgi-r10k-mini")
+
+    def test_info_prints_the_fingerprint(self, model_path, capsys):
+        main(["model", "info", str(model_path)])
+        out = capsys.readouterr().out
+        assert f"fingerprint {load_ranker(model_path).fingerprint}" in out
+
+    def test_eval_scores_every_unique_tiling_point(self, golden_trace,
+                                                  model_path, capsys):
+        trace, events = golden_trace
+        unique = {
+            (row["variant"], tuple(sorted(row["values"].items())))
+            for row in flatten_trace(events)
+            if row["status"] == "ok" and row["cycles"] is not None
+            and not row["prefetch"] and not row["pads"]
+        }
+        main(["model", "eval", str(model_path), "--traces", str(trace)])
+        out = capsys.readouterr().out
+        k = len(unique)
+        assert k > 0
+        assert f"scored {k} of {k} usable rows" in out
+        assert "spearman 1.000" in out
 
 
 class TestCliDoctor:

@@ -1,4 +1,4 @@
-"""Trace corpus + model-accuracy observatory (ISSUE 7).
+"""Trace corpus, profile and reader contracts.
 
 The contracts under test:
 
@@ -6,12 +6,6 @@ The contracts under test:
   job counts and host CPU counts (``-j1``, and ``-j4`` with and without
   speculation), and the content address dedups those recordings to one
   corpus entry;
-* the accuracy report is byte-stable on the committed reference trace
-  ``results/traces/mm_sgi_r10k.trace.jsonl`` and reproduces the margin
-  calibration documented in docs/search.md: worst observed misranking
-  ~1.273x (sun/ultrasparc-mini), >= 25 % of simulations avoided at the
-  default margin 0.29 (sgi), and a seeded audit of a prescreen-on run
-  re-simulating skips finds no false skip;
 * ``repro profile`` attribution rows sum to the search span's wall time
   (within 1 %), with per-eval ``wall`` attrs present on schema-1.1
   traces and a graceful degrade on older ones;
@@ -26,7 +20,6 @@ import json
 
 import pytest
 
-from repro.analysis.surrogate import DEFAULT_MARGIN
 from repro.core import EcoOptimizer, SearchConfig
 from repro.eval import EvalEngine
 from repro.kernels import matmul
@@ -46,11 +39,9 @@ from repro.obs import (
     stage_totals,
     trace_id,
 )
-from repro.obs.accuracy import analyze_trace, render_accuracy
 from repro.obs.corpus import ROW_COLUMNS, rows_to_csv, rows_to_jsonl
 from repro.obs.profile import profile_trace, render_profile, self_times
 from tests.conftest import forced_cpu_count
-from tests.test_search_golden import GOLDEN_CYCLES, GOLDEN_VALUES
 
 REFERENCE_TRACE = "results/traces/mm_sgi_r10k.trace.jsonl"
 
@@ -59,13 +50,13 @@ REFERENCE_TRACE = "results/traces/mm_sgi_r10k.trace.jsonl"
 VENUES = ((1, 1), (4, 1), (4, 8))
 
 
-def _traced_search(machine_name: str, jobs: int = 1, **config):
+def _traced_search(machine_name: str, jobs: int = 1):
     machine = get_machine(machine_name)
     tracer = Tracer(kernel="mm", machine=machine_name, size=24)
     with EvalEngine(machine, jobs=jobs, tracer=tracer) as engine:
         optimizer = EcoOptimizer(
             matmul(), machine,
-            SearchConfig(full_search_variants=2, **config), engine=engine,
+            SearchConfig(full_search_variants=2), engine=engine,
         )
         result = optimizer.optimize({"N": 24}).result
         tracer.snapshot_metrics(engine.metrics)
@@ -89,18 +80,6 @@ def venue_traces():
 @pytest.fixture(scope="module")
 def sgi_events(venue_traces):
     return venue_traces[(1, 1)][1].events()
-
-
-@pytest.fixture(scope="module")
-def sun_trace():
-    """Fresh golden search on the machine the margin was calibrated on."""
-    return _traced_search("sun")
-
-
-@pytest.fixture(scope="module")
-def prescreened_trace():
-    """The sgi golden search with the model prescreen ON (skips traced)."""
-    return _traced_search("sgi", prescreen=True)
 
 
 @pytest.fixture(scope="module")
@@ -223,94 +202,6 @@ class TestCorpusIngest:
         assert result.new
         assert result.entry["skipped_lines"] == 1
         assert result.entry["events"] == len(text.splitlines()) - 1
-
-
-class TestAccuracyReport:
-    def test_reference_report_is_byte_stable(self, reference_load):
-        events = reference_load.events
-        first = render_accuracy(analyze_trace(events))
-        second = render_accuracy(analyze_trace(events))
-        assert first == second
-
-    def test_reference_report_pins(self, reference_load):
-        """The committed trace's calibration numbers, pinned exactly.
-
-        These move only when the surrogate model (or the trace) changes
-        — which is precisely when a human should re-read the curve.
-        """
-        text = render_accuracy(analyze_trace(reference_load.events))
-        assert "model accuracy — mm @ sgi-r10k-mini (N=24)" in text
-        assert "evaluations: 73 (73 simulated, 0 cache hits)" in text
-        assert "tiling candidates: 53 unique measured, 53 scorable" in text
-        assert "rank correlation (score vs cycles): +0.4670" in text
-        assert "worst misranking: 1.294x" in text
-        assert "<- default" in text
-
-    def test_reference_sweep_numbers(self, reference_load):
-        (analysis,) = analyze_trace(reference_load.events)
-        (point,) = [p for p in analysis.sweep if p.margin == DEFAULT_MARGIN]
-        assert point.skips == 17
-        assert point.false_skips == 1
-        assert point.avoided_frac == pytest.approx(17 / 73)
-        # more margin, fewer skips: the curve is monotone
-        skips = [p.skips for p in analysis.sweep]
-        assert skips == sorted(skips, reverse=True)
-
-    def test_fresh_sgi_reproduces_pruning_floor(self, sgi_events):
-        """docs/search.md: >= 25 % of simulations avoided at margin 0.29."""
-        (analysis,) = analyze_trace(sgi_events)
-        assert analysis.spearman is not None and analysis.spearman > 0.3
-        (point,) = [p for p in analysis.sweep if p.margin == DEFAULT_MARGIN]
-        assert point.avoided_frac >= 0.25
-
-    def test_fresh_sun_reproduces_worst_misranking(self, sun_trace):
-        """docs/search.md: margin calibrated against the 1.273x worst
-        misranking observed on sun-ultrasparc-mini."""
-        _, tracer = sun_trace
-        (analysis,) = analyze_trace(tracer.events())
-        assert analysis.worst is not None
-        assert analysis.worst.ratio == pytest.approx(1.273, abs=1e-3)
-        # the calibration invariant: the default margin absorbs it
-        assert DEFAULT_MARGIN > analysis.worst.ratio - 1.0
-
-    def test_empty_trace_reports_no_searches(self):
-        assert "no search spans found" in render_accuracy(analyze_trace([]))
-
-
-class TestPrescreenAudit:
-    def test_prescreened_search_keeps_the_golden_winner(
-            self, prescreened_trace):
-        result, _ = prescreened_trace
-        assert result.values == GOLDEN_VALUES
-        assert result.cycles == pytest.approx(GOLDEN_CYCLES, rel=1e-12)
-
-    def test_seeded_audit_finds_no_false_skips(self, prescreened_trace):
-        _, tracer = prescreened_trace
-        (analysis,) = analyze_trace(tracer.events(), audit=5, seed=42)
-        audit = analysis.audit
-        assert audit is not None
-        assert audit.total_skips > 0
-        assert audit.sampled == 5
-        assert audit.false_skips == 0 and audit.rate == 0.0
-        for record in audit.records:
-            assert record.cycles is not None  # skips re-simulate feasibly
-            assert record.best_cycles is not None
-
-    def test_audit_is_deterministic_given_its_seed(self, prescreened_trace):
-        _, tracer = prescreened_trace
-        events = tracer.events()
-        (first,) = analyze_trace(events, audit=3, seed=7)
-        (second,) = analyze_trace(events, audit=3, seed=7)
-        assert first.audit.records == second.audit.records
-
-    def test_oversized_sample_audits_every_skip(self, prescreened_trace):
-        _, tracer = prescreened_trace
-        events = tracer.events()
-        (analysis,) = analyze_trace(events, audit=10_000, seed=42)
-        audit = analysis.audit
-        assert audit.sampled == audit.total_skips == len(audit.records)
-        rendered = render_accuracy([analysis])
-        assert f"re-simulated {audit.sampled}/{audit.total_skips}" in rendered
 
 
 class TestProfile:

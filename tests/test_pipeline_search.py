@@ -4,7 +4,10 @@ The contracts under test (ISSUE 5 acceptance criteria):
 
 * **prescreen safety** — on the golden mm search, enabling the model
   prescreen skips simulations but never changes the tuned winner, on
-  every machine model, and avoids >= 25% of them on sgi-r10k-mini;
+  every machine model, and avoids >= 25% of them on sgi-r10k-mini; the
+  default margin absorbs the worst misranking it was calibrated on
+  (1.273x, sun-ultrasparc-mini), and the surrogate's scores rank the
+  sgi measurements (Spearman > 0.3);
 * **speculation is unobservable** — a ``-j 4`` search finds the
   byte-identical result (points, history, full/delta split) of ``-j 1``
   and records the same canonical trace, even with the prescreen on,
@@ -25,13 +28,14 @@ import shutil
 import pytest
 
 from repro.analysis import DEFAULT_MARGIN, SkipVerdict, Surrogate
+from repro.analysis.learned import spearman
 from repro.bench import FLOOR_SLACK, check_search_floor
 from repro.core import EcoOptimizer, SearchConfig
 from repro.core.derive import derive_variants
 from repro.eval import EvalEngine, ResultCache
 from repro.kernels import matmul
 from repro.machines import MACHINES, get_machine
-from repro.obs import Tracer, canonical
+from repro.obs import Tracer, canonical, flatten_trace
 from tests.conftest import forced_cpu_count
 
 SGI = get_machine("sgi")
@@ -61,6 +65,42 @@ def _winner(result):
 
 #: the prescreen's avoided-simulation floor on the reference machine
 PRESCREEN_AVOIDED_FLOOR = {"sgi-r10k-mini": 0.25}
+
+
+def _traced_golden_rows(machine):
+    """Flattened trace rows of the plain golden search on ``machine``,
+    with a surrogate and the variants to re-score them."""
+    tracer = Tracer(kernel="mm", machine=machine.name, size=24)
+    _golden_search(machine, tracer=tracer)
+    kernel = matmul()
+    variants = {v.name: v for v in derive_variants(kernel, machine)}
+    surrogate = Surrogate(kernel, machine, {"N": 24})
+    return flatten_trace(tracer.events()), surrogate, variants
+
+
+def _worst_misranking(rows, surrogate, variants):
+    """Replay each variant's tiling stage against its running best: the
+    largest ``score(candidate) / score(best)`` among candidates the
+    surrogate ranks above the running best that measure faster (1.0 when
+    there are none).  The prescreen skips such a candidate unless the
+    margin exceeds this ratio minus one."""
+    streams = {}
+    for row in rows:
+        if row["stage"] == "tiling" and row["cycles"] is not None:
+            streams.setdefault(row["variant"], []).append(row)
+    worst = 1.0
+    for name, stream in streams.items():
+        variant = variants[name]
+        best = None
+        for row in stream:
+            if best is not None and row["cycles"] < best["cycles"]:
+                candidate = surrogate.score(variant, row["values"])
+                incumbent = surrogate.score(variant, best["values"])
+                if candidate is not None and incumbent:
+                    worst = max(worst, candidate / incumbent)
+            if best is None or row["cycles"] < best["cycles"]:
+                best = row
+    return worst
 
 
 class TestPrescreenSafety:
@@ -97,6 +137,33 @@ class TestPrescreenSafety:
         assert min(e[-1] for e in pruned.history) == min(
             e[-1] for e in base.history
         )
+
+
+    def test_margin_absorbs_the_worst_misranking(self):
+        """DEFAULT_MARGIN was calibrated against the 1.273x worst
+        misranking of the golden search on sun-ultrasparc-mini."""
+        rows, surrogate, variants = _traced_golden_rows(get_machine("sun"))
+        worst = _worst_misranking(rows, surrogate, variants)
+        assert worst == pytest.approx(1.273, abs=1e-3)
+        assert worst < 1.0 + DEFAULT_MARGIN
+
+    def test_surrogate_ranks_the_measurements(self):
+        """Rank correlation between surrogate score and measured cycles
+        over the unique pure-tiling points of the sgi golden search."""
+        rows, surrogate, variants = _traced_golden_rows(SGI)
+        unique = {}
+        for row in rows:
+            if row["cycles"] is None or row["prefetch"] or row["pads"]:
+                continue
+            key = (row["variant"], tuple(sorted(row["values"].items())))
+            unique.setdefault(key, row)
+        scores, cycles = [], []
+        for row in unique.values():
+            score = surrogate.score(variants[row["variant"]], row["values"])
+            if score is not None:
+                scores.append(score)
+                cycles.append(row["cycles"])
+        assert spearman(scores, cycles) > 0.3
 
 
 class TestSpeculationIsUnobservable:

@@ -8,7 +8,6 @@ from repro.kernels import matmul
 from repro.transforms.util import (
     TransformError,
     fresh_name,
-    innermost_loops,
     is_statement_body,
     perfect_nest_loops,
     replace_loop,
@@ -39,11 +38,6 @@ class TestReplaceLoop:
 
 
 class TestNestHelpers:
-    def test_innermost_loops(self):
-        mm = matmul()
-        loops = innermost_loops(mm.body)
-        assert [l.var for l in loops] == ["I"]
-
     def test_is_statement_body(self):
         mm = matmul()
         from repro.ir.nest import walk_loops
