@@ -12,7 +12,8 @@ Commands:
   (default: all; names: table1 table4 fig4 fig5 searchcost motivation
   generality);
 * ``trace summary|timeline|convergence|chrome TRACE.jsonl`` — analyze a
-  search trace (see ``docs/observability.md``);
+  search trace; ``summary`` is the search-cost report, attributing each
+  search's wall time to its stages (see ``docs/observability.md``);
 * ``corpus ingest|list|stats|export`` — accumulate traces into the
   content-addressed corpus under ``results/corpus/`` and export the
   flattened per-candidate table;
@@ -23,8 +24,6 @@ Commands:
   unique measured pure-tiling points, the model-accuracy report (see
   ``docs/search.md``, "Learned ranking"; the paper's miss-model
   accuracy is ``repro.experiments.model_vs_empirical``);
-* ``profile TRACE.jsonl`` — per-stage wall-time attribution of a search
-  (stage spans + per-eval wall attrs);
 * ``bench [--quick] [--check] [-o FILE]`` — time the search: ``-j 1``
   vs ``-j N`` wall clock and the plain/pruned walls of the model
   prescreen and the learned ranker (``BENCH_search.json``, floor
@@ -296,13 +295,6 @@ def _parser() -> argparse.ArgumentParser:
                        metavar="TRACE.jsonl",
                        help="train/eval directly on trace files instead of "
                             "the corpus")
-
-    profile = sub.add_parser(
-        "profile", help="per-stage wall-time attribution of a search trace"
-    )
-    profile.add_argument("trace", metavar="TRACE.jsonl")
-    profile.add_argument("-o", "--output", metavar="FILE", default=None,
-                         help="write the report to FILE instead of stdout")
 
     serve = sub.add_parser(
         "serve",
@@ -654,20 +646,10 @@ def _cmd_trace(args) -> None:
     load = read_trace(args.trace)
     events = load.events
     if args.action == "summary":
-        # the summary folds loader findings (skipped lines, schema
-        # warnings) into its own output
-        text = render_summary(
-            events, skipped_lines=load.skipped_lines, warnings=load.warnings
-        )
+        # the summary folds loader notices into its own output
+        text = render_summary(events, load.notices)
     else:
-        for warning in load.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        if load.skipped_lines:
-            print(
-                f"warning: skipped {load.skipped_lines} unreadable line(s) "
-                f"(truncated or partially written trace)",
-                file=sys.stderr,
-            )
+        _print_notices(load)
         if args.action == "chrome":
             output = args.output or f"{args.trace.removesuffix('.jsonl')}.chrome.json"
             with open(output, "w") as handle:
@@ -679,12 +661,14 @@ def _cmd_trace(args) -> None:
             "convergence": render_convergence,
         }[args.action]
         text = render(events)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+    _write_or_print(text, args.output)
+
+
+def _print_notices(load) -> None:
+    """Report on stderr what loading a trace forgave (torn lines, a
+    newer schema), so no command reads a partial trace silently."""
+    for notice in load.notices:
+        print(f"warning: {load.path}: {notice}", file=sys.stderr)
 
 
 def _write_or_print(text: str, output: Optional[str]) -> None:
@@ -754,8 +738,7 @@ def _model_rows(args) -> list:
         rows = []
         for path in args.traces:
             load = read_trace(path)
-            for warning in load.warnings:
-                print(f"warning: {path}: {warning}", file=sys.stderr)
+            _print_notices(load)
             rows.extend(flatten_trace(load.events))
         return rows
     from repro.obs.corpus import Corpus
@@ -819,27 +802,12 @@ def _cmd_model(args) -> None:
         return
     # eval
     metrics = evaluate_ranker(ranker, _model_rows(args))
-    print(f"{args.path}: scored {metrics['scored']} of {metrics['rows']} "
-          f"usable rows")
+    print(f"{args.path}: scored {metrics['scored']} of {metrics['points']} "
+          f"unique tiling points")
     rho = metrics["spearman"]
     mae = metrics["mae_log_cycles"]
     print(f"  spearman {'n/a' if rho is None else f'{rho:.3f}'}  "
           f"mae(log cycles) {'n/a' if mae is None else f'{mae:.4f}'}")
-
-
-def _cmd_profile(args) -> None:
-    from repro.obs.profile import render_profile
-    from repro.obs.reader import read_trace
-
-    load = read_trace(args.trace)
-    for warning in load.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if load.skipped_lines:
-        print(
-            f"warning: skipped {load.skipped_lines} unreadable line(s)",
-            file=sys.stderr,
-        )
-    _write_or_print(render_profile(load.events), args.output)
 
 
 def _cmd_doctor(args) -> None:
@@ -945,8 +913,6 @@ def main(argv: Optional[List[str]] = None) -> None:
             _cmd_corpus(args)
         elif args.command == "model":
             _cmd_model(args)
-        elif args.command == "profile":
-            _cmd_profile(args)
         elif args.command == "doctor":
             _cmd_doctor(args)
     except BrokenPipeError:

@@ -607,8 +607,9 @@ def evaluate_ranker(
 ) -> Dict[str, Any]:
     """Score a trained ranker against flattened rows (held-out or not).
 
-    Returns rank correlation and log-space error over the usable
-    pure-tiling rows; this is ``repro model eval``, the model-accuracy
+    Returns rank correlation and log-space error over the unique
+    measured pure-tiling points (``points``; ``scored`` of them had a
+    prediction); this is ``repro model eval``, the model-accuracy
     report.  Scores the *operational*
     predictor, memo included: rows the model was trained on score
     exactly; the ``training`` metrics on the artifact are the
@@ -636,7 +637,7 @@ def evaluate_ranker(
     errors = [abs(p - m) for p, m in zip(predicted, measured)]
     rho = spearman(predicted, measured)
     return {
-        "rows": len(samples),
+        "points": len(samples),
         "scored": len(predicted),
         "spearman": rho,
         "mae_log_cycles": (sum(errors) / len(errors)) if errors else None,

@@ -8,26 +8,24 @@ Three pieces (see ``docs/observability.md``):
 * :mod:`repro.obs.metrics` — counters / gauges / histograms every search
   component reports into;
 * :mod:`repro.obs.reader` / :mod:`repro.obs.report` — the trace
-  toolchain behind ``repro trace summary|timeline|convergence|chrome``;
+  toolchain behind ``repro trace summary|timeline|convergence|chrome``:
+  the reader rebuilds the one span tree every report walks, and
+  ``summary`` is the search-cost report (per-stage wall attribution
+  that sums to each search's wall, plus self times);
 * :mod:`repro.obs.corpus` — the content-addressed trace corpus and its
-  flattened per-candidate table (``repro corpus ...``);
-* :mod:`repro.obs.profile` — per-stage search-cost attribution
-  (``repro profile``).
+  flattened per-candidate table (``repro corpus ...``).
 """
 
 from repro.obs.corpus import Corpus, flatten_trace, trace_id
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import profile_trace, render_profile
 from repro.obs.reader import (
     TraceLoad,
     canonical,
     convergence,
     delta_totals,
     eval_events,
-    load_trace,
     read_trace,
     span_nodes,
-    stage_totals,
     supervision_totals,
     trace_meta,
 )
@@ -62,13 +60,11 @@ __all__ = [
     "validate_event",
     "parse_schema_version",
     "check_schema_version",
-    "load_trace",
     "read_trace",
     "TraceLoad",
     "canonical",
     "eval_events",
     "convergence",
-    "stage_totals",
     "supervision_totals",
     "delta_totals",
     "span_nodes",
@@ -80,7 +76,5 @@ __all__ = [
     "Corpus",
     "flatten_trace",
     "trace_id",
-    "profile_trace",
-    "render_profile",
 ]
 

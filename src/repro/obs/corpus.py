@@ -40,10 +40,11 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.obs.reader import (
     TraceLoad,
     canonical,
+    eval_events,
     read_trace,
+    span_nodes,
     trace_meta,
 )
-from repro.obs.schema import validate_event
 from repro.storage import (
     FileLock,
     StorageError,
@@ -109,37 +110,6 @@ def trace_id(events: List[Dict[str, Any]]) -> str:
     return digest.hexdigest()[:16]
 
 
-def _span_context(
-    events: List[Dict[str, Any]],
-) -> Dict[str, Dict[str, Any]]:
-    """Per-span lookup: name, begin attrs and parent id, keyed by span id."""
-    spans: Dict[str, Dict[str, Any]] = {}
-    for event in events:
-        if event.get("type") == "span_begin":
-            spans[event["span"]] = {
-                "name": event.get("name"),
-                "attrs": event.get("attrs", {}),
-                "parent": event.get("parent"),
-            }
-    return spans
-
-
-def _enclosing(
-    spans: Dict[str, Dict[str, Any]], span: Optional[str], name: str
-) -> Optional[str]:
-    """Innermost enclosing span (inclusive) with the given name."""
-    seen = set()
-    while span is not None and span not in seen:
-        seen.add(span)
-        info = spans.get(span)
-        if info is None:
-            return None
-        if info["name"] == name:
-            return span
-        span = info["parent"]
-    return None
-
-
 def flatten_trace(
     events: List[Dict[str, Any]], trace: str = ""
 ) -> List[Dict[str, Any]]:
@@ -155,20 +125,16 @@ def flatten_trace(
     Only canonical event content is read, so the rows are deterministic
     across job counts, with or without speculation.
     """
-    spans = _span_context(events)
+    spans = {
+        node.id: node for root in span_nodes(events) for node in root.walk()
+    }
     rows: List[Dict[str, Any]] = []
-    index = 0
-    for event in events:
-        if event.get("type") != "event" or event.get("name") != "eval":
-            continue
+    for index, event in enumerate(eval_events(events)):
         attrs = event.get("attrs", {})
-        span = event.get("span")
-        search = _enclosing(spans, span, "search")
-        search_attrs = spans.get(search, {}).get("attrs", {}) if search else {}
-        stage_span = _enclosing(spans, span, "stage")
-        stage = ""
-        if stage_span is not None:
-            stage = spans[stage_span]["attrs"].get("stage", "")
+        span = spans.get(event.get("span"))
+        search = span.enclosing("search") if span else None
+        search_attrs = search.attrs if search else {}
+        stage = span.enclosing("stage") if span else None
         source = attrs.get("source", "sim")
         if attrs.get("transient"):
             status = "transient"
@@ -185,12 +151,12 @@ def flatten_trace(
         counters = attrs.get("counters") or {}
         rows.append({
             "trace": trace,
-            "search": search or "",
+            "search": search.id if search else "",
             "kernel": search_attrs.get("kernel", ""),
             "machine": search_attrs.get("machine", ""),
             "machine_spec": search_attrs.get("machine_spec", ""),
             "problem": dict(attrs.get("problem", {})),
-            "stage": stage,
+            "stage": stage.attrs.get("stage", "") if stage else "",
             "eval": index,
             "variant": attrs.get("variant", ""),
             "values": dict(attrs.get("values", {})),
@@ -206,7 +172,6 @@ def flatten_trace(
             "l2_misses": counters.get("l2_misses"),
             "tlb_misses": counters.get("tlb_misses"),
         })
-        index += 1
     return rows
 
 
@@ -245,20 +210,6 @@ class IngestResult:
     new: bool                  # False: content-identical trace already indexed
     entry: Dict[str, Any]      # the index entry (fresh or pre-existing)
     warnings: List[str]        # schema-version warnings from the reader
-
-
-def _search_identities(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """(kernel, machine, problem) of every search span, in span order."""
-    searches = []
-    for event in events:
-        if event.get("type") == "span_begin" and event.get("name") == "search":
-            attrs = event.get("attrs", {})
-            searches.append({
-                "kernel": attrs.get("kernel", ""),
-                "machine": attrs.get("machine", ""),
-                "problem": dict(attrs.get("problem", {})),
-            })
-    return searches
 
 
 class Corpus:
@@ -414,7 +365,16 @@ class Corpus:
             "id": tid,
             "schema": meta.get("schema"),
             "ingested_from": source_name,
-            "searches": _search_identities(events),
+            "searches": [
+                {
+                    "kernel": search.attrs.get("kernel", ""),
+                    "machine": search.attrs.get("machine", ""),
+                    "problem": dict(search.attrs.get("problem", {})),
+                }
+                for root in span_nodes(events)
+                for search in root.walk()
+                if search.name == "search"
+            ],
             "events": len(events),
             "evals": len(rows),
             "sims": sum(1 for r in rows if r["source"] == "sim"),

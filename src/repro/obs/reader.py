@@ -1,9 +1,9 @@
 """Trace loading and analysis: the read side of ``repro.obs``.
 
-Turns a ``trace.jsonl`` back into structure: the span tree, per-stage
-aggregates, the candidate-evaluation stream and the best-so-far
-convergence curve the CLI renders (``repro trace summary|timeline|
-convergence``).
+Turns a ``trace.jsonl`` back into structure: the span tree every trace
+report walks (:func:`span_nodes`), the candidate-evaluation stream and
+the best-so-far convergence curve the CLI renders (``repro trace
+summary|timeline|convergence``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.schema import (
     TIMING_ATTRS,
@@ -21,13 +21,11 @@ from repro.obs.schema import (
 )
 
 __all__ = [
-    "load_trace",
     "read_trace",
     "TraceLoad",
     "canonical",
     "eval_events",
     "convergence",
-    "stage_totals",
     "supervision_totals",
     "pipeline_totals",
     "delta_totals",
@@ -35,31 +33,6 @@ __all__ = [
     "trace_meta",
     "SpanNode",
 ]
-
-
-def load_trace(path, validate: bool = False) -> List[Dict[str, Any]]:
-    """Read a JSONL trace *strictly*; any malformed line raises.
-
-    This is the right loader for traces the caller just produced (tests,
-    CI validation): corruption there is a bug, not an operational fact.
-    For traces of unknown provenance — crash-interrupted runs, files from
-    other hosts — use :func:`read_trace`, which skips torn lines with a
-    count instead of refusing the whole file.
-    """
-    events: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no + 1}: not JSON: {exc}") from exc
-            if validate:
-                validate_event(event, seq=len(events))
-            events.append(event)
-    return events
 
 
 @dataclass
@@ -77,6 +50,17 @@ class TraceLoad:
     events: List[Dict[str, Any]] = field(default_factory=list)
     skipped_lines: int = 0
     warnings: List[str] = field(default_factory=list)
+
+    @property
+    def notices(self) -> List[str]:
+        """What loading forgave, one line each, for a renderer to print."""
+        notices = list(self.warnings)
+        if self.skipped_lines:
+            notices.append(
+                f"skipped {self.skipped_lines} unreadable line(s) "
+                f"(truncated or partially written trace)"
+            )
+        return notices
 
 
 def read_trace(path, validate: bool = False) -> TraceLoad:
@@ -188,43 +172,6 @@ def convergence(events: List[Dict[str, Any]]) -> List[Tuple[int, float, Dict[str
     return curve
 
 
-def stage_totals(events: List[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
-    """Aggregate per search stage, in first-seen order.
-
-    Sums the ``span_end`` deltas of every ``stage`` span sharing a stage
-    name: wall seconds (host), simulations, cache hits, plus the simulated
-    machine seconds of the stage's fresh simulations.
-    """
-    totals: Dict[str, Dict[str, float]] = {}
-    # machine seconds come from the eval events inside each stage span
-    machine_by_span: Dict[Optional[str], float] = {}
-    span_stage: Dict[str, str] = {}
-    for event in events:
-        etype = event.get("type")
-        attrs = event.get("attrs", {})
-        if etype == "span_begin" and event.get("name") == "stage":
-            span_stage[event["span"]] = attrs.get("stage", event["span"])
-        elif etype == "event" and event.get("name") == "eval":
-            if attrs.get("source") == "sim" and attrs.get("machine_seconds"):
-                span = event.get("span")
-                machine_by_span[span] = (
-                    machine_by_span.get(span, 0.0) + attrs["machine_seconds"]
-                )
-        elif etype == "span_end" and event.get("name") == "stage":
-            name = span_stage.get(event.get("span"), event.get("span"))
-            row = totals.setdefault(
-                name,
-                {"spans": 0, "wall_seconds": 0.0, "simulations": 0,
-                 "cache_hits": 0, "machine_seconds": 0.0},
-            )
-            row["spans"] += 1
-            row["wall_seconds"] += event.get("dur", 0.0)
-            row["simulations"] += attrs.get("simulations", 0)
-            row["cache_hits"] += attrs.get("cache_hits", 0)
-            row["machine_seconds"] += machine_by_span.get(event.get("span"), 0.0)
-    return totals
-
-
 #: supervision counters (docs/robustness.md), in reporting order
 SUPERVISION_METRICS = (
     "eval.retries",
@@ -310,13 +257,16 @@ def pipeline_totals(events: List[Dict[str, Any]]) -> Dict[str, float]:
 
 @dataclass
 class SpanNode:
-    """One reconstructed span, with its children in emission order."""
+    """One reconstructed span: its children in emission order, its
+    parent, and the ``eval`` events emitted directly inside it."""
 
     id: str
     name: str
     begin: Dict[str, Any]
     end: Optional[Dict[str, Any]] = None
     children: List["SpanNode"] = field(default_factory=list)
+    parent: Optional["SpanNode"] = field(default=None, repr=False, compare=False)
+    evals: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def attrs(self) -> Dict[str, Any]:
@@ -333,17 +283,37 @@ class SpanNode:
     def dur(self) -> float:
         return self.end.get("dur", 0.0) if self.end else 0.0
 
+    def walk(self, skip: str = "") -> Iterator["SpanNode"]:
+        """This span and its descendants in begin order, leaving out
+        every subtree rooted at a span named ``skip``."""
+        yield self
+        for child in self.children:
+            if child.name != skip:
+                yield from child.walk(skip)
+
+    def enclosing(self, name: str) -> Optional["SpanNode"]:
+        """The innermost span named ``name`` among this one and its
+        ancestors."""
+        node: Optional[SpanNode] = self
+        while node is not None and node.name != name:
+            node = node.parent
+        return node
+
 
 def span_nodes(events: List[Dict[str, Any]]) -> List[SpanNode]:
-    """Rebuild the span tree; returns the top-level spans."""
+    """Rebuild the span tree; returns the top-level spans.
+
+    A span whose parent never began (a cut trace) becomes a top-level
+    span; an ``eval`` event outside every known span belongs to none.
+    """
     nodes: Dict[str, SpanNode] = {}
     roots: List[SpanNode] = []
     for event in events:
         etype = event.get("type")
         if etype == "span_begin":
-            node = SpanNode(event["span"], event["name"], event)
-            nodes[node.id] = node
             parent = nodes.get(event.get("parent"))
+            node = SpanNode(event["span"], event["name"], event, parent=parent)
+            nodes[node.id] = node
             if parent is not None:
                 parent.children.append(node)
             else:
@@ -352,4 +322,8 @@ def span_nodes(events: List[Dict[str, Any]]) -> List[SpanNode]:
             node = nodes.get(event.get("span"))
             if node is not None:
                 node.end = event
+        elif etype == "event" and event.get("name") == "eval":
+            node = nodes.get(event.get("span"))
+            if node is not None:
+                node.evals.append(event)
     return roots

@@ -70,9 +70,11 @@ class TestCliTrace:
         return path
 
     def test_tune_trace_writes_valid_jsonl(self, trace_path, capsys):
-        from repro.obs import load_trace
+        from repro.obs import read_trace
 
-        events = load_trace(trace_path, validate=True)
+        load = read_trace(trace_path, validate=True)
+        assert load.skipped_lines == 0
+        events = load.events
         assert events, "trace must be non-empty"
         assert events[0]["type"] == "meta"
         assert events[0]["attrs"]["kernel"] == "matvec"
@@ -115,8 +117,40 @@ class TestCliTrace:
         assert {"name", "ph", "ts", "pid", "tid"} <= set(chrome["traceEvents"][0])
 
 
+#: ``repro trace summary`` of the checked-in reference trace, whose
+#: timings are fixed in the file: the header, one attribution block for
+#: its search, and the self-time report
+REFERENCE_SUMMARY = """\
+trace: command=tune, jobs=1, kernel=mm, machine=sgi, size=24
+evaluations: 73 (73 simulated, 0 cached, 0 infeasible)
+simulated machine time: 19.128 ms
+best: 30,774.4 cycles at evaluation 49 (v9 {'TI': 8, 'TK': 12, 'UI': 8, 'UJ': 2})
+
+search profile — mm @ sgi-r10k-mini (N=24)
+  search wall: 8.618 s
+
+  stage            spans evals  sims  hits    wall s   share    eval s   other s  machine ms
+  screen               1    12    12     0     1.840   21.3%         -         -       3.646
+  tiling               3    41    41     0     4.783   55.5%         -         -      11.577
+  prefetch             3    20    20     0     1.994   23.1%         -         -       3.905
+  padding              3     0     0     0     0.000    0.0%         -         -       0.000
+  (unattributed)                               0.001    0.0%
+  rows sum to 8.618 s of 8.618 s search wall (100.0%)
+  (trace predates schema 1.1: no per-eval wall attrs; eval/other columns unavailable)
+
+self time (span duration minus children, whole trace):
+  stage:tiling                4.783 s   55.5% |#################.............|  3 span(s)
+  stage:prefetch              1.994 s   23.1% |#######.......................|  3 span(s)
+  stage:screen                1.840 s   21.3% |######........................|  1 span(s)
+  variant (between stages)    0.001 s    0.0% |..............................|  3 span(s)
+  search                      0.000 s    0.0% |..............................|  1 span(s)
+  optimizer                   0.000 s    0.0% |..............................|  1 span(s)
+  stage:padding               0.000 s    0.0% |..............................|  3 span(s)
+"""
+
+
 class TestCliObservatory:
-    """The trace-toolchain verbs: corpus / profile."""
+    """The trace-toolchain verbs: corpus / trace summary."""
 
     REFERENCE = "results/traces/mm_sgi_r10k.trace.jsonl"
 
@@ -146,11 +180,9 @@ class TestCliObservatory:
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("trace,search,kernel,machine")
 
-    def test_profile_on_reference_trace(self, capsys):
-        main(["profile", self.REFERENCE])
-        out = capsys.readouterr().out
-        assert "search profile — mm @ sgi-r10k-mini" in out
-        assert "self time" in out
+    def test_summary_on_reference_trace_is_pinned(self, capsys):
+        main(["trace", "summary", self.REFERENCE])
+        assert capsys.readouterr().out == REFERENCE_SUMMARY
 
 
 class TestCliModel:
@@ -200,8 +232,18 @@ class TestCliModel:
         out = capsys.readouterr().out
         k = len(unique)
         assert k > 0
-        assert f"scored {k} of {k} usable rows" in out
+        assert f"scored {k} of {k} unique tiling points" in out
         assert "spearman 1.000" in out
+
+    def test_eval_warns_about_a_torn_trace(self, golden_trace, model_path,
+                                           capsys, tmp_path):
+        trace, _ = golden_trace
+        text = trace.read_text()
+        torn = tmp_path / "torn.trace.jsonl"
+        torn.write_text(text[: len(text) - 40])  # tear the final line
+        main(["model", "eval", str(model_path), "--traces", str(torn)])
+        err = capsys.readouterr().err
+        assert f"warning: {torn}: skipped 1 unreadable line(s)" in err
 
 
 class TestCliDoctor:

@@ -14,16 +14,16 @@ from repro.obs import (
     canonical,
     convergence,
     eval_events,
-    load_trace,
+    read_trace,
     render_convergence,
     render_summary,
     render_timeline,
     span_nodes,
-    stage_totals,
     to_chrome_trace,
     trace_meta,
     validate_event,
 )
+from repro.obs.report import stage_profiles
 
 
 def _sample_trace() -> Tracer:
@@ -91,8 +91,9 @@ class TestTracer:
         tracer = _sample_trace()
         path = tmp_path / "t.jsonl"
         tracer.dump(path)
-        loaded = load_trace(path, validate=True)
-        assert loaded == json.loads(
+        load = read_trace(path, validate=True)
+        assert load.skipped_lines == 0
+        assert load.events == json.loads(
             "[" + ",".join(json.dumps(e) for e in tracer.events()) + "]"
         )
 
@@ -204,25 +205,25 @@ class TestReader:
         curve = convergence(events)
         assert [(i, c) for i, c, _ in curve] == [(0, 100.0), (1, 80.0)]
 
-    def test_stage_totals_first_seen_order(self):
-        totals = stage_totals(_sample_trace().events())
-        assert list(totals) == ["screen", "tiling"]
-        assert totals["screen"]["simulations"] == 3
-        assert totals["screen"]["machine_seconds"] == pytest.approx(0.003)
-        assert totals["tiling"]["cache_hits"] == 1
-        assert totals["tiling"]["machine_seconds"] == 0.0  # hit, not a sim
+    def test_stage_profiles_first_seen_order(self):
+        (search,) = span_nodes(_sample_trace().events())
+        screen, tiling = stage_profiles(search.walk())
+        assert (screen.name, tiling.name) == ("screen", "tiling")
+        assert screen.sims == 3
+        assert screen.machine_seconds == pytest.approx(0.003)
+        assert tiling.cache_hits == 1
+        assert tiling.machine_seconds == 0.0  # hit, not a sim
 
     def test_span_tree(self):
         roots = span_nodes(_sample_trace().events())
         assert [r.name for r in roots] == ["search"]
         assert [c.attrs["stage"] for c in roots[0].children] == ["screen", "tiling"]
         assert roots[0].attrs["variant"] == "v2"  # begin+end attrs merged
-
-    def test_load_trace_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"seq": 0}\nnot json\n')
-        with pytest.raises(ValueError, match="not JSON"):
-            load_trace(path)
+        screen = roots[0].children[0]
+        assert screen.parent is roots[0]
+        assert [e["attrs"]["variant"] for e in screen.evals] == ["v1", "v2", "v3"]
+        assert screen.enclosing("search") is roots[0]
+        assert screen.enclosing("variant") is None
 
 
 class TestRenderers:

@@ -1,4 +1,4 @@
-"""Trace corpus, profile and reader contracts.
+"""Trace corpus, search-cost report and reader contracts.
 
 The contracts under test:
 
@@ -6,9 +6,10 @@ The contracts under test:
   job counts and host CPU counts (``-j1``, and ``-j4`` with and without
   speculation), and the content address dedups those recordings to one
   corpus entry;
-* ``repro profile`` attribution rows sum to the search span's wall time
-  (within 1 %), with per-eval ``wall`` attrs present on schema-1.1
-  traces and a graceful degrade on older ones;
+* ``repro trace summary`` attribution rows sum to the search span's wall
+  time (within 1 %), with per-eval ``wall`` attrs present on schema-1.1
+  traces and a graceful degrade on older ones, and stage spans outside
+  any search keep their row;
 * the tolerant reader skips-and-counts truncated lines, applies the
   schema-version compatibility rule, and the renderers announce rather
   than crash on zero-evaluation traces.
@@ -20,6 +21,7 @@ import json
 
 import pytest
 
+from repro.baselines import RandomSearch
 from repro.core import EcoOptimizer, SearchConfig
 from repro.eval import EvalEngine
 from repro.kernels import matmul
@@ -36,11 +38,11 @@ from repro.obs import (
     read_trace,
     render_convergence,
     render_summary,
-    stage_totals,
+    span_nodes,
     trace_id,
 )
 from repro.obs.corpus import ROW_COLUMNS, rows_to_csv, rows_to_jsonl
-from repro.obs.profile import profile_trace, render_profile, self_times
+from repro.obs.report import search_profiles, self_times
 from tests.conftest import forced_cpu_count
 
 REFERENCE_TRACE = "results/traces/mm_sgi_r10k.trace.jsonl"
@@ -206,33 +208,52 @@ class TestCorpusIngest:
 
 class TestProfile:
     def test_attribution_sums_to_search_wall(self, sgi_events):
-        (profile,) = profile_trace(sgi_events)
+        (profile,) = search_profiles(span_nodes(sgi_events))
         assert profile.wall > 0
         covered = sum(s.wall for s in profile.stages)
         covered += profile.outside_eval_wall
         covered += max(0.0, profile.unattributed)
         assert covered == pytest.approx(profile.wall, rel=0.01)
-        assert render_profile(sgi_events).count("(100.0%)") == 1
+        assert render_summary(sgi_events).count("(100.0%)") == 1
 
-    def test_eval_walls_present_on_current_schema(self, sgi_events):
-        (profile,) = profile_trace(sgi_events)
-        assert profile.has_eval_walls
+    def test_eval_walls_present_on_current_schema(self, venue_traces):
+        result, tracer = venue_traces[(1, 1)]
+        events = tracer.events()
+        (profile,) = search_profiles(span_nodes(events))
+        assert "predates schema 1.1" not in render_summary(events)
         by_name = {s.name: s for s in profile.stages}
         assert by_name["tiling"].eval_wall > 0
-        totals = stage_totals(sgi_events)
+        stages = result.stats["stages"]
+        assert list(by_name) == list(stages)
         for stage in profile.stages:
-            assert stage.sims == int(totals[stage.name]["simulations"])
-            assert stage.cache_hits == int(totals[stage.name]["cache_hits"])
+            assert stage.sims == stages[stage.name]["simulations"]
+            assert stage.cache_hits == stages[stage.name]["cache_hits"]
 
     def test_legacy_trace_degrades_gracefully(self, reference_load):
-        (profile,) = profile_trace(reference_load.events)
-        assert not profile.has_eval_walls
-        text = render_profile(reference_load.events)
+        text = render_summary(reference_load.events)
         assert "predates schema 1.1" in text
         assert "search profile — mm @ sgi-r10k-mini" in text
 
+    def test_stages_outside_any_search_keep_their_row(self):
+        """The random-search baseline's ``random`` stage sits in a
+        ``random-search`` span, outside every ``search`` span."""
+        machine = get_machine("sgi")
+        tracer = Tracer(kernel="mm", machine="sgi", size=24)
+        with EvalEngine(machine, tracer=tracer) as engine:
+            RandomSearch(matmul(), machine, seed=0, engine=engine).run(
+                {"N": 24}, budget=8
+            )
+        expected = engine.stats.stages["random"]
+        text = render_summary(tracer.events())
+        assert "stages outside any search span:" in text
+        (row,) = [line.split() for line in text.splitlines()
+                  if line.split()[:1] == ["random"]]
+        # stage, spans, evals, sims, hits, ...
+        assert int(row[3]) == expected.simulations > 0
+        assert int(row[4]) == expected.cache_hits
+
     def test_self_times_cover_the_span_tree(self, sgi_events):
-        rows = self_times(sgi_events)
+        rows = self_times(span_nodes(sgi_events))
         labels = {label for label, _, _ in rows}
         assert "stage:tiling" in labels and "search" in labels
         assert all(wall >= 0 for _, wall, _ in rows)
@@ -265,9 +286,7 @@ class TestReaderHardening:
         load = read_trace(path, validate=True)
         assert load.skipped_lines == 1
         assert len(load.events) == len(text.splitlines()) - 1
-        summary = render_summary(
-            load.events, skipped_lines=load.skipped_lines,
-            warnings=load.warnings)
+        summary = render_summary(load.events, load.notices)
         assert "skipped 1 unreadable line(s)" in summary
 
     def test_newer_minor_warns_unknown_major_refuses(self, tmp_path):
@@ -281,8 +300,7 @@ class TestReaderHardening:
         newer.write_text(meta_line("1.9"))
         load = read_trace(newer)
         assert any("newer" in w for w in load.warnings)
-        assert "warning:" in render_summary(
-            load.events, warnings=load.warnings)
+        assert "warning:" in render_summary(load.events, load.notices)
 
         alien = tmp_path / "alien.trace.jsonl"
         alien.write_text(meta_line("2.0"))

@@ -30,11 +30,12 @@ from repro.obs import (
     canonical,
     convergence,
     eval_events,
-    load_trace,
+    read_trace,
     render_summary,
-    stage_totals,
+    span_nodes,
     validate_event,
 )
+from repro.obs.report import stage_profiles
 from tests.test_search_golden import (
     GOLDEN_CYCLES,
     GOLDEN_POINTS,
@@ -104,15 +105,21 @@ class TestTracingIsAnObserver:
 
     def test_summary_stage_sims_match_eval_stats(self, traced_serial):
         result, tracer, engine = traced_serial
-        totals = stage_totals(tracer.events())
+        totals = {
+            stage.name: stage
+            for stage in stage_profiles(
+                node for root in span_nodes(tracer.events())
+                for node in root.walk()
+            )
+        }
         for name, stage in engine.stats.stages.items():
-            assert totals[name]["simulations"] == stage.simulations, name
-            assert totals[name]["cache_hits"] == stage.cache_hits, name
+            assert totals[name].sims == stage.simulations, name
+            assert totals[name].cache_hits == stage.cache_hits, name
         # and the rendered summary carries the same numbers
         text = render_summary(tracer.events())
         for name, stage in engine.stats.stages.items():
             assert any(
-                line.split()[0] == name and int(line.split()[2]) == stage.simulations
+                line.split()[0] == name and int(line.split()[3]) == stage.simulations
                 for line in text.splitlines()
                 if line.strip().startswith(name)
             ), (name, text)
@@ -145,7 +152,9 @@ class TestTraceDeterminism:
         _, tracer, _ = traced_serial
         path = tmp_path / "golden.trace.jsonl"
         tracer.dump(path)
-        events = load_trace(path, validate=True)
+        load = read_trace(path, validate=True)
+        assert load.skipped_lines == 0
+        events = load.events
         assert len(events) == len(tracer.events())
         for i, event in enumerate(events):
             validate_event(event, seq=i)
