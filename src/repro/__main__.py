@@ -28,8 +28,8 @@ Commands:
   vs ``-j N`` wall clock and the plain/pruned walls of the model
   prescreen and the learned ranker (``BENCH_search.json``, floor
   ``benchmarks/perf/search_floor.json``; see ``docs/search.md``);
-* ``doctor [--repair]`` — scan the persistent stores (result cache,
-  trace corpus, checkpoint journals) for corrupt entries, orphaned temp
+* ``doctor [--repair]`` — scan the persistent stores (result cache and
+  trace corpus) for corrupt entries, orphaned temp
   files and stale locks; ``--repair`` quarantines bad entries, removes
   leftovers and rebuilds the corpus index from its trace blobs (see
   ``docs/robustness.md``, "Storage integrity");
@@ -58,14 +58,13 @@ processes (results are identical to ``-j 1``, just faster);
 ``--cache [DIR]``
 enables the content-addressed on-disk result cache (default directory
 ``results/cache``), so re-runs skip every previously simulated
-candidate; ``--stats`` prints the measured cache-hit/simulation
+candidate and an interrupted run resumes by running the same command
+again; ``--stats`` prints the measured cache-hit/simulation
 accounting after a tune; ``--trace PATH`` records the whole search as a
 JSONL span trace for the ``trace`` toolchain.
 
 Robustness options (see ``docs/robustness.md``): ``--timeout SECONDS``
-and ``--retries N`` supervise candidate execution; ``--checkpoint
-[DIR]`` journals completed search stages so ``--resume`` continues an
-interrupted run to the identical result; ``--inject-faults SPEC``
+and ``--retries N`` supervise candidate execution; ``--inject-faults SPEC``
 deterministically injects candidate failures for chaos testing, and
 ``--inject-fs-faults SPEC`` does the same to the storage layer (ENOSPC,
 torn writes, crash-before-rename, corrupt reads) — search results are
@@ -81,14 +80,13 @@ from typing import List, Optional
 from repro.codegen import emit_c
 from repro.core import EcoOptimizer, derive_variants
 from repro.eval import EvalEngine, ResultCache
-from repro.kernels import KERNELS, get_kernel
+from repro.kernels import KERNELS, default_problem, get_kernel
 from repro.machines import MACHINES, get_machine
 from repro.sim import execute
 from repro.storage import StorageError
 
 _EXPERIMENTS = ("table1", "table4", "fig4", "fig5", "searchcost", "motivation", "generality")
 _DEFAULT_CACHE_DIR = "results/cache"
-_DEFAULT_CHECKPOINT_DIR = "results/checkpoints"
 _DEFAULT_SOCKET = "results/serve.sock"
 _DEFAULT_SERVE_STORE = "results/serve"
 
@@ -142,16 +140,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="retry a transiently failed candidate up to N times (default 2)",
     )
     parser.add_argument(
-        "--checkpoint", nargs="?", const=_DEFAULT_CHECKPOINT_DIR, default=None,
-        metavar="DIR",
-        help="journal completed search stages to DIR (default "
-             f"{_DEFAULT_CHECKPOINT_DIR}) so an interrupted run can resume",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="continue from an existing checkpoint (implies --checkpoint)",
-    )
-    parser.add_argument(
         "--inject-faults", type=_fault_plan_arg, default=None, metavar="SPEC",
         help="chaos testing: deterministically inject candidate failures, "
              'e.g. "raise=0.2,hang=0.1,kill=0.05,seed=7" '
@@ -162,7 +150,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--inject-fs-faults", type=_fs_fault_plan_arg, default=None,
         metavar="SPEC",
         help="chaos testing: deterministically inject filesystem faults "
-             "into the cache/journal stores, e.g. "
+             "into the result cache, e.g. "
              '"enospc=0.2,torn=0.2,crash=0.1,corrupt_read=0.2,seed=11" '
              "(each fault fires at most once per store artifact; results "
              "are unchanged, only persistence suffers — clean up with "
@@ -372,9 +360,6 @@ def _parser() -> argparse.ArgumentParser:
                         help=f"cache directory (default {_DEFAULT_CACHE_DIR})")
     doctor.add_argument("--corpus", default=None, metavar="DIR",
                         help="corpus directory (default results/corpus)")
-    doctor.add_argument("--checkpoints", default=None, metavar="DIR",
-                        help="checkpoint directory (default "
-                             f"{_DEFAULT_CHECKPOINT_DIR})")
     doctor.add_argument("--repair", action="store_true",
                         help="quarantine corrupt entries, remove orphaned "
                              "temps and stale locks, rebuild the corpus "
@@ -400,14 +385,6 @@ def _cmd_variants(args) -> None:
         print()
 
 
-def _problem(kernel, size: int) -> dict:
-    problem = {"N": size}
-    for param in kernel.params:
-        if param not in problem:
-            problem[param] = 3  # e.g. conv2d's filter size
-    return problem
-
-
 def _cmd_tune(args) -> None:
     machine = get_machine(args.machine)
     kernel = get_kernel(args.kernel)
@@ -428,17 +405,6 @@ def _cmd_tune(args) -> None:
         policy=_engine_policy(args),
         fault_plan=args.inject_faults,
     )
-    checkpoint_dir = args.checkpoint
-    if args.resume and checkpoint_dir is None:
-        checkpoint_dir = _DEFAULT_CHECKPOINT_DIR
-    checkpoint_path = None
-    if checkpoint_dir is not None:
-        from pathlib import Path
-
-        checkpoint_path = (
-            Path(checkpoint_dir)
-            / f"{args.kernel}-{args.machine}-N{args.size}.json"
-        )
     from repro.core import SearchConfig
 
     ranker = None
@@ -459,13 +425,9 @@ def _cmd_tune(args) -> None:
         kernel, machine,
         SearchConfig(prescreen=args.prescreen, ranker=ranker),
         engine=engine,
-        checkpoint_path=checkpoint_path, resume=args.resume,
-        fs_faults=args.inject_fs_faults,
     )
-    problem = _problem(kernel, args.size)
+    problem = default_problem(kernel, args.size)
     tuned = optimizer.optimize(problem)
-    if optimizer.journal is not None:
-        print(f"checkpoint: {optimizer.journal.describe()}")
     if args.explain:
         from repro.core import explain
 
@@ -497,7 +459,7 @@ def _cmd_tune(args) -> None:
 def _cmd_run(args) -> None:
     machine = get_machine(args.machine)
     kernel = get_kernel(args.kernel)
-    counters = execute(kernel, _problem(kernel, args.size), machine)
+    counters = execute(kernel, default_problem(kernel, args.size), machine)
     for key, value in counters.row().items():
         print(f"{key:12} {value}")
 
@@ -818,7 +780,6 @@ def _cmd_doctor(args) -> None:
     report = run_doctor(
         cache=args.cache,
         corpus=args.corpus,
-        checkpoints=args.checkpoints,
         repair=args.repair,
     )
     if args.json:
@@ -837,19 +798,13 @@ def _cmd_experiments(
     trace: Optional[str] = None,
     policy=None,
     fault_plan=None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
     fs_faults=None,
 ) -> None:
     from repro.experiments import fig4, fig5, runner, searchcost, table1, table4
 
-    if resume and checkpoint_dir is None:
-        checkpoint_dir = _DEFAULT_CHECKPOINT_DIR
     runner.configure(
         jobs=jobs, cache_dir=cache_dir, trace=trace,
-        policy=policy, fault_plan=fault_plan,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        fs_faults=fs_faults,
+        policy=policy, fault_plan=fault_plan, fs_faults=fs_faults,
     )
     for name in names:
         if name == "table1":
@@ -893,7 +848,6 @@ def main(argv: Optional[List[str]] = None) -> None:
             _cmd_experiments(args.names, jobs=args.jobs, cache_dir=args.cache,
                              trace=args.trace, policy=_engine_policy(args),
                              fault_plan=args.inject_faults,
-                             checkpoint_dir=args.checkpoint, resume=args.resume,
                              fs_faults=args.inject_fs_faults)
         elif args.command == "bench":
             _cmd_bench(args)
@@ -921,7 +875,7 @@ def main(argv: Optional[List[str]] = None) -> None:
 
         os._exit(0)
     except StorageError as error:
-        # a store refused (corrupt journal/index, lock timeout): a clean
+        # a store refused (corrupt index or artifact, lock timeout): a clean
         # actionable message, not a traceback
         raise SystemExit(f"repro: {error}")
 

@@ -45,9 +45,8 @@ Artifact
 layer as a sealed, checksummed record (kind ``ranker-model``); a model
 that fails its checksum refuses to load rather than serving stale or
 mangled ranks.  The artifact's **fingerprint** — the SHA-256 of its
-canonical body — identifies the trained state: the search folds it into
-its checkpoint scope (a resumed search refuses a journal recorded under
-a different model) and the ranker's feature/score caches are private to
+canonical body — identifies the trained state: the serve daemon records
+it as provenance, and the ranker's feature/score caches are private to
 one loaded instance, so a stale artifact can never serve stale ranks.
 Training is seeded and versioned: the same corpus rows and seed produce
 a byte-identical artifact.
@@ -219,7 +218,7 @@ class LearnedRanker:
 
     Instances are mutable only through :meth:`observe` (the active-
     learning refit); :attr:`fingerprint` always names the *artifact* the
-    instance was built from, so checkpoint scopes and reports reference
+    instance was built from, so serve provenance and reports reference
     the trained state, not the transient in-search refits.  Use
     :meth:`clone` to give each search its own refit state.
     """

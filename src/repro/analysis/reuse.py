@@ -87,9 +87,6 @@ class ReuseSummary:
                 return info
         raise KeyError(f"no reuse info for {ref}")
 
-    def refs_of_array(self, array: str) -> List[RefReuse]:
-        return [info for info in self.refs if info.ref.array == array]
-
     def carried(self, loop: str) -> Tuple[_Carried, _Carried]:
         """(temporal, spatial) references whose reuse ``loop`` carries,
         each an ordered set (self reuse first, then group partners) that
@@ -119,16 +116,6 @@ class ReuseSummary:
 
     def spatial_refs(self, loop: str) -> List[ArrayRef]:
         return list(self.carried(loop)[1])
-
-    def reuse_amount(self, ref: ArrayRef, loop: str, trip_count: int) -> int:
-        """The paper's ``R_l(r)``: N_l, CLS or 1."""
-        self.ref_reuse(ref)  # KeyError for a reference the summary lacks
-        temporal, spatial = self.carried(loop)
-        if ref in temporal:
-            return trip_count
-        if ref in spatial:
-            return self.line_elems
-        return 1
 
 
 def analyze_reuse(kernel: Kernel, line_size: int = 32) -> ReuseSummary:

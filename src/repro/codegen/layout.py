@@ -90,9 +90,6 @@ class MemoryLayout:
     def __getitem__(self, name: str) -> ArrayLayout:
         return self.arrays[name]
 
-    @property
-    def total_bytes(self) -> int:
-        return max(a.end for a in self.arrays.values()) if self.arrays else 0
 
 
 def _align(value: int, alignment: int) -> int:

@@ -6,7 +6,6 @@ set of parameterized variants with constraints; phase 2
 with a guided empirical search on the target machine.
 """
 
-from repro.core.checkpoint import SearchJournal
 from repro.core.derive import derive_variants
 from repro.core.eco import EcoOptimizer, TunedKernel
 from repro.core.explain import explain
@@ -22,7 +21,6 @@ from repro.core.variants import (
 )
 
 __all__ = [
-    "SearchJournal",
     "derive_variants",
     "EcoOptimizer",
     "TunedKernel",

@@ -16,10 +16,8 @@ resulting version is then *measured* across whole size sweeps with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional
 
-from repro.core.checkpoint import SearchJournal
 from repro.core.derive import derive_variants
 from repro.core.search import GuidedSearch, SearchConfig, SearchResult
 from repro.core.variants import Variant, instantiate
@@ -89,26 +87,12 @@ class EcoOptimizer:
         config: Optional[SearchConfig] = None,
         max_variants: int = 12,
         engine: Optional[EvalEngine] = None,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        resume: bool = False,
-        fs_faults=None,
     ) -> None:
         self.kernel = kernel
         self.machine = machine
         self.config = config or SearchConfig()
         self.max_variants = max_variants
         self.engine = engine
-        #: with a checkpoint path, phase 2 journals every completed stage
-        #: atomically; ``resume=True`` additionally replays an existing
-        #: journal, so an interrupted tune continues where it died
-        self.checkpoint_path = checkpoint_path
-        self.resume = resume
-        #: optional seeded filesystem fault plan, forwarded to the journal
-        #: (the result cache takes its own reference at construction)
-        self.fs_faults = fs_faults
-        #: the journal of the most recent :meth:`optimize` call (for
-        #: callers that report resume provenance, e.g. ``tune --resume``)
-        self.journal: Optional[SearchJournal] = None
         self._variants: Optional[List[Variant]] = None
 
     @property
@@ -120,60 +104,10 @@ class EcoOptimizer:
             )
         return self._variants
 
-    def journal_scope(self, problem: Mapping[str, int]) -> Dict[str, object]:
-        """The fingerprint a checkpoint must match to be resumed: the
-        same kernel, machine, problem and search configuration."""
-        return {
-            "kind": "eco-guided-search",
-            "kernel": self.kernel.name,
-            "machine": self.machine.name,
-            "problem": dict(sorted(problem.items())),
-            "max_variants": self.max_variants,
-            "config": {
-                "full_search_variants": self.config.full_search_variants,
-                "search_padding": self.config.search_padding,
-                # prescreen changes which candidates are measured, so it is
-                # trajectory-affecting; pipelining is not (same decisions at
-                # any -j / pipeline mode), so it stays out of the scope.
-                "prescreen": self.config.prescreen,
-                # the learned ranker is trajectory-affecting the same way;
-                # the trained artifact's fingerprint (stable across the
-                # in-search online refits, and covering the seed of its
-                # exploration draws) scopes the checkpoint, so a journal
-                # written under one model never resumes under another
-                "ranker": (
-                    self.config.ranker.fingerprint
-                    if self.config.ranker is not None
-                    else None
-                ),
-                # a transfer-tuning warm start changes the visit order
-                # (the staged search climbs from the donor's point), so a
-                # journal written warm never resumes cold or under a
-                # different donor
-                "warm_seeds": (
-                    {
-                        name: dict(sorted(seed.items()))
-                        for name, seed in sorted(self.config.warm_seeds.items())
-                    }
-                    if self.config.warm_seeds
-                    else None
-                ),
-            },
-        }
-
     def optimize(self, problem: Mapping[str, int]) -> TunedKernel:
         """Run both phases at the given (representative) problem size."""
-        self.journal = None
-        if self.checkpoint_path is not None:
-            self.journal = SearchJournal(
-                self.checkpoint_path,
-                scope=self.journal_scope(problem),
-                resume=self.resume,
-                fs_faults=self.fs_faults,
-            )
         search = GuidedSearch(
-            self.kernel, self.machine, problem, self.config, engine=self.engine,
-            journal=self.journal,
+            self.kernel, self.machine, problem, self.config, engine=self.engine
         )
         engine = search.engine
         with engine.tracer.span(

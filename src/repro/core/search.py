@@ -53,13 +53,6 @@ from repro.analysis.learned import (
     LearnedRanker,
 )
 from repro.analysis.surrogate import DEFAULT_MARGIN, Surrogate
-from repro.core.checkpoint import (
-    SearchJournal,
-    decode_cycles,
-    decode_prefetch,
-    encode_cycles,
-    encode_prefetch,
-)
 from repro.core.variants import (
     PrefetchSite,
     Variant,
@@ -121,8 +114,7 @@ class SearchConfig:
     #: search's winner.  A listed variant starts its staged search from
     #: the donor's point (merged over the model seed, clamped) instead of
     #: the model seed — changing only the visit order/cost, never the
-    #: candidate space, and recorded in the journal scope so resumed runs
-    #: replay identically.
+    #: candidate space.
     warm_seeds: Optional[Dict[str, Dict[str, int]]] = None
 
 
@@ -166,7 +158,6 @@ class GuidedSearch:
         problem: Mapping[str, int],
         config: Optional[SearchConfig] = None,
         engine: Optional[EvalEngine] = None,
-        journal: Optional[SearchJournal] = None,
     ) -> None:
         self.kernel = kernel
         self.machine = machine
@@ -177,9 +168,6 @@ class GuidedSearch:
                 f"engine is bound to {engine.machine.name}, search targets {machine.name}"
             )
         self.engine = engine if engine is not None else EvalEngine(machine)
-        #: optional crash-safe checkpoint: completed stages are recorded
-        #: as they finish and replayed on resume (docs/robustness.md)
-        self.journal = journal
         self._cache: Dict[Tuple, float] = {}
         self._counters: Dict[Tuple, Counters] = {}
         self.points = 0
@@ -582,16 +570,6 @@ class GuidedSearch:
             ) as vspan:
                 values, prefetch, pads = self._search_variant(variant, seed)
                 cycles = self.measure(variant, values, prefetch, pads)
-                self._journal_record(
-                    f"variant:{variant.name}",
-                    "final",
-                    {
-                        "values": values,
-                        "prefetch": encode_prefetch(prefetch),
-                        "pads": pads,
-                        "cycles": encode_cycles(cycles),
-                    },
-                )
                 vspan.set(
                     values=dict(values),
                     prefetch=_prefetch_attrs(prefetch),
@@ -618,18 +596,10 @@ class GuidedSearch:
             stats=stats_delta(stats_before, self.engine.stats.as_dict()),
         )
 
-    # -- checkpointing ------------------------------------------------------
-    def _journal_get(self, section: str, key: str):
-        return self.journal.get(section, key) if self.journal is not None else None
-
-    def _journal_record(self, section: str, key: str, value) -> None:
-        if self.journal is not None:
-            self.journal.record(section, key, value)
-
     def _screen(
         self, variants: Sequence[Variant], seeds: Sequence[Dict[str, int]]
     ) -> List[float]:
-        """Measure every variant at its seed point (replayed on resume).
+        """Measure every variant at its seed point.
 
         With a learned ranker, the screen is the search's biggest single
         batch: one pure-tiling point per variant.  Only the
@@ -639,10 +609,6 @@ class GuidedSearch:
         removes them from the full search — so the ranking here is
         winner-affecting by design and gated by the bench floor.
         """
-        names = [variant.name for variant in variants]
-        recorded = self._journal_get("screen", "results")
-        if recorded is not None and recorded.get("variants") == names:
-            return [decode_cycles(c) for c in recorded["cycles"]]
         # no measured frontier exists before the screen, so the
         # confidence band is relative to the batch's own predicted best;
         # it keeps ``full_search_variants`` (not ``DEFAULT_TOP_K``)
@@ -676,59 +642,20 @@ class GuidedSearch:
             for index, cycles in zip(slots, self.measure_many(items)):
                 cycles_list[index] = cycles
                 self._ranker_observe(variants[index], seeds[index], cycles)
-        self._journal_record(
-            "screen",
-            "results",
-            {"variants": names, "cycles": [encode_cycles(c) for c in cycles_list]},
-        )
         return cycles_list
 
     def _search_variant(
         self, variant: Variant, seed: Dict[str, int]
     ) -> Tuple[Dict[str, int], Dict[PrefetchSite, int], Dict[str, int]]:
-        """The full staged search of one variant, stage-journaled.
-
-        Each stage consults the journal first, so an interrupted search
-        resumes after its last *completed* stage; a variant whose
-        ``final`` record exists is replayed without any searching (its
-        winning point is then re-measured once, for the counters — a
-        cache hit when the engine has a disk cache).
-        """
-        section = f"variant:{variant.name}"
-        final = self._journal_get(section, "final")
-        if final is not None:
-            return (
-                _int_values(final["values"]),
-                decode_prefetch(final["prefetch"]),
-                _int_values(final["pads"]),
-            )
+        """The full staged search of one variant: tiling, then prefetch
+        (with the tiling re-adjustment), then padding."""
         with self.engine.stage("tiling"):
-            recorded = self._journal_get(section, "tiling")
-            if recorded is not None:
-                values = _int_values(recorded["values"])
-            else:
-                values = self.search_tiling(variant, seed)
-                self._journal_record(section, "tiling", {"values": values})
+            values = self.search_tiling(variant, seed)
         with self.engine.stage("prefetch"):
-            recorded = self._journal_get(section, "prefetch")
-            if recorded is not None:
-                values = _int_values(recorded["values"])
-                prefetch = decode_prefetch(recorded["prefetch"])
-            else:
-                values, prefetch = self.search_prefetch(variant, values)
-                values = self.adjust_after_prefetch(variant, values, prefetch)
-                self._journal_record(
-                    section,
-                    "prefetch",
-                    {"values": values, "prefetch": encode_prefetch(prefetch)},
-                )
+            values, prefetch = self.search_prefetch(variant, values)
+            values = self.adjust_after_prefetch(variant, values, prefetch)
         with self.engine.stage("padding"):
-            recorded = self._journal_get(section, "padding")
-            if recorded is not None:
-                pads = _int_values(recorded["pads"])
-            else:
-                pads = self.search_padding(variant, values, prefetch)
-                self._journal_record(section, "padding", {"pads": pads})
+            pads = self.search_padding(variant, values, prefetch)
         return values, prefetch, pads
 
     # -- stage construction -------------------------------------------------
@@ -1112,11 +1039,6 @@ class GuidedSearch:
                 speculate_pads(index + 1, pads)
         self.engine.drop_speculation()
         return pads
-
-
-def _int_values(mapping: Mapping[str, object]) -> Dict[str, int]:
-    """JSON round-trips parameter values as-is; coerce defensively."""
-    return {str(k): int(v) for k, v in mapping.items()}
 
 
 def _floor_pow2(value: int) -> int:

@@ -18,7 +18,6 @@ the call.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines import MiniAtlas
@@ -36,7 +35,6 @@ __all__ = [
     "metrics",
     "tracer",
     "flush_trace",
-    "checkpoint_path_for",
     "tuned_eco",
     "tuned_atlas",
     "clear_cache",
@@ -52,8 +50,6 @@ _TRACER = NULL_TRACER
 _METRICS = MetricsRegistry()
 _POLICY: Optional[EvalPolicy] = None
 _FAULT_PLAN: Optional[FaultPlan] = None
-_CHECKPOINT_DIR: Optional[str] = None
-_RESUME: bool = False
 _FS_FAULTS = None
 
 
@@ -63,8 +59,6 @@ def configure(
     trace: Optional[str] = None,
     policy: Optional[EvalPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
     fs_faults=None,
 ) -> None:
     """Set evaluation parallelism, the on-disk result-cache directory and
@@ -78,15 +72,14 @@ def configure(
 
     ``policy`` supervises candidate execution (retries/timeouts — see
     :class:`~repro.eval.EvalPolicy`), ``fault_plan`` injects deterministic
-    failures for chaos runs, and ``checkpoint_dir`` journals each ECO
-    tuning run to ``<dir>/<kernel>-<machine>-N<size>.json`` so an
-    interrupted run continues with ``resume=True``.  ``fs_faults``
-    (a :class:`~repro.faults.FsFaultPlan`) injects seeded filesystem
-    faults into the disk cache and journal writes of every engine and
-    optimizer created afterwards.
+    failures for chaos runs, and ``fs_faults`` (a
+    :class:`~repro.faults.FsFaultPlan`) injects seeded filesystem faults
+    into the disk cache writes of every engine created afterwards.  An
+    interrupted run resumes by running again over the same
+    ``cache_dir``: every candidate it already measured is a disk hit.
     """
     global _JOBS, _CACHE_DIR, _TRACE_PATH, _TRACER, _METRICS
-    global _POLICY, _FAULT_PLAN, _CHECKPOINT_DIR, _RESUME, _FS_FAULTS
+    global _POLICY, _FAULT_PLAN, _FS_FAULTS
     _JOBS = max(1, int(jobs))
     _CACHE_DIR = cache_dir
     _TRACE_PATH = trace
@@ -94,8 +87,6 @@ def configure(
     _METRICS = MetricsRegistry()
     _POLICY = policy
     _FAULT_PLAN = fault_plan
-    _CHECKPOINT_DIR = checkpoint_dir
-    _RESUME = resume
     _FS_FAULTS = fs_faults
     clear_cache()
 
@@ -165,15 +156,6 @@ def engine_stats() -> List[Dict[str, object]]:
     return rows
 
 
-def checkpoint_path_for(
-    kernel_name: str, machine_name: str, tuning_size: int
-) -> Optional[Path]:
-    """Where a tuning run's journal lives (None with checkpointing off)."""
-    if _CHECKPOINT_DIR is None:
-        return None
-    return Path(_CHECKPOINT_DIR) / f"{kernel_name}-{machine_name}-N{tuning_size}.json"
-
-
 def tuned_eco(kernel_name: str, machine_name: str, tuning_size: int) -> TunedKernel:
     """ECO-tune a kernel on a machine (cached)."""
     machine = get_machine(machine_name)
@@ -183,17 +165,8 @@ def tuned_eco(kernel_name: str, machine_name: str, tuning_size: int) -> TunedKer
             get_kernel(kernel_name),
             machine,
             engine=engine_for(machine_name),
-            checkpoint_path=checkpoint_path_for(
-                kernel_name, machine.name, tuning_size
-            ),
-            resume=_RESUME,
-            fs_faults=_FS_FAULTS,
         )
         _ECO_CACHE[key] = optimizer.optimize({"N": tuning_size})
-        if optimizer.journal is not None and optimizer.journal.origin != "fresh":
-            _METRICS.counter(
-                f"runner.checkpoints.{optimizer.journal.origin}"
-            ).inc()
     return _ECO_CACHE[key]
 
 

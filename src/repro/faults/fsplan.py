@@ -2,7 +2,7 @@
 
 :class:`repro.faults.FaultPlan` chaos-tests the evaluation workers; this
 module does the same for the persistence layer.  An :class:`FsFaultPlan`
-is threaded into the disk cache, search journal, and corpus through the
+is threaded into the disk cache and corpus through the
 ``repro.storage`` write/read helpers, and injects the four classic
 storage failure modes at the exact syscall boundary where they occur in
 the wild (see :mod:`repro.storage.atomic` for what each does):
@@ -20,8 +20,8 @@ write fails forever could make no progress, whereas fire-once models a
 bounded burst of bad luck and leaves a finite mess for ``repro doctor``.
 
 The determinism contract is stronger here than for worker faults: every
-storage fault only loses persistence (a cache write that didn't land, a
-checkpoint that tore) or forces a re-read miss — it never changes what a
+storage fault only loses persistence (a cache write that didn't land or
+tore) or forces a re-read miss — it never changes what a
 search *computes*.  So a search under ``--inject-fs-faults`` converges
 byte-identically to the clean run *by construction*, and the chaos test
 asserts exactly that.
@@ -66,7 +66,7 @@ class FsFaultPlan:
     """A seeded schedule of filesystem faults, keyed by store label.
 
     Stores pass a stable label for each artifact they touch (e.g.
-    ``cache/3f/<key>``, ``journal/mm-sgi-N24``, ``corpus/index``), and
+    ``cache/3f/<key>``, ``corpus/index``), and
     :meth:`decide` returns the fault that artifact suffers on this
     operation — once.  ``injected`` counts what actually fired, so tests
     can assert the chaos was real.

@@ -11,6 +11,7 @@
 from repro.kernels.defs import (
     KERNELS,
     conv2d,
+    default_problem,
     get_kernel,
     jacobi,
     matmul,
@@ -26,4 +27,5 @@ __all__ = [
     "conv2d",
     "KERNELS",
     "get_kernel",
+    "default_problem",
 ]

@@ -12,7 +12,10 @@ from typing import Callable, Dict
 from repro.ir import builder as B
 from repro.ir.nest import Kernel
 
-__all__ = ["matmul", "jacobi", "matvec", "stencil2d", "conv2d", "KERNELS", "get_kernel"]
+__all__ = [
+    "matmul", "jacobi", "matvec", "stencil2d", "conv2d", "KERNELS", "get_kernel",
+    "default_problem",
+]
 
 
 def matmul() -> Kernel:
@@ -194,3 +197,13 @@ def get_kernel(name: str) -> Kernel:
             f"named {kernel.name!r}"
         )
     return kernel
+
+
+def default_problem(kernel: Kernel, size: int) -> Dict[str, int]:
+    """The problem a bare size names: ``N=size``, every other parameter 3
+    (e.g. conv2d's filter size).  ``repro tune``/``run`` and the serve
+    protocol's ``size`` field all expand a size this way."""
+    problem = {"N": size}
+    for param in kernel.params:
+        problem.setdefault(param, 3)
+    return problem

@@ -18,7 +18,6 @@ pathologies at power-of-two strides, TLB-thrash onset).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -185,27 +184,6 @@ class MachineSpec:
     def cache(self, level: int) -> CacheSpec:
         """Return the cache at 1-based ``level`` (1 = L1)."""
         return self.caches[level - 1]
-
-    def scaled(self, name: str, factor: int) -> "MachineSpec":
-        """Return a copy with cache capacities and TLB reach divided by
-        ``factor``.  Line sizes, page sizes, latencies and issue widths are
-        unchanged, so relative miss behaviour is preserved at proportionally
-        smaller problem sizes."""
-        caches = []
-        for cache in self.caches:
-            min_capacity = cache.line_size * cache.associativity
-            caches.append(
-                dataclasses.replace(
-                    cache,
-                    capacity=max(cache.capacity // factor, min_capacity),
-                )
-            )
-        tlb = dataclasses.replace(
-            self.tlb,
-            entries=max(self.tlb.entries // factor, 1),
-            associativity=max(self.tlb.associativity // factor, 1),
-        )
-        return dataclasses.replace(self, name=name, caches=tuple(caches), tlb=tlb)
 
     def describe(self) -> str:
         """One-line description in the style of the paper's Table 2."""

@@ -13,8 +13,8 @@ duration.  Stage spans outside any search (the baselines' own stages)
 get one more table, and a self-time report (every span's duration minus
 its children's, aggregated by label and drawn as a proportional bar)
 flattens the whole span tree into text.  Traces older than schema 1.1
-have no ``wall`` eval attribute; the eval/other columns degrade to
-``-``.
+(by their ``meta`` event's ``schema``) have no ``wall`` eval attribute;
+the eval/other columns degrade to ``-``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.obs.reader import (
     supervision_totals,
     trace_meta,
 )
+from repro.obs.schema import parse_schema_version
 
 __all__ = [
     "SearchProfile",
@@ -51,6 +52,16 @@ _NO_EVALS = (
     "no evaluations recorded (fully warm-cache search, or the trace was "
     "cut before any candidate ran)"
 )
+
+
+def _has_eval_walls(events: List[Dict[str, Any]]) -> bool:
+    """Whether the trace's schema records per-eval ``wall`` attrs (1.1+;
+    a trace with no readable version is taken as 1.0)."""
+    try:
+        version = parse_schema_version(trace_meta(events).get("schema", 1))
+    except ValueError:
+        return False
+    return version >= (1, 1)
 
 
 def _meta_line(events: List[Dict[str, Any]]) -> str:
@@ -307,7 +318,7 @@ def render_summary(
             f"({attrs.get('variant', '?')} {attrs.get('values', {})})"
         )
     roots = span_nodes(events)
-    has_eval_walls = any("wall" in e["attrs"] for e in evals)
+    has_eval_walls = _has_eval_walls(events)
     for profile in search_profiles(roots):
         lines += _search_block(profile, has_eval_walls)
     outside = stage_profiles(

@@ -43,9 +43,8 @@ class ProtocolError(ValueError):
     """A malformed request or wire line (client error, not a crash)."""
 
 
-#: the trajectory-affecting SearchConfig knobs a request may set —
-#: exactly the fields the checkpoint journal scope records (plus the
-#: structural ``max_variants``, carried at the request top level)
+#: the trajectory-affecting SearchConfig knobs a request may set (plus
+#: the structural ``max_variants``, carried at the request top level)
 CONFIG_FIELDS = ("full_search_variants", "search_padding", "prescreen")
 
 #: lower bounds of the numeric knobs a search cannot run below (fewer
@@ -84,7 +83,7 @@ def canonical_request(raw: Mapping[str, Any]) -> Tuple[Dict[str, Any], Dict[str,
     """
     from repro.core.search import SearchConfig
     from repro.eval.keys import machine_fingerprint
-    from repro.kernels import KERNELS, get_kernel
+    from repro.kernels import KERNELS, default_problem, get_kernel
     from repro.machines import get_machine, machine_from_dict
 
     if not isinstance(raw, Mapping):
@@ -127,10 +126,7 @@ def canonical_request(raw: Mapping[str, Any]) -> Tuple[Dict[str, Any], Dict[str,
             size = int(raw.get("size", 48))
         except (TypeError, ValueError):
             raise ProtocolError(f"bad size: {raw.get('size')!r}") from None
-        # the one-shot CLI's expansion rule (repro.__main__._problem)
-        problem = {"N": size}
-        for param in kernel.params:
-            problem.setdefault(param, 3)
+        problem = default_problem(kernel, size)
     if any(v < 1 for v in problem.values()):
         raise ProtocolError(f"problem dims must be >= 1: {problem}")
     missing = sorted(set(kernel.params) - set(problem))

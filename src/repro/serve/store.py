@@ -8,7 +8,7 @@ serving provenance (warm-start donor, ranker fingerprint).  Records are
 sealed (:mod:`repro.storage.records`), written atomically under a
 cross-process file lock, and quarantined on checksum failure — the same
 integrity discipline as every other store.  ``repro doctor`` does not
-scan this store (it audits the cache, corpus and checkpoints); a corrupt
+scan this store (it audits the cache and corpus); a corrupt
 record is caught by :meth:`RequestStore.get`'s checksum instead.
 
 ``nearest`` is the transfer-tuning index: among completed requests for

@@ -87,8 +87,3 @@ class CacheState:
 
     def resident_lines(self) -> int:
         return sum(len(ways) for ways in self.sets)
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0

@@ -1,10 +1,10 @@
 """Storage-integrity layer shared by every persistent store.
 
-`repro` persists three kinds of state under ``results/``: the
-content-addressed result cache (``repro.eval.cache``), the crash-safe
-search journal (``repro.core.checkpoint``), and the trace corpus
-(``repro.obs.corpus``).  The tuning-as-a-service direction (ROADMAP)
-has N concurrent processes sharing all three, so this package provides
+`repro` persists its state under ``results/``: the content-addressed
+result cache (``repro.eval.cache``), which is also how an interrupted
+search resumes, and the trace corpus (``repro.obs.corpus``).  The
+tuning-as-a-service direction (ROADMAP) has N concurrent processes
+sharing both, so this package provides
 the common substrate they are wired through:
 
 - :mod:`repro.storage.records` — sealed, checksummed record envelopes

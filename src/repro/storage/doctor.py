@@ -5,11 +5,11 @@ be left with stranded ``.tmp-*`` files, leftover lockfiles, torn or
 corrupt entries, and (for the corpus) an index out of sync with its
 blobs.  None of that is fatal — every store degrades gracefully — but
 it costs: corrupt cache entries re-simulate on every run, orphan temps
-accumulate, a refused journal blocks ``--resume``.
+accumulate, a corrupt corpus index hides traces.
 
 The doctor walks each store with the *same validation the store itself
-uses on read* (cache entry decode, journal validation, corpus index +
-blob content-address check), reports per-store
+uses on read* (cache entry decode, corpus index + blob content-address
+check), reports per-store
 entry/ok/corrupt/quarantined/orphan-tmp/stale-lock counts, and with
 ``repair=True`` makes the store pristine again:
 
@@ -43,8 +43,8 @@ _CORRUPT_ERRORS = (RecordError, ValueError, KeyError, TypeError)
 __all__ = ["DoctorReport", "StoreReport", "run_doctor"]
 
 #: temp-file prefixes ever used by the stores (current discipline plus
-#: the pre-storage-layer journal/index spellings)
-_TMP_PREFIXES = (".tmp-", ".journal-", ".index-")
+#: the corpus index's pre-storage-layer spelling)
+_TMP_PREFIXES = (".tmp-", ".index-")
 
 
 def _is_orphan_tmp(name: str) -> bool:
@@ -241,37 +241,6 @@ def scan_cache(root, repair: bool = False) -> StoreReport:
     return report
 
 
-def scan_checkpoints(root, repair: bool = False) -> StoreReport:
-    """Validate every journal with the journal's own validation."""
-    from repro.core.checkpoint import JournalForeign, validate_journal
-
-    root = Path(root)
-    report = StoreReport("checkpoints", str(root))
-    if not root.is_dir():
-        report.present = False
-        return report
-    for file in sorted(root.rglob("*.json")):
-        if QUARANTINE_DIR in file.relative_to(root).parts:
-            continue
-        if _is_orphan_tmp(file.name):
-            continue  # counted by the housekeeping sweep
-        report.entries += 1
-        try:
-            validate_journal(file.read_text())
-        except OSError as error:
-            report.problems.append(f"{file}: unreadable ({error})")
-            continue
-        except JournalForeign:
-            report.ok += 1  # a future version's journal is not damage
-            continue
-        except _CORRUPT_ERRORS as error:
-            _quarantine_corrupt(report, root, file, str(error), repair)
-            continue
-        report.ok += 1
-    _sweep_housekeeping(report, root, repair)
-    return report
-
-
 def scan_corpus(root, repair: bool = False) -> StoreReport:
     """Check the corpus index and every blob's content address.
 
@@ -363,10 +332,9 @@ def scan_corpus(root, repair: bool = False) -> StoreReport:
 def run_doctor(
     cache: Optional[str] = None,
     corpus: Optional[str] = None,
-    checkpoints: Optional[str] = None,
     repair: bool = False,
 ) -> DoctorReport:
-    """Scan (and optionally repair) the three stores.
+    """Scan (and optionally repair) the result cache and the trace corpus.
 
     ``None`` paths fall back to the conventional locations under
     ``results/``; a store whose directory does not exist is reported as
@@ -374,14 +342,10 @@ def run_doctor(
     """
     cache = cache if cache is not None else os.path.join("results", "cache")
     corpus = corpus if corpus is not None else os.path.join("results", "corpus")
-    checkpoints = (
-        checkpoints if checkpoints is not None else os.path.join("results", "checkpoints")
-    )
     return DoctorReport(
         stores=[
             scan_cache(cache, repair=repair),
             scan_corpus(corpus, repair=repair),
-            scan_checkpoints(checkpoints, repair=repair),
         ],
         repaired=repair,
     )

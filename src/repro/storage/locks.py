@@ -1,7 +1,7 @@
 """Advisory cross-process file locks for the shared stores.
 
 N concurrent ``tune`` processes share one ``results/cache/`` (and, in
-the tuning-as-a-service future, one corpus and checkpoint directory).
+the tuning-as-a-service future, one corpus directory).
 Atomic renames alone make concurrent *writers of different files* safe,
 but read-modify-write cycles on a shared file (the corpus index) and
 same-key races (two processes computing and persisting the same cache

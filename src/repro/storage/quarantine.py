@@ -9,8 +9,7 @@ reason line to ``quarantine/log.jsonl`` so ``repro doctor`` and humans
 can audit what was pulled and why.
 
 The store then degrades gracefully: the cache treats the entry as a
-miss, the journal refuses to resume but names the backup, the corpus
-rebuilds its index from blobs.  Nothing crashes; nothing is lost.
+miss, the corpus rebuilds its index from blobs.  Nothing crashes; nothing is lost.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Self-validating storage records: checksum + format envelope.
 
-Every persistent store in this repo (the disk result cache, the search
-journal, the corpus index) writes small JSON artifacts with an atomic
+Every persistent store in this repo (the disk result cache, the corpus
+index, the serve request store, ranker artifacts) writes small JSON artifacts with an atomic
 write-to-temp + rename.  Atomicity protects against a crash *between*
 our own syscalls — it does not protect against a filesystem that lies: a
 torn page after power loss, a bit flip on a worn disk, a partial copy of
@@ -23,7 +23,7 @@ returns the body, raising :class:`RecordError` on any mismatch — a torn
 write, a flipped bit, an entry of the wrong kind dropped into the wrong
 store, or a format this code does not speak.  Callers decide what a bad
 record means for them (the cache treats it as a miss and quarantines the
-file; the journal refuses to resume with a backup) — this module only
+file; a ranker artifact refuses to load) — this module only
 guarantees that corruption is *detected*, never silently served.
 """
 

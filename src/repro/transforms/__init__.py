@@ -11,7 +11,7 @@ the test suite.
 
 from repro.transforms.copyopt import CopyDim, apply_copy
 from repro.transforms.permute import permute
-from repro.transforms.prefetch import insert_prefetch, prefetched_arrays, remove_prefetch
+from repro.transforms.prefetch import insert_prefetch
 from repro.transforms.scalar_replace import scalar_replace
 from repro.transforms.tile import TileSpec, tile_nest
 from repro.transforms.unroll_jam import unroll_and_jam
@@ -27,6 +27,4 @@ __all__ = [
     "CopyDim",
     "apply_copy",
     "insert_prefetch",
-    "remove_prefetch",
-    "prefetched_arrays",
 ]

@@ -22,7 +22,7 @@ from typing import Mapping
 from repro.ir.nest import ArrayDecl, Kernel
 from repro.transforms.util import TransformError
 
-__all__ = ["pad_arrays", "suggested_pad"]
+__all__ = ["pad_arrays"]
 
 
 def pad_arrays(kernel: Kernel, pads: Mapping[str, int], dim: int = 0) -> Kernel:
@@ -48,23 +48,3 @@ def pad_arrays(kernel: Kernel, pads: Mapping[str, int], dim: int = 0) -> Kernel:
         decls.append(replace(decl, shape=tuple(shape)))
     return replace(kernel, arrays=tuple(decls))
 
-
-def suggested_pad(column_bytes: int, capacity: int, associativity: int,
-                  line_size: int, element_size: int = 8) -> int:
-    """Elements of padding that move a column stride off a cache-set
-    boundary (0 when the stride is already conflict-friendly).
-
-    Columns at stride ``s`` in a cache whose sets span ``capacity/assoc``
-    bytes revisit only ``span / gcd(s, span)`` distinct set positions; when
-    that count is small (power-of-two strides) consecutive columns thrash a
-    handful of sets.  One extra cache line of stride breaks the pattern.
-    """
-    import math
-
-    span = capacity // associativity
-    if column_bytes <= 0 or span <= 0:
-        return 0
-    distinct_positions = span // math.gcd(column_bytes, span)
-    if distinct_positions <= 4:
-        return max(1, line_size // element_size)
-    return 0

@@ -10,20 +10,17 @@ register tile's column is covered without one prefetch per element.
 Prefetches may run past the end of the array near loop edges; they are
 hints, ignored by the interpreter, and the trace compiler drops
 out-of-bounds prefetch addresses (non-faulting prefetch semantics).
-
-``remove_prefetch`` strips prefetches of one array (or all), which the
-empirical search uses when a prefetch experiment shows no benefit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.expr import Var, linear_form
-from repro.ir.nest import ArrayRef, Kernel, Loop, Node, Prefetch, Statement, map_statements
+from repro.ir.nest import ArrayRef, Kernel, Loop, Node, Prefetch
 from repro.transforms.util import TransformError, is_statement_body, replace_loop
 
-__all__ = ["insert_prefetch", "remove_prefetch", "prefetched_arrays"]
+__all__ = ["insert_prefetch"]
 
 
 def insert_prefetch(
@@ -95,24 +92,3 @@ def _build_prefetches(
             prefetches.append(Prefetch(ref.substitute(shift)))
     return prefetches
 
-
-def remove_prefetch(kernel: Kernel, array: Optional[str] = None) -> Kernel:
-    """Drop prefetch statements (of ``array``, or every array when None)."""
-
-    def strip(stmt: Statement) -> Tuple[Node, ...]:
-        if isinstance(stmt, Prefetch) and (array is None or stmt.ref.array == array):
-            return ()
-        return (stmt,)
-
-    return kernel.with_body(map_statements(kernel.body, strip))
-
-
-def prefetched_arrays(kernel: Kernel) -> List[str]:
-    """Arrays with at least one prefetch statement, in first-seen order."""
-    from repro.ir.nest import walk_statements
-
-    found: List[str] = []
-    for stmt in walk_statements(kernel.body):
-        if isinstance(stmt, Prefetch) and stmt.ref.array not in found:
-            found.append(stmt.ref.array)
-    return found

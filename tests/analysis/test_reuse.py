@@ -11,12 +11,27 @@ N = Var("N")
 I, J, K = Var("I"), Var("J"), Var("K")
 
 
+def _refs_of_array(summary, array):
+    return [info for info in summary.refs if info.ref.array == array]
+
+
+def _reuse_amount(summary, ref, loop, trip_count):
+    """The paper's ``R_l(r)``: N_l with temporal reuse carried by
+    ``loop``, CLS with spatial reuse, else 1."""
+    temporal, spatial = summary.carried(loop)
+    if ref in temporal:
+        return trip_count
+    if ref in spatial:
+        return summary.line_elems
+    return 1
+
+
 class TestMatmulReuse:
     def setup_method(self):
         self.summary = analyze_reuse(matmul(), line_size=32)
 
     def _info(self, array):
-        infos = self.summary.refs_of_array(array)
+        infos = _refs_of_array(self.summary, array)
         assert len(infos) == 1
         return infos[0]
 
@@ -44,9 +59,9 @@ class TestMatmulReuse:
 
     def test_reuse_amounts(self):
         c = self._info("C").ref
-        assert self.summary.reuse_amount(c, "K", trip_count=100) == 100
-        assert self.summary.reuse_amount(c, "I", trip_count=100) == 4  # 32B/8B
-        assert self.summary.reuse_amount(c, "J", trip_count=100) == 1
+        assert _reuse_amount(self.summary, c, "K", trip_count=100) == 100
+        assert _reuse_amount(self.summary, c, "I", trip_count=100) == 4  # 32B/8B
+        assert _reuse_amount(self.summary, c, "J", trip_count=100) == 1
 
 
 class TestJacobiReuse:
@@ -65,7 +80,7 @@ class TestJacobiReuse:
         assert {g.loop for g in temporal} == {"I", "J", "K"}
 
     def test_a_has_no_temporal_reuse(self):
-        a_infos = self.summary.refs_of_array("A")
+        a_infos = _refs_of_array(self.summary, "A")
         assert all(not info.self_temporal for info in a_infos)
 
     def test_spatial_reuse_in_i(self):
@@ -77,8 +92,8 @@ class TestJacobiReuse:
 class TestMatvecReuse:
     def test_x_temporal_in_i_and_y_in_j(self):
         summary = analyze_reuse(matvec(), line_size=32)
-        (x_info,) = summary.refs_of_array("x")
-        (y_info,) = summary.refs_of_array("y")
+        (x_info,) = _refs_of_array(summary, "x")
+        (y_info,) = _refs_of_array(summary, "y")
         assert x_info.self_temporal == {"I"}
         assert y_info.self_temporal == {"J"}
 
@@ -92,7 +107,7 @@ class TestEdgeCases:
             body=B.loop("I", 1, N, B.assign(B.aref("A", 8 * I), B.num(0))),
         )
         summary = analyze_reuse(k, line_size=32)
-        (info,) = summary.refs_of_array("A")
+        (info,) = _refs_of_array(summary, "A")
         assert info.self_spatial == frozenset()
 
     def test_group_spatial_offset_within_line(self):
@@ -119,5 +134,5 @@ class TestEdgeCases:
 
     def test_reuse_amount_unit_when_uncarried(self):
         summary = analyze_reuse(matmul(), line_size=32)
-        (b_info,) = summary.refs_of_array("B")
-        assert summary.reuse_amount(b_info.ref, "J", trip_count=64) == 1
+        (b_info,) = _refs_of_array(summary, "B")
+        assert _reuse_amount(summary, b_info.ref, "J", trip_count=64) == 1

@@ -1,5 +1,7 @@
 """Baseline tests: correctness and qualitative ordering vs ECO."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,7 @@ class TestVendorBlas:
             assert VendorBlas(get_machine(name)).parameters()
 
     def test_unknown_machine_raises(self):
-        toy = SGI.scaled("toy-machine", 2)
+        toy = dataclasses.replace(SGI, name="toy-machine")
         with pytest.raises(KeyError, match="no hand-tuned"):
             VendorBlas(toy).parameters()
 

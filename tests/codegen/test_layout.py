@@ -26,12 +26,11 @@ class TestArrayLayout:
         b = layout["B"]
         assert b.strides == (1, 5, 25)
 
-    def test_end_and_total(self):
+    def test_array_ends(self):
         layout = MemoryLayout.build(matmul(), {"N": 4})
         for name in ("A", "B", "C"):
             arr = layout[name]
             assert arr.end == arr.base + 4 * 4 * 8
-        assert layout.total_bytes == max(layout[n].end for n in ("A", "B", "C"))
 
 
 class TestMemoryLayoutBuild:

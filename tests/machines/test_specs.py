@@ -77,12 +77,6 @@ class TestMachineSpec:
         assert SGI_R10K_MINI.l1.capacity < SGI_R10K.l1.capacity
         assert SGI_R10K_MINI.clock_mhz == SGI_R10K.clock_mhz
 
-    def test_scaled_helper(self):
-        tiny = SGI_R10K.scaled("tiny", 64)
-        assert tiny.l1.capacity == 512
-        assert tiny.l1.line_size == 32
-        assert tiny.tlb.entries == 1
-
     def test_get_machine_aliases(self):
         assert get_machine("sgi").name == "sgi-r10k-mini"
         assert get_machine("sun").name == "ultrasparc-iie-mini"

@@ -81,13 +81,10 @@ class TestLru:
         c.access(2, 0.0)  # evicts 0, the true LRU
         assert not c.probe(0)
 
-    def test_resident_lines_and_reset(self):
+    def test_resident_lines(self):
         c = _cache()
         c.access(1, 0.0)
         c.access(2, 0.0)
-        assert c.resident_lines() == 2
-        c.reset_counters()
-        assert (c.hits, c.misses, c.evictions) == (0, 0, 0)
         assert c.resident_lines() == 2
 
     def test_insert_existing_updates_time(self):

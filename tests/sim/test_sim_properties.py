@@ -70,10 +70,9 @@ def test_repeating_a_trace_cannot_miss_more(sequence):
     for line in sequence:
         cache.access(line, 0.0)
     first = cache.misses
-    cache.reset_counters()
     for line in sequence:
         cache.access(line, 0.0)
-    assert cache.misses <= first
+    assert cache.misses - first <= first
 
 
 addresses = st.lists(st.integers(0, 1 << 14), min_size=1, max_size=200)

@@ -254,7 +254,6 @@ class TestCliDoctor:
             "doctor",
             "--cache", str(tmp_path / "cache"),
             "--corpus", str(tmp_path / "corpus"),
-            "--checkpoints", str(tmp_path / "ck"),
             *extra,
         ]
 
@@ -286,7 +285,7 @@ class TestCliDoctor:
         main(self._args(tmp_path, "--json"))
         report = json.loads(capsys.readouterr().out)
         assert report["healthy"] is True
-        assert set(report["stores"]) == {"cache", "corpus", "checkpoints"}
+        assert set(report["stores"]) == {"cache", "corpus"}
 
     def test_fs_fault_spec_rejected_with_message(self, capsys):
         with pytest.raises(SystemExit):

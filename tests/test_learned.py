@@ -240,11 +240,3 @@ class TestRankedSearch:
             )
             expected = random.Random(model.seed)
             assert search._ranker_rng.getstate() == expected.getstate()
-
-    def test_checkpoint_scope_names_the_model(self, ranker):
-        config = SearchConfig(ranker=ranker)
-        optimizer = EcoOptimizer(matmul(), SGI, config)
-        scope = optimizer.journal_scope({"N": 24})
-        assert scope["config"]["ranker"] == ranker.fingerprint
-        bare = EcoOptimizer(matmul(), SGI).journal_scope({"N": 24})
-        assert bare["config"]["ranker"] is None

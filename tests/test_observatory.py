@@ -324,5 +324,10 @@ class TestReaderHardening:
             {"seq": 2, "ts": 1.0, "type": "span_end", "name": "search",
              "span": "s0", "dur": 1.0},
         ]
-        assert "no evaluations recorded" in render_summary(events)
+        summary = render_summary(events)
+        assert "no evaluations recorded" in summary
         assert "no evaluations recorded" in render_convergence(events)
+        # a schema-1.1 trace records eval walls, even when it has no evals
+        assert "predates schema 1.1" not in summary
+        events[0]["attrs"]["schema"] = "1.0"
+        assert "predates schema 1.1" in render_summary(events)

@@ -13,8 +13,10 @@ The contracts under test (ISSUE 5 acceptance criteria):
   and records the same canonical trace, even with the prescreen on,
   whether or not the host's CPU count lets it speculate;
 * **consumption is crash-safe** — a search killed mid-flight (at
-  ``-j 2`` with speculative work outstanding) resumes from its journal
-  to the byte-identical result of an uninterrupted run;
+  ``-j 2`` with speculative work outstanding) and run again over the
+  same result cache reaches the byte-identical result of an
+  uninterrupted run: speculated work is never published to the cache,
+  so the re-run's disk hits are exactly what the crashed run consumed;
 * the :class:`~repro.analysis.surrogate.Surrogate` unit contract
   (margin semantics, memoization, fail-open on unscorable candidates);
 * the ``repro bench`` floor check: its host-sensitive gates fail on
@@ -271,38 +273,42 @@ class TestSpeculationIsCrashSafe:
     def test_kill_mid_speculation_then_resume_matches_clean(
         self, tmp_path, jobs
     ):
-        clean = (
-            EcoOptimizer(matmul(), SGI, self.CONFIG)
-            .optimize({"N": 16}).result
-        )
-        path = tmp_path / "ck.json"
+        with EvalEngine(SGI) as engine:
+            clean = (
+                EcoOptimizer(matmul(), SGI, self.CONFIG, engine=engine)
+                .optimize({"N": 16}).result
+            )
+            clean_sims = engine.stats.simulations
+        cache_dir = tmp_path / "cache"
         # Crash the search early (at -j 2 with speculative work pending),
-        # then crash it again with a larger fuse until a pass survives:
-        # the final best must be byte-identical wherever the crash landed.
-        fuse = 3
-        crashes = 0
-        for _ in range(20):
-            with forced_cpu_count(8), FuseResolveEngine(
-                SGI, jobs=jobs, fuse=fuse
-            ) as engine:
-                optimizer = EcoOptimizer(
-                    matmul(), SGI, self.CONFIG, engine=engine,
-                    checkpoint_path=path, resume=True,
-                )
-                try:
-                    result = optimizer.optimize({"N": 16}).result
-                    break
-                except Interrupt:
-                    crashes += 1
-                    fuse = 30
-        else:
-            pytest.fail("search never completed within the crash budget")
-        assert crashes >= 1
+        # then run it again over the same cache: the final best must be
+        # byte-identical, and only what the crashed run consumed replays
+        # from disk.
+        with forced_cpu_count(8), FuseResolveEngine(
+            SGI, jobs=jobs, fuse=3, cache=ResultCache(cache_dir)
+        ) as engine:
+            with pytest.raises(Interrupt):
+                EcoOptimizer(
+                    matmul(), SGI, self.CONFIG, engine=engine
+                ).optimize({"N": 16})
+        written = len(list(cache_dir.glob("*/*.json")))
+        assert written == 3
+        with forced_cpu_count(8), EvalEngine(
+            SGI, jobs=jobs, cache=ResultCache(cache_dir)
+        ) as engine:
+            result = EcoOptimizer(
+                matmul(), SGI, self.CONFIG, engine=engine
+            ).optimize({"N": 16}).result
+            stats = engine.stats
+        assert stats.disk_hits == written
+        assert stats.disk_hits + stats.simulations == clean_sims
         assert result.variant.name == clean.variant.name
         assert result.values == clean.values
         assert result.prefetch == clean.prefetch
         assert result.pads == clean.pads
         assert result.cycles == clean.cycles
+        assert result.points == clean.points
+        assert result.history == clean.history
 
 
 class TestSurrogate:

@@ -78,8 +78,6 @@ class TestLRUReplacement:
         state.access(2, 0.0)
         assert (state.hits, state.misses) == (1, 2)
         assert state.resident_lines() == 2
-        state.reset_counters()
-        assert (state.hits, state.misses, state.evictions) == (0, 0, 0)
 
     def test_lookup_returns_recorded_fill_time(self):
         state = _state()

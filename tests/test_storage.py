@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import EcoOptimizer, GuidedSearch, SearchConfig, derive_variants
-from repro.core.checkpoint import SearchJournal
 from repro.eval import CachedResult, EvalEngine, EvalRequest, ResultCache
 from repro.faults import FS_FAULT_KINDS, FsFaultPlan, FsFaultSpec
 from repro.kernels import matmul
@@ -44,7 +43,6 @@ from repro.storage import (
 from repro.storage.doctor import (
     run_doctor,
     scan_cache,
-    scan_checkpoints,
     scan_corpus,
 )
 
@@ -76,7 +74,7 @@ class TestSealedRecords:
     def test_wrong_kind_rejected(self):
         text = seal_record("cache-entry", {"x": 1})
         with pytest.raises(RecordError, match="kind"):
-            open_record(text, "search-journal")
+            open_record(text, "ranker-model")
 
     def test_unsealed_text_rejected(self):
         with pytest.raises(RecordError):
@@ -235,8 +233,8 @@ class TestFsFaultPlan:
 
     def test_fires_at_most_once_per_label(self):
         plan = FsFaultPlan(specs=(FsFaultSpec("torn", 1.0),), seed=0)
-        assert plan.decide("write", "journal/x") == "torn"
-        assert plan.decide("write", "journal/x") is None  # the retry lands
+        assert plan.decide("write", "cache/ab/x") == "torn"
+        assert plan.decide("write", "cache/ab/x") is None  # the retry lands
         assert plan.injected == {"torn": 1}
 
     def test_kinds_gate_on_operation(self):
@@ -304,21 +302,6 @@ class TestCacheUnderFaults:
         assert rotten.corrupt_entries == 1
 
 
-class TestJournalUnderFaults:
-    def test_save_failure_is_counted_not_fatal(self, tmp_path):
-        journal = SearchJournal(
-            tmp_path / "j.json", {"kernel": "mm"}, fs_faults=_sole("enospc")
-        )
-        journal.record("s", "k", 1)
-        assert journal.save_failures == 1
-        assert journal.get("s", "k") == 1  # in-memory state is still right
-        journal.record("s", "k2", 2)  # fire-once: this save lands
-        assert journal.save_failures == 1
-        resumed = SearchJournal(journal.path, {"kernel": "mm"})
-        assert resumed.origin == "resumed"
-        assert resumed.get("s", "k2") == 2
-
-
 class TestCorpusIntegrity:
     def test_corrupt_index_quarantined_with_doctor_hint(self, tmp_path):
         corpus = Corpus(str(tmp_path / "corpus"))
@@ -362,7 +345,6 @@ class TestDoctor:
         report = run_doctor(
             cache=str(tmp_path / "none"),
             corpus=str(tmp_path / "none"),
-            checkpoints=str(tmp_path / "none"),
         )
         assert report.healthy
         assert all(not s.present for s in report.stores)
@@ -413,18 +395,21 @@ class TestDoctor:
 
     def test_wrong_kind_record_is_quarantined(self, tmp_path):
         """A current-format record of the wrong kind dropped into the
-        checkpoints dir raises RecordError from validate_journal — the
-        doctor quarantines it rather than letting it escape the scan."""
-        ckdir = tmp_path / "checkpoints"
-        ckdir.mkdir()
-        (ckdir / "j.json").write_text(seal_record("cache-entry", {"x": 1}))
+        cache raises RecordError from the cache's decoder — the doctor
+        quarantines it rather than letting it escape the scan."""
+        cache = self._primed_cache(tmp_path)
+        root = Path(cache.path)
+        (root / "ab").mkdir(exist_ok=True)
+        (root / "ab" / f"{'ab' * 32}.json").write_text(
+            seal_record("ranker-model", {"x": 1})
+        )
 
-        found = scan_checkpoints(ckdir)
+        found = scan_cache(root)
         assert not found.healthy and found.corrupt == 1
 
-        repaired = scan_checkpoints(ckdir, repair=True)
+        repaired = scan_cache(root, repair=True)
         assert repaired.healthy and repaired.quarantined == 1
-        assert scan_checkpoints(ckdir).healthy
+        assert scan_cache(root).healthy
 
     def test_repair_scan_never_touches_valid_entries(self, tmp_path):
         cache = self._primed_cache(tmp_path)
@@ -440,7 +425,6 @@ class TestDoctor:
         report = run_doctor(
             cache=str(cache.path),
             corpus=str(tmp_path / "nocorpus"),
-            checkpoints=str(tmp_path / "nock"),
         )
         text = report.describe()
         assert "storage integrity report" in text
@@ -448,7 +432,7 @@ class TestDoctor:
         assert "status: healthy" in text
         data = report.as_dict()
         assert data["healthy"] is True
-        assert set(data["stores"]) == {"cache", "corpus", "checkpoints"}
+        assert set(data["stores"]) == {"cache", "corpus"}
 
 
 # -- the end-to-end determinism claim -----------------------------------
@@ -461,17 +445,10 @@ class TestSearchUnderChaos:
     CONFIG = SearchConfig(full_search_variants=2)
     PROBLEM = {"N": 16}
 
-    def _tune(self, cache_dir=None, checkpoint=None, fs_faults=None):
+    def _tune(self, cache_dir=None, fs_faults=None):
         cache = ResultCache(cache_dir, fs_faults=fs_faults) if cache_dir else None
         engine = EvalEngine(SGI, cache=cache)
-        optimizer = EcoOptimizer(
-            matmul(),
-            SGI,
-            self.CONFIG,
-            engine=engine,
-            checkpoint_path=checkpoint,
-            fs_faults=fs_faults,
-        )
+        optimizer = EcoOptimizer(matmul(), SGI, self.CONFIG, engine=engine)
         return optimizer.optimize(self.PROBLEM).result
 
     def test_chaos_run_matches_clean_run(self, tmp_path):
@@ -483,7 +460,6 @@ class TestSearchUnderChaos:
             warnings.simplefilter("ignore")  # expected enospc warnings
             chaos = self._tune(
                 cache_dir=tmp_path / "cache",
-                checkpoint=tmp_path / "ck" / "mm.json",
                 fs_faults=plan,
             )
         assert plan.injected, "the chaos must actually fire"
@@ -496,12 +472,24 @@ class TestSearchUnderChaos:
         report = run_doctor(
             cache=str(tmp_path / "cache"),
             corpus=str(tmp_path / "nocorpus"),
-            checkpoints=str(tmp_path / "ck"),
             repair=True,
         )
         second = run_doctor(
             cache=str(tmp_path / "cache"),
             corpus=str(tmp_path / "nocorpus"),
-            checkpoints=str(tmp_path / "ck"),
         )
         assert second.healthy, second.describe()
+
+        # running the search again over the repaired cache (how an
+        # interrupted run resumes) reaches the clean result and
+        # re-simulates only the entries the faults kept off the disk
+        rerun = self._tune(cache_dir=tmp_path / "cache")
+        assert (rerun.variant.name, rerun.values, rerun.cycles) == (
+            clean.variant.name, clean.values, clean.cycles
+        )
+        assert rerun.history == clean.history
+        assert 0 < rerun.stats["disk_hits"] < clean.stats["simulations"]
+        assert (
+            rerun.stats["disk_hits"] + rerun.stats["simulations"]
+            == clean.stats["simulations"]
+        )

@@ -8,7 +8,7 @@ from repro.kernels import jacobi, matmul
 from repro.machines import get_machine
 from repro.sim import execute
 from repro.transforms import TransformError
-from repro.transforms.padding import pad_arrays, suggested_pad
+from repro.transforms.padding import pad_arrays
 
 
 class TestPadArrays:
@@ -59,18 +59,6 @@ class TestPadArrays:
         base = execute(mm, {"N": 32}, machine)
         padded = execute(pad_arrays(mm, {"A": 4, "B": 4, "C": 4}), {"N": 32}, machine)
         assert padded.cycles != base.cycles  # layout actually moved
-
-
-class TestSuggestedPad:
-    def test_power_of_two_stride_gets_pad(self):
-        # 512B columns in a 1024B-span cache: 2 positions -> pad.
-        assert suggested_pad(512, 2048, 2, 32) == 4
-
-    def test_coprime_stride_no_pad(self):
-        assert suggested_pad(520, 2048, 2, 32) == 0
-
-    def test_degenerate_inputs(self):
-        assert suggested_pad(0, 2048, 2, 32) == 0
 
 
 class TestSearchPadding:

@@ -9,8 +9,6 @@ from repro.kernels import jacobi, matmul
 from repro.transforms import (
     TransformError,
     insert_prefetch,
-    prefetched_arrays,
-    remove_prefetch,
     scalar_replace,
     unroll_and_jam,
 )
@@ -76,22 +74,3 @@ class TestInsert:
     def test_unknown_array(self):
         with pytest.raises(TransformError, match="no array"):
             insert_prefetch(matmul(), "Z", distance=1, var="I")
-
-
-class TestRemoveAndQuery:
-    def test_remove_one_array(self):
-        mm = matmul()
-        out = insert_prefetch(mm, "A", distance=2, var="I")
-        out = insert_prefetch(out, "C", distance=2, var="I")
-        assert sorted(prefetched_arrays(out)) == ["A", "C"]
-        out = remove_prefetch(out, "A")
-        assert prefetched_arrays(out) == ["C"]
-
-    def test_remove_all(self):
-        mm = insert_prefetch(matmul(), "A", distance=2, var="I")
-        assert prefetched_arrays(remove_prefetch(mm)) == []
-
-    def test_remove_is_inverse_of_insert(self):
-        mm = matmul()
-        out = remove_prefetch(insert_prefetch(mm, "A", distance=2, var="I"), "A")
-        assert out.body == mm.body
