@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.missmodel import estimate_misses
-from repro.core.variants import Variant, cached_base
+from repro.core.variants import Variant, instantiate_base
 from repro.ir.nest import ArrayRef, Assign, Kernel, Loop, Prefetch
 from repro.machines import MachineSpec
 from repro.sim.cpu import iteration_issue_cycles
@@ -83,17 +83,14 @@ def model_terms(
     and predicted misses per cache level, or ``None`` when the model
     cannot score it (fail open: such a candidate must be simulated).
 
-    The variant is built through the base-IR LRU the engine also builds
-    through (:func:`repro.core.variants.cached_base`), so a candidate
-    scored here and simulated later is transformed once.  The base IR is
-    exactly what ``instantiate`` without prefetch yields.
+    The variant is built by :func:`repro.core.variants.instantiate_base`,
+    which the engine also builds through: the transform pipeline runs
+    once per recipe shape, so a candidate scored here and simulated later
+    only binds its tile sizes again.  The base IR is exactly what
+    ``instantiate`` without prefetch yields.
     """
-    # lazy import: repro.eval pulls the engine in; keep module import light
-    from repro.eval.keys import trace_signature
-
     try:
-        signature = trace_signature(kernel, variant, values, problem, machine)
-        inst = cached_base(signature, kernel, variant, values, machine)
+        inst = instantiate_base(kernel, variant, values, machine)
         est = estimate_misses(inst, problem, machine)
         issue = _issue_cycles(inst, problem, machine)
     except Exception:

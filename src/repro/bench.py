@@ -91,8 +91,8 @@ def _golden_search_once(
 
 def _wall_pair(run_base, run_pruned, repeats: int):
     """Time a plain and a model-pruned search, interleaved ``repeats``
-    times, each run from a cold base-IR cache (as a fresh ``repro tune``
-    process starts).  Returns the wall-clock row (median walls and
+    times, each run from a cold recipe-shape LRU (as a fresh ``repro
+    tune`` process starts).  Returns the wall-clock row (median walls and
     ``wall_speedup`` = base / pruned) and the last run's ``(stats,
     winner)`` of each side."""
     from repro.core.variants import clear_base_cache
@@ -221,7 +221,7 @@ def run_search_bench(
             "legs interleaved, median wall of the repeats; prescreen and "
             "learned legs run at N=24, -j 1 (their sim counts and winners "
             "are deterministic), plain and pruned searches interleaved, "
-            "each from a cold base-IR cache, median wall of the repeats; "
+            "each from a cold recipe-shape LRU, median wall of the repeats; "
             "the learned leg trains on the base run's own trace"
         ),
     }

@@ -56,8 +56,7 @@ from repro.analysis.surrogate import DEFAULT_MARGIN, Surrogate
 from repro.core.variants import (
     PrefetchSite,
     Variant,
-    apply_prefetch,
-    cached_base,
+    instantiate,
     prefetch_sites,
 )
 from repro.eval import (
@@ -65,7 +64,6 @@ from repro.eval import (
     EvalRequest,
     machine_spec_hash,
     stats_delta,
-    trace_signature,
 )
 from repro.ir.expr import Const, Mul
 from repro.ir.nest import Kernel, Prefetch, walk_statements
@@ -943,16 +941,11 @@ class GuidedSearch:
         site: PrefetchSite,
     ) -> bool:
         """Skip sites whose insertion adds no prefetch instructions (e.g.
-        arrays fully promoted to registers).  The probe is ``instantiate``
-        built through the base-IR cache the engine and surrogate share."""
+        arrays fully promoted to registers)."""
         try:
             trial = dict(prefetch)
             trial[site] = 1
-            signature = trace_signature(
-                self.kernel, variant, values, self.problem, self.machine
-            )
-            base = cached_base(signature, self.kernel, variant, values, self.machine)
-            inst = apply_prefetch(base, self.machine, trial)
+            inst = instantiate(self.kernel, variant, values, self.machine, trial)
         except (TransformError, KeyError):
             return False
         return any(

@@ -6,19 +6,21 @@ together with symbolic :class:`Constraint`\\ s on the parameter values
 (``UI*UJ <= 32``, ``TJ*TK <= 2048`` — the paper's Table 4).  The actual
 code transformations "that depend upon parameter values" run when the
 empirical search instantiates the variant with concrete values
-(:func:`instantiate`), exactly as the paper prescribes (§3.2).
+(:func:`instantiate`), as the paper prescribes (§3.2): once per recipe
+shape with the tile sizes symbolic, then bound to each candidate's
+values (:func:`instantiate_base`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.dependence import recipe_refusal
 from repro.ir.expr import Expr, Var
-from repro.ir.nest import ArrayRef, Kernel
+from repro.ir.nest import ArrayRef, Kernel, Loop, Node
 from repro.machines import MachineSpec
 from repro.transforms import (
     CopyDim,
@@ -38,11 +40,11 @@ __all__ = [
     "PrefetchSite",
     "Variant",
     "apply_prefetch",
-    "cached_base",
     "clear_base_cache",
     "control_name",
     "instantiate",
     "instantiate_base",
+    "tile_symbol",
 ]
 
 
@@ -172,6 +174,12 @@ def control_name(loop: str) -> str:
     return loop + loop
 
 
+def tile_symbol(param: str) -> Var:
+    """The reserved symbol a recipe shape holds for tile parameter
+    ``param`` until a binding substitutes its size."""
+    return Var("__T_" + param)
+
+
 def instantiate_base(
     kernel: Kernel,
     variant: Variant,
@@ -182,23 +190,76 @@ def instantiate_base(
 
     Runs permute+tile → copy → unroll-and-jam → scalar replacement — every
     transform that depends on the variant recipe and parameter binding but
-    *not* on prefetch placement or padding.  The result is immutable
-    (frozen IR dataclasses), so candidates that differ only in prefetch
-    distance or pads — same :func:`repro.eval.keys.trace_signature` — can
-    share one base and apply their cheap suffixes independently
-    (:func:`apply_prefetch`, then ``pad_arrays``).
+    *not* on prefetch placement or padding.  The pipeline runs once per
+    recipe *shape* — kernel, variant, unroll factors and copy pads (the
+    machine enters only through the pads) — with every tile size the
+    reserved symbol :func:`tile_symbol`.  Tile sizes appear only in loop
+    bounds, control-loop steps and copy-buffer extents, so a binding
+    substitutes its sizes into the loop headers and array declarations
+    and shares every statement with the shape; the result equals the
+    pipeline run with the integer sizes.  Shapes live in a bounded,
+    locked, process-local LRU (the serve daemon scores on threads; pool
+    workers each grow their own).  The result is immutable (frozen IR
+    dataclasses), so candidates that differ only in prefetch distance or
+    pads apply their cheap suffixes to it (:func:`apply_prefetch`, then
+    ``pad_arrays``).
 
-    Raises ``TransformError`` when the recipe is illegal on ``kernel``
-    (:func:`recipe_refusal` on the source nest, with reassociation
-    permitted — see :func:`instantiate`; a loop unrolled by 1 is not
-    jammed).
+    Raises ``TransformError`` for an unroll factor below 1 and
+    ``ValueError`` for a tile size below 1, both before the shape is
+    looked up, and ``TransformError`` when the recipe is illegal on
+    ``kernel`` (:func:`recipe_refusal` on the source nest, with
+    reassociation permitted — see :func:`instantiate`; a loop unrolled by
+    1 is not jammed), so only legal shapes are kept.
     """
-    jams = [loop for loop, param in variant.unrolls if int(values[param]) > 1]
+    factors = tuple(int(values[param]) for _, param in variant.unrolls)
+    for factor in factors:
+        if factor < 1:
+            raise TransformError(f"unroll factor must be >= 1, got {factor}")
+    sizes = {param: int(values[param]) for _, param in variant.tiles}
+    for size in sizes.values():
+        if size < 1:
+            raise ValueError(f"tile size must be >= 1, got {size}")
+    tile_map = variant.tile_map
+    pads = tuple(
+        _conflict_pad(sizes[tile_map[min(plan.dims)[1]]], machine)
+        for plan in variant.copies
+    )
+    key = (kernel, variant, factors, pads)
+    with _SHAPE_LOCK:
+        shape = _SHAPE_CACHE.get(key)
+        if shape is not None:
+            _SHAPE_CACHE.move_to_end(key)
+    if shape is None:
+        shape = _build_shape(kernel, variant, factors, pads)
+        with _SHAPE_LOCK:
+            _SHAPE_CACHE[key] = shape
+            _SHAPE_CACHE.move_to_end(key)
+            while len(_SHAPE_CACHE) > _SHAPE_CAP:
+                _SHAPE_CACHE.popitem(last=False)
+    return _bind(shape, sizes)
+
+
+#: bound of the recipe-shape LRU of :func:`instantiate_base`
+_SHAPE_CAP = 256
+_SHAPE_CACHE: "OrderedDict[tuple, Kernel]" = OrderedDict()
+_SHAPE_LOCK = threading.Lock()
+
+
+def _build_shape(
+    kernel: Kernel,
+    variant: Variant,
+    factors: Tuple[int, ...],
+    pads: Tuple[int, ...],
+) -> Kernel:
+    """The transform pipeline with every tile size symbolic; raises
+    ``TransformError`` for a recipe :func:`recipe_refusal` refuses (a
+    verdict that holds for every tile size)."""
+    jams = [loop for (loop, _), factor in zip(variant.unrolls, factors) if factor > 1]
     refusal = recipe_refusal(kernel, variant.control_order, variant.point_order, jams, True)
     if refusal is not None:
         raise TransformError(f"{kernel.name} {variant.name}: {refusal}")
     tile_specs = [
-        TileSpec(loop, control_name(loop), int(values[param]))
+        TileSpec(loop, control_name(loop), tile_symbol(param))
         for loop, param in variant.tiles
     ]
     result = tile_nest(
@@ -209,67 +270,61 @@ def instantiate_base(
     )
 
     tile_map = variant.tile_map
-    for plan in variant.copies:
-        dims = []
-        for dim, point_var in plan.dims:
-            size = int(values[tile_map[point_var]])
-            dims.append(CopyDim(dim, point_var, control_name(point_var), size))
-        pad = _conflict_pad(dims, machine)
+    for plan, pad in zip(variant.copies, pads):
+        dims = [
+            CopyDim(dim, point_var, control_name(point_var), tile_symbol(tile_map[point_var]))
+            for dim, point_var in plan.dims
+        ]
         result = apply_copy(result, plan.array, plan.temp, dims, pad=pad)
 
+    unrolls = dict(zip((loop for loop, _ in variant.unrolls), factors))
     for loop in reversed(variant.point_order):
-        param = variant.unroll_map.get(loop)
-        if param is None:
-            continue
-        factor = int(values[param])
+        factor = unrolls.get(loop, 1)
         if factor > 1:
             result = unroll_and_jam(result, loop, factor)
 
     return scalar_replace(result, variant.register_loop)
 
 
-#: process-local LRU of :func:`instantiate_base` results, keyed by trace
-#: signature (:func:`repro.eval.keys.trace_signature`).  The model scores
-#: and the engine builds through it, so a scored candidate that is then
-#: simulated is transformed once, and candidates differing only in
-#: prefetch distance or pads (the distance-ladder and padding stages of
-#: the guided search) share one tile/copy/unroll/scalar-replace front end
-#: and re-run only the cheap suffix.  IR nodes are frozen dataclasses, so
-#: sharing is safe; the lock covers searches running on threads of one
-#: process (the serve daemon's).  Pool workers each grow their own copy,
-#: which is exactly what makes their repeat builds cheap.
-_BASE_IR_CAP = 256
-_BASE_IR_CACHE: "OrderedDict[str, Kernel]" = OrderedDict()
-_BASE_IR_LOCK = threading.Lock()
+def _bind(shape: Kernel, sizes: Mapping[str, int]) -> Kernel:
+    """``shape`` with ``sizes`` (tile parameter -> size) substituted into
+    every loop header and array shape.  Statements are shared, not
+    copied, and a bound the shape shares between loops is bound once."""
+    env = {tile_symbol(param).name: size for param, size in sizes.items()}
+    bound: Dict[int, Expr] = {}
 
+    def sub(expr: Expr) -> Expr:
+        got = bound.get(id(expr))
+        if got is None:
+            got = bound[id(expr)] = expr.substitute(env)
+        return got
 
-def cached_base(
-    signature: str,
-    kernel: Kernel,
-    variant: Variant,
-    values: Mapping[str, int],
-    machine: Optional[MachineSpec] = None,
-) -> Kernel:
-    """:func:`instantiate_base` through the shared LRU; ``signature``
-    must be the binding's trace signature."""
-    with _BASE_IR_LOCK:
-        base = _BASE_IR_CACHE.get(signature)
-        if base is not None:
-            _BASE_IR_CACHE.move_to_end(signature)
-            return base
-    base = instantiate_base(kernel, variant, dict(values), machine)
-    with _BASE_IR_LOCK:
-        _BASE_IR_CACHE[signature] = base
-        _BASE_IR_CACHE.move_to_end(signature)
-        while len(_BASE_IR_CACHE) > _BASE_IR_CAP:
-            _BASE_IR_CACHE.popitem(last=False)
-    return base
+    def bind(nodes: Tuple[Node, ...]) -> Tuple[Node, ...]:
+        return tuple(
+            Loop(
+                node.var,
+                sub(node.lower),
+                sub(node.upper),
+                node.step if isinstance(node.step, int) else node.step.evaluate(env),
+                bind(node.body),
+                node.role,
+            )
+            if isinstance(node, Loop)
+            else node
+            for node in nodes
+        )
+
+    arrays = tuple(
+        replace(decl, shape=tuple(sub(extent) for extent in decl.shape))
+        for decl in shape.arrays
+    )
+    return replace(shape, arrays=arrays, body=bind(shape.body))
 
 
 def clear_base_cache() -> None:
-    """Empty the shared base-IR LRU (benchmarks time searches cold)."""
-    with _BASE_IR_LOCK:
-        _BASE_IR_CACHE.clear()
+    """Empty the recipe-shape LRU (benchmarks time searches cold)."""
+    with _SHAPE_LOCK:
+        _SHAPE_CACHE.clear()
 
 
 def apply_prefetch(
@@ -320,22 +375,22 @@ def instantiate(
     )
 
 
-def _conflict_pad(dims: Sequence[CopyDim], machine: Optional[MachineSpec]) -> int:
-    """Pad the copy buffer so its column stride avoids self-conflicts.
+def _conflict_pad(size: int, machine: Optional[MachineSpec]) -> int:
+    """Pad a copy buffer whose first copied dimension holds ``size``
+    elements so its column stride avoids self-conflicts.
 
     The paper's constraint: the copy array's stride must not be a multiple
     of the previous level's cache-set span (``mod(Size, Capacity) != 0``).
     """
-    if machine is None or not dims:
+    if machine is None:
         return 0
-    first = min(dims, key=lambda d: d.dim)
-    column_bytes = first.tile_size * 8
+    column_bytes = size * 8
     pad = 0
     for cache in machine.caches:
         span = cache.capacity // cache.associativity
         while column_bytes >= span and (column_bytes % span) == 0:
             pad += cache.line_size // 8
-            column_bytes = (first.tile_size + pad) * 8
+            column_bytes = (size + pad) * 8
     return pad
 
 

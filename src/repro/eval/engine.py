@@ -65,7 +65,7 @@ from repro.core.variants import (
     PrefetchSite,
     Variant,
     apply_prefetch,
-    cached_base,
+    instantiate_base,
 )
 from repro.eval.cache import CachedResult, ResultCache
 from repro.eval.keys import candidate_key, trace_signature
@@ -252,11 +252,10 @@ class EvalStats:
     sim_accesses: int = 0
     #: delta-evaluation split of ``simulations``: a *delta* simulation's
     #: trace signature (:func:`repro.eval.keys.trace_signature`) matched a
-    #: previously consumed simulation, so its build shared that
-    #: candidate's pre-prefetch instantiated base and re-ran only the
-    #: prefetch/pad suffix.  Counted at consumption in driver order, so
-    #: the split is identical at every job count and worker mode, and
-    #: ``simulations == full_sims + delta_sims`` is an invariant.
+    #: previously consumed simulation, so it differs from that candidate
+    #: only in the prefetch/pad suffix.  Counted at consumption in driver
+    #: order, so the split is identical at every job count and worker
+    #: mode, and ``simulations == full_sims + delta_sims`` is an invariant.
     full_sims: int = 0
     delta_sims: int = 0
     stages: Dict[str, StageStats] = field(default_factory=dict)
@@ -333,29 +332,6 @@ def stats_delta(before: Dict[str, object], after: Dict[str, object]) -> Dict[str
     return out
 
 
-def _build_candidate(
-    kernel: Kernel,
-    variant: Variant,
-    values: Tuple,
-    prefetch: Tuple,
-    pads: Tuple,
-    machine: MachineSpec,
-    signature: str,
-) -> Kernel:
-    """Instantiate one candidate through the shared-base delta path.
-
-    Identical in result to ``instantiate(...) [+ pad_arrays]`` — the base
-    cache only skips re-running a pure function on equal inputs.  Raises
-    exactly what those raise (``TransformError``/``ValueError`` for
-    infeasible points, ``MemoryError`` under pressure).
-    """
-    base = cached_base(signature, kernel, variant, dict(values), machine)
-    inst = apply_prefetch(base, machine, dict(prefetch))
-    if pads:
-        inst = pad_arrays(inst, dict(pads))
-    return inst
-
-
 def _simulate(payload: Tuple) -> Tuple[str, float, Optional[Counters]]:
     """Worker: instantiate + pad + execute one candidate attempt.
 
@@ -367,7 +343,7 @@ def _simulate(payload: Tuple) -> Tuple[str, float, Optional[Counters]]:
     Injected faults (:class:`repro.faults.FaultPlan`) fire here, inside
     the worker, so chaos tests exercise the real supervision paths.
     """
-    (kernel, variant, values, prefetch, pads, problem, machine, signature,
+    (kernel, variant, values, prefetch, pads, problem, machine, _signature,
      key, attempt, fault_plan, in_worker) = payload
     fault = None
     if fault_plan is not None:
@@ -375,9 +351,10 @@ def _simulate(payload: Tuple) -> Tuple[str, float, Optional[Counters]]:
         # or os._exit a pool worker; "corrupt" is applied after the run
         fault = fault_plan.apply(key, attempt, in_worker)
     try:
-        inst = _build_candidate(
-            kernel, variant, values, prefetch, pads, machine, signature
-        )
+        base = instantiate_base(kernel, variant, dict(values), machine)
+        inst = apply_prefetch(base, machine, dict(prefetch))
+        if pads:
+            inst = pad_arrays(inst, dict(pads))
         counters = execute(inst, dict(problem), machine)
     except (TransformError, ValueError):
         # The binding cannot be built (e.g. a copy that does not divide,
@@ -491,7 +468,7 @@ class EvalEngine:
         #: of an already-counted break, not a new one
         self._pool_generation = 0
         self._max_inflight = 0
-        #: trace signatures whose base build has been consumed — the
+        #: trace signatures whose simulation has been consumed — the
         #: engine-side (deterministic, consumption-ordered) view of the
         #: delta-evaluation split; worker-side caches affect wall time
         #: only, this set is what full_sims/delta_sims report
@@ -830,7 +807,7 @@ class EvalEngine:
         to what a fresh engine would record.  Everything expensive stays
         alive: the worker pool (spawn cost is the whole point of reuse),
         the result cache handles (memory + disk), the module-level
-        base-IR LRU, and the supervision history (``pool_restarts`` draws
+        recipe-shape LRU, and the supervision history (``pool_restarts`` draws
         on a per-engine budget, and the cache-counter deltas in
         ``_sync_disk_failures`` must keep tracking the shared cache's
         cumulative totals).  The serve daemon calls this between
@@ -917,10 +894,9 @@ class EvalEngine:
         """Consumption-time simulation accounting: total + delta split.
 
         A simulation is a *delta* when an earlier consumed simulation
-        already built (and cached) the same trace signature's base IR.
-        The signature is recorded only when the attempt produced counters
-        — a point that failed before executing guarantees nothing about
-        what its worker cached, so the next same-signature sim stays
+        held the same trace signature.  The signature is recorded only
+        when the attempt produced counters — a point that failed before
+        executing built nothing, so the next same-signature sim stays
         conservatively "full".  Consumption order is driver order, making
         the split byte-identical at every ``-j`` and worker mode.
         Returns the kind it counted (``"full"`` | ``"delta"``) so the

@@ -181,10 +181,12 @@ def trace_signature(
     Two candidates share a trace signature iff they differ only in the
     prefetch/padding axes — exactly the axes applied as cheap suffixes of
     the build pipeline (prefetch insertion is :func:`instantiate`'s last
-    step, and ``pad_arrays`` runs after it).  The engine keys its shared
-    pre-prefetch instantiated IR by this signature: a later candidate with
-    the same signature is a *delta* of an already-built base, so only the
-    suffix (prefetch insertion, pad, simulation) runs.
+    step, and ``pad_arrays`` runs after it).  The engine's full/delta
+    accounting keys on it: a later simulation with the same signature is
+    a *delta* of an already-simulated candidate, differing from it only
+    in the suffix (prefetch insertion, pad).  The front end itself is
+    shared more widely, per recipe shape
+    (:func:`repro.core.variants.instantiate_base`).
 
     The signature deliberately says nothing about *simulation* reuse:
     padding and prefetch distance change cache-set mapping and fill

@@ -17,7 +17,7 @@ What makes serving cheaper than one-shot tuning, in order:
 2. **Shared engines and caches** — engines are pooled per machine spec
    (:class:`EngineHub`) and reset between searches
    (:meth:`repro.eval.engine.EvalEngine.reset_for_search`), so the
-   process pool, base-IR LRU and result cache persist across requests;
+   process pool, recipe-shape LRU and result cache persist across requests;
    at ``jobs > 1`` all engines share one fair-share
    :class:`~repro.serve.broker.SharedWorkerPool`.
 3. **Warm-start transfer tuning** — a new request seeds its search from
@@ -54,7 +54,7 @@ __all__ = ["EngineHub", "ServeDaemon", "daemon_thread"]
 class EngineHub:
     """Checkout/checkin pool of :class:`EvalEngine` per machine spec.
 
-    Engines are expensive to warm (worker pool, base-IR LRU) and cheap
+    Engines are expensive to warm (worker pool, recipe-shape LRU) and cheap
     to reset, so the hub never discards one: a search checks an engine
     out, resets its per-search state, runs, and checks it back in.  All
     engines share the daemon's one result cache, and — at ``jobs > 1`` —

@@ -28,9 +28,9 @@ variable: an offset or a stride would read outside the copied tile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.ir.expr import Const, Expr, Var, as_expr
+from repro.ir.expr import Expr, Var, as_expr
 from repro.ir.nest import (
     ArrayDecl,
     ArrayRef,
@@ -59,7 +59,7 @@ class CopyDim:
     dim: int  # dimension index of the array (0 = fastest varying)
     point_var: str  # point loop iterating this dimension within the tile
     control_var: str  # controlling loop of that point loop
-    tile_size: int
+    tile_size: Union[int, Expr]  # an int, or a symbol bound later
 
 
 def apply_copy(
@@ -119,7 +119,7 @@ def apply_copy(
             extent = dim_by_index[d].tile_size
             if d == first_copied:
                 extent += pad
-            shape.append(Const(extent))
+            shape.append(as_expr(extent))
         else:
             shape.append(decl.shape[d])
 

@@ -10,15 +10,18 @@ chosen order, followed by the point loops in a chosen order.  A point loop
         DO I = II, min(II + T - 1, hi)
 
 which handles edge tiles exactly (the ``min`` guard), so arbitrary problem
-sizes are correct, not just multiples of the tile size.
+sizes are correct, not just multiples of the tile size.  ``T`` may be a
+symbol (an :class:`~repro.ir.expr.Expr`): it then appears only in the
+point loop's bound and the controlling loop's step, and binding it later
+yields exactly the nest tiled with the integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
 
-from repro.ir.expr import Var, emin
+from repro.ir.expr import Expr, Var, emin
 from repro.ir.nest import Kernel, Loop
 from repro.transforms.util import TransformError, perfect_nest_loops
 
@@ -27,14 +30,15 @@ __all__ = ["TileSpec", "tile_nest"]
 
 @dataclass(frozen=True)
 class TileSpec:
-    """Tiling directive for one loop: controlling variable and tile size."""
+    """Tiling directive for one loop: controlling variable and tile size
+    (an int, or a symbol bound later)."""
 
     loop: str
     control: str
-    size: int
+    size: Union[int, Expr]
 
     def __post_init__(self) -> None:
-        if self.size < 1:
+        if isinstance(self.size, int) and self.size < 1:
             raise ValueError(f"tile size must be >= 1, got {self.size}")
         if self.control == self.loop:
             raise ValueError("controlling variable must differ from the loop variable")

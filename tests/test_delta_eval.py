@@ -3,10 +3,10 @@
 Candidates that differ only in prefetch distances or array padding share
 a "trace signature" (:func:`repro.eval.keys.trace_signature`) — the hash
 of everything the transform *front end* (permute+tile → copy →
-unroll-and-jam → scalar replacement) depends on.  The engine keys its
-base-IR reuse on it: the first simulation of a signature is a **full**
-build, later same-signature candidates are **delta** builds that re-run
-only prefetch insertion + padding + the simulation itself.
+unroll-and-jam → scalar replacement) depends on.  The engine's
+full/delta accounting keys on it: the first simulation of a signature
+is a **full** build, later same-signature candidates are **delta**
+builds that differ from it only in prefetch insertion + padding.
 
 Pinned properties:
 
@@ -18,9 +18,10 @@ Pinned properties:
   yields zero simulations (the split doesn't move);
 * an infeasible candidate does not mark its signature as seen (the next
   feasible sibling still counts as full);
-* the model and the engine build through one base-IR LRU: a candidate
-  the surrogate scores and the engine then simulates is transformed
-  once, and the engine's full/delta split does not see the model's build.
+* the model and the engine build through one recipe-shape LRU: a
+  candidate the surrogate scores and the engine then simulates is
+  transformed once, a second tile binding of its shape is not transformed
+  again, and the engine's full/delta split does not see the model's build.
 """
 
 from __future__ import annotations
@@ -206,29 +207,34 @@ class TestSharedBaseBuild:
     def test_scored_then_simulated_candidate_is_built_once(
         self, mm_variants, monkeypatch
     ):
-        calls = []
-        original = variants_module.instantiate_base
+        builds = []
+        original = variants_module._build_shape
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            builds.append(args[1].name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(variants_module, "instantiate_base", counting)
-        monkeypatch.setattr(variants_module, "_BASE_IR_CACHE", OrderedDict())
+        monkeypatch.setattr(variants_module, "_build_shape", counting)
+        monkeypatch.setattr(variants_module, "_SHAPE_CACHE", OrderedDict())
         v = mm_variants[0]
         values = _initial_values(v)
         problem = {"N": 16}
         assert Surrogate(matmul(), SGI, problem).score(v, values) is not None
-        assert len(calls) == 1
-        # the learned ranker's features read the same build
+        assert len(builds) == 1
+        # the learned ranker's features read the same shape
         params = list(v.param_names)
         assert _raw_features(matmul(), v, values, problem, SGI, params) is not None
         engine = EvalEngine(SGI)
         outcome = engine.evaluate(matmul(), v, values, problem)
         assert outcome.status == "ok"
-        assert len(calls) == 1
+        assert len(builds) == 1
         # the model's build is not an engine consumption: still "full"
         assert (engine.stats.full_sims, engine.stats.delta_sims) == (1, 0)
+        # another tile binding of the same shape only binds its sizes
+        tile_param = v.tiles[0][1]
+        rebound = dict(values, **{tile_param: values[tile_param] * 2})
+        assert engine.evaluate(matmul(), v, rebound, problem).status == "ok"
+        assert len(builds) == 1
         engine.close()
 
 

@@ -373,7 +373,7 @@ class TestSurrogate:
         def explode(*args, **kwargs):
             raise RuntimeError("cannot instantiate")
 
-        monkeypatch.setattr("repro.analysis.surrogate.cached_base", explode)
+        monkeypatch.setattr("repro.analysis.surrogate.instantiate_base", explode)
         surrogate = Surrogate(matmul(), SGI, {"N": 24}, margin=0.0)
         assert surrogate.score(variant, worse) is None
         assert surrogate.judge(variant, worse, best_values=better) is None

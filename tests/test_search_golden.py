@@ -33,9 +33,10 @@ GOLDEN_POINTS = 51
 # such hits charge their real pending-fill stall instead of collapsing.
 # Hit/miss/TLB counters are unchanged.
 GOLDEN_CYCLES = 30236.800000003852
-#: full/delta split of the golden simulations (a delta shares an earlier
-#: simulation's base IR), and the same with the model prescreen on: the
-#: model builds through the engine's base-IR cache, never its accounting
+#: full/delta split of the golden simulations (a delta differs from an
+#: earlier simulation only in prefetch and pads), and the same with the
+#: model prescreen on: the model builds through the engine's recipe
+#: shapes, never its accounting
 GOLDEN_SPLIT = (40, 11)
 GOLDEN_PRESCREEN = {"simulations": 36, "full": 25, "delta": 11, "skips": 16}
 
