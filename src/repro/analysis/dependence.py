@@ -417,6 +417,12 @@ def _source_dependences(kernel: Kernel) -> Tuple[Dependence, ...]:
     return tuple(compute_dependences(kernel))
 
 
+def clear_memos() -> None:
+    """Empty the memoized uniform solutions and source dependences."""
+    _solve_uniform_cached.cache_clear()
+    _source_dependences.cache_clear()
+
+
 def _reordered(dep: Dependence, order: Sequence[str], zeroed: Sequence[str]) -> Dependence:
     """``dep`` over the loops of ``order`` (its other loops dropped), with
     the distances along ``zeroed`` set to 0."""

@@ -216,6 +216,12 @@ def _shape(
     return shape
 
 
+def clear_shapes() -> None:
+    """Empty the per-shape LRU."""
+    with _SHAPES_LOCK:
+        _SHAPES.clear()
+
+
 def _analyze_shape(
     kernel: Kernel, loops: Tuple[str, ...], refs: Tuple[ArrayRef, ...], line_size: int
 ) -> _Shape:

@@ -35,10 +35,9 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.missmodel import estimate_misses
 from repro.core.variants import Variant, instantiate_base
-from repro.ir.nest import ArrayRef, Assign, Kernel, Loop, Prefetch
+from repro.ir.nest import ArrayRef, Assign, Kernel, Loop, Prefetch, scalars_read
 from repro.machines import MachineSpec
 from repro.sim.cpu import iteration_issue_cycles
-from repro.sim.executor import _scalar_reads
 
 __all__ = [
     "DEFAULT_MARGIN",
@@ -210,7 +209,7 @@ def _body_issue(kernel, stmts, machine: MachineSpec) -> float:
         flops += stmt.value.flops()
         stmt_reads = list(stmt.value.reads())
         loads += len(stmt_reads)
-        scalars.update(_scalar_reads(stmt))
+        scalars.update(scalars_read(stmt.value))
         if isinstance(stmt.target, ArrayRef):
             stores += 1
         else:

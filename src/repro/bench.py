@@ -91,10 +91,12 @@ def _golden_search_once(
 
 def _wall_pair(run_base, run_pruned, repeats: int):
     """Time a plain and a model-pruned search, interleaved ``repeats``
-    times, each run from a cold recipe-shape LRU (as a fresh ``repro
-    tune`` process starts).  Returns the wall-clock row (median walls and
-    ``wall_speedup`` = base / pruned) and the last run's ``(stats,
-    winner)`` of each side."""
+    times, each run from cold process-wide search memos
+    (:func:`~repro.core.variants.clear_base_cache`: recipe shapes,
+    compiled programs, miss-model shapes, linear forms, dependences), as
+    a fresh ``repro tune`` process starts.  Returns the wall-clock row
+    (median walls and ``wall_speedup`` = base / pruned) and the last
+    run's ``(stats, winner)`` of each side."""
     from repro.core.variants import clear_base_cache
 
     walls: Dict[str, List[float]] = {"base": [], "pruned": []}
@@ -221,7 +223,9 @@ def run_search_bench(
             "legs interleaved, median wall of the repeats; prescreen and "
             "learned legs run at N=24, -j 1 (their sim counts and winners "
             "are deterministic), plain and pruned searches interleaved, "
-            "each from a cold recipe-shape LRU, median wall of the repeats; "
+            "each from cold process-wide search memos (recipe shapes, "
+            "compiled programs, miss-model shapes, linear forms, "
+            "dependences), median wall of the repeats; "
             "the learned leg trains on the base run's own trace"
         ),
     }

@@ -20,11 +20,12 @@ from typing import List, Mapping, Optional
 
 from repro.core.derive import derive_variants
 from repro.core.search import GuidedSearch, SearchConfig, SearchResult
-from repro.core.variants import Variant, instantiate
+from repro.core.variants import Variant, instantiate, simulation_shape
 from repro.eval import EvalEngine
 from repro.ir.nest import Kernel
 from repro.machines import MachineSpec
 from repro.sim import Counters, execute
+from repro.transforms.padding import pad_arrays
 
 __all__ = ["EcoOptimizer", "TunedKernel"]
 
@@ -43,8 +44,6 @@ class TunedKernel:
 
     def build(self) -> Kernel:
         """The transformed kernel (IR), e.g. for C emission."""
-        from repro.transforms.padding import pad_arrays
-
         built = instantiate(
             self.kernel,
             self.result.variant,
@@ -57,8 +56,14 @@ class TunedKernel:
         return built
 
     def measure(self, problem: Mapping[str, int]) -> Counters:
-        """Run the tuned version at another problem size."""
-        return execute(self.build(), problem, self.machine)
+        """Run the tuned version at another problem size (its recipe
+        shape with the tile sizes bound per run, as the search ran it)."""
+        result = self.result
+        shape, bindings = simulation_shape(
+            self.kernel, result.variant, result.values, self.machine,
+            result.prefetch, result.pads,
+        )
+        return execute(shape, problem, self.machine, bindings=bindings)
 
     def describe(self) -> str:
         values = ", ".join(f"{k}={v}" for k, v in sorted(self.result.values.items()))

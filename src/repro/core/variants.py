@@ -8,7 +8,8 @@ code transformations "that depend upon parameter values" run when the
 empirical search instantiates the variant with concrete values
 (:func:`instantiate`), as the paper prescribes (§3.2): once per recipe
 shape with the tile sizes symbolic, then bound to each candidate's
-values (:func:`instantiate_base`).
+values (:func:`instantiate_base`).  The simulator needs no binding: it
+runs the shape with the sizes as symbols (:func:`simulation_shape`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.transforms import (
     tile_nest,
     unroll_and_jam,
 )
+from repro.transforms.padding import pad_arrays
 
 __all__ = [
     "Constraint",
@@ -44,6 +46,7 @@ __all__ = [
     "control_name",
     "instantiate",
     "instantiate_base",
+    "simulation_shape",
     "tile_symbol",
 ]
 
@@ -191,8 +194,10 @@ def instantiate_base(
     Runs permute+tile → copy → unroll-and-jam → scalar replacement — every
     transform that depends on the variant recipe and parameter binding but
     *not* on prefetch placement or padding.  The pipeline runs once per
-    recipe *shape* — kernel, variant, unroll factors and copy pads (the
-    machine enters only through the pads) — with every tile size the
+    recipe *shape* — kernel, recipe (the variant's transformation
+    sequence, shared by the variants machines derive for it), unroll
+    factors and copy pads (the machine enters only through the pads) —
+    with every tile size the
     reserved symbol :func:`tile_symbol`.  Tile sizes appear only in loop
     bounds, control-loop steps and copy-buffer extents, so a binding
     substitutes its sizes into the loop headers and array declarations
@@ -211,6 +216,60 @@ def instantiate_base(
     reassociation permitted — see :func:`instantiate`; a loop unrolled by
     1 is not jammed), so only legal shapes are kept.
     """
+    shape, sizes = _shape_of(kernel, variant, values, machine)
+    return _bind(shape, sizes)
+
+
+def simulation_shape(
+    kernel: Kernel,
+    variant: Variant,
+    values: Mapping[str, int],
+    machine: Optional[MachineSpec] = None,
+    prefetch: Optional[Mapping[PrefetchSite, int]] = None,
+    pads: Optional[Mapping[str, int]] = None,
+) -> Tuple[Kernel, Dict[str, int]]:
+    """The recipe shape of a candidate with its prefetch placement
+    inserted and its arrays padded, and the candidate's ``{tile symbol:
+    size}`` bindings.
+
+    Simulating the shape with the bindings as further symbols
+    (``execute(..., bindings=...)``) gives the counters of the bound
+    :func:`instantiate` padded by ``pad_arrays``.  The placed shape is
+    memoized per shape and placement, and padding rewrites declarations
+    only, so every tile binding simulates the same loop objects and the
+    executor compiles them once.  Refuses what :func:`instantiate_base`
+    refuses.
+    """
+    shape, sizes = _shape_of(kernel, variant, values, machine)
+    placement = (
+        _line_elems(machine),
+        tuple((site, int(d)) for site, d in (prefetch or {}).items() if d and d > 0),
+    )
+    key = (id(shape), placement)
+    with _SHAPE_LOCK:
+        entry = _PLACED.get(key)
+        if entry is not None:
+            _PLACED.move_to_end(key)
+    if entry is None:
+        entry = (shape, apply_prefetch(shape, machine, dict(placement[1])))
+        with _SHAPE_LOCK:
+            entry = _PLACED.setdefault(key, entry)
+            while len(_PLACED) > _PLACED_CAP:
+                _PLACED.popitem(last=False)
+    placed = entry[1]
+    if pads:
+        placed = pad_arrays(placed, pads)
+    return placed, {tile_symbol(param).name: size for param, size in sizes.items()}
+
+
+def _shape_of(
+    kernel: Kernel,
+    variant: Variant,
+    values: Mapping[str, int],
+    machine: Optional[MachineSpec],
+) -> Tuple[Kernel, Dict[str, int]]:
+    """The recipe shape of a binding through the LRU, and its tile sizes
+    (tile parameter -> size)."""
     factors = tuple(int(values[param]) for _, param in variant.unrolls)
     for factor in factors:
         if factor < 1:
@@ -224,7 +283,17 @@ def instantiate_base(
         _conflict_pad(sizes[tile_map[min(plan.dims)[1]]], machine)
         for plan in variant.copies
     )
-    key = (kernel, variant, factors, pads)
+    # the transformation sequence, not the machine-specific variant: the
+    # variants two machines derive for one recipe share its shape
+    recipe = (
+        variant.control_order,
+        variant.point_order,
+        variant.tiles,
+        variant.unrolls,
+        variant.register_loop,
+        variant.copies,
+    )
+    key = (kernel, recipe, factors, pads)
     with _SHAPE_LOCK:
         shape = _SHAPE_CACHE.get(key)
         if shape is not None:
@@ -232,17 +301,23 @@ def instantiate_base(
     if shape is None:
         shape = _build_shape(kernel, variant, factors, pads)
         with _SHAPE_LOCK:
-            _SHAPE_CACHE[key] = shape
+            shape = _SHAPE_CACHE.setdefault(key, shape)
             _SHAPE_CACHE.move_to_end(key)
             while len(_SHAPE_CACHE) > _SHAPE_CAP:
                 _SHAPE_CACHE.popitem(last=False)
-    return _bind(shape, sizes)
+    return shape, sizes
 
 
 #: bound of the recipe-shape LRU of :func:`instantiate_base`
 _SHAPE_CAP = 256
 _SHAPE_CACHE: "OrderedDict[tuple, Kernel]" = OrderedDict()
 _SHAPE_LOCK = threading.Lock()
+#: bound of the LRU of placed shapes: a search simulates the bindings of
+#: one placed shape in a row, so a few entries keep nearly all the reuse
+_PLACED_CAP = 8
+#: (``id(shape)``, prefetch placement) -> (the shape, placed shape);
+#: holding the shape keeps its id from being reused while the entry lives
+_PLACED: "OrderedDict[tuple, Tuple[Kernel, Kernel]]" = OrderedDict()
 
 
 def _build_shape(
@@ -322,9 +397,23 @@ def _bind(shape: Kernel, sizes: Mapping[str, int]) -> Kernel:
 
 
 def clear_base_cache() -> None:
-    """Empty the recipe-shape LRU (benchmarks time searches cold)."""
+    """Empty every process-wide memo a fresh ``repro tune`` starts
+    without (benchmarks time searches cold): recipe shapes and their
+    prefetch placements, the executor's compiled programs, the miss
+    model's per-shape analyses, and the memoized linear forms and
+    dependence solutions."""
+    from repro.analysis.dependence import clear_memos
+    from repro.analysis.missmodel import clear_shapes
+    from repro.ir.expr import linear_form
+    from repro.sim.executor import clear_compiled
+
     with _SHAPE_LOCK:
         _SHAPE_CACHE.clear()
+        _PLACED.clear()
+    clear_compiled()
+    clear_shapes()
+    clear_memos()
+    linear_form.cache_clear()
 
 
 def apply_prefetch(
@@ -335,9 +424,7 @@ def apply_prefetch(
     """Insert the prefetch placement into an instantiated base kernel
     (the final step of :func:`instantiate`, split out so delta evaluation
     can re-run only this suffix on a shared base)."""
-    line_elems = 4
-    if machine is not None:
-        line_elems = max(1, machine.l1.line_size // 8)
+    line_elems = _line_elems(machine)
     result = kernel
     for site, distance in (prefetch or {}).items():
         if distance and distance > 0:
@@ -345,6 +432,11 @@ def apply_prefetch(
                 result, site.array, int(distance), site.loop, line_elems=line_elems
             )
     return result
+
+
+def _line_elems(machine: Optional[MachineSpec]) -> int:
+    """Elements per L1 line, the prefetch grouping granularity."""
+    return 4 if machine is None else max(1, machine.l1.line_size // 8)
 
 
 def instantiate(

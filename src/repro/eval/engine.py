@@ -61,12 +61,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.variants import (
-    PrefetchSite,
-    Variant,
-    apply_prefetch,
-    instantiate_base,
-)
+from repro.core.variants import PrefetchSite, Variant, simulation_shape
 from repro.eval.cache import CachedResult, ResultCache
 from repro.eval.keys import candidate_key, trace_signature
 from repro.faults import (
@@ -81,7 +76,6 @@ from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.sim import execute
 from repro.sim.counters import Counters
 from repro.transforms import TransformError
-from repro.transforms.padding import pad_arrays
 
 __all__ = [
     "EvalEngine",
@@ -351,11 +345,10 @@ def _simulate(payload: Tuple) -> Tuple[str, float, Optional[Counters]]:
         # or os._exit a pool worker; "corrupt" is applied after the run
         fault = fault_plan.apply(key, attempt, in_worker)
     try:
-        base = instantiate_base(kernel, variant, dict(values), machine)
-        inst = apply_prefetch(base, machine, dict(prefetch))
-        if pads:
-            inst = pad_arrays(inst, dict(pads))
-        counters = execute(inst, dict(problem), machine)
+        shape, bindings = simulation_shape(
+            kernel, variant, dict(values), machine, dict(prefetch), dict(pads)
+        )
+        counters = execute(shape, dict(problem), machine, bindings=bindings)
     except (TransformError, ValueError):
         # The binding cannot be built (e.g. a copy that does not divide,
         # a zero tile size): a true property of the point.

@@ -185,8 +185,8 @@ def trace_signature(
     accounting keys on it: a later simulation with the same signature is
     a *delta* of an already-simulated candidate, differing from it only
     in the suffix (prefetch insertion, pad).  The front end itself is
-    shared more widely, per recipe shape
-    (:func:`repro.core.variants.instantiate_base`).
+    shared more widely, per recipe shape, and so are the simulator's
+    compiled programs (:func:`repro.core.variants.simulation_shape`).
 
     The signature deliberately says nothing about *simulation* reuse:
     padding and prefetch distance change cache-set mapping and fill

@@ -22,10 +22,14 @@ cumulative ``now`` at every access equals the reference's, up to float
 reassociation (the documented intra-batch tolerance; hit/miss counts are
 independent of timing and stay byte-identical).
 
-Compiled schedules and programs are cached per loop *structure* (IR
-nodes are frozen dataclasses, so structurally identical unrolled copies
-share one entry) with an identity fast path — never per ``id()`` alone,
-which can be recycled after GC.
+Schedules and fused programs are compiled once per loop object and
+machine, in one locked, process-wide LRU: the evaluation engine
+simulates a recipe shape whose tile sizes are symbols (``bindings``),
+so every tile binding of a shape reuses its programs.  A compiled program holds no
+number a binding changes.  Each run binds its own loop bounds, loop
+steps (a control loop steps by its symbolic tile size), the array
+layout — folded into each emit plan's constants and coefficients with
+integer arithmetic — and the slab estimates that set chunk boundaries.
 
 ``execute(..., reference=True)`` runs the pre-batching paths (scalar
 statements, one batch per innermost trip, per-access memory system) and
@@ -41,24 +45,24 @@ search: phase 2 calls ``execute`` for every experiment it performs.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.codegen.layout import ArrayLayout, MemoryLayout
+from repro.codegen.layout import MemoryLayout
 from repro.ir.expr import linear_form
 from repro.ir.nest import (
     ArrayRef,
-    Assign,
-    CVar,
-    CBin,
     Kernel,
     Loop,
     Node,
     Prefetch,
     Statement,
+    scalars_read,
 )
 from repro.machines import MachineSpec
 from repro.sim.counters import Counters
@@ -89,17 +93,10 @@ class ExecutionError(RuntimeError):
 
 
 @dataclass
-class _Access:
-    ref: ArrayRef
-    kind: int
-    layout: ArrayLayout
-
-
-@dataclass
 class _Schedule:
     """Precompiled access schedule of one innermost loop body."""
 
-    accesses: List[_Access]
+    accesses: List[Tuple[ArrayRef, int]]  # (reference, kind) in issue order
     flops_per_iter: int
     loads_per_iter: int
     stores_per_iter: int
@@ -112,19 +109,21 @@ class _Entry:
     """One stream entry of a fused pattern: an access, or a phantom
     carrying advance-only cycles (scalar move, loop-overhead share)."""
 
-    __slots__ = ("access", "kind", "cpa")
+    __slots__ = ("ref", "kind", "cpa")
 
-    def __init__(self, access: Optional[_Access], kind: int, cpa: float) -> None:
-        self.access = access
+    def __init__(self, ref: Optional[ArrayRef], kind: int, cpa: float) -> None:
+        self.ref = ref
         self.kind = kind
         self.cpa = cpa
 
 
 class _EmitPlan:
-    """Affine address plan of one entry list: every access's byte address
-    is ``consts[e] + coeffs[e] @ vars``, so a whole chunk of instances
-    emits with one integer matmul and four scatters instead of per-entry
-    expression evaluation."""
+    """Affine address plan of one entry list, free of any layout: row
+    ``r`` reads array ``arrays[array_of[r]]`` at subscript ``d``
+    ``index_consts[r, d] + 1 + index_coeffs[r, d] @ vars``.  A run binds
+    its layout into ``consts[r] + coeffs[r] @ vars`` byte addresses
+    (:func:`_bind_plan`), so a whole chunk of instances emits with one
+    integer matmul and four scatters."""
 
     __slots__ = (
         "entries",
@@ -132,11 +131,11 @@ class _EmitPlan:
         "offs",
         "kinds",
         "cpas",
-        "consts",
         "names",
-        "coeffs",
-        "lo",
-        "hi",
+        "arrays",
+        "array_of",
+        "index_consts",
+        "index_coeffs",
         "sim_index",
     )
 
@@ -150,8 +149,8 @@ def _affine(entries: List["_Entry"]) -> bool:
     return all(
         linear_form(index_expr).affine
         for entry in entries
-        if entry.access is not None
-        for index_expr in entry.access.ref.indices
+        if entry.ref is not None
+        for index_expr in entry.ref.indices
     )
 
 
@@ -159,42 +158,58 @@ def _plan_entries(entries: List["_Entry"]) -> _EmitPlan:
     """The emit plan of one entry list whose accesses are all affine."""
     plan = _EmitPlan(entries)
     plan.phantoms = []
-    rows = []  # (stream_offset, entry, const, {var: coeff})
+    rows = []  # (stream_offset, entry, [linear form per subscript])
     col: Dict[str, int] = {}  # var name -> coefficient column
+    arrays: Dict[str, int] = {}  # array name -> layout row
     for e_i, entry in enumerate(entries):
-        if entry.access is None:
+        if entry.ref is None:
             plan.phantoms.append((e_i, entry.cpa))
             continue
-        layout = entry.access.layout
-        const = layout.base
-        coeffs: Dict[str, int] = {}
-        for index_expr, stride in zip(entry.access.ref.indices, layout.strides):
-            form = linear_form(index_expr)
-            scale = stride * layout.element_size
-            const += (form.const - 1) * scale
-            for var, coeff in form.terms:
-                coeffs[var.name] = coeffs.get(var.name, 0) + coeff * scale
-        for k in coeffs:
-            if k not in col:
-                col[k] = len(col)
-        rows.append((e_i, entry, const, coeffs))
+        forms = [linear_form(index_expr) for index_expr in entry.ref.indices]
+        for form in forms:
+            for var, _ in form.terms:
+                col.setdefault(var.name, len(col))
+        arrays.setdefault(entry.ref.array, len(arrays))
+        rows.append((e_i, entry, forms))
     n_sim = len(rows)
+    rank = max((len(r[2]) for r in rows), default=0)
     plan.names = list(col)
+    plan.arrays = list(arrays)
+    plan.array_of = np.array([arrays[r[1].ref.array] for r in rows], dtype=np.intp)
     plan.offs = np.array([r[0] for r in rows], dtype=np.int64)
     plan.kinds = np.array([r[1].kind for r in rows], dtype=np.int8).reshape(-1, 1)
     plan.cpas = np.array([r[1].cpa for r in rows], dtype=np.float64).reshape(-1, 1)
-    plan.consts = np.array([r[2] for r in rows], dtype=np.int64)
-    coeff_mat = np.zeros((n_sim, len(col)), dtype=np.int64)
-    for i, (_, _, _, coeffs) in enumerate(rows):
-        for k, v in coeffs.items():
-            coeff_mat[i, col[k]] = v
-    plan.coeffs = coeff_mat
-    plan.lo = np.array(
-        [r[1].access.layout.base for r in rows], dtype=np.int64
-    )
-    plan.hi = np.array([r[1].access.layout.end for r in rows], dtype=np.int64)
+    plan.index_consts = np.zeros((n_sim, rank), dtype=np.int64)
+    plan.index_coeffs = np.zeros((n_sim, rank, len(col)), dtype=np.int64)
+    for i, (_, _, forms) in enumerate(rows):
+        for d, form in enumerate(forms):
+            plan.index_consts[i, d] = form.const - 1
+            for var, coeff in form.terms:
+                plan.index_coeffs[i, d, col[var.name]] += coeff
     plan.sim_index = [r[0] for r in rows]
     return plan
+
+
+def _bind_plan(
+    plan: _EmitPlan, layout: MemoryLayout
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``plan`` under ``layout``: per row the byte-address constant and
+    per-variable coefficients (each subscript's stride times the element
+    size), and the array's ``[lo, hi)`` byte range."""
+    rank = plan.index_consts.shape[1]
+    scale = np.zeros((len(plan.arrays), rank), dtype=np.int64)
+    lo = np.empty(len(plan.arrays), dtype=np.int64)
+    hi = np.empty(len(plan.arrays), dtype=np.int64)
+    for a, name in enumerate(plan.arrays):
+        array = layout[name]
+        strides = array.strides[:rank]
+        scale[a, : len(strides)] = [stride * array.element_size for stride in strides]
+        lo[a] = array.base
+        hi[a] = array.end
+    row_scale = scale[plan.array_of]
+    consts = lo[plan.array_of] + (plan.index_consts * row_scale).sum(axis=1)
+    coeffs = (plan.index_coeffs * row_scale[:, :, None]).sum(axis=1)
+    return consts, coeffs, lo[plan.array_of], hi[plan.array_of]
 
 
 @dataclass
@@ -225,59 +240,50 @@ class _FusedLoop:
     var: str
     lower: object
     upper: object
-    step: int
+    step: object  # an int, or the symbolic tile size of a control loop
     leaf: bool
     entries: Optional[List[_Entry]]  # leaf: one iteration's entries
     schedule: Optional[_Schedule]  # leaf: counter basis
     slots: Optional[List[Union["_StmtSlot", "_FusedLoop"]]]  # non-leaf
     overhead: float  # non-leaf: phantom cycles per iteration
     size: int  # leaf: len(entries); non-leaf: fixed entries per iteration
-    #: measured stream entries per root iteration (updated after every
-    #: run; sizes the root-iteration slabs that bound domain memory)
-    est_entries: Optional[int] = None
     #: leaf: the entries' emit plan, built when the loop first emits
     plan: Optional[_EmitPlan] = None
 
 
-class _StructuralCache:
-    """Cache keyed by IR structure, with an identity fast path.
+#: bound of the memo below, in loops (each holds a root program or the
+#: schedule of an innermost loop the fast path runs unfused)
+_COMPILED_CAP = 8
+#: an LRU of schedules and fused programs: ``id(loop)`` -> (the loop,
+#: {(kind, kernel constants, machine): compiled}); holding the loop keeps
+#: its id from being reused while the entry lives
+_COMPILED: "OrderedDict[int, Tuple[Loop, Dict[tuple, object]]]" = OrderedDict()
+_COMPILED_LOCK = threading.Lock()
 
-    IR nodes are frozen dataclasses: structurally equal nodes hash alike,
-    so structurally identical loops (e.g. unrolled copies) share one
-    entry, and a rebuilt tree can never collide with a dead one the way a
-    bare ``id()`` key can — the memo holds a strong reference to the node
-    it keyed (its id cannot be recycled while the entry lives) and a
-    different node with the same id fails the identity check, falling
-    through to the structural lookup.
-    """
 
-    def __init__(self, structural: bool = True) -> None:
-        # ``structural=False`` keeps only the identity memo: still safe
-        # (a recycled id fails the ``is`` check and recompiles), but skips
-        # hashing whole subtrees — used for fused programs, whose keys are
-        # entire loop nests and which rarely recur structurally within one
-        # execution anyway.
-        self._by_id: Dict[int, Tuple[object, object]] = {}
-        self._by_structure: Optional[Dict[object, object]] = (
-            {} if structural else None
-        )
+def _compiled(loop: Loop, key: tuple, compile: Callable[[], object]) -> object:
+    """``compile()`` memoized per loop object and ``key``."""
+    with _COMPILED_LOCK:
+        entry = _COMPILED.get(id(loop))
+        if entry is not None:
+            _COMPILED.move_to_end(id(loop))
+            value = entry[1].get(key, _MISSING)
+            if value is not _MISSING:
+                return value
+    value = compile()
+    with _COMPILED_LOCK:
+        entry = _COMPILED.get(id(loop))
+        if entry is None:
+            entry = _COMPILED[id(loop)] = (loop, {})
+            while len(_COMPILED) > _COMPILED_CAP:
+                _COMPILED.popitem(last=False)
+        return entry[1].setdefault(key, value)
 
-    def get(self, node):
-        entry = self._by_id.get(id(node))
-        if entry is not None and entry[0] is node:
-            return entry[1]
-        if self._by_structure is None:
-            return _MISSING
-        value = self._by_structure.get(node, _MISSING)
-        if value is not _MISSING:
-            self._by_id[id(node)] = (node, value)
-        return value
 
-    def put(self, node, value):
-        if self._by_structure is not None:
-            self._by_structure[node] = value
-        self._by_id[id(node)] = (node, value)
-        return value
+def clear_compiled() -> None:
+    """Drop every compiled schedule and program."""
+    with _COMPILED_LOCK:
+        _COMPILED.clear()
 
 
 class _Domain:
@@ -322,6 +328,11 @@ class _Stream:
         self.keep = np.zeros(size, dtype=bool)
 
 
+def _step(step, env: Mapping[str, int]) -> int:
+    """A loop step under ``env`` (a control loop's is its tile size)."""
+    return step if isinstance(step, int) else int(step.evaluate(env))
+
+
 def _trip_count(lower: int, upper: int, step: int) -> int:
     if step > 0:
         return (upper - lower) // step + 1 if upper >= lower else 0
@@ -333,8 +344,13 @@ def execute(
     params: Mapping[str, int],
     machine: MachineSpec,
     reference: bool = False,
+    bindings: Optional[Mapping[str, int]] = None,
 ) -> Counters:
     """Simulate ``kernel`` with the given sizes on ``machine``.
+
+    ``bindings`` gives the values of further symbols in the kernel's loop
+    headers and array shapes (the tile sizes of a recipe shape); unlike
+    ``params`` they are not reported in ``Counters.params``.
 
     ``reference=True`` replays through the pre-batching scalar paths (the
     differential baseline for the parity suite); results agree with the
@@ -342,7 +358,7 @@ def execute(
     documented intra-batch issue-reassociation tolerance.
     """
     started = time.perf_counter()
-    runner = _Runner(kernel, dict(params), machine, reference=reference)
+    runner = _Runner(kernel, dict(params), machine, reference, bindings)
     runner.run()
     counters = runner.counters
     if kernel.flop_basis is not None:
@@ -383,12 +399,13 @@ class _Runner:
         params: Dict[str, int],
         machine: MachineSpec,
         reference: bool = False,
+        bindings: Optional[Mapping[str, int]] = None,
     ):
         self.kernel = kernel
-        self.params = params
+        self.env = dict(params, **(bindings or {}))
         self.machine = machine
         self.reference = reference
-        self.layout = MemoryLayout.build(kernel, params, machine.tlb.page_size)
+        self.layout = MemoryLayout.build(kernel, self.env, machine.tlb.page_size)
         self.memsys = MemorySystem(machine, reference=reference)
         self.counters = Counters(
             kernel=kernel.name,
@@ -396,12 +413,21 @@ class _Runner:
             params=dict(params),
             clock_mhz=machine.clock_mhz,
         )
-        self._schedules = _StructuralCache()
-        self._programs = _StructuralCache(structural=False)
+        # this run's view of the process-wide memo, and what it binds:
+        # emit plans under this layout, slab estimates of root programs
+        self._local: Dict[Tuple[str, int], object] = {}
+        self._bound: Dict[int, tuple] = {}
+        self._est: Dict[int, int] = {}
 
     def run(self) -> None:
-        env: Dict[str, int] = dict(self.params)
-        self._run_nodes(self.kernel.body, env)
+        self._run_nodes(self.kernel.body, dict(self.env))
+
+    def _memo(self, kind: str, loop: Loop, compile: Callable[[], object]):
+        value = self._local.get((kind, id(loop)), _MISSING)
+        if value is _MISSING:
+            key = (kind, self.kernel.consts, self.machine if kind == "program" else None)
+            value = self._local[(kind, id(loop))] = _compiled(loop, key, compile)
+        return value
 
     # ------------------------------------------------------------------
     def _run_nodes(self, nodes: Tuple[Node, ...], env: Dict[str, int]) -> None:
@@ -415,11 +441,12 @@ class _Runner:
         if not self.reference:
             program = self._program_for(loop)
             if program is not None:
-                if program.est_entries is None:
-                    program.est_entries = max(1, self._estimate_iter(program, env))
+                est = self._est.get(id(program))
+                if est is None:
+                    est = self._est[id(program)] = max(1, self._estimate_iter(program, env))
                 # One root iteration must fit in a slab; if it can't, run
                 # this level interpreted — the children fuse on their own.
-                if program.est_entries <= _MAX_SLAB_ENTRIES:
+                if est <= _MAX_SLAB_ENTRIES:
                     self._run_fused(program, env)
                     return
         if all(isinstance(child, Statement) for child in loop.body):
@@ -427,7 +454,7 @@ class _Runner:
             return
         lower = int(loop.lower.evaluate(env))
         upper = int(loop.upper.evaluate(env))
-        step = loop.step
+        step = _step(loop.step, env)
         overhead = self.machine.loop_overhead
         for value in range(lower, upper + (1 if step > 0 else -1), step):
             env[loop.var] = value
@@ -471,7 +498,8 @@ class _Runner:
     def _run_inner_loop(self, loop: Loop, env: Dict[str, int]) -> None:
         lower = int(loop.lower.evaluate(env))
         upper = int(loop.upper.evaluate(env))
-        count = _trip_count(lower, upper, loop.step)
+        step = _step(loop.step, env)
+        count = _trip_count(lower, upper, step)
         if count <= 0:
             return
         schedule = self._schedule_for(loop)
@@ -500,23 +528,23 @@ class _Runner:
             return
         cycles_per_access = issue / mem_ops
 
-        values = np.arange(lower, lower + count * loop.step, loop.step, dtype=np.int64)
+        values = np.arange(lower, lower + count * step, step, dtype=np.int64)
         env_vec: Dict[str, object] = dict(env)
         env_vec[loop.var] = values
         columns = []
         kinds = np.empty((len(schedule.accesses),), dtype=np.int8)
         drop_mask = None
-        for pos, access in enumerate(schedule.accesses):
-            layout = access.layout
+        for pos, (ref, kind) in enumerate(schedule.accesses):
+            layout = self.layout[ref.array]
             offset = np.zeros(count, dtype=np.int64)
-            for index_expr, stride in zip(access.ref.indices, layout.strides):
+            for index_expr, stride in zip(ref.indices, layout.strides):
                 idx = index_expr.evaluate(env_vec)
                 offset += (np.asarray(idx, dtype=np.int64) - 1) * stride
             addrs = layout.base + offset * layout.element_size
             lo = int(addrs.min())
             hi = int(addrs.max())
             if lo < layout.base or hi >= layout.end:
-                if access.kind == KIND_PREFETCH:
+                if kind == KIND_PREFETCH:
                     bad = (addrs < layout.base) | (addrs >= layout.end)
                     if drop_mask is None:
                         drop_mask = np.zeros((len(schedule.accesses), count), dtype=bool)
@@ -524,12 +552,12 @@ class _Runner:
                     addrs = np.clip(addrs, layout.base, layout.end - 1)
                 else:
                     raise ExecutionError(
-                        f"{access.ref} out of bounds in loop {loop.var} "
+                        f"{ref} out of bounds in loop {loop.var} "
                         f"(addresses [{lo}, {hi}] outside "
                         f"[{layout.base}, {layout.end}))"
                     )
             columns.append(addrs)
-            kinds[pos] = access.kind
+            kinds[pos] = kind
         # Interleave in statement order: iteration-major, access-minor.
         matrix = np.stack(columns, axis=1)
         flat_addrs = matrix.reshape(-1)
@@ -544,35 +572,32 @@ class _Runner:
         self.memsys.access_vector(flat_addrs, flat_kinds, cycles_per_access)
 
     def _schedule_for(self, loop: Loop) -> _Schedule:
-        cached = self._schedules.get(loop)
-        if cached is not _MISSING:
-            return cached
-        accesses: List[_Access] = []
+        return self._memo("schedule", loop, lambda: self._compile_schedule(loop))
+
+    def _compile_schedule(self, loop: Loop) -> _Schedule:
+        accesses: List[Tuple[ArrayRef, int]] = []
         flops = 0
         loads = stores = prefetches = moves = 0
         scalars = set(self.kernel.consts)
         for stmt in loop.body:
             if isinstance(stmt, Prefetch):
-                accesses.append(
-                    _Access(stmt.ref, KIND_PREFETCH, self.layout[stmt.ref.array])
-                )
+                accesses.append((stmt.ref, KIND_PREFETCH))
                 prefetches += 1
                 continue
             flops += stmt.value.flops()
             stmt_reads = list(stmt.value.reads())
             for ref in stmt_reads:
-                accesses.append(_Access(ref, KIND_LOAD, self.layout[ref.array]))
+                accesses.append((ref, KIND_LOAD))
                 loads += 1
-            for name in _scalar_reads(stmt):
-                scalars.add(name)
+            scalars.update(scalars_read(stmt.value))
             if isinstance(stmt.target, ArrayRef):
-                accesses.append(_Access(stmt.target, KIND_STORE, self.layout[stmt.target.array]))
+                accesses.append((stmt.target, KIND_STORE))
                 stores += 1
             else:
                 scalars.add(stmt.target)
                 if not stmt_reads and stmt.value.flops() == 0:
                     moves += 1
-        schedule = _Schedule(
+        return _Schedule(
             accesses=accesses,
             flops_per_iter=flops,
             loads_per_iter=loads,
@@ -581,14 +606,10 @@ class _Runner:
             scalar_moves_per_iter=moves,
             live_scalars=len(scalars),
         )
-        return self._schedules.put(loop, schedule)
 
     # -- cross-loop batching: compile --------------------------------------
     def _program_for(self, loop: Loop) -> Optional[_FusedLoop]:
-        cached = self._programs.get(loop)
-        if cached is not _MISSING:
-            return cached
-        return self._programs.put(loop, self._compile_fused(loop, 1, frozenset()))
+        return self._memo("program", loop, lambda: self._compile_fused(loop, 1, frozenset()))
 
     def _compile_fused(
         self, loop: Loop, depth: int, ancestors: frozenset
@@ -600,7 +621,7 @@ class _Runner:
             return None
         inner = ancestors | {loop.var}
         if all(isinstance(child, Statement) for child in loop.body):
-            schedule = self._schedule_for(loop)
+            schedule = self._compile_schedule(loop)
             mem_ops = (
                 schedule.loads_per_iter
                 + schedule.stores_per_iter
@@ -615,7 +636,7 @@ class _Runner:
             )
             if mem_ops:
                 cpa = issue / mem_ops
-                entries = [_Entry(a, a.kind, cpa) for a in schedule.accesses]
+                entries = [_Entry(ref, kind, cpa) for ref, kind in schedule.accesses]
             else:
                 entries = [_Entry(None, _PHANTOM, issue)]
             if not _affine(entries):
@@ -663,13 +684,7 @@ class _Runner:
         loads = stores = prefetches = moves = 0
         for stmt in stmts:
             if isinstance(stmt, Prefetch):
-                entries.append(
-                    _Entry(
-                        _Access(stmt.ref, KIND_PREFETCH, self.layout[stmt.ref.array]),
-                        KIND_PREFETCH,
-                        1.0,
-                    )
-                )
+                entries.append(_Entry(stmt.ref, KIND_PREFETCH, 1.0))
                 prefetches += 1
                 continue
             stmt_flops = stmt.value.flops()
@@ -682,18 +697,11 @@ class _Runner:
                 continue
             carry = issue
             for ref in reads:
-                entries.append(
-                    _Entry(_Access(ref, KIND_LOAD, self.layout[ref.array]),
-                           KIND_LOAD, carry + 1.0)
-                )
+                entries.append(_Entry(ref, KIND_LOAD, carry + 1.0))
                 carry = 0.0
                 loads += 1
             if isinstance(stmt.target, ArrayRef):
-                entries.append(
-                    _Entry(_Access(stmt.target, KIND_STORE,
-                                   self.layout[stmt.target.array]),
-                           KIND_STORE, carry + 1.0)
-                )
+                entries.append(_Entry(stmt.target, KIND_STORE, carry + 1.0))
                 stores += 1
         if not _affine(entries):
             return None
@@ -714,28 +722,27 @@ class _Runner:
             if isinstance(slot, _FusedLoop):
                 lo = int(slot.lower.evaluate(e))
                 up = int(slot.upper.evaluate(e))
-                trip = _trip_count(lo, up, slot.step)
+                trip = _trip_count(lo, up, _step(slot.step, e))
                 total += trip * self._estimate_iter(slot, e)
         return total
 
     def _run_fused(self, program: _FusedLoop, env: Dict[str, int]) -> None:
         lower = int(program.lower.evaluate(env))
         upper = int(program.upper.evaluate(env))
-        count = _trip_count(lower, upper, program.step)
+        step = _step(program.step, env)
+        count = _trip_count(lower, upper, step)
         if count <= 0:
             return
-        all_values = np.arange(
-            lower, lower + count * program.step, program.step, dtype=np.int64
-        )
+        all_values = np.arange(lower, lower + count * step, step, dtype=np.int64)
         # Domains are materialized slab-by-slab over root iterations so a
         # deep untiled nest never holds its whole iteration space at once.
         # Leaf programs have exact per-iteration size; non-leaf ones start
         # from the analytic estimate and then reuse the measured one
-        # (cached on the program across calls).
+        # (kept for the program across this run's calls).
         budget = 4 * _CHUNK_ENTRIES
         start = 0
         while start < count:
-            est = program.size if program.leaf else program.est_entries
+            est = program.size if program.leaf else self._est.get(id(program))
             if est is None:
                 take = 1
             else:
@@ -756,7 +763,7 @@ class _Runner:
             self._tally_fused(program, dom)
             cum = np.cumsum(sizes)
             total_entries = int(cum[-1])
-            program.est_entries = max(1, total_entries // take)
+            self._est[id(program)] = max(1, total_entries // take)
             lo = 0
             consumed = 0
             while lo < take:
@@ -789,7 +796,7 @@ class _Runner:
         up = np.broadcast_to(
             np.asarray(node.upper.evaluate(eval_env), dtype=np.int64), (P,)
         )
-        step = node.step
+        step = _step(node.step, env)
         if step > 0:
             counts = np.where(up >= lo, (up - lo) // step + 1, 0).astype(np.int64)
         else:
@@ -914,10 +921,14 @@ class _Runner:
             stream.cpa[starts + off if off else starts] = cpa
         if not len(plan.offs):
             return
+        bound = self._bound.get(id(plan))
+        if bound is None:
+            bound = self._bound[id(plan)] = _bind_plan(plan, self.layout)
+        consts, coeffs, row_lo_limit, row_hi_limit = bound
         # addr[e, i] = consts[e] + sum_v coeffs[e, v] * var_v[i]; loop
         # variables are per-instance vectors, outer bindings fold into
         # the constant column.
-        base = plan.consts
+        base = consts
         vec_cols = []
         vec_vals = []
         for j, name in enumerate(plan.names):
@@ -926,9 +937,9 @@ class _Runner:
                 vec_cols.append(j)
                 vec_vals.append(val)
             else:
-                base = base + plan.coeffs[:, j] * int(val)
+                base = base + coeffs[:, j] * int(val)
         if vec_vals:
-            addrs = plan.coeffs[:, vec_cols] @ np.stack(vec_vals)
+            addrs = coeffs[:, vec_cols] @ np.stack(vec_vals)
             addrs += base[:, None]
         else:
             addrs = np.broadcast_to(base[:, None], (len(base), len(starts)))
@@ -939,7 +950,7 @@ class _Runner:
         stream.keep[dest] = True
         row_lo = addrs.min(axis=1)
         row_hi = addrs.max(axis=1)
-        bad_rows = np.nonzero((row_lo < plan.lo) | (row_hi >= plan.hi))[0]
+        bad_rows = np.nonzero((row_lo < row_lo_limit) | (row_hi >= row_hi_limit))[0]
         if not len(bad_rows):
             return
         counters = self.counters
@@ -947,13 +958,13 @@ class _Runner:
             entry = plan.entries[plan.sim_index[r]]
             if entry.kind != KIND_PREFETCH:
                 raise ExecutionError(
-                    f"{entry.access.ref} out of bounds in fused loop "
+                    f"{entry.ref} out of bounds in fused loop "
                     f"{loop_var} (addresses [{int(row_lo[r])}, "
-                    f"{int(row_hi[r])}] outside [{int(plan.lo[r])}, "
-                    f"{int(plan.hi[r])}))"
+                    f"{int(row_hi[r])}] outside [{int(row_lo_limit[r])}, "
+                    f"{int(row_hi_limit[r])}))"
                 )
             row = addrs[r]
-            bad = (row < plan.lo[r]) | (row >= plan.hi[r])
+            bad = (row < row_lo_limit[r]) | (row >= row_hi_limit[r])
             counters.dropped_prefetches += int(bad.sum())
             stream.keep[dest[r][bad]] = False
 
@@ -992,16 +1003,3 @@ class _Runner:
             raise ExecutionError(f"{ref} out of bounds (env {dict(env)})")
         return addr
 
-
-def _scalar_reads(stmt: Assign) -> List[str]:
-    names: List[str] = []
-
-    def visit(expr) -> None:
-        if isinstance(expr, CVar):
-            names.append(expr.name)
-        elif isinstance(expr, CBin):
-            visit(expr.left)
-            visit(expr.right)
-
-    visit(stmt.value)
-    return names
