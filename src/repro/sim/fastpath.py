@@ -27,14 +27,17 @@ Pass 1 (classification, bulk numpy)
     ``associativity`` distinct lines (such a set never evicts).  At one
     or two ways a longer window is a miss (adjacent heads differ); at
     more, a bound from the heads' own reuse distances settles most such
-    windows as hits, and the rest get an exact distinct-line count (a
-    merge-sort tree, so its cost does not depend on the window's
-    length).  Each access
-    gets its *root*: the miss that filled its line this batch, or the
-    resident it hit.  The TLB classifies the kept stream's pages and L1
-    its lines; each deeper level classifies the previous level's misses
-    in position order, so every miss's resolution (level, latency,
-    in-batch fill source or settled fill time) is a handful of arrays.
+    windows as hits, and the rest get an exact distinct-line count over
+    the window itself (:func:`_window_count`: whole 64-head blocks by
+    one binary search each, the partial block head by head).  Pass 2
+    reads only a few of the results, so they stay per run head: the TLB
+    and L1 take their misses straight from the heads, and L1 its pending
+    hits with their *roots* (the miss that filled the line this batch,
+    or the resident hit).  Only the deeper levels expand roots to every
+    access (:func:`_roots`), because pass 2 links their hits to in-batch
+    fills; each classifies the previous level's misses in position
+    order, so every miss's resolution (level, latency, in-batch fill
+    source or settled fill time) is a handful of arrays.
 
 Pass 2 (timing, Python loop over events only)
     Demand TLB misses, L1 misses and pending hits — a demand access that
@@ -60,13 +63,17 @@ needs no event.
 
 from __future__ import annotations
 
-from typing import List
+from itertools import chain
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["process_batch"]
 
 _KIND_PREFETCH = 2
+
+#: heads per block of the window count (:func:`_window_count`)
+_BLOCK = 64
 
 # Pass-2 event kinds.
 _EV_TLB = 0  # demand TLB miss
@@ -140,18 +147,17 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
 
     # ---------------------------------------------------------------- TLB
     tlb = ms.tlb
-    troot, _, tinit, _, tlb_final = _classify(kaddr >> tlb.line_bits, tlb)
-    tlb_miss = np.nonzero((troot == np.arange(m)) & kdemand)[0]  # demand only
+    tv = _classify(kaddr >> tlb.line_bits, tlb)
+    tlb_miss = tv.miss[kdemand[tv.miss]]  # demand only
 
     # ----------------------------------------------------------------- L1
-    root, first, init1, runs, l1_final = _classify(klines, l1, kdemand)
-    mk = np.nonzero(root == np.arange(m))[0]  # L1 misses, in position order
+    v1 = _classify(klines, l1, kdemand)
+    mk = v1.miss  # L1 misses, in position order
     n_miss = len(mk)
+    init1 = v1.init
     # Pending hits: the first demand access since its line's fill, when
     # that fill is this batch's (in flight) or a resident's still due.
-    ph = np.nonzero(first)[0]
-    ph = ph[root[ph] != ph]
-    p_root = root[ph]
+    ph, p_root = v1.pending
     own = p_root >= 0
     p_ref = np.where(own, np.searchsorted(mk, p_root), -1)
     p_val = np.zeros(len(ph))
@@ -173,8 +179,9 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
         if not len(ords):
             break
         dt += cache.spec.latency
-        r, _, init, _, final = _classify(maddr[ords] >> cache.line_bits, cache)
-        deep_final.append((cache, final, init, ords))
+        v = _classify(maddr[ords] >> cache.line_bits, cache)
+        deep_final.append((cache, v.final, v.init, ords))
+        r = _roots(v, len(ords))
         hit = r != np.arange(len(ords))
         ho = ords[hit]
         hr = r[hit]
@@ -182,7 +189,7 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
         dts[ho] = dt
         own = hr >= 0
         ref[ho[own]] = ords[hr[own]]
-        val[ho[~own]] = init[hr[~own]]
+        val[ho[~own]] = v.init[hr[~own]]
         ords = ords[~hit]
     dts[ords] = dt
 
@@ -253,54 +260,62 @@ def process_batch(ms, addresses, kinds, cycles_per_access) -> None:
     ms.stall_cycles += stall
     ms.tlb_stall_cycles += tlb_stall
     ms.timing_events += len(key)
-    ms.collapsed += dropped + (m - runs)
+    ms.collapsed += dropped + (m - v1.runs)
 
     # Final LRU state, with the concrete fill times of this batch's fills.
     below_a = np.array(below_l)
     fresh = np.zeros(m)
     fresh[mk] = below_a + lat0
-    _store(l1, l1_final, init1, fresh)
-    _store(tlb, tlb_final, tinit, np.zeros(m))  # a page's value is unused
+    _store(l1, v1.final, init1, fresh)
+    _store(tlb, tv.final, tv.init, np.zeros(m))  # a page's value is unused
     for cache, final, init, ords in deep_final:
         _store(cache, final, init, below_a[ords])
+
+
+class _Verdict(NamedTuple):
+    """What :func:`_classify` decided, read off the stream's run heads."""
+
+    miss: np.ndarray  # stream indices of the misses, ascending
+    pending: Optional[Tuple[np.ndarray, np.ndarray]]  # (indices, roots)
+    init: np.ndarray  # fill time of each batch-start resident
+    runs: int  # same-line runs in the per-set streams
+    final: tuple  # the touched sets' final residents, for _store
+    heads: tuple  # (set order, run bounds, lo, k, head sources), for _roots
 
 
 def _classify(lines, cache, flags=None):
     """Exact LRU classification of one cache level's access stream.
 
-    Updates ``cache``'s hit/miss/eviction counters and returns
-    ``(root, first, init, runs, final)``:
-
-    * ``root[i]`` — the stream index of the miss that filled access
-      ``i``'s line (``i`` itself for a miss), or a negative ``r`` when
-      the line was resident at batch start with fill time ``init[r]``;
-    * ``first[i]`` — access ``i`` is flagged and is the first flagged
-      access since its line's fill (None without ``flags``);
-    * ``runs`` — the number of same-line runs in the per-set streams;
-    * ``final`` — the touched sets' final residents, LRU -> MRU, for
-      :func:`_store`.
+    Updates ``cache``'s hit/miss/eviction counters and returns a
+    :class:`_Verdict`.  An access's *root* is the stream index of the
+    miss that filled its line (itself for a miss), or a negative ``r``
+    when the line was resident at batch start with fill time ``init[r]``.
+    With ``flags``, ``pending`` lists the flagged hits that are the first
+    flagged access since their line's fill, with their roots.  Every
+    decision is made per run head; only :func:`_roots` expands them to
+    accesses.
     """
     assoc = cache.spec.associativity
     mask = cache.set_mask
     n = len(lines)
-    touched = np.zeros(mask + 1, dtype=bool)
-    touched[lines & mask] = True
-    touched = np.nonzero(touched)[0].tolist()
-    init_lines: List[int] = []
-    init_vals: List[float] = []
-    for s in touched:
-        ways = cache.sets[s]
-        init_lines.extend(ways)
-        init_vals.extend(ways.values())
-    R = len(init_lines)
-    stream = np.concatenate((np.array(init_lines, dtype=np.int64), lines))
-    N = n + R
     if mask:
         # (a set index of at most 16 bits sorts by radix: several times faster)
-        order = np.argsort((stream & mask).astype(np.min_scalar_type(mask)), kind="stable")
+        setk = np.min_scalar_type(mask)
+        lset = (lines & mask).astype(setk)
+        touched = np.flatnonzero(np.bincount(lset, minlength=mask + 1)).tolist()
+    else:
+        touched = [0]
+    ways = [cache.sets[s] for s in touched]
+    init_vals = np.fromiter(chain.from_iterable(map(dict.values, ways)), float)
+    R = len(init_vals)
+    resident = np.fromiter(chain.from_iterable(ways), np.int64, R)
+    stream = np.concatenate((resident, lines))
+    N = n + R
+    if mask:
+        order = np.argsort(np.concatenate(((resident & mask).astype(setk), lset)), kind="stable")
         sl = stream[order]
     else:  # one set: the stream is already in set order
-        order = np.arange(N)
+        order = None
         sl = stream
     head = np.empty(N, dtype=bool)
     head[0] = True
@@ -308,6 +323,7 @@ def _classify(lines, cache, flags=None):
     hidx = np.nonzero(head)[0]
     hl = sl[hidx]
     H = len(hidx)
+    bounds = np.append(hidx, N)  # run h is [bounds[h], bounds[h + 1])
     hpos = np.arange(H)
 
     # Link each head to the previous head of its line; decide it.  Heads
@@ -336,78 +352,116 @@ def _classify(lines, cache, flags=None):
         back = np.zeros(H + 1, dtype=np.int64)
         np.cumsum((prev < 0) | (hpos - prev > d), out=back[1:])
         far = far[d + back[far] - back[prev[far] + d + 1] >= assoc]
-        hit[far] = _dominance(prev, far, prev[far] + 1) - prev[far] - 1 < assoc
+        hit[far] = _window_count(prev, prev[far] + 1, far) < assoc
     fill = ~hit  # a pseudo-access or a miss starts its line's residency
 
-    # Root: the latest fill head of the line (positions in ``lo`` order
-    # grow, so a running max never leaks across lines).
+    # Root: the latest fill head of the line, ``lo[k[q]]`` for the head
+    # ``lo[q]`` (positions in ``lo`` order grow, so a running max never
+    # leaks across lines).  Only the heads read below look theirs up.
     k = np.where(fill[lo], hpos, 0)
     np.maximum.accumulate(k, out=k)
-    hroot = np.empty(H, dtype=np.int64)
-    hroot[lo] = lo[k]
-    hsrc = order[hidx] - R  # stream index of each head (< 0: pseudo)
-    root_all = np.empty(N, dtype=np.int64)
-    root_all[order] = np.repeat(hsrc[hroot], np.diff(hidx, append=N))
-    root = root_all[R:]
+    hsrc = (hidx if order is None else order[hidx]) - R  # < 0: pseudo
+    miss = hsrc[fill & (hsrc >= 0)]
+    if mask:
+        miss.sort()
 
-    first = None
+    pending = None
     if flags is not None:
-        fl = np.concatenate((np.zeros(R, dtype=bool), flags))[order]
-        fd = np.minimum.reduceat(np.where(fl, np.arange(N), N), hidx)
-        has = fd[lo] < N
+        # Each run's first flagged access (nearly always its head), then
+        # the first flagged run since the line's fill.
+        fl = np.concatenate((np.zeros(R, dtype=bool), flags))
+        fd = hidx.copy()
+        late = np.flatnonzero(~fl[hsrc + R])
+        if len(late):
+            lens = bounds[late + 1] - hidx[late]
+            at = _ramp(hidx[late], lens)
+            on = fl[at if order is None else order[at]]
+            fd[late] = np.minimum.reduceat(np.where(on, at, N), np.cumsum(lens) - lens)
+        has = (fd < N)[lo]
         g = np.where(has, hpos, -1)
         np.maximum.accumulate(g, out=g)
         prior = np.empty(H, dtype=np.int64)
         prior[0] = -1
         prior[1:] = g[:-1]
-        lead = lo[has & (prior < k)]  # first flagged head since the fill
-        first = np.zeros(N, dtype=bool)
-        first[order[fd[lead]]] = True
-        first = first[R:]
+        q = np.flatnonzero(has & (prior < k))
+        at = fd[lo[q]]
+        at = (at if order is None else order[at]) - R
+        p_root = hsrc[lo[k[q]]]
+        own = at != p_root  # a miss is its own root, not a pending hit
+        pending = (at[own], p_root[own])
 
-    n_miss = int(np.count_nonzero(fill & (hsrc >= 0)))
-    cache.misses += n_miss
-    cache.hits += n - n_miss
+    cache.misses += len(miss)
+    cache.hits += n - len(miss)
     fills = np.bincount(hset[fill], minlength=mask + 1)
     cache.evictions += int(np.maximum(fills - assoc, 0).sum())
-    runs = n - int(np.count_nonzero(~head[1:] & (order[:-1] >= R)))
+    # Every resident heads a run (a set's residents are distinct lines),
+    # which continues into the batch when the set's first access is to
+    # its MRU line.
+    kin = np.flatnonzero(hsrc < 0)
+    runs = H - R + int(np.count_nonzero(bounds[kin + 1] - hidx[kin] > 1))
 
     # Final residents: each set's last ``assoc`` line-last heads.
-    last = np.zeros(H, dtype=bool)
-    last[lo[np.append(~same, True)]] = True
-    li = np.nonzero(last)[0]
-    ls = hset[li]
+    q = np.flatnonzero(np.append(~same, True))
+    q = q[np.argsort(lo[q])]
+    ls = hset[lo[q]]
     brk = np.append(ls[1:] != ls[:-1], True)
-    set_end = np.minimum.accumulate(np.where(brk, np.arange(len(li)), H)[::-1])[::-1]
-    li = li[set_end - np.arange(len(li)) < assoc]
-    final = (touched, hset[li], hl[li], hsrc[hroot[li]])
-    return root, first, np.array(init_vals), runs, final
+    set_end = np.minimum.accumulate(np.where(brk, np.arange(len(q)), H)[::-1])[::-1]
+    q = q[set_end - np.arange(len(q)) < assoc]
+    li = lo[q]
+    final = (touched, hset[li], hl[li], hsrc[lo[k[q]]])
+    return _Verdict(miss, pending, init_vals, runs, final, (order, bounds, lo, k, hsrc))
 
 
-def _dominance(prev, j, t):
-    """``#{k < j : prev[k] < t}`` for each query ``(j, t)``, vectorized.
+def _roots(verdict, n):
+    """Each access's root, for a :func:`_classify`'d stream of ``n``."""
+    order, bounds, lo, k, hsrc = verdict.heads
+    root = np.empty(len(lo), dtype=np.int64)
+    root[lo] = hsrc[lo[k]]
+    per = np.repeat(root, np.diff(bounds))
+    if order is not None:
+        per[order] = per.copy()
+    return per[len(per) - n :]
 
-    A merge-sort tree: level ``b`` holds ``prev`` sorted within aligned
-    blocks of ``2**b``, and a prefix ``[0, j)`` is one block per set bit
-    of ``j``, each counted with one ``searchsorted``.  A level is built
-    only from the blocks its queries read, one level at a time, so memory
-    stays O(len(prev)).
+
+def _window_count(prev, t, j):
+    """``#{k in [t, j) : prev[k] < t}`` for each query ``(t, j)``.
+
+    That is the number of distinct lines among the heads ``[t, j)``.
+    Every ``k < t`` has ``prev[k] < k < t``, so counting from the block
+    boundary ``b <= t`` instead overcounts by exactly ``t - b``.  The
+    whole blocks of ``_BLOCK`` heads from there are counted with one
+    ``searchsorted`` each in the block's sorted ``prev`` (one sort of the
+    blocks the windows span); the partial block at ``j`` head by head.
     """
-    H = len(prev)
-    span = H + 1
-    c = np.zeros(len(j), dtype=np.int64)
-    b = 0
-    while (1 << b) <= H:
-        on = np.nonzero((j >> b) & 1)[0]
-        if len(on):
-            blk = (j[on] >> b) - 1
-            used = np.unique(blk)  # each a full block below its query
-            members = ((used[:, None] << b) + np.arange(1 << b)).ravel()
-            keys = np.sort((members >> b) * span + prev[members])
-            below = np.searchsorted(used, blk) << b  # members of earlier blocks
-            c[on] += np.searchsorted(keys, blk * span + t[on]) - below
-        b += 1
-    return c
+    first, last = t // _BLOCK, j // _BLOCK  # whole blocks [first, last)
+    tail = last * _BLOCK
+    lens = j - tail
+    below = prev[_ramp(tail, lens)] < np.repeat(t, lens)
+    count = _segment_sums(below, lens) - (t - first * _BLOCK)
+    nb = last - first
+    if nb.any():
+        b0, b1 = first.min(), last.max()
+        span = len(prev) + 1  # > every prev + 1: rows stay apart
+        keys = np.sort(prev[b0 * _BLOCK : b1 * _BLOCK].reshape(-1, _BLOCK), axis=1)
+        keys += (np.arange(b1 - b0) * span)[:, None]
+        row = _ramp(first - b0, nb)
+        inside = np.searchsorted(keys.ravel(), row * span + np.repeat(t, nb))
+        count += _segment_sums(inside - row * _BLOCK, nb)
+    return count
+
+
+def _ramp(starts, lens):
+    """The ranges ``[starts[i], starts[i] + lens[i])``, concatenated."""
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(lens.sum())
+
+
+def _segment_sums(values, lens):
+    """Sums of ``values`` over consecutive segments of ``lens``."""
+    total = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=total[1:])
+    stop = np.cumsum(lens)
+    return total[stop] - total[stop - lens]
 
 
 def _store(cache, final, init, fresh) -> None:

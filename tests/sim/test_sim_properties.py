@@ -183,7 +183,7 @@ def test_lru_classifier_matches_cache_state(case):
     """``fastpath._classify`` against a ``CacheState.access`` loop: hits,
     misses, evictions, chain roots, first-flagged accesses and
     the final per-set LRU order (with fill times) are identical."""
-    from repro.sim.fastpath import _classify, _store
+    from repro.sim.fastpath import _classify, _roots, _store
 
     assoc, num_sets, stream, flags, initial = case
     spec = CacheSpec("T", capacity=32 * assoc * num_sets, line_size=32,
@@ -193,9 +193,12 @@ def test_lru_classifier_matches_cache_state(case):
         for line in residents:  # unique fill times name the resident
             ref.sets[s][line] = fast.sets[s][line] = -1.0 - line
 
-    root, first, init, _, final = _classify(
-        np.array(stream, dtype=np.int64), fast, np.array(flags)
-    )
+    verdict = _classify(np.array(stream, dtype=np.int64), fast, np.array(flags))
+    root, init, final = _roots(verdict, len(stream)), verdict.init, verdict.final
+    # first flagged access since the fill: a pending hit or a flagged miss
+    first = np.zeros(len(stream), dtype=bool)
+    first[verdict.pending[0]] = True
+    first[verdict.miss[np.array(flags)[verdict.miss]]] = True
     filled_at = {}  # line -> stream index of the miss that filled it
     flagged = set()  # lines with a flagged access since their fill
     for i, (line, flag) in enumerate(zip(stream, flags)):

@@ -263,3 +263,71 @@ class TestKernelExecutionParity:
         assert ref.sim_timing_events == 0
         assert fast.sim_timing_events > 0
         assert fast.sim_batches > 0
+
+
+def _tlb_stress_trace(rng, n: int) -> np.ndarray:
+    """Pages of 2,048 bytes (both -mini TLBs: 16 entries, one set): a
+    cold page, a run of 40-160 accesses over a working set of 6-24 of 48
+    pages, then the cold page again.  The TLB sees more pages than it
+    has entries, and its far windows run past 64 heads, as hits (a small
+    working set) and as misses (a large one)."""
+    out = []
+    while len(out) < n:
+        ws = rng.choice(48, int(rng.choice([6, 12, 14, 24])), replace=False)
+        cold = int(rng.integers(48, 64))
+        out += [cold] + rng.choice(ws, int(rng.integers(40, 160))).tolist() + [cold]
+    pages = np.array(out[:n], dtype=np.int64)
+    return pages * 2048 + rng.integers(0, 256, n) * 8
+
+
+_TSTRESS = """kernel tstress(N):
+    array A[N, N], B[N, N]
+    do I = 1, N:
+        do J = 1, N:
+            B[J, I] = B[J, I] + A[I, J]
+"""
+
+#: the fast path's timing figures under TLB stress, bit for bit: a
+#: change to pass 1 must leave pass 2's events, collapse and cycles alone
+#: (trace: collapsed, timing_events, now; kernel: sim_collapsed,
+#: sim_timing_events, cycles)
+TLB_STRESS_PINS = {
+    ("trace", "sgi-r10k-mini"): (431, 12899, "0x1.b3d6200000000p+18"),
+    ("trace", "ultrasparc-iie-mini"): (431, 13172, "0x1.c00c780000000p+19"),
+    ("kernel", "sgi-r10k-mini"): (7040, 6224, "0x1.af30000000018p+17"),
+    ("kernel", "ultrasparc-iie-mini"): (7040, 6352, "0x1.1794000000006p+19"),
+}
+
+
+class TestTlbStress:
+    """More pages than TLB entries, far windows over 64 heads."""
+
+    @pytest.mark.parametrize("machine_name", ["sgi-r10k-mini", "ultrasparc-iie-mini"])
+    def test_trace_matches_reference(self, machine_name):
+        rng = np.random.default_rng(5)
+        machine = MACHINES[machine_name]
+        ref = MemorySystem(machine, reference=True)
+        fast = MemorySystem(machine)
+        for _ in range(4):
+            addr = _tlb_stress_trace(rng, 3000)
+            kind = rng.choice([0, 0, 0, 1, 2], len(addr)).astype(np.int8)
+            ref.access_vector(addr, kind, 0.75)
+            fast.access_vector(addr, kind, 0.75)
+            _assert_state_parity(ref, fast)
+        assert fast.tlb.evictions > 0
+        got = (fast.collapsed, fast.timing_events, fast.now.hex())
+        assert got == TLB_STRESS_PINS[("trace", machine_name)]
+
+    @pytest.mark.parametrize("machine_name", ["sgi-r10k-mini", "ultrasparc-iie-mini"])
+    def test_kernel_matches_reference(self, machine_name):
+        machine = MACHINES[machine_name]
+        kernel = parse_kernel(_TSTRESS)
+        ref = execute(kernel, {"N": 64}, machine, reference=True)
+        fast = execute(kernel, {"N": 64}, machine)
+        for attr in ("loads", "stores", "flops", "loop_iterations", "cache_hits",
+                     "cache_misses", "tlb_hits", "tlb_misses"):
+            assert getattr(fast, attr) == getattr(ref, attr), attr
+        assert fast.tlb_misses > 1000
+        assert fast.cycles == pytest.approx(ref.cycles, rel=CYCLES_RTOL)
+        got = (fast.sim_collapsed, fast.sim_timing_events, fast.cycles.hex())
+        assert got == TLB_STRESS_PINS[("kernel", machine_name)]
