@@ -24,34 +24,15 @@ Subpackages:
 * :mod:`repro.experiments` — regeneration of every table and figure.
 """
 
-from repro.baselines import MiniAtlas, NativeCompiler, VendorBlas
-from repro.core import (
-    EcoOptimizer,
-    GuidedSearch,
-    SearchConfig,
-    TunedKernel,
-    derive_variants,
-)
-from repro.kernels import get_kernel
-from repro.machines import MACHINES, MachineSpec, get_machine
-from repro.sim import Counters, execute
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "baselines": ("NativeCompiler", "MiniAtlas", "VendorBlas"),
+    "core": ("EcoOptimizer", "GuidedSearch", "SearchConfig", "TunedKernel", "derive_variants"),
+    "kernels": ("get_kernel",),
+    "machines": ("MACHINES", "MachineSpec", "get_machine"),
+    "sim": ("Counters", "execute"),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "EcoOptimizer",
-    "TunedKernel",
-    "GuidedSearch",
-    "SearchConfig",
-    "derive_variants",
-    "NativeCompiler",
-    "MiniAtlas",
-    "VendorBlas",
-    "get_kernel",
-    "get_machine",
-    "MACHINES",
-    "MachineSpec",
-    "Counters",
-    "execute",
-    "__version__",
-]
+__all__.append("__version__")

@@ -77,9 +77,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.codegen import emit_c
 from repro.core import EcoOptimizer, derive_variants
-from repro.eval import EvalEngine, ResultCache
+from repro.eval import EvalEngine
 from repro.kernels import KERNELS, default_problem, get_kernel
 from repro.machines import MACHINES, get_machine
 from repro.sim import execute
@@ -394,13 +393,15 @@ def _cmd_tune(args) -> None:
 
         tracer = Tracer(command="tune", kernel=args.kernel,
                         machine=args.machine, size=args.size, jobs=args.jobs)
+    cache = None
+    if args.cache:
+        from repro.eval import ResultCache
+
+        cache = ResultCache(args.cache, fs_faults=args.inject_fs_faults)
     engine = EvalEngine(
         machine,
         jobs=args.jobs,
-        cache=(
-            ResultCache(args.cache, fs_faults=args.inject_fs_faults)
-            if args.cache else None
-        ),
+        cache=cache,
         tracer=tracer,
         policy=_engine_policy(args),
         fault_plan=args.inject_faults,
@@ -450,6 +451,8 @@ def _cmd_tune(args) -> None:
         print(f"wrote trace {args.trace} ({len(tracer.events())} events)")
     engine.close()
     if args.emit:
+        from repro.codegen import emit_c
+
         source = emit_c(tuned.build(), with_main=True, main_params=problem)
         with open(args.emit, "w") as handle:
             handle.write(source)

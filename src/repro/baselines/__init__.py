@@ -9,20 +9,13 @@
   guided searches used by the ablation benches.
 """
 
-from repro.baselines.annealing import AnnealingResult, AnnealingSearch
-from repro.baselines.atlas import MiniAtlas
-from repro.baselines.blas import VendorBlas
-from repro.baselines.modeldriven import ModelDriven
-from repro.baselines.native import NativeCompiler
-from repro.baselines.randomsearch import RandomSearch, RandomSearchResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NativeCompiler",
-    "MiniAtlas",
-    "VendorBlas",
-    "ModelDriven",
-    "RandomSearch",
-    "RandomSearchResult",
-    "AnnealingSearch",
-    "AnnealingResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "annealing": ("AnnealingResult", "AnnealingSearch"),
+    "atlas": ("MiniAtlas",),
+    "blas": ("VendorBlas",),
+    "modeldriven": ("ModelDriven",),
+    "native": ("NativeCompiler",),
+    "randomsearch": ("RandomSearch", "RandomSearchResult"),
+})

@@ -1,16 +1,9 @@
 """Code generation: C emission, memory layout and the reference interpreter."""
 
-from repro.codegen.c_emitter import c_identifier, emit_c, emit_expr
-from repro.codegen.interp import InterpreterError, allocate_arrays, run_kernel
-from repro.codegen.layout import ArrayLayout, MemoryLayout
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "emit_c",
-    "emit_expr",
-    "c_identifier",
-    "allocate_arrays",
-    "run_kernel",
-    "InterpreterError",
-    "ArrayLayout",
-    "MemoryLayout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "c_emitter": ("c_identifier", "emit_c", "emit_expr"),
+    "interp": ("InterpreterError", "allocate_arrays", "run_kernel"),
+    "layout": ("ArrayLayout", "MemoryLayout"),
+})

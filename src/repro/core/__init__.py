@@ -6,33 +6,15 @@ set of parameterized variants with constraints; phase 2
 with a guided empirical search on the target machine.
 """
 
-from repro.core.derive import derive_variants
-from repro.core.eco import EcoOptimizer, TunedKernel
-from repro.core.explain import explain
-from repro.core.search import GuidedSearch, SearchConfig, SearchResult
-from repro.core.variants import (
-    Constraint,
-    CopyPlan,
-    LevelPlan,
-    PrefetchSite,
-    Variant,
-    instantiate,
-    prefetch_sites,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "derive_variants",
-    "EcoOptimizer",
-    "TunedKernel",
-    "explain",
-    "GuidedSearch",
-    "SearchConfig",
-    "SearchResult",
-    "Constraint",
-    "CopyPlan",
-    "LevelPlan",
-    "PrefetchSite",
-    "Variant",
-    "instantiate",
-    "prefetch_sites",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "derive": ("derive_variants",),
+    "eco": ("EcoOptimizer", "TunedKernel"),
+    "explain": ("explain",),
+    "search": ("GuidedSearch", "SearchConfig", "SearchResult"),
+    "variants": (
+        "Constraint", "CopyPlan", "LevelPlan", "PrefetchSite", "Variant", "instantiate",
+        "prefetch_sites",
+    ),
+})

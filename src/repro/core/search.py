@@ -44,14 +44,8 @@ import random
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.learned import (
-    DEFAULT_EXPLORE,
-    DEFAULT_RANKER_MARGIN,
-    DEFAULT_TOP_K,
-    LearnedRanker,
-)
 from repro.analysis.surrogate import DEFAULT_MARGIN, Surrogate
 from repro.core.variants import (
     PrefetchSite,
@@ -70,6 +64,9 @@ from repro.ir.nest import Kernel, Prefetch, walk_statements
 from repro.machines import MachineSpec
 from repro.sim import Counters
 from repro.transforms import TransformError
+
+if TYPE_CHECKING:  # imported where a ranker is given: a plain search runs none of it
+    from repro.analysis.learned import LearnedRanker
 
 __all__ = ["SearchConfig", "SearchResult", "GuidedSearch"]
 
@@ -347,7 +344,7 @@ class GuidedSearch:
     def _rank_plan(
         self,
         items: Sequence[Tuple[Variant, Dict[str, int]]],
-        top_k: int,
+        top_k: Optional[int],
         band: bool,
     ) -> Optional[Dict[Tuple, Tuple[float, int, bool]]]:
         """Rank one candidate batch; decide who is skippable.
@@ -357,13 +354,14 @@ class GuidedSearch:
         returned plan maps the *skippable* candidates' search keys to
         their ``(predicted log-cycles, 1-based rank, exact)``; keys absent
         from the plan are always simulated.  The always-kept subset is
-        :meth:`_rank_keep`'s: the ``top_k`` predicted-best (plus, with
-        ``band``, the confidence band) and ``DEFAULT_EXPLORE`` seeded draws
-        from the rest — the exploration sample is what keeps the online
-        refit honest about candidates the model writes off.  A tiling
-        round decides each skip at consumption time (:meth:`_ranked`)
-        against the frontier's *measured* cycles; the screen, which has
-        no measured frontier, skips every planned key.
+        :meth:`_rank_keep`'s: the ``top_k`` predicted-best (``None``:
+        ``DEFAULT_TOP_K``; plus, with ``band``, the confidence band) and
+        ``DEFAULT_EXPLORE`` seeded draws from the rest — the exploration
+        sample is what keeps the online refit honest about candidates
+        the model writes off.  A tiling round decides each skip at
+        consumption time (:meth:`_ranked`) against the frontier's
+        *measured* cycles; the screen, which has no measured frontier,
+        skips every planned key.
 
         Planning is pure (no accounting, no skip counting): the plan is
         built from the whole batch, then applied candidate-by-candidate
@@ -422,6 +420,10 @@ class GuidedSearch:
         is kept wholesale and the RNG is left untouched (small batches
         must not shift the seeded stream).  Returns ``None`` when
         nothing would be skippable."""
+        from repro.analysis.learned import DEFAULT_EXPLORE, DEFAULT_RANKER_MARGIN, DEFAULT_TOP_K
+
+        if top_k is None:
+            top_k = DEFAULT_TOP_K
         kept = {item[0] for item in ranked[: max(1, top_k)]}
         if band:
             limit = ranked[0][1] + DEFAULT_RANKER_MARGIN
@@ -458,6 +460,8 @@ class GuidedSearch:
         entry = plan.get(key)
         if entry is None:
             return None
+        from repro.analysis.learned import DEFAULT_RANKER_MARGIN
+
         predicted, _, exact = entry
         # an exact (memoized) prediction needs no error bar; strict >
         # still simulates dead ties, which cost one sim and never flip
@@ -837,7 +841,7 @@ class GuidedSearch:
             nonlocal plan
             plan = self._rank_plan(
                 [(variant, candidate) for candidate in candidates(index)],
-                DEFAULT_TOP_K,
+                None,  # DEFAULT_TOP_K
                 band=False,
             )
             self._speculate(

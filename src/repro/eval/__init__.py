@@ -5,29 +5,13 @@ and the simulator (``repro.sim``).  See :mod:`repro.eval.engine` for the
 design notes.
 """
 
-from repro.eval.cache import CachedResult, ResultCache
-from repro.eval.engine import (
-    EvalEngine,
-    EvalOutcome,
-    EvalPolicy,
-    EvalRequest,
-    EvalStats,
-    StageStats,
-    stats_delta,
-)
-from repro.eval.keys import candidate_key, machine_spec_hash, trace_signature
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CachedResult",
-    "ResultCache",
-    "EvalEngine",
-    "EvalOutcome",
-    "EvalPolicy",
-    "EvalRequest",
-    "EvalStats",
-    "StageStats",
-    "stats_delta",
-    "candidate_key",
-    "machine_spec_hash",
-    "trace_signature",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "cache": ("CachedResult", "ResultCache"),
+    "engine": (
+        "EvalEngine", "EvalOutcome", "EvalPolicy", "EvalRequest", "EvalStats", "StageStats",
+        "stats_delta",
+    ),
+    "keys": ("candidate_key", "machine_spec_hash", "trace_signature"),
+})

@@ -19,6 +19,9 @@ the :mod:`repro.storage` integrity layer:
   ``repro doctor``), counted, and treated as a miss, so a rotting cache
   degrades to re-simulation instead of crashing or poisoning results.
 
+The storage layer is imported only by a cache that has a directory: a
+memory-only cache (every default engine's) runs none of it.
+
 Failed disk writes (a full disk, a permission flip, a vanished mount) are
 likewise non-fatal — the result stays in memory and the run continues —
 but they are *accounted*: :attr:`ResultCache.disk_write_failures` counts
@@ -40,9 +43,6 @@ from pathlib import Path
 from typing import Dict, Optional, Set, Union
 
 from repro.sim.counters import Counters
-from repro.storage import FileLock, LockTimeout, RecordError, quarantine_file
-from repro.storage.atomic import corrupt_text, write_sealed
-from repro.storage.records import is_sealed, open_record
 
 __all__ = ["CachedResult", "ResultCache", "CACHE_RECORD_KIND"]
 
@@ -120,6 +120,9 @@ class ResultCache:
         quarantined so the next write repairs it and the evidence keeps."""
         if self.path is None:
             return None
+        from repro.storage import RecordError, quarantine_file
+        from repro.storage.atomic import corrupt_text
+
         file = self._file_for(key)
         try:
             raw = file.read_text()
@@ -148,6 +151,8 @@ class ResultCache:
         self._memory[key] = result
         if self.path is None:
             return
+        from repro.storage import FileLock, LockTimeout, write_sealed
+
         file = self._file_for(key)
         body = {
             "version": _FORMAT_VERSION,
@@ -202,6 +207,8 @@ class ResultCache:
         return f"cache/{key[:2]}/{key}"
 
     def _decode(self, raw: str, key: str) -> CachedResult:
+        from repro.storage import is_sealed, open_record
+
         payload = json.loads(raw)
         if is_sealed(payload):
             body = open_record(raw, CACHE_RECORD_KIND)

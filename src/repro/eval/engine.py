@@ -50,16 +50,20 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import (
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeout,
-)
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.variants import PrefetchSite, Variant, simulation_shape
 from repro.eval.cache import CachedResult, ResultCache
@@ -76,6 +80,9 @@ from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.sim import execute
 from repro.sim.counters import Counters
 from repro.transforms import TransformError
+
+if TYPE_CHECKING:  # imported where a pool is created: a -j 1 engine runs none of it
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "EvalEngine",
@@ -950,11 +957,13 @@ class EvalEngine:
     def _dispatch(self, entry: _Inflight) -> None:
         """Start (or restart) an entry on the pool; degrade to deferred
         serial execution if the pool cannot accept work."""
+        from concurrent.futures import BrokenExecutor
+
         while not self._serial_fallback:
             pool = self._ensure_pool()
             try:
                 future = pool.submit(_simulate, self._attempt_payload(entry, True))
-            except BrokenProcessPool:
+            except BrokenExecutor:
                 # Submission itself failed: nothing ran, resubmit as-is.
                 self._handle_pool_break()
                 continue
@@ -1041,6 +1050,9 @@ class EvalEngine:
         starting (queued behind slow work, or swept up in a recycle) is
         not a failure of this candidate.
         """
+        from concurrent.futures import BrokenExecutor, CancelledError
+        from concurrent.futures import TimeoutError as FutureTimeout
+
         future = entry.future
         attempt = None
         timed_out_running = False
@@ -1061,7 +1073,7 @@ class EvalEngine:
             # wait expired (e.g. no timeout configured).
             self._note_timeout()
             attempt = "timeout", None
-        except BrokenProcessPool:
+        except BrokenExecutor:
             if entry.generation == self._pool_generation:
                 self._handle_pool_break()
                 self._note_retry(entry.key, entry.attempt, "worker_died")
@@ -1085,6 +1097,8 @@ class EvalEngine:
         if self._external_pool is not None:
             return self._external_pool
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 

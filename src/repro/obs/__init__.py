@@ -16,65 +16,19 @@ Three pieces (see ``docs/observability.md``):
   flattened per-candidate table (``repro corpus ...``).
 """
 
-from repro.obs.corpus import Corpus, flatten_trace, trace_id
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.reader import (
-    TraceLoad,
-    canonical,
-    convergence,
-    delta_totals,
-    eval_events,
-    read_trace,
-    span_nodes,
-    supervision_totals,
-    trace_meta,
-)
-from repro.obs.report import (
-    render_convergence,
-    render_summary,
-    render_timeline,
-    to_chrome_trace,
-)
-from repro.obs.schema import (
-    SCHEMA_VERSION,
-    TIMING_ATTRS,
-    TIMING_FIELDS,
-    check_schema_version,
-    parse_schema_version,
-    validate_event,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullTracer",
-    "NULL_TRACER",
-    "Span",
-    "Tracer",
-    "SCHEMA_VERSION",
-    "TIMING_FIELDS",
-    "TIMING_ATTRS",
-    "validate_event",
-    "parse_schema_version",
-    "check_schema_version",
-    "read_trace",
-    "TraceLoad",
-    "canonical",
-    "eval_events",
-    "convergence",
-    "supervision_totals",
-    "delta_totals",
-    "span_nodes",
-    "trace_meta",
-    "render_summary",
-    "render_timeline",
-    "render_convergence",
-    "to_chrome_trace",
-    "Corpus",
-    "flatten_trace",
-    "trace_id",
-]
-
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "corpus": ("Corpus", "flatten_trace", "trace_id"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "reader": (
+        "TraceLoad", "canonical", "convergence", "delta_totals", "eval_events", "read_trace",
+        "span_nodes", "supervision_totals", "trace_meta",
+    ),
+    "report": ("render_convergence", "render_summary", "render_timeline", "to_chrome_trace"),
+    "schema": (
+        "SCHEMA_VERSION", "TIMING_ATTRS", "TIMING_FIELDS", "check_schema_version",
+        "parse_schema_version", "validate_event",
+    ),
+    "tracer": ("NULL_TRACER", "NullTracer", "Span", "Tracer"),
+})

@@ -38,6 +38,15 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+# every served request runs all of these (search, tracing, ranker
+# distillation): the daemon loads them at start, not on its first request
+from repro.analysis.learned import TrainingError, load_ranker, save_ranker, train_ranker
+from repro.core import EcoOptimizer
+from repro.eval import EvalEngine, ResultCache
+from repro.eval.keys import machine_spec_hash
+from repro.kernels import get_kernel
+from repro.machines import machine_from_dict
+from repro.obs import MetricsRegistry, Tracer, canonical, flatten_trace
 from repro.serve.protocol import (
     ProtocolError,
     canonical_request,
@@ -47,6 +56,7 @@ from repro.serve.protocol import (
     request_key,
 )
 from repro.serve.store import RequestStore
+from repro.storage import RecordError, quarantine_file
 
 __all__ = ["EngineHub", "ServeDaemon", "daemon_thread"]
 
@@ -75,8 +85,6 @@ class EngineHub:
             free = self._free.setdefault(spec_hash, [])
             if free:
                 return free.pop()
-        from repro.eval import EvalEngine
-
         engine = EvalEngine(
             machine,
             jobs=self.jobs,
@@ -134,7 +142,6 @@ class ServeDaemon:
         concurrency: int = 2,
         fs_faults=None,
     ) -> None:
-        from repro.eval import ResultCache
         from repro.serve.broker import SharedWorkerPool
 
         self.socket_path = Path(socket_path)
@@ -442,12 +449,6 @@ class ServeDaemon:
         snapshot-then-read ordering — so a cold served request's
         canonical trace is byte-identical to the CLI's
         (docs/serving.md, "Determinism contract")."""
-        from repro.core import EcoOptimizer
-        from repro.eval.keys import machine_spec_hash
-        from repro.kernels import get_kernel
-        from repro.machines import machine_from_dict
-        from repro.obs import MetricsRegistry, Tracer, canonical
-
         canonical_req = job.canonical
         kernel = get_kernel(canonical_req["kernel"])
         machine = machine_from_dict(canonical_req["machine"])
@@ -529,17 +530,12 @@ class ServeDaemon:
     def _donor_ranker(self, donor_key: str):
         """The donor's trained ranker, fail-open on any artifact trouble
         (a corrupt artifact is quarantined for the doctor, never served)."""
-        from repro.analysis.learned import load_ranker
-        from repro.storage.records import RecordError
-
         path = self.store.ranker_path(donor_key)
         try:
             return load_ranker(str(path))
         except OSError:
             return None
         except RecordError as error:
-            from repro.storage.quarantine import quarantine_file
-
             quarantine_file(self.store.root, path, f"ranker-model: {error}")
             return None
 
@@ -547,9 +543,6 @@ class ServeDaemon:
         """Distill this search's measurements into a ranker artifact for
         future near-neighbour requests (fail-soft: too few rows, or a
         failed write, just means no artifact)."""
-        from repro.analysis.learned import TrainingError, save_ranker, train_ranker
-        from repro.obs import flatten_trace
-
         path = self.store.ranker_path(key)
         if path.exists():
             return

@@ -923,8 +923,11 @@ class _Runner:
             return
         bound = self._bound.get(id(plan))
         if bound is None:
-            bound = self._bound[id(plan)] = _bind_plan(plan, self.layout)
-        consts, coeffs, row_lo_limit, row_hi_limit = bound
+            # the entry holds the plan: a plan another thread replaced on
+            # its owner is otherwise freed after this call, and a later
+            # plan at its address would read this binding
+            bound = self._bound[id(plan)] = (plan, *_bind_plan(plan, self.layout))
+        _, consts, coeffs, row_lo_limit, row_hi_limit = bound
         # addr[e, i] = consts[e] + sum_v coeffs[e, v] * var_v[i]; loop
         # variables are per-instance vectors, outer bindings fold into
         # the constant column.

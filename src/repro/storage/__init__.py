@@ -24,34 +24,14 @@ See docs/robustness.md ("Storage integrity") for the failure model and
 the behavior contract of each store.
 """
 
-from .atomic import TMP_PREFIX, read_sealed, write_sealed
-from .locks import FileLock, LockTimeout, lock_is_stale, remove_stale_lock
-from .quarantine import QUARANTINE_DIR, quarantine_file
-from .records import (
-    RECORD_FORMAT,
-    RecordError,
-    StorageError,
-    body_checksum,
-    is_sealed,
-    open_record,
-    seal_record,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FileLock",
-    "LockTimeout",
-    "QUARANTINE_DIR",
-    "RECORD_FORMAT",
-    "RecordError",
-    "StorageError",
-    "TMP_PREFIX",
-    "body_checksum",
-    "is_sealed",
-    "lock_is_stale",
-    "open_record",
-    "quarantine_file",
-    "read_sealed",
-    "remove_stale_lock",
-    "seal_record",
-    "write_sealed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "atomic": ("TMP_PREFIX", "read_sealed", "write_sealed"),
+    "locks": ("FileLock", "LockTimeout", "lock_is_stale", "remove_stale_lock"),
+    "quarantine": ("QUARANTINE_DIR", "quarantine_file"),
+    "records": (
+        "RECORD_FORMAT", "RecordError", "StorageError", "body_checksum", "is_sealed",
+        "open_record", "seal_record",
+    ),
+})

@@ -15,7 +15,8 @@ kernel.  Pinned:
   enough that every run splits into many slabs;
 * the placed-shape and program memos stay at their caps;
 * four threads simulating bindings of one cold shape get the serial
-  counters;
+  counters, also when a run's emit plans are replaced on their owners
+  as it runs (the thread race, made deterministic);
 * the variants two machines derive for one recipe share one shape;
 * :func:`~repro.core.variants.clear_base_cache` leaves a search nothing
   warm: two identical searches separated by it build as many shapes and
@@ -260,6 +261,30 @@ def test_threads_simulating_one_cold_shape_get_the_serial_counters():
     assert not errors
     assert got == [want] * 4
     assert len(variants_module._SHAPE_CACHE) == 1
+
+
+def test_a_plan_replaced_on_its_owner_binds_afresh(monkeypatch):
+    """What a thread sees when another thread publishes its own emit
+    plan for the same loop: every plan this run emitted through is
+    dropped from its owner after use, so each emit builds a fresh one
+    while the old one is freed.  Binding a plan under the run's layout
+    must stay keyed to that plan, not to an address a freed plan left."""
+    kernel = matmul()
+    variant = derive_variants(kernel, SGI)[1]
+    problem = {"N": 24}
+    values = {p: (8 if p.startswith("T") else 2) for p in variant.param_names}
+    want = _fields(bound_counters(kernel, variant, values, SGI, problem, {}, {}))
+    variants_module.clear_base_cache()
+    emit = executor._Runner._emit_entries
+
+    def emit_then_forget(self, owner, *args):
+        emit(self, owner, *args)
+        owner.plan = None
+
+    monkeypatch.setattr(executor._Runner, "_emit_entries", emit_then_forget)
+    outcome = EvalEngine(SGI).evaluate(kernel, variant, values, problem)
+    assert outcome.status == "ok", outcome
+    assert _fields(outcome.counters) == want
 
 
 def test_two_machines_share_the_shape_of_one_recipe():
