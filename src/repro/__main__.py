@@ -64,11 +64,11 @@ accounting after a tune; ``--trace PATH`` records the whole search as a
 JSONL span trace for the ``trace`` toolchain.
 
 Robustness options (see ``docs/robustness.md``): ``--timeout SECONDS``
-and ``--retries N`` supervise candidate execution; ``--inject-faults SPEC``
-deterministically injects candidate failures for chaos testing, and
-``--inject-fs-faults SPEC`` does the same to the storage layer (ENOSPC,
-torn writes, crash-before-rename, corrupt reads) — search results are
-unchanged by construction, only persistence suffers.
+and ``--retries N`` supervise candidate execution (a timed-out or
+transiently failed attempt is retried; search results are unchanged).
+
+Each command imports what it runs, so a socket client such as
+``submit`` loads neither the tuner nor numpy.
 """
 
 from __future__ import annotations
@@ -77,11 +77,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core import EcoOptimizer, derive_variants
-from repro.eval import EvalEngine
 from repro.kernels import KERNELS, default_problem, get_kernel
 from repro.machines import MACHINES, get_machine
-from repro.sim import execute
 from repro.storage import StorageError
 
 _EXPERIMENTS = ("table1", "table4", "fig4", "fig5", "searchcost", "motivation", "generality")
@@ -95,24 +92,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _fault_plan_arg(text: str):
-    from repro.faults import FaultPlan
-
-    try:
-        return FaultPlan.parse(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def _fs_fault_plan_arg(text: str):
-    from repro.faults import FsFaultPlan
-
-    try:
-        return FsFaultPlan.parse(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
@@ -137,23 +116,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="retry a transiently failed candidate up to N times (default 2)",
-    )
-    parser.add_argument(
-        "--inject-faults", type=_fault_plan_arg, default=None, metavar="SPEC",
-        help="chaos testing: deterministically inject candidate failures, "
-             'e.g. "raise=0.2,hang=0.1,kill=0.05,seed=7" '
-             "(kinds: raise hang corrupt kill; options: seed attempts "
-             "hang_seconds)",
-    )
-    parser.add_argument(
-        "--inject-fs-faults", type=_fs_fault_plan_arg, default=None,
-        metavar="SPEC",
-        help="chaos testing: deterministically inject filesystem faults "
-             "into the result cache, e.g. "
-             '"enospc=0.2,torn=0.2,crash=0.1,corrupt_read=0.2,seed=11" '
-             "(each fault fires at most once per store artifact; results "
-             "are unchanged, only persistence suffers — clean up with "
-             "`repro doctor --repair`)",
     )
 
 
@@ -376,6 +338,8 @@ def _cmd_machines() -> None:
 
 
 def _cmd_variants(args) -> None:
+    from repro.core import derive_variants
+
     machine = get_machine(args.machine)
     print(machine.describe())
     print()
@@ -385,6 +349,9 @@ def _cmd_variants(args) -> None:
 
 
 def _cmd_tune(args) -> None:
+    from repro.core import EcoOptimizer, SearchConfig
+    from repro.eval import EvalEngine
+
     machine = get_machine(args.machine)
     kernel = get_kernel(args.kernel)
     tracer = None
@@ -397,17 +364,14 @@ def _cmd_tune(args) -> None:
     if args.cache:
         from repro.eval import ResultCache
 
-        cache = ResultCache(args.cache, fs_faults=args.inject_fs_faults)
+        cache = ResultCache(args.cache)
     engine = EvalEngine(
         machine,
         jobs=args.jobs,
         cache=cache,
         tracer=tracer,
         policy=_engine_policy(args),
-        fault_plan=args.inject_faults,
     )
-    from repro.core import SearchConfig
-
     ranker = None
     if args.ranker:
         from repro.analysis.learned import load_ranker
@@ -460,6 +424,8 @@ def _cmd_tune(args) -> None:
 
 
 def _cmd_run(args) -> None:
+    from repro.sim import execute
+
     machine = get_machine(args.machine)
     kernel = get_kernel(args.kernel)
     counters = execute(kernel, default_problem(kernel, args.size), machine)
@@ -800,15 +766,10 @@ def _cmd_experiments(
     cache_dir: Optional[str] = None,
     trace: Optional[str] = None,
     policy=None,
-    fault_plan=None,
-    fs_faults=None,
 ) -> None:
     from repro.experiments import fig4, fig5, runner, searchcost, table1, table4
 
-    runner.configure(
-        jobs=jobs, cache_dir=cache_dir, trace=trace,
-        policy=policy, fault_plan=fault_plan, fs_faults=fs_faults,
-    )
+    runner.configure(jobs=jobs, cache_dir=cache_dir, trace=trace, policy=policy)
     for name in names:
         if name == "table1":
             table1.main([])
@@ -849,9 +810,7 @@ def main(argv: Optional[List[str]] = None) -> None:
             _cmd_run(args)
         elif args.command == "experiments":
             _cmd_experiments(args.names, jobs=args.jobs, cache_dir=args.cache,
-                             trace=args.trace, policy=_engine_policy(args),
-                             fault_plan=args.inject_faults,
-                             fs_faults=args.inject_fs_faults)
+                             trace=args.trace, policy=_engine_policy(args))
         elif args.command == "bench":
             _cmd_bench(args)
         elif args.command == "serve":

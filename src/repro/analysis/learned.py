@@ -652,7 +652,7 @@ def save_ranker(path: str, ranker: LearnedRanker) -> None:
     parent = os.path.dirname(str(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
-    write_sealed(str(path), MODEL_RECORD_KIND, ranker.body(), label="ranker-model")
+    write_sealed(str(path), MODEL_RECORD_KIND, ranker.body())
 
 
 def load_ranker(path: str) -> LearnedRanker:

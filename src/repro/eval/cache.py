@@ -81,15 +81,8 @@ def _counters_from_jsonable(data: dict) -> Counters:
 class ResultCache:
     """Two-level (memory, disk) store of evaluation results by key."""
 
-    def __init__(
-        self,
-        path: Optional[Union[str, Path]] = None,
-        fs_faults=None,
-    ) -> None:
+    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
         self.path = Path(path) if path is not None else None
-        #: optional seeded fault plan (repro.faults.FsFaultPlan) applied
-        #: to every disk read/write of this cache instance
-        self.fs_faults = fs_faults
         self._memory: Dict[str, CachedResult] = {}
         self.corrupt_entries = 0
         #: corrupt entries successfully preserved under <cache>/quarantine/
@@ -121,16 +114,13 @@ class ResultCache:
         if self.path is None:
             return None
         from repro.storage import RecordError, quarantine_file
-        from repro.storage.atomic import corrupt_text
+        from repro.storage.atomic import read_text
 
         file = self._file_for(key)
         try:
-            raw = file.read_text()
+            raw = read_text(file)
         except OSError:
             return None
-        if self.fs_faults is not None:
-            if self.fs_faults.decide("read", self._label_for(key)) == "corrupt_read":
-                raw = corrupt_text(raw)
         try:
             result = self._decode(raw, key)
         except (RecordError, ValueError, KeyError, TypeError) as error:
@@ -151,7 +141,8 @@ class ResultCache:
         self._memory[key] = result
         if self.path is None:
             return
-        from repro.storage import FileLock, LockTimeout, write_sealed
+        from repro.storage import FileLock, LockTimeout
+        from repro.storage.atomic import write_sealed
 
         file = self._file_for(key)
         body = {
@@ -167,13 +158,7 @@ class ResultCache:
         try:
             file.parent.mkdir(parents=True, exist_ok=True)
             with FileLock(file.parent / ".lock", timeout=_SHARD_LOCK_TIMEOUT):
-                write_sealed(
-                    file,
-                    CACHE_RECORD_KIND,
-                    body,
-                    fs_faults=self.fs_faults,
-                    label=self._label_for(key),
-                )
+                write_sealed(file, CACHE_RECORD_KIND, body)
         except (OSError, LockTimeout) as error:
             self._note_write_failure(error, file)
 
@@ -202,9 +187,6 @@ class ResultCache:
     def _file_for(self, key: str) -> Path:
         assert self.path is not None
         return self.path / key[:2] / f"{key}.json"
-
-    def _label_for(self, key: str) -> str:
-        return f"cache/{key[:2]}/{key}"
 
     def _decode(self, raw: str, key: str) -> CachedResult:
         from repro.storage import is_sealed, open_record

@@ -33,15 +33,17 @@ Failure taxonomy (the contract the cache and the searches rely on):
 * **infeasible** — the candidate itself cannot be built or run
   (``TransformError``/``ValueError``): deterministic, a true property of
   the point, cached like any result (cycles = inf);
-* **transient** — the *environment* failed (``MemoryError``, a killed
-  worker, an injected fault, a timeout): retried up to
+* **transient** — the *environment* failed (``MemoryError``, an
+  ``OSError``, a killed worker, a timeout): retried up to
   ``EvalPolicy.max_retries``; if it never succeeds the outcome reports
   ``status="transient"`` with cycles = inf but is **never cached**, so a
   later run re-attempts it instead of inheriting a poisoned entry.
 
 The simulation itself stays in :func:`repro.sim.execute`; the engine only
-decides *whether* and *where* to run it.  Chaos tests drive the same code
-paths deterministically through :class:`repro.faults.FaultPlan`.
+decides *whether* and *where* to run it.  The chaos tests drive the
+supervision paths by wrapping :func:`_simulate`, the one call every
+attempt makes, in the test process and in its pool workers
+(``tests/chaos.py``).
 """
 
 from __future__ import annotations
@@ -68,12 +70,6 @@ from typing import (
 from repro.core.variants import PrefetchSite, Variant, simulation_shape
 from repro.eval.cache import CachedResult, ResultCache
 from repro.eval.keys import candidate_key, trace_signature
-from repro.faults import (
-    FaultPlan,
-    InjectedHang,
-    InjectedTransientError,
-    WorkerKilled,
-)
 from repro.ir.nest import Kernel
 from repro.machines import MachineSpec
 from repro.obs import NULL_TRACER, MetricsRegistry
@@ -170,7 +166,7 @@ class EvalPolicy:
     #: a serial in-process simulation cannot be preempted); None = no limit
     timeout_seconds: Optional[float] = None
     #: extra attempts per candidate after the first, for transient
-    #: failures (timeouts, killed workers, MemoryError, injected faults)
+    #: failures (timeouts, killed workers, MemoryError, OSError)
     max_retries: int = 2
     #: how many times the engine rebuilds a broken process pool before
     #: degrading to serial execution for the rest of its lifetime
@@ -341,16 +337,11 @@ def _simulate(payload: Tuple) -> Tuple[str, float, Optional[Counters]]:
     ``(status, cycles, counters)`` with status ``"ok"``, ``"infeasible"``
     (the point cannot be built — a deterministic property, cacheable) or
     ``"transient"`` (the environment failed — retryable, never cached).
-    Injected faults (:class:`repro.faults.FaultPlan`) fire here, inside
-    the worker, so chaos tests exercise the real supervision paths.
+    The payload ends with the candidate's key and attempt number, which
+    name the attempt to whatever wraps this call (the chaos tests).
     """
     (kernel, variant, values, prefetch, pads, problem, machine, _signature,
-     key, attempt, fault_plan, in_worker) = payload
-    fault = None
-    if fault_plan is not None:
-        # may raise InjectedTransientError / InjectedHang / WorkerKilled,
-        # or os._exit a pool worker; "corrupt" is applied after the run
-        fault = fault_plan.apply(key, attempt, in_worker)
+     _key, _attempt) = payload
     try:
         shape, bindings = simulation_shape(
             kernel, variant, dict(values), machine, dict(prefetch), dict(pads)
@@ -365,15 +356,11 @@ def _simulate(payload: Tuple) -> Tuple[str, float, Optional[Counters]]:
         # the candidate — must not be cached as infeasible (that would
         # poison the disk cache forever).
         return ("transient", math.inf, None)
-    if fault == "corrupt":
-        # A mangled measurement channel: cycles that cannot be right.
-        # The engine's validation catches this and retries.
-        return ("ok", -counters.cycles if counters.cycles else math.nan, counters)
     return ("ok", counters.cycles, counters)
 
 
 #: exceptions that classify a simulation attempt as transient (retryable)
-_TRANSIENT_ERRORS = (InjectedTransientError, WorkerKilled, MemoryError, OSError)
+_TRANSIENT_ERRORS = (MemoryError, OSError)
 
 
 def _result_is_corrupt(cycles: float, counters: Optional[Counters]) -> bool:
@@ -406,7 +393,7 @@ class _Inflight:
     future: Optional[Future] = None
     #: pool generation the future was submitted on (stale-break detection)
     generation: int = 0
-    #: attempts so far — gates the deterministic fault plan
+    #: attempts so far (each retry and each pool break bumps it)
     attempt: int = 0
     #: failures charged against ``policy.max_retries``
     strikes: int = 0
@@ -429,7 +416,6 @@ class EvalEngine:
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
         policy: Optional[EvalPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
         pool=None,
     ) -> None:
         if jobs < 1:
@@ -446,8 +432,6 @@ class EvalEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: retry/timeout/pool-restart supervision (see docs/robustness.md)
         self.policy = policy if policy is not None else EvalPolicy()
-        #: optional chaos harness: deterministic injected failures
-        self.fault_plan = fault_plan
         #: externally owned worker pool (e.g. the serve daemon's shared
         #: :class:`repro.serve.broker.SharedWorkerPool`): the engine
         #: submits to it but never shuts it down — its lifetime, recycling
@@ -564,8 +548,7 @@ class EvalEngine:
         it from attempt 0 exactly as ``-j 1`` would; running or finished
         work is parked — invisible to every accounting surface — for a
         later batch of the same key (its eventual result is what
-        consumption would compute: the fault plan is deterministic in
-        ``(key, attempt)``)."""
+        consumption would compute: a simulation is deterministic)."""
         for key, entry in list(self._inflight.items()):
             future = entry.future
             if future is not None and not future.cancel():
@@ -878,9 +861,8 @@ class EvalEngine:
         entry = self._inflight[key] = _Inflight(key, self._payload_of(request))
         return entry
 
-    def _attempt_payload(self, entry: _Inflight, in_worker: bool) -> Tuple:
-        return (*entry.payload, entry.key, entry.attempt, self.fault_plan,
-                in_worker)
+    def _attempt_payload(self, entry: _Inflight) -> Tuple:
+        return (*entry.payload, entry.key, entry.attempt)
 
     def _count_hit(self, source: str) -> None:
         if source == "memory":
@@ -922,9 +904,9 @@ class EvalEngine:
     # -- supervised execution -------------------------------------------
     # In-process and pooled attempts alike preserve the determinism
     # guarantee: a candidate's final (status, cycles, counters) is a pure
-    # function of the candidate and the fault plan — retries, timeouts
-    # and pool restarts change wall time and supervision counters, never
-    # results.  None of these touch stats/metrics/cache/trace beyond the
+    # function of the candidate while its failures are transient —
+    # retries, timeouts and pool restarts change wall time and
+    # supervision counters, never results.  None of these touch stats/metrics/cache/trace beyond the
     # supervision counters: that belongs to the consumption point
     # (resolve), which calls them in deterministic consumption order.
 
@@ -962,7 +944,7 @@ class EvalEngine:
         while not self._serial_fallback:
             pool = self._ensure_pool()
             try:
-                future = pool.submit(_simulate, self._attempt_payload(entry, True))
+                future = pool.submit(_simulate, self._attempt_payload(entry))
             except BrokenExecutor:
                 # Submission itself failed: nothing ran, resubmit as-is.
                 self._handle_pool_break()
@@ -999,8 +981,7 @@ class EvalEngine:
         runs.  *Pool deaths* draw on ``policy.max_pool_restarts`` instead:
         a killed worker takes every in-flight candidate with it and the
         OS does not say which task was responsible, so pool breaks bump
-        the attempt number (an injected kill fault must not re-fire
-        forever) without charging any candidate's retry budget.
+        the attempt number without charging any candidate's retry budget.
         """
         while True:
             if not entry.deferred and entry.future is None:
@@ -1025,16 +1006,9 @@ class EvalEngine:
 
     def _attempt_here(self, entry: _Inflight) -> Tuple[Optional[str], Optional[Tuple]]:
         """One in-process attempt: ``(retry reason | None, result)``.
-
-        Timeouts cannot preempt an in-process simulation; an injected
-        hang (:class:`InjectedHang`) still counts one, so in-process and
-        pooled chaos runs account alike.
-        """
+        Timeouts cannot preempt an in-process simulation."""
         try:
-            return None, _simulate(self._attempt_payload(entry, False))
-        except InjectedHang:
-            self._note_timeout()
-            return "timeout", None
+            return None, _simulate(self._attempt_payload(entry))
         except _TRANSIENT_ERRORS as error:
             return type(error).__name__, None
 
@@ -1068,11 +1042,6 @@ class EvalEngine:
                 self._note_timeout()
                 timed_out_running = True
                 attempt = "timeout", None
-        except InjectedHang:
-            # The worker's own simulated hang completed before our
-            # wait expired (e.g. no timeout configured).
-            self._note_timeout()
-            attempt = "timeout", None
         except BrokenExecutor:
             if entry.generation == self._pool_generation:
                 self._handle_pool_break()

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.baselines import MiniAtlas
 from repro.core import EcoOptimizer, SearchConfig, TunedKernel
 from repro.eval import EvalEngine, EvalPolicy, ResultCache
-from repro.faults import FaultPlan
 from repro.kernels import get_kernel
 from repro.machines import get_machine
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
@@ -49,8 +48,6 @@ _TRACE_PATH: Optional[str] = None
 _TRACER = NULL_TRACER
 _METRICS = MetricsRegistry()
 _POLICY: Optional[EvalPolicy] = None
-_FAULT_PLAN: Optional[FaultPlan] = None
-_FS_FAULTS = None
 
 
 def configure(
@@ -58,8 +55,6 @@ def configure(
     cache_dir: Optional[str] = None,
     trace: Optional[str] = None,
     policy: Optional[EvalPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    fs_faults=None,
 ) -> None:
     """Set evaluation parallelism, the on-disk result-cache directory and
     (optionally) a trace output path.
@@ -71,23 +66,17 @@ def configure(
     experiments are done to write the JSONL file.
 
     ``policy`` supervises candidate execution (retries/timeouts — see
-    :class:`~repro.eval.EvalPolicy`), ``fault_plan`` injects deterministic
-    failures for chaos runs, and ``fs_faults`` (a
-    :class:`~repro.faults.FsFaultPlan`) injects seeded filesystem faults
-    into the disk cache writes of every engine created afterwards.  An
-    interrupted run resumes by running again over the same
-    ``cache_dir``: every candidate it already measured is a disk hit.
+    :class:`~repro.eval.EvalPolicy`).  An interrupted run resumes by
+    running again over the same ``cache_dir``: every candidate it
+    already measured is a disk hit.
     """
-    global _JOBS, _CACHE_DIR, _TRACE_PATH, _TRACER, _METRICS
-    global _POLICY, _FAULT_PLAN, _FS_FAULTS
+    global _JOBS, _CACHE_DIR, _TRACE_PATH, _TRACER, _METRICS, _POLICY
     _JOBS = max(1, int(jobs))
     _CACHE_DIR = cache_dir
     _TRACE_PATH = trace
     _TRACER = Tracer(source="experiments", jobs=_JOBS) if trace else NULL_TRACER
     _METRICS = MetricsRegistry()
     _POLICY = policy
-    _FAULT_PLAN = fault_plan
-    _FS_FAULTS = fs_faults
     clear_cache()
 
 
@@ -119,15 +108,10 @@ def engine_for(machine_name: str) -> EvalEngine:
         engine = EvalEngine(
             machine,
             jobs=_JOBS,
-            cache=(
-                ResultCache(_CACHE_DIR, fs_faults=_FS_FAULTS)
-                if _CACHE_DIR
-                else None
-            ),
+            cache=ResultCache(_CACHE_DIR) if _CACHE_DIR else None,
             tracer=_TRACER,
             metrics=_METRICS,
             policy=_POLICY,
-            fault_plan=_FAULT_PLAN,
         )
         _ENGINES[machine.name] = engine
         _METRICS.gauge("runner.engines").set(len(_ENGINES))

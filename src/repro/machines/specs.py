@@ -231,10 +231,12 @@ ULTRASPARC_IIE = MachineSpec(
 )
 
 #: Scaled-down machines used by the default experiment configuration so that
-#: trace-driven simulation of the whole evaluation runs in seconds.  Every
-#: capacity (cache, TLB reach) is ~16x smaller; line sizes, latencies and
-#: issue widths are unchanged, so miss costs and spatial reuse behave as on
-#: the full machines, at 1/16th the problem sizes.
+#: trace-driven simulation of the whole evaluation runs in seconds.  Cache
+#: capacities are 16x smaller on both.  TLB reach (entries x page size) is
+#: 8x smaller on sgi-r10k-mini (64 x 4 KiB -> 16 x 2 KiB) and 16x smaller
+#: on ultrasparc-iie-mini (64 x 8 KiB -> 16 x 2 KiB).  Line sizes are
+#: unchanged except sgi-r10k-mini's L2 line, 64 B against sgi-r10k's 128 B;
+#: latencies, cache associativities and issue widths are unchanged.
 SGI_R10K_MINI = MachineSpec(
     name="sgi-r10k-mini",
     clock_mhz=195.0,

@@ -228,12 +228,9 @@ class Corpus:
     #: kind tag of the sealed index record (see repro.storage.records)
     INDEX_RECORD_KIND = "corpus-index"
 
-    def __init__(self, root: str = os.path.join("results", "corpus"), fs_faults=None):
+    def __init__(self, root: str = os.path.join("results", "corpus")):
         self.root = str(root)
         self.traces_dir = os.path.join(self.root, "traces")
-        #: optional seeded fault plan (repro.faults.FsFaultPlan) applied
-        #: to index writes
-        self.fs_faults = fs_faults
         self._index: Optional[Dict[str, Any]] = None
 
     # -- index persistence ----------------------------------------------
@@ -294,13 +291,7 @@ class Corpus:
 
     def _save_index(self) -> None:
         os.makedirs(self.root, exist_ok=True)
-        write_sealed(
-            self.index_path,
-            self.INDEX_RECORD_KIND,
-            self._load_index(),
-            fs_faults=self.fs_faults,
-            label="corpus/index",
-        )
+        write_sealed(self.index_path, self.INDEX_RECORD_KIND, self._load_index())
 
     # -- ingest ----------------------------------------------------------
 

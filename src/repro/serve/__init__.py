@@ -12,29 +12,20 @@ answers — and serves tune requests over a Unix socket (docs/serving.md):
   in-flight searches;
 * :mod:`repro.serve.daemon` — the asyncio daemon;
 * :mod:`repro.serve.client` — the blocking client the CLI uses.
+
+Names resolve on first use (:mod:`repro._lazy`), so a client loads
+neither the daemon nor the tuner behind it.
 """
 
-from repro.serve.protocol import (
-    ProtocolError,
-    canonical_request,
-    decode_line,
-    encode_line,
-    request_key,
-)
-from repro.serve.store import RequestStore
-from repro.serve.broker import SharedWorkerPool
-from repro.serve.daemon import ServeDaemon, daemon_thread
-from repro.serve.client import ServeClient
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProtocolError",
-    "RequestStore",
-    "ServeClient",
-    "ServeDaemon",
-    "SharedWorkerPool",
-    "canonical_request",
-    "daemon_thread",
-    "decode_line",
-    "encode_line",
-    "request_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "protocol": (
+        "ProtocolError", "canonical_request", "decode_line", "encode_line",
+        "request_key",
+    ),
+    "store": ("RequestStore",),
+    "broker": ("SharedWorkerPool",),
+    "daemon": ("ServeDaemon", "daemon_thread"),
+    "client": ("ServeClient",),
+})

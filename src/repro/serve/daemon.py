@@ -140,13 +140,12 @@ class ServeDaemon:
         cache_dir: Optional[str] = None,
         jobs: int = 1,
         concurrency: int = 2,
-        fs_faults=None,
     ) -> None:
         from repro.serve.broker import SharedWorkerPool
 
         self.socket_path = Path(socket_path)
-        self.store = RequestStore(store_root, fs_faults=fs_faults)
-        self.cache = ResultCache(cache_dir, fs_faults=fs_faults)
+        self.store = RequestStore(store_root)
+        self.cache = ResultCache(cache_dir)
         self.jobs = jobs
         self.concurrency = max(1, concurrency)
         self.pool = SharedWorkerPool(jobs) if jobs > 1 else None

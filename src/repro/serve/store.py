@@ -36,9 +36,8 @@ RECORD_KIND = "serve-result"
 class RequestStore:
     """Sealed request-result records under one directory."""
 
-    def __init__(self, root, fs_faults=None) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.fs_faults = fs_faults
         #: parsed record bodies by key (records are immutable once
         #: sealed — a key's answer never changes — so this never goes
         #: stale within a process; cross-process writers add keys,
@@ -68,8 +67,7 @@ class RequestStore:
             return cached
         path = self.path(key)
         try:
-            body = read_sealed(path, RECORD_KIND, fs_faults=self.fs_faults,
-                               label=f"serve:{key}")
+            body = read_sealed(path, RECORD_KIND)
         except OSError:
             return None
         except RecordError as error:
@@ -92,8 +90,7 @@ class RequestStore:
         try:
             if key not in self._bodies and self.get(key) is not None:
                 return
-            write_sealed(self.path(key), RECORD_KIND, dict(body),
-                         fs_faults=self.fs_faults, label=f"serve:{key}")
+            write_sealed(self.path(key), RECORD_KIND, dict(body))
             self._bodies[key] = dict(body)
         finally:
             lock.release()

@@ -12,8 +12,7 @@ the common substrate they are wired through:
 - :mod:`repro.storage.locks` — advisory cross-process file locking
   with stale-lock detection (:class:`FileLock`).
 - :mod:`repro.storage.atomic` — the write-to-temp + rename discipline
-  with seeded filesystem-fault hooks (:func:`write_sealed` /
-  :func:`read_sealed`).
+  (:func:`write_sealed` / :func:`read_sealed`).
 - :mod:`repro.storage.quarantine` — corrupt entries are preserved in
   ``<store>/quarantine/`` for audit, never silently deleted
   (:func:`quarantine_file`).

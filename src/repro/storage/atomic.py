@@ -1,4 +1,4 @@
-"""Atomic sealed-record I/O with filesystem fault hooks.
+"""Atomic sealed-record I/O.
 
 ``write_sealed`` is the single write discipline every store uses: seal
 the body (:mod:`repro.storage.records`), write it to a ``.tmp-*`` file
@@ -6,89 +6,46 @@ in the destination directory, then ``os.replace`` into place.  A reader
 therefore sees either the old record or the new one, never a mixture —
 *if the filesystem keeps its promises*.
 
-Because real filesystems break those promises in practice, both helpers
-take an optional fault plan (duck-typed; see
-:class:`repro.faults.FsFaultPlan`) that injects the four classic
-failure modes at exactly the right syscall boundary:
-
-- ``enospc`` — the write raises ``OSError(ENOSPC)`` before any bytes
-  land; the store's write-failure path must absorb it.
-- ``torn``  — only a prefix of the record reaches the tmp file, and the
-  rename *still happens*: the final file holds a short/corrupt record
-  that only the checksum can catch.
-- ``crash`` — the tmp file is fully written but the process "dies"
-  before the rename: an orphaned ``.tmp-*`` litters the store and the
-  write silently never happened.
-- ``corrupt_read`` — the on-disk bytes are fine but the read returns a
-  mangled copy (bit rot / bad sector), again caught by the checksum.
-
-Faults fire at most once per (op, label), so a perturbed search still
-makes progress and ``repro doctor`` sees a finite mess to clean up.
+Real filesystems break those promises: a write fails with ``ENOSPC``,
+a torn write lands a short record, a crash strands a ``.tmp-*`` file
+before its rename, bit rot mangles a read.  Each store absorbs them
+(docs/robustness.md, "Storage integrity"): the checksum catches a torn
+or rotten record on read, a failed write is counted, and ``repro
+doctor`` cleans up what is left.  The storage chaos tests inject those
+faults by wrapping :func:`write_sealed` and :func:`read_text`, the
+calls every sealed write and read makes (``tests/chaos.py``).
 """
 
 from __future__ import annotations
 
-import errno
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from .records import open_record, seal_record
 
-__all__ = ["TMP_PREFIX", "corrupt_text", "read_sealed", "write_sealed"]
+__all__ = ["TMP_PREFIX", "read_sealed", "read_text", "write_sealed"]
 
 #: prefix of in-flight temp files; ``repro doctor`` treats leftovers as orphans
 TMP_PREFIX = ".tmp-"
 
 
-def _decide(fs_faults, op: str, label: Optional[str]) -> Optional[str]:
-    if fs_faults is None or label is None:
-        return None
-    return fs_faults.decide(op, label)
-
-
-def corrupt_text(raw: str) -> str:
-    """The ``corrupt_read`` mangling: one NUL stomped into the middle.
-
-    Small on purpose — a single flipped byte is the hardest corruption
-    to notice without a checksum, which is exactly the point.
-    """
-    mid = len(raw) // 2
-    return raw[:mid] + "\x00" + raw[mid + 1 :]
-
-
-def write_sealed(
-    path,
-    kind: str,
-    body: Dict[str, Any],
-    fs_faults=None,
-    label: Optional[str] = None,
-) -> None:
+def write_sealed(path, kind: str, body: Dict[str, Any]) -> None:
     """Atomically persist ``body`` as a sealed record at ``path``.
 
-    Raises ``OSError`` on real (or injected ENOSPC) write failures; the
-    injected ``torn`` and ``crash`` faults do *not* raise — they model
-    failures the writing process never observes.
+    Raises ``OSError`` when the write fails (a full disk, a permission
+    flip, a vanished mount); the destination is then left as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     text = seal_record(kind, body)
-    fault = _decide(fs_faults, "write", label)
-    if fault == "enospc":
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-    if fault == "torn":
-        text = text[: max(1, len(text) // 2)]
     fd, tmp_name = tempfile.mkstemp(
         prefix=TMP_PREFIX, suffix=".json", dir=str(path.parent)
     )
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        if fault == "crash":
-            # crash-before-rename: the fully-written tmp file is stranded
-            # and the caller believes the write succeeded.
-            return
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -98,24 +55,16 @@ def write_sealed(
         raise
 
 
-def read_sealed(
-    path,
-    kind: str,
-    fs_faults=None,
-    label: Optional[str] = None,
-) -> Dict[str, Any]:
+def read_text(path) -> str:
+    """The raw text of a stored record (``OSError`` if unreadable)."""
+    with open(path, "r") as handle:
+        return handle.read()
+
+
+def read_sealed(path, kind: str) -> Dict[str, Any]:
     """Read and verify the sealed record at ``path``, returning its body.
 
     Raises ``OSError`` if the file is unreadable and
     :class:`repro.storage.records.RecordError` if it fails validation.
-    An injected ``corrupt_read`` fault mangles the text after a
-    successful read (and only then — a missing file consumes no draw),
-    modelling bit rot that the checksum must catch.
     """
-    path = Path(path)
-    with open(path, "r") as handle:
-        raw = handle.read()
-    fault = _decide(fs_faults, "read", label)
-    if fault == "corrupt_read":
-        raw = corrupt_text(raw)
-    return open_record(raw, kind)
+    return open_record(read_text(path), kind)

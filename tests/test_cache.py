@@ -23,10 +23,10 @@ import pytest
 from repro.core import GuidedSearch, derive_variants
 from repro.eval import CachedResult, EvalEngine, EvalRequest, ResultCache
 from repro.eval.cache import CACHE_RECORD_KIND
-from repro.faults import FaultPlan, FaultSpec
 from repro.kernels import matmul
 from repro.machines import get_machine
 from repro.storage import open_record, seal_record
+from tests.chaos import WorkerFaultPlan, worker_faults
 
 SGI = get_machine("sgi")
 
@@ -251,11 +251,12 @@ class TestTransientNeverCached:
     def test_transient_outcome_not_persisted(self, tmp_path):
         # Every attempt fails transiently: retries exhaust, and neither
         # cache layer may remember the inf result.
-        plan = FaultPlan(specs=(FaultSpec("raise", 1.0, attempts=10),), seed=0)
+        plan = WorkerFaultPlan((("raise", 1.0),), seed=0, attempts=10)
         cache = ResultCache(tmp_path / "cache")
-        engine = EvalEngine(SGI, cache=cache, fault_plan=plan)
+        engine = EvalEngine(SGI, cache=cache)
         request = _one_request()
-        outcome = engine.evaluate_batch([request])[0]
+        with worker_faults(plan):
+            outcome = engine.evaluate_batch([request])[0]
         assert outcome.status == "transient"
         assert cache.get_memory(outcome.key) is None
         assert list(Path(cache.path).rglob("*.json")) == []

@@ -286,8 +286,3 @@ class TestCliDoctor:
         report = json.loads(capsys.readouterr().out)
         assert report["healthy"] is True
         assert set(report["stores"]) == {"cache", "corpus"}
-
-    def test_fs_fault_spec_rejected_with_message(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["tune", "mm", "--size", "12",
-                  "--inject-fs-faults", "meteor=0.5"])

@@ -8,7 +8,10 @@ imported where they run.  These tests pin both halves:
 * every name in every ``repro`` package's ``__all__`` resolves and is
   listed by ``dir()``, so a lazy table cannot rot;
 * a fresh interpreter running ``repro tune`` loads none of the optional
-  modules, and loads the learned ranker when ``--ranker`` is given.
+  modules, and loads the learned ranker when ``--ranker`` is given;
+* importing the CLI and the serve client loads neither numpy nor the
+  daemon, so the socket clients (``submit``, ``status``, ...) start
+  without the tuner.
 
 The module set is a property of the code, not of the host, so unlike a
 time bound it holds on any machine.
@@ -82,6 +85,20 @@ def _modules_after(argv):
     return set(json.loads(proc.stdout.splitlines()[-1])), proc.stderr
 
 
+def _modules_after_import(*names):
+    """Every module a fresh interpreter has loaded after importing ``names``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    code = "".join(f"import {name}\n" for name in names)
+    code += "import json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
 def _loaded(modules, name):
     if name.endswith("."):
         return sorted(m for m in modules if m == name[:-1] or m.startswith(name))
@@ -143,3 +160,10 @@ def test_ranker_tune_loads_the_learned_ranker(tmp_path):
     # the ranker needs nothing else of the optional set
     assert _loaded(modules, "repro.serve.") == []
     assert "multiprocessing" not in modules
+
+
+def test_cli_and_serve_client_import_without_the_tuner():
+    modules = _modules_after_import("repro.__main__", "repro.serve.client")
+    for name in ("numpy", "multiprocessing", "repro.serve.daemon",
+                 "repro.eval.engine", "repro.sim."):
+        assert _loaded(modules, name) == [], name

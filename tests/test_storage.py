@@ -1,4 +1,4 @@
-"""Storage integrity layer tests (repro.storage + fs fault injection).
+"""Storage integrity layer tests (repro.storage under storage faults).
 
 The tentpole contract of the storage layer: every persistent store is
 self-validating (sealed, checksummed records), mutually excluded across
@@ -8,7 +8,9 @@ computes, only what persists.  ``repro doctor`` then turns any leftover
 mess back into a pristine store.  Each class below pins one piece:
 records, locks, the fault plan, each store under each fault kind, the
 doctor scan/repair loop, and finally the end-to-end determinism claim
-(a chaos-run search converges byte-identically to the clean run).
+(a chaos-run search converges byte-identically to the clean run).  The
+faults come from ``tests/chaos.py``, installed around
+``repro.storage.atomic``'s sealed write and record read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import pytest
 
 from repro.core import EcoOptimizer, GuidedSearch, SearchConfig, derive_variants
 from repro.eval import CachedResult, EvalEngine, EvalRequest, ResultCache
-from repro.faults import FS_FAULT_KINDS, FsFaultPlan, FsFaultSpec
 from repro.kernels import matmul
 from repro.machines import get_machine
 from repro.obs.corpus import Corpus
@@ -45,6 +46,7 @@ from repro.storage.doctor import (
     scan_cache,
     scan_corpus,
 )
+from tests.chaos import CI_STORAGE_RATES, StorageFaultPlan, storage_faults
 
 SGI = get_machine("sgi")
 REFERENCE_TRACE = os.path.join("results", "traces", "mm_sgi_r10k.trace.jsonl")
@@ -200,45 +202,32 @@ class TestQuarantine:
 
 
 class TestFsFaultPlan:
-    def test_parse_and_describe(self):
-        plan = FsFaultPlan.parse("enospc=0.2,torn=0.1,seed=7")
-        assert plan.seed == 7
-        assert {s.kind: s.rate for s in plan.specs} == {
-            "enospc": 0.2,
-            "torn": 0.1,
-        }
-        assert "enospc" in plan.describe() and "7" in plan.describe()
-
-    def test_parse_rejects_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown fs fault"):
-            FsFaultPlan.parse("meteor=0.5")
-
-    def test_parse_rejects_kindless_spec(self):
-        with pytest.raises(ValueError):
-            FsFaultPlan.parse("seed=3")
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            StorageFaultPlan((("meteor", 0.5),))
 
     def test_rates_must_sum_to_at_most_one(self):
         with pytest.raises(ValueError, match="sum"):
-            FsFaultPlan(specs=(FsFaultSpec("torn", 0.6), FsFaultSpec("crash", 0.6)))
+            StorageFaultPlan((("torn", 0.6), ("crash", 0.6)))
 
     def test_draw_is_deterministic(self):
-        labels = [f"cache/ab/key-{i}" for i in range(300)]
+        labels = [f"ab/key-{i}.json" for i in range(300)]
         outcomes = []
         for _ in range(2):
-            plan = FsFaultPlan(specs=(FsFaultSpec("torn", 0.5),), seed=11)
+            plan = StorageFaultPlan((("torn", 0.5),), seed=11)
             outcomes.append([plan.decide("write", l) for l in labels])
         assert outcomes[0] == outcomes[1]
         assert any(k == "torn" for k in outcomes[0])
         assert any(k is None for k in outcomes[0])
 
     def test_fires_at_most_once_per_label(self):
-        plan = FsFaultPlan(specs=(FsFaultSpec("torn", 1.0),), seed=0)
-        assert plan.decide("write", "cache/ab/x") == "torn"
-        assert plan.decide("write", "cache/ab/x") is None  # the retry lands
+        plan = StorageFaultPlan((("torn", 1.0),), seed=0)
+        assert plan.decide("write", "ab/x.json") == "torn"
+        assert plan.decide("write", "ab/x.json") is None  # the retry lands
         assert plan.injected == {"torn": 1}
 
     def test_kinds_gate_on_operation(self):
-        plan = FsFaultPlan(specs=(FsFaultSpec("corrupt_read", 1.0),), seed=0)
+        plan = StorageFaultPlan((("corrupt_read", 1.0),), seed=0)
         assert plan.decide("write", "label") is None  # read fault, write op
         assert plan.decide("read", "label") == "corrupt_read"
 
@@ -253,37 +242,42 @@ def _one_request(size: int = 16) -> EvalRequest:
     return EvalRequest.build(kernel, variant, values, {"N": size})
 
 
-def _sole(plan_kind: str) -> FsFaultPlan:
-    return FsFaultPlan(specs=(FsFaultSpec(plan_kind, 1.0),), seed=0)
+def _sole(plan_kind: str):
+    """Every sealed write or record read in the block suffers ``plan_kind``
+    (once per artifact)."""
+    return storage_faults(StorageFaultPlan(((plan_kind, 1.0),), seed=0))
 
 
 class TestCacheUnderFaults:
     KEY = "ab" * 32
 
     def test_enospc_counts_and_warns(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", fs_faults=_sole("enospc"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        cache = ResultCache(tmp_path / "cache")
+        with _sole("enospc"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cache.put(self.KEY, CachedResult(1.0, None))
+            assert cache.disk_write_failures == 1
+            assert cache.disk_write_failures_enospc == 1
+            assert any("ENOSPC" in str(w.message) for w in caught)
+            assert list(Path(cache.path).rglob("*.json")) == []
+            # fire-once: the next write of the same key lands
             cache.put(self.KEY, CachedResult(1.0, None))
-        assert cache.disk_write_failures == 1
-        assert cache.disk_write_failures_enospc == 1
-        assert any("ENOSPC" in str(w.message) for w in caught)
-        assert list(Path(cache.path).rglob("*.json")) == []
-        # fire-once: the next write of the same key lands
-        cache.put(self.KEY, CachedResult(1.0, None))
         assert ResultCache(cache.path).get_disk(self.KEY).cycles == 1.0
 
     def test_torn_write_is_caught_on_read(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", fs_faults=_sole("torn"))
-        cache.put(self.KEY, CachedResult(1.0, None))
+        cache = ResultCache(tmp_path / "cache")
+        with _sole("torn"):
+            cache.put(self.KEY, CachedResult(1.0, None))
         fresh = ResultCache(cache.path)
         assert fresh.get_disk(self.KEY) is None  # checksum caught the tear
         assert fresh.corrupt_entries == 1
         assert fresh.quarantined_entries == 1
 
     def test_crash_before_rename_is_a_silent_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", fs_faults=_sole("crash"))
-        cache.put(self.KEY, CachedResult(1.0, None))
+        cache = ResultCache(tmp_path / "cache")
+        with _sole("crash"):
+            cache.put(self.KEY, CachedResult(1.0, None))
         fresh = ResultCache(cache.path)
         assert fresh.get_disk(self.KEY) is None
         assert fresh.corrupt_entries == 0  # nothing landed, nothing corrupt
@@ -297,8 +291,9 @@ class TestCacheUnderFaults:
     def test_corrupt_read_resimulates_once(self, tmp_path):
         clean = ResultCache(tmp_path / "cache")
         clean.put(self.KEY, CachedResult(1.0, None))
-        rotten = ResultCache(clean.path, fs_faults=_sole("corrupt_read"))
-        assert rotten.get_disk(self.KEY) is None  # bit rot: miss + quarantine
+        rotten = ResultCache(clean.path)
+        with _sole("corrupt_read"):
+            assert rotten.get_disk(self.KEY) is None  # bit rot: miss + quarantine
         assert rotten.corrupt_entries == 1
 
 
@@ -445,23 +440,18 @@ class TestSearchUnderChaos:
     CONFIG = SearchConfig(full_search_variants=2)
     PROBLEM = {"N": 16}
 
-    def _tune(self, cache_dir=None, fs_faults=None):
-        cache = ResultCache(cache_dir, fs_faults=fs_faults) if cache_dir else None
+    def _tune(self, cache_dir=None):
+        cache = ResultCache(cache_dir) if cache_dir else None
         engine = EvalEngine(SGI, cache=cache)
         optimizer = EcoOptimizer(matmul(), SGI, self.CONFIG, engine=engine)
         return optimizer.optimize(self.PROBLEM).result
 
     def test_chaos_run_matches_clean_run(self, tmp_path):
         clean = self._tune()
-        plan = FsFaultPlan.parse(
-            "enospc=0.25,torn=0.25,crash=0.2,corrupt_read=0.2,seed=11"
-        )
-        with warnings.catch_warnings():
+        plan = StorageFaultPlan(CI_STORAGE_RATES, seed=11)
+        with storage_faults(plan), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # expected enospc warnings
-            chaos = self._tune(
-                cache_dir=tmp_path / "cache",
-                fs_faults=plan,
-            )
+            chaos = self._tune(cache_dir=tmp_path / "cache")
         assert plan.injected, "the chaos must actually fire"
         assert chaos.variant.name == clean.variant.name
         assert chaos.values == clean.values
