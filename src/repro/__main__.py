@@ -63,9 +63,9 @@ again; ``--stats`` prints the measured cache-hit/simulation
 accounting after a tune; ``--trace PATH`` records the whole search as a
 JSONL span trace for the ``trace`` toolchain.
 
-Robustness options (see ``docs/robustness.md``): ``--timeout SECONDS``
-and ``--retries N`` supervise candidate execution (a timed-out or
-transiently failed attempt is retried; search results are unchanged).
+Robustness option (see ``docs/robustness.md``): ``--timeout SECONDS``
+abandons a pooled candidate attempt that runs longer; the candidate is
+reported transient for this run and never cached.
 
 Each command imports what it runs, so a socket client such as
 ``submit`` loads neither the tuner nor numpy.
@@ -111,27 +111,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="abandon a candidate attempt after SECONDS of wall time "
-             "(parallel evaluation only; abandoned attempts are retried)",
+             "(parallel evaluation only; the candidate is not cached)",
     )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="retry a transiently failed candidate up to N times (default 2)",
-    )
-
-
-def _engine_policy(args):
-    """The EvalPolicy a command's --timeout/--retries flags describe
-    (None = engine defaults)."""
-    if args.timeout is None and args.retries is None:
-        return None
-    from repro.eval import EvalPolicy
-
-    kwargs = {}
-    if args.timeout is not None:
-        kwargs["timeout_seconds"] = args.timeout
-    if args.retries is not None:
-        kwargs["max_retries"] = args.retries
-    return EvalPolicy(**kwargs)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -370,7 +351,7 @@ def _cmd_tune(args) -> None:
         jobs=args.jobs,
         cache=cache,
         tracer=tracer,
-        policy=_engine_policy(args),
+        timeout=args.timeout,
     )
     ranker = None
     if args.ranker:
@@ -765,11 +746,11 @@ def _cmd_experiments(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     trace: Optional[str] = None,
-    policy=None,
+    timeout: Optional[float] = None,
 ) -> None:
     from repro.experiments import fig4, fig5, runner, searchcost, table1, table4
 
-    runner.configure(jobs=jobs, cache_dir=cache_dir, trace=trace, policy=policy)
+    runner.configure(jobs=jobs, cache_dir=cache_dir, trace=trace, timeout=timeout)
     for name in names:
         if name == "table1":
             table1.main([])
@@ -810,7 +791,7 @@ def main(argv: Optional[List[str]] = None) -> None:
             _cmd_run(args)
         elif args.command == "experiments":
             _cmd_experiments(args.names, jobs=args.jobs, cache_dir=args.cache,
-                             trace=args.trace, policy=_engine_policy(args))
+                             trace=args.trace, timeout=args.timeout)
         elif args.command == "bench":
             _cmd_bench(args)
         elif args.command == "serve":

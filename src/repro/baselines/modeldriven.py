@@ -114,7 +114,7 @@ class ModelDriven:
                 # whole measurement later can succeed.
                 raise TransformError(
                     "model-driven: measurement failed transiently "
-                    "(retries exhausted) — re-run to re-attempt"
+                    "(timeout or out of memory) — re-run to re-attempt"
                 )
             raise TransformError("model-driven: chosen variant failed to build")
         return outcome.counters

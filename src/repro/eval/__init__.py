@@ -10,7 +10,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "cache": ("CachedResult", "ResultCache"),
     "engine": (
-        "EvalEngine", "EvalOutcome", "EvalPolicy", "EvalRequest", "EvalStats", "StageStats",
+        "EvalEngine", "EvalOutcome", "EvalRequest", "EvalStats", "StageStats",
         "stats_delta",
     ),
     "keys": ("candidate_key", "machine_spec_hash", "trace_signature"),

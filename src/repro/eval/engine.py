@@ -18,26 +18,27 @@ and adds what a bare ``execute()`` call cannot:
 * **measured accounting** — :class:`EvalStats` counts cache hits by
   layer, simulations actually run, failed instantiations, and wall time
   per named search stage, so search-cost claims are backed by numbers;
-* **worker supervision** — candidate executions crash, hang and get
-  killed on real machines, so simulation attempts run under an
-  :class:`EvalPolicy`: transient failures (including a broken process
-  pool) are retried a bounded number of times, per-candidate
-  timeouts abandon hung workers, a broken pool is recreated (and, when it
-  keeps breaking, the engine degrades gracefully to serial execution).
-  Supervision affects wall time only, never results: a candidate's final
-  outcome is the same at any job count and any fault history, as long as
-  the failures are transient.
+* **worker supervision** — a simulation is deterministic, so running a
+  failed attempt again in the same process would give the same answer.
+  The engine supervises only what the environment does to an attempt:
+  a dead worker (the pool is rebuilt and its candidates re-dispatched;
+  past :data:`MAX_POOL_RESTARTS` breaks the engine runs serially), a
+  timeout (``timeout=``, pooled attempts only) and a ``MemoryError``.
+  Supervision affects wall time only, never the result of a candidate
+  that simulates: the same at any job count and any history of dead
+  workers.
 
 Failure taxonomy (the contract the cache and the searches rely on):
 
 * **infeasible** — the candidate itself cannot be built or run
   (``TransformError``/``ValueError``): deterministic, a true property of
   the point, cached like any result (cycles = inf);
-* **transient** — the *environment* failed (``MemoryError``, an
-  ``OSError``, a killed worker, a timeout): retried up to
-  ``EvalPolicy.max_retries``; if it never succeeds the outcome reports
-  ``status="transient"`` with cycles = inf but is **never cached**, so a
-  later run re-attempts it instead of inheriting a poisoned entry.
+* **transient** — the attempt timed out or raised ``MemoryError``: the
+  outcome reports ``status="transient"`` with cycles = inf at once (a
+  deterministic simulation that ran out once would run out again) and
+  is **never cached**, so a later run re-attempts it instead of
+  inheriting a poisoned entry;
+* anything else an attempt raises is a bug, and propagates.
 
 The simulation itself stays in :func:`repro.sim.execute`; the engine only
 decides *whether* and *where* to run it.  The chaos tests drive the
@@ -83,7 +84,6 @@ if TYPE_CHECKING:  # imported where a pool is created: a -j 1 engine runs none o
 __all__ = [
     "EvalEngine",
     "EvalOutcome",
-    "EvalPolicy",
     "EvalRequest",
     "EvalStats",
     "StageStats",
@@ -135,8 +135,8 @@ class EvalOutcome:
     counters: Optional[Counters]
     source: str  # "sim" | "memory" | "disk"
     #: "ok" (simulated fine), "infeasible" (the point cannot be built —
-    #: deterministic, cacheable) or "transient" (the environment failed
-    #: and retries ran out — never cached, safe to re-attempt later)
+    #: deterministic, cacheable) or "transient" (the attempt timed out or
+    #: ran out of memory — never cached, safe to re-attempt later)
     status: str = "ok"
 
     @property
@@ -152,35 +152,9 @@ class EvalOutcome:
         return self.status == "transient"
 
 
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Supervision knobs for candidate execution (see docs/robustness.md).
-
-    The defaults retry real transient failures a couple of times, at
-    once, and never time out — i.e. behaviour is unchanged for healthy
-    runs, but a ``BrokenProcessPool`` or an OOM-killed candidate no longer
-    aborts a whole search.
-    """
-
-    #: wall-clock budget per candidate attempt (parallel execution only —
-    #: a serial in-process simulation cannot be preempted); None = no limit
-    timeout_seconds: Optional[float] = None
-    #: extra attempts per candidate after the first, for transient
-    #: failures (timeouts, killed workers, MemoryError, OSError)
-    max_retries: int = 2
-    #: how many times the engine rebuilds a broken process pool before
-    #: degrading to serial execution for the rest of its lifetime
-    max_pool_restarts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError(f"timeout_seconds must be > 0, got {self.timeout_seconds}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.max_pool_restarts < 0:
-            raise ValueError(
-                f"max_pool_restarts must be >= 0, got {self.max_pool_restarts}"
-            )
+#: how many times an engine rebuilds a broken process pool before it
+#: runs serially for the rest of its lifetime
+MAX_POOL_RESTARTS = 3
 
 
 @dataclass
@@ -221,11 +195,10 @@ class EvalStats:
     batches: int = 0
     wall_seconds: float = 0.0
     #: supervision accounting (all zero on a healthy run)
-    retries: int = 0  # extra simulation attempts after a transient failure
+    retries: int = 0  # candidates re-dispatched after a pool break
     timeouts: int = 0  # attempts abandoned for exceeding the time budget
     pool_restarts: int = 0  # process pools rebuilt after breaking
-    transient_failures: int = 0  # candidates whose retries ran out
-    corrupt_results: int = 0  # attempts whose result failed validation
+    transient_failures: int = 0  # candidates that timed out or ran out of memory
     disk_write_failures: int = 0  # cache entries that failed to persist
     #: the subset of disk_write_failures caused by an out-of-space errno
     #: (ENOSPC/EDQUOT) — the one storage failure with a distinct remedy
@@ -284,7 +257,6 @@ class EvalStats:
             "timeouts": self.timeouts,
             "pool_restarts": self.pool_restarts,
             "transient_failures": self.transient_failures,
-            "corrupt_results": self.corrupt_results,
             "disk_write_failures": self.disk_write_failures,
             "disk_write_failures_enospc": self.disk_write_failures_enospc,
             "cache_quarantined": self.cache_quarantined,
@@ -334,11 +306,11 @@ def _simulate(payload: Tuple) -> Tuple[str, float, Optional[Counters]]:
 
     Module-level so it pickles for ``ProcessPoolExecutor``; also the
     serial path, so both modes run literally the same code.  Returns
-    ``(status, cycles, counters)`` with status ``"ok"``, ``"infeasible"``
-    (the point cannot be built — a deterministic property, cacheable) or
-    ``"transient"`` (the environment failed — retryable, never cached).
-    The payload ends with the candidate's key and attempt number, which
-    name the attempt to whatever wraps this call (the chaos tests).
+    ``(status, cycles, counters)`` with status ``"ok"`` or
+    ``"infeasible"`` (the point cannot be built — a deterministic
+    property, cacheable).  The payload ends with the candidate's key and
+    attempt number, which name the attempt to whatever wraps this call
+    (the chaos tests).
     """
     (kernel, variant, values, prefetch, pads, problem, machine, _signature,
      _key, _attempt) = payload
@@ -351,25 +323,11 @@ def _simulate(payload: Tuple) -> Tuple[str, float, Optional[Counters]]:
         # The binding cannot be built (e.g. a copy that does not divide,
         # a zero tile size): a true property of the point.
         return ("infeasible", math.inf, None)
-    except MemoryError:
-        # Host-side resource exhaustion: environmental, not a property of
-        # the candidate — must not be cached as infeasible (that would
-        # poison the disk cache forever).
-        return ("transient", math.inf, None)
     return ("ok", counters.cycles, counters)
 
 
-#: exceptions that classify a simulation attempt as transient (retryable)
-_TRANSIENT_ERRORS = (MemoryError, OSError)
-
-
-def _result_is_corrupt(cycles: float, counters: Optional[Counters]) -> bool:
-    """Sanity-check a successful attempt: cycles must be a positive finite
-    number consistent with the counters (inf belongs to infeasible points,
-    which report themselves as such)."""
-    if math.isnan(cycles) or cycles < 0 or math.isinf(cycles):
-        return True
-    return counters is not None and counters.cycles != cycles
+#: the outcome of an attempt that timed out or ran out of memory
+_TRANSIENT = ("transient", math.inf, None)
 
 
 @dataclass
@@ -393,10 +351,8 @@ class _Inflight:
     future: Optional[Future] = None
     #: pool generation the future was submitted on (stale-break detection)
     generation: int = 0
-    #: attempts so far (each retry and each pool break bumps it)
+    #: attempts so far (each pool break bumps it)
     attempt: int = 0
-    #: failures charged against ``policy.max_retries``
-    strikes: int = 0
     #: already counted in ``pipeline.speculative_parked``
     parked: bool = False
 
@@ -415,11 +371,13 @@ class EvalEngine:
         cache: Optional[ResultCache] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
-        policy: Optional[EvalPolicy] = None,
+        timeout: Optional[float] = None,
         pool=None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if timeout is not None and timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {timeout}")
         self.machine = machine
         self.jobs = jobs
         self.cache = cache if cache is not None else ResultCache()
@@ -430,8 +388,10 @@ class EvalEngine:
         #: metrics registry (always on — plain arithmetic, nothing to
         #: disable); searches and the runner report into the same one
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: retry/timeout/pool-restart supervision (see docs/robustness.md)
-        self.policy = policy if policy is not None else EvalPolicy()
+        #: wall-clock seconds a pooled attempt may run before its candidate
+        #: is transient (an in-process simulation cannot be preempted);
+        #: None = no limit
+        self.timeout = timeout
         #: externally owned worker pool (e.g. the serve daemon's shared
         #: :class:`repro.serve.broker.SharedWorkerPool`): the engine
         #: submits to it but never shuts it down — its lifetime, recycling
@@ -439,7 +399,7 @@ class EvalEngine:
         self._external_pool = pool
         self._pool: Optional[ProcessPoolExecutor] = None
         self._stage: Optional[StageStats] = None
-        #: set once the pool broke more than the policy tolerates — the
+        #: set once the pool broke more than MAX_POOL_RESTARTS times — the
         #: engine then runs serially for the rest of its lifetime
         self._serial_fallback = False
         self._disk_failures_seen = 0
@@ -562,7 +522,7 @@ class EvalEngine:
 
     def resolve(self, request: EvalRequest, key: str) -> _Record:
         """Consume one candidate of a batch: a result-cache hit, else its
-        in-flight entry settled (running any deferred or retried work);
+        in-flight entry settled (running any deferred or re-dispatched work);
         count it and cache it.
 
         This is the engine's one accounting path.  It returns the
@@ -589,9 +549,9 @@ class EvalEngine:
                 self.stats.sim_seconds += counters.sim_seconds
                 self.stats.sim_accesses += counters.sim_accesses
             if status == "transient":
-                # Environmental failure that outlived its retries:
-                # report it, but never cache it (a cached transient
-                # would poison every future run with a false inf).
+                # A timeout or an OOM: report it, but never cache it (a
+                # cached transient would poison every future run with a
+                # false inf).
                 self.stats.transient_failures += 1
             else:
                 if counters is None:
@@ -810,7 +770,7 @@ class EvalEngine:
         restarts = self.stats.pool_restarts
         self.stats = EvalStats()
         # the restart budget is per engine lifetime, not per search —
-        # otherwise a flaky pool would get max_pool_restarts fresh
+        # otherwise a flaky pool would get MAX_POOL_RESTARTS fresh
         # chances every request and never degrade to serial
         self.stats.pool_restarts = restarts
         if tracer is not None:
@@ -902,39 +862,12 @@ class EvalEngine:
         return "full"
 
     # -- supervised execution -------------------------------------------
-    # In-process and pooled attempts alike preserve the determinism
-    # guarantee: a candidate's final (status, cycles, counters) is a pure
-    # function of the candidate while its failures are transient —
-    # retries, timeouts and pool restarts change wall time and
-    # supervision counters, never results.  None of these touch stats/metrics/cache/trace beyond the
+    # A candidate's final (status, cycles, counters) is a pure function of
+    # the candidate unless an attempt timed out or ran out of memory: pool
+    # breaks and restarts change wall time and supervision counters, never
+    # results.  None of these touch stats/metrics/cache/trace beyond the
     # supervision counters: that belongs to the consumption point
     # (resolve), which calls them in deterministic consumption order.
-
-    def _note_retry(self, key: str, attempt: int, reason: str) -> None:
-        self.stats.retries += 1
-        self.metrics.counter("eval.retries").inc()
-        if self.tracer.enabled:
-            self.tracer.event("eval_retry", key=key, attempt=attempt, reason=reason)
-
-    def _note_timeout(self) -> None:
-        self.stats.timeouts += 1
-        self.metrics.counter("eval.timeouts").inc()
-
-    def _note_corrupt(self) -> None:
-        self.stats.corrupt_results += 1
-        self.metrics.counter("eval.corrupt_results").inc()
-
-    def _classify_attempt(
-        self, result: Tuple[str, float, Optional[Counters]]
-    ) -> Tuple[Optional[str], Tuple[str, float, Optional[Counters]]]:
-        """(retry reason | None, result): validate one completed attempt."""
-        status, cycles, counters = result
-        if status == "ok" and _result_is_corrupt(cycles, counters):
-            self._note_corrupt()
-            return "corrupt", ("transient", math.inf, None)
-        if status == "transient":
-            return "transient", result
-        return None, result
 
     def _dispatch(self, entry: _Inflight) -> None:
         """Start (or restart) an entry on the pool; degrade to deferred
@@ -974,93 +907,82 @@ class EvalEngine:
     def _settle(self, entry: _Inflight) -> Tuple[str, float, Optional[Counters]]:
         """Supervised run of one entry to its final result (no accounting).
 
-        One loop settles every candidate: each attempt — in-process for a
-        deferred entry, else on the pool — is classified, a failed one
-        (timeout, transient error, corrupt result) is charged a *strike*
-        against ``policy.max_retries``, and the retry runs where the entry
-        runs.  *Pool deaths* draw on ``policy.max_pool_restarts`` instead:
-        a killed worker takes every in-flight candidate with it and the
-        OS does not say which task was responsible, so pool breaks bump
-        the attempt number without charging any candidate's retry budget.
+        A deferred entry runs in-process, else on the pool.  A pooled
+        attempt lost to a pool break, or cancelled before it started, runs
+        again without charging the candidate: a killed worker takes every
+        in-flight candidate with it, and the OS does not say which task
+        was responsible.  A timeout or a ``MemoryError`` makes the
+        candidate transient at once; any other error propagates.
         """
         while True:
             if not entry.deferred and entry.future is None:
                 self._dispatch(entry)
-            if entry.deferred:
-                attempt = self._attempt_here(entry)
-            else:
-                attempt = self._attempt_pooled(entry)
-                if attempt is None:
-                    continue  # lost to something else: rerun as-is
-            reason, result = attempt
-            if reason is None:
-                reason, result = self._classify_attempt(result)
-                if reason is None:
-                    return result
-            if entry.strikes >= self.policy.max_retries:
-                return ("transient", math.inf, None)
-            self._note_retry(entry.key, entry.attempt, reason)
-            entry.strikes += 1
-            entry.attempt += 1
-            entry.future = None
-
-    def _attempt_here(self, entry: _Inflight) -> Tuple[Optional[str], Optional[Tuple]]:
-        """One in-process attempt: ``(retry reason | None, result)``.
-        Timeouts cannot preempt an in-process simulation."""
-        try:
-            return None, _simulate(self._attempt_payload(entry))
-        except _TRANSIENT_ERRORS as error:
-            return type(error).__name__, None
+            try:
+                if entry.deferred:
+                    return _simulate(self._attempt_payload(entry))
+                result = self._attempt_pooled(entry)
+            except MemoryError:
+                return _TRANSIENT
+            if result is not None:
+                return result
 
     def _attempt_pooled(
         self, entry: _Inflight
-    ) -> Optional[Tuple[Optional[str], Optional[Tuple]]]:
-        """Wait for one pooled attempt: ``(retry reason | None, result)``,
-        or ``None`` when the attempt was lost without being this
-        candidate's failure and must simply run again.
+    ) -> Optional[Tuple[str, float, Optional[Counters]]]:
+        """Wait for one pooled attempt: its result, ``_TRANSIENT`` when it
+        is still running after ``timeout`` seconds, or ``None`` when it was
+        lost without being this candidate's failure and must run again.
 
-        A candidate that timed out while *running* leaves its worker
-        wedged, so the pool is recycled; a future cancelled before
-        starting (queued behind slow work, or swept up in a recycle) is
-        not a failure of this candidate.
+        A timeout is read from the future's state once the wait ends, not
+        from an exception's class: from Python 3.11 a ``TimeoutError``
+        raised by the simulation is the class a timed-out wait raises.
+        (``concurrent.futures.wait`` cannot do the waiting: it does not
+        wake for a future another thread cancels, as a closing shared
+        pool does.)  A candidate that timed out while *running* leaves
+        its worker wedged, so the pool is recycled; a future cancelled
+        before starting (queued behind slow work, or swept up in a
+        recycle) is not a failure of this candidate.
         """
         from concurrent.futures import BrokenExecutor, CancelledError
         from concurrent.futures import TimeoutError as FutureTimeout
 
         future = entry.future
-        attempt = None
-        timed_out_running = False
         wait_start = time.perf_counter()
         try:
-            attempt = None, future.result(timeout=self.policy.timeout_seconds)
-        except CancelledError:
-            entry.future = None
-        except FutureTimeout:
-            if future.cancel():
-                entry.future = None
-            else:
-                self._note_timeout()
-                timed_out_running = True
-                attempt = "timeout", None
-        except BrokenExecutor:
-            if entry.generation == self._pool_generation:
-                self._handle_pool_break()
-                self._note_retry(entry.key, entry.attempt, "worker_died")
-            # else: stale break, already handled by another entry's
-            # wait — resubmit quietly (one restart note per break).
-            entry.attempt += 1
-            entry.future = None
-        except _TRANSIENT_ERRORS as error:
-            attempt = type(error).__name__, None
+            future.exception(timeout=self.timeout)
+        except (CancelledError, FutureTimeout):
+            pass  # the future's state below says which
         finally:
             idle = (time.perf_counter() - wait_start) * max(
                 0, self.jobs - self._live_inflight() - 1
             )
             if idle > 0:
                 self.metrics.counter("pipeline.idle_slot_seconds").inc(round(idle, 6))
-        if timed_out_running:
+        if not future.done() and not future.cancel():
+            self.stats.timeouts += 1
+            self.metrics.counter("eval.timeouts").inc()
             self._recycle_pool()
-        return attempt
+            return _TRANSIENT
+        try:
+            return future.result()
+        except CancelledError:
+            entry.future = None
+            return None
+        except BrokenExecutor:
+            if entry.generation == self._pool_generation:
+                self._handle_pool_break()
+                self.stats.retries += 1
+                self.metrics.counter("eval.retries").inc()
+                if self.tracer.enabled:
+                    self.tracer.event(
+                        "eval_retry", key=entry.key, attempt=entry.attempt,
+                        reason="worker_died",
+                    )
+            # else: stale break, already handled by another entry's
+            # wait — resubmit quietly (one restart note per break).
+            entry.attempt += 1
+            entry.future = None
+            return None
 
     def _ensure_pool(self):
         if self._external_pool is not None:
@@ -1074,14 +996,20 @@ class EvalEngine:
     def _teardown_pool(self) -> bool:
         """Discard the current pool; ``False`` when there was none.  An
         external pool is recycled through its owner (it may be serving
-        other engines)."""
+        other engines).  An own pool's workers are terminated: one wedged
+        on a timed-out simulation would otherwise run on, and the
+        interpreter's exit hook would wait for it."""
         if self._external_pool is not None:
             self._external_pool.recycle()
         elif self._pool is not None:
+            workers = list((self._pool._processes or {}).values())
             try:
                 self._pool.shutdown(wait=False, cancel_futures=True)
             except Exception:
                 pass
+            for worker in workers:
+                worker.terminate()
+                worker.join()
             self._pool = None
         else:
             return False
@@ -1100,7 +1028,7 @@ class EvalEngine:
         self._pool_generation += 1
         self.metrics.counter("eval.pool_restarts").inc()
         self._teardown_pool()
-        if self.stats.pool_restarts > self.policy.max_pool_restarts:
+        if self.stats.pool_restarts > MAX_POOL_RESTARTS:
             self._serial_fallback = True
             self.metrics.counter("eval.serial_fallbacks").inc()
             if self.tracer.enabled:

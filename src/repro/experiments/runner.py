@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.baselines import MiniAtlas
 from repro.core import EcoOptimizer, SearchConfig, TunedKernel
-from repro.eval import EvalEngine, EvalPolicy, ResultCache
+from repro.eval import EvalEngine, ResultCache
 from repro.kernels import get_kernel
 from repro.machines import get_machine
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
@@ -47,14 +47,14 @@ _CACHE_DIR: Optional[str] = None
 _TRACE_PATH: Optional[str] = None
 _TRACER = NULL_TRACER
 _METRICS = MetricsRegistry()
-_POLICY: Optional[EvalPolicy] = None
+_TIMEOUT: Optional[float] = None
 
 
 def configure(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     trace: Optional[str] = None,
-    policy: Optional[EvalPolicy] = None,
+    timeout: Optional[float] = None,
 ) -> None:
     """Set evaluation parallelism, the on-disk result-cache directory and
     (optionally) a trace output path.
@@ -65,18 +65,18 @@ def configure(
     :class:`~repro.obs.Tracer`; call :func:`flush_trace` when the
     experiments are done to write the JSONL file.
 
-    ``policy`` supervises candidate execution (retries/timeouts — see
-    :class:`~repro.eval.EvalPolicy`).  An interrupted run resumes by
+    ``timeout`` bounds each pooled candidate attempt (see
+    :class:`~repro.eval.EvalEngine`).  An interrupted run resumes by
     running again over the same ``cache_dir``: every candidate it
     already measured is a disk hit.
     """
-    global _JOBS, _CACHE_DIR, _TRACE_PATH, _TRACER, _METRICS, _POLICY
+    global _JOBS, _CACHE_DIR, _TRACE_PATH, _TRACER, _METRICS, _TIMEOUT
     _JOBS = max(1, int(jobs))
     _CACHE_DIR = cache_dir
     _TRACE_PATH = trace
     _TRACER = Tracer(source="experiments", jobs=_JOBS) if trace else NULL_TRACER
     _METRICS = MetricsRegistry()
-    _POLICY = policy
+    _TIMEOUT = timeout
     clear_cache()
 
 
@@ -111,7 +111,7 @@ def engine_for(machine_name: str) -> EvalEngine:
             cache=ResultCache(_CACHE_DIR) if _CACHE_DIR else None,
             tracer=_TRACER,
             metrics=_METRICS,
-            policy=_POLICY,
+            timeout=_TIMEOUT,
         )
         _ENGINES[machine.name] = engine
         _METRICS.gauge("runner.engines").set(len(_ENGINES))

@@ -180,7 +180,6 @@ SUPERVISION_METRICS = (
     "eval.pool_recycles",
     "eval.serial_fallbacks",
     "eval.transient_failures",
-    "eval.corrupt_results",
     "eval.disk_write_failures",
 )
 
@@ -189,8 +188,8 @@ def supervision_totals(events: List[Dict[str, Any]]) -> Dict[str, int]:
     """Non-zero supervision counters from the trace's metric snapshots.
 
     Snapshots are cumulative, so the last ``metric`` event per name wins.
-    An empty dict means the run saw no retries, timeouts, pool trouble,
-    exhausted candidates, corrupt results or disk-write failures.
+    An empty dict means the run saw no timeouts, pool trouble, transient
+    candidates or disk-write failures.
     """
     return _last_snapshots(events, SUPERVISION_METRICS, keep_zeros=False)
 

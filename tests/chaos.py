@@ -1,8 +1,8 @@
 """Seeded fault plans for the chaos tests, and the fixtures that install them.
 
 Every measurement here is a deterministic simulation, so only the
-environment can fail: a simulation attempt raises, hangs, returns a
-mangled result or loses its worker; a store's write fails with ENOSPC,
+environment can fail: a simulation attempt runs out of memory, outlives
+its timeout or loses its worker; a store's write fails with ENOSPC,
 tears, or crashes before its rename; a read returns rotten bytes.  The
 supervision code in :class:`repro.eval.EvalEngine` and the integrity
 code in the stores exist to survive exactly that.  These plans make
@@ -18,10 +18,9 @@ product makes anyway, so a chaos test drives the real safety code:
   ``read_text``, the calls every sealed write and every cache or
   sealed-record read makes.
 
-An injected failure surfaces as what the engine meets for real: an
-``OSError`` from the simulation, a dead worker (``os._exit``), an
-attempt that outlives the policy's timeout, or cycles that fail the
-engine's result validation.
+An injected failure surfaces as what the engine meets for real: a
+``MemoryError`` from the simulation, a dead worker (``os._exit``), or
+an attempt that outlives the engine's timeout.
 
 The ``assert_tune_survives_*`` helpers run the CI chaos scenarios (the
 golden ``repro tune mm --machine sgi --size 24``) through the CLI::
@@ -38,7 +37,6 @@ import errno
 import hashlib
 import io
 import json
-import math
 import multiprocessing
 import os
 import tempfile
@@ -56,27 +54,11 @@ from repro.storage.records import seal_record
 
 #: the worker fault kinds, and the storage fault kinds with the operation
 #: each one hits
-WORKER_FAULT_KINDS = ("raise", "hang", "corrupt", "kill")
+WORKER_FAULT_KINDS = ("oom", "hang", "kill")
 STORAGE_FAULT_OPS = {"enospc": "write", "torn": "write", "crash": "write",
                      "corrupt_read": "read"}
 
 _real_simulate = engine_module._simulate
-
-
-class InjectedTransientError(OSError):
-    """``raise``: a transient failure of the environment."""
-
-
-class InjectedHang(OSError):
-    """``hang``: an attempt that slept out its hang and then failed — what
-    a hang looks like where no timeout preempts it.  (Not a
-    ``TimeoutError``: from Python 3.11 that is the class a future's wait
-    raises, so the engine would take it for its own timeout.)"""
-
-
-class WorkerKilled(OSError):
-    """``kill`` in the test process itself, where a real exit would end
-    the test run."""
 
 
 def _check_rates(rates, kinds) -> None:
@@ -110,15 +92,16 @@ class WorkerFaultPlan:
 
     ``rates`` pairs fault kinds with the share of candidates that draw
     them.  A candidate suffers its fault on attempts ``0..attempts-1``
-    and runs clean after, so with ``attempts=1`` every fault is gone on
-    the retry.  The draw is a pure function of ``(seed, key)``: a faulted
-    run is exactly repeatable.
+    and runs clean after, so with ``attempts=1`` a killed worker's
+    candidates run clean when the engine re-dispatches them.  The draw
+    is a pure function of ``(seed, key)``: a faulted run is exactly
+    repeatable.
     """
 
     rates: Tuple[Tuple[str, float], ...]
     seed: int = 0
     attempts: int = 1
-    #: how long a ``hang`` sleeps before failing
+    #: how long a ``hang`` sleeps before the attempt simulates
     hang_seconds: float = 0.0
 
     def __post_init__(self) -> None:
@@ -169,42 +152,51 @@ def _install(plan: Optional[WorkerFaultPlan]) -> None:
 
 
 def faulty_simulate(payload):
-    """``_simulate`` with the installed plan's fault for this attempt."""
+    """``_simulate`` with the installed plan's fault for this attempt:
+    ``oom`` raises ``MemoryError``; ``hang`` sleeps ``hang_seconds``
+    first, so only a pool timeout preempts it; ``kill`` ends a pool
+    worker and does nothing in this process, where an exit would end the
+    test run."""
     key, attempt = payload[-2:]
     kind = _PLAN.decide(key, attempt) if _PLAN is not None else None
-    if kind == "raise":
-        raise InjectedTransientError(f"injected transient failure for {key[:12]}")
+    if kind == "oom":
+        raise MemoryError(f"injected out-of-memory for {key[:12]}")
     if kind == "hang":
         time.sleep(_PLAN.hang_seconds)
-        raise InjectedHang(f"injected hang for {key[:12]}")
-    if kind == "kill":
-        if multiprocessing.parent_process() is not None:
-            os._exit(86)  # a pool worker dies: the parent sees a broken pool
-        raise WorkerKilled(f"injected worker death for {key[:12]}")
-    status, cycles, counters = _real_simulate(payload)
-    if kind == "corrupt" and status == "ok":
-        # a mangled measurement channel: cycles that cannot be right
-        return ("ok", -cycles if cycles else math.nan, counters)
-    return (status, cycles, counters)
+    if kind == "kill" and multiprocessing.parent_process() is not None:
+        os._exit(86)  # a pool worker dies: the parent sees a broken pool
+    return _real_simulate(payload)
 
 
 @contextlib.contextmanager
 def worker_faults(plan: WorkerFaultPlan, start_method: Optional[str] = None):
     """Fail simulation attempts by ``plan`` inside the block: serial ones,
     and those of every process pool created in the block, whose workers
-    start by ``start_method`` (default: the platform's)."""
+    start by ``start_method`` (default: the platform's).  Yields the list
+    of pools created in the block; each pool's ``workers`` lists the
+    worker processes it started."""
     executor = concurrent.futures.ProcessPoolExecutor
     context = multiprocessing.get_context(start_method) if start_method else None
+    pools = []
 
-    def chaos_pool(max_workers=None):
-        return executor(max_workers=max_workers, mp_context=context,
-                        initializer=_install, initargs=(plan,))
+    class ChaosPool(executor):
+        def __init__(self, max_workers=None):
+            super().__init__(max_workers=max_workers, mp_context=context,
+                             initializer=_install, initargs=(plan,))
+            self.workers = []
+            pools.append(self)
+
+        def _spawn_process(self):
+            # the executor's one call that starts a worker (Python >= 3.9)
+            super()._spawn_process()
+            self.workers += [p for p in self._processes.values()
+                             if p not in self.workers]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "_simulate", faulty_simulate)
-        patch.setattr(concurrent.futures, "ProcessPoolExecutor", chaos_pool)
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", ChaosPool)
         patch.setitem(globals(), "_PLAN", plan)
-        yield plan
+        yield pools
 
 
 # -- storage faults -----------------------------------------------------
@@ -263,8 +255,7 @@ def storage_faults(plan: StorageFaultPlan):
 # -- the CI chaos scenarios ---------------------------------------------
 
 CI_WORKER_FAULTS = WorkerFaultPlan(
-    (("raise", 0.2), ("hang", 0.1), ("corrupt", 0.1), ("kill", 0.05)),
-    seed=7, hang_seconds=0.01,
+    (("hang", 0.1), ("kill", 0.05)), seed=7, hang_seconds=0.01,
 )
 CI_STORAGE_RATES = (("enospc", 0.25), ("torn", 0.25), ("crash", 0.2),
                     ("corrupt_read", 0.2))
@@ -294,7 +285,8 @@ def assert_tune_survives_worker_faults(
     kernel="mm", machine="sgi", size=24, jobs=3, plan=CI_WORKER_FAULTS
 ) -> None:
     """A ``-j jobs`` tune under ``plan`` picks the clean tune's winner,
-    every faulted candidate recovers, and the retries are counted."""
+    no candidate is transient, and the re-dispatches after a worker's
+    death are counted."""
     tune = ("tune", kernel, "--machine", machine, "--size", str(size))
     clean = _repro(*tune)
     with worker_faults(plan):

@@ -249,9 +249,9 @@ class TestWriteFailures:
 
 class TestTransientNeverCached:
     def test_transient_outcome_not_persisted(self, tmp_path):
-        # Every attempt fails transiently: retries exhaust, and neither
-        # cache layer may remember the inf result.
-        plan = WorkerFaultPlan((("raise", 1.0),), seed=0, attempts=10)
+        # The attempt runs out of memory: neither cache layer may
+        # remember the inf result.
+        plan = WorkerFaultPlan((("oom", 1.0),), seed=0)
         cache = ResultCache(tmp_path / "cache")
         engine = EvalEngine(SGI, cache=cache)
         request = _one_request()

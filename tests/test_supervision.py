@@ -1,34 +1,31 @@
-"""Worker-supervision tests: retries, timeouts, pool care, chaos parity.
+"""Worker-supervision tests: pool restarts, timeouts, OOMs, chaos parity.
 
-The contract under test (docs/robustness.md): supervision affects wall
-time and accounting only, never results.  A search under injected
-transient faults — raises, hangs, corrupted counters, killed workers —
-must converge to the byte-identical best of a fault-free run, serially
-and in parallel, and the recovery work must be visible in the stats.
+The contract under test (docs/robustness.md): a simulation is
+deterministic, so the engine supervises only what the environment does
+to an attempt.  A dead worker costs wall time only: the pool restarts,
+its candidates run again, and past ``MAX_POOL_RESTARTS`` the engine runs
+serially — a search under killed workers converges to the byte-identical
+best of a fault-free run.  A timeout or a ``MemoryError`` makes its
+candidate transient at once, never cached; every other error propagates.
 The faults come from ``tests/chaos.py``, installed around the engine's
 per-attempt ``_simulate`` call in this process and in pool workers.
 """
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core import GuidedSearch, SearchConfig, derive_variants
-from repro.eval import EvalEngine, EvalPolicy, EvalRequest
+from repro.eval import EvalEngine, EvalRequest, ResultCache
+from repro.eval import engine as engine_module
 from repro.kernels import matmul
 from repro.machines import get_machine
 from tests.chaos import WorkerFaultPlan, worker_faults
 
 SGI = get_machine("sgi")
 
-#: every fault kind at once, gone after one retry (attempts=1), no real
-#: sleeping so the suite stays fast
-CHAOS = WorkerFaultPlan(
-    (("raise", 0.20), ("corrupt", 0.10), ("hang", 0.10), ("kill", 0.05)),
-    seed=7,
-)
+#: a fifth of the candidates run out of memory on their first attempt
+OOM = WorkerFaultPlan((("oom", 0.2),), seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -50,83 +47,78 @@ def _requests(variants, n=12):
     return reqs[:n]
 
 
+def _raise_timeout(payload):
+    """A simulation that raises its own TimeoutError (module-level, so a
+    pool worker can unpickle it as the engine's ``_simulate``)."""
+    raise TimeoutError("the simulation's own TimeoutError")
+
+
 class TestPolicy:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            EvalPolicy(timeout_seconds=0)
+            EvalEngine(SGI, timeout=0)
         with pytest.raises(ValueError):
-            EvalPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            EvalPolicy(max_pool_restarts=-1)
+            EvalEngine(SGI, timeout=-1.0)
 
     def test_defaults_are_benign(self):
-        policy = EvalPolicy()
-        assert policy.timeout_seconds is None
-        assert policy.max_retries == 2
+        assert EvalEngine(SGI).timeout is None
+        assert engine_module.MAX_POOL_RESTARTS == 3
 
 
 class TestSerialChaos:
     def test_faulted_run_matches_clean(self, mm_variants):
+        # in-process a kill does nothing and a hang only sleeps, so a
+        # serial run under both is the clean run, with nothing supervised
         reqs = _requests(mm_variants)
+        plan = WorkerFaultPlan((("hang", 0.3), ("kill", 0.3)), seed=7)
         clean = EvalEngine(SGI).evaluate_batch(reqs)
-        chaotic_engine = EvalEngine(SGI)
-        with worker_faults(CHAOS):
-            chaotic = chaotic_engine.evaluate_batch(reqs)
+        engine = EvalEngine(SGI)
+        with worker_faults(plan):
+            chaotic = engine.evaluate_batch(reqs)
+        assert {plan.decide(o.key, 0) for o in chaotic} == {"hang", "kill", None}
         assert [(o.cycles, o.status) for o in chaotic] == [
             (o.cycles, o.status) for o in clean
         ]
-        stats = chaotic_engine.stats
-        assert stats.retries > 0  # the plan actually fired
-        assert stats.transient_failures == 0  # ...and every retry recovered
+        assert engine.stats.retries == engine.stats.transient_failures == 0
 
-    def test_hang_is_retried_serially(self, mm_variants):
-        # nothing preempts an in-process attempt: a hang that ends in an
-        # error is a transient failure, retried like any other
-        plan = WorkerFaultPlan((("hang", 1.0),), seed=0)
+    def test_oom_is_transient_at_once_and_not_cached(self, mm_variants):
+        plan = WorkerFaultPlan((("oom", 1.0),), seed=0)
         engine = EvalEngine(SGI)
-        with worker_faults(plan):
-            outcome = engine.evaluate_batch(_requests(mm_variants, n=1))[0]
-        assert outcome.status == "ok"  # retry succeeded
-        assert engine.stats.retries == 1
-
-    def test_corrupt_results_are_caught_and_retried(self, mm_variants):
-        plan = WorkerFaultPlan((("corrupt", 1.0),), seed=0)
-        engine = EvalEngine(SGI)
-        clean = EvalEngine(SGI).evaluate_batch(_requests(mm_variants, n=3))
-        with worker_faults(plan):
-            chaotic = engine.evaluate_batch(_requests(mm_variants, n=3))
-        assert [o.cycles for o in chaotic] == [o.cycles for o in clean]
-        assert engine.stats.corrupt_results == 3
-        assert engine.stats.retries == 3
-
-    def test_exhausted_retries_become_transient_not_cached(self, mm_variants):
-        # A fault that outlives the retry budget: attempts=5 > max_retries=1.
-        plan = WorkerFaultPlan((("raise", 1.0),), seed=0, attempts=5)
-        engine = EvalEngine(SGI, policy=EvalPolicy(max_retries=1))
         reqs = _requests(mm_variants, n=1)
         with worker_faults(plan):
             outcome = engine.evaluate_batch(reqs)[0]
         assert outcome.status == "transient"
         assert not outcome.feasible
         assert engine.stats.transient_failures == 1
+        assert engine.stats.retries == 0  # not retried
         # never cached: nothing in memory, so a revisit re-attempts
         assert engine.cache.get_memory(outcome.key) is None
-        # ...and with the fault gone (attempt window passed after retries
-        # bumped the counter high enough), the same engine can succeed later
-        recovered = EvalEngine(SGI).evaluate_batch(reqs)[0]
-        assert recovered.status == "ok"
+        recovered = engine.evaluate_batch(reqs)[0]
+        assert (recovered.status, recovered.source) == ("ok", "sim")
 
-    def test_retry_accounting_appears_in_metrics(self, mm_variants):
-        plan = WorkerFaultPlan((("raise", 1.0),), seed=0)
+    def test_transient_accounting_appears_in_metrics(self, mm_variants):
+        plan = WorkerFaultPlan((("oom", 1.0),), seed=0)
         engine = EvalEngine(SGI)
         with worker_faults(plan):
             engine.evaluate_batch(_requests(mm_variants, n=2))
-        assert engine.metrics.counter("eval.retries").value == 2
+        assert engine.metrics.counter("eval.transient_failures").value == 2
+        assert engine.metrics.counter("eval.retries").value == 0
+
+    def test_other_errors_propagate(self, mm_variants, monkeypatch):
+        # an OSError from a deterministic simulation is a bug, not weather
+        def raise_oserror(payload):
+            raise OSError("not a transient failure")
+
+        monkeypatch.setattr(engine_module, "_simulate", raise_oserror)
+        engine = EvalEngine(SGI)
+        with pytest.raises(OSError, match="not a transient"):
+            engine.evaluate_batch(_requests(mm_variants, n=1))
+        assert engine.stats.transient_failures == 0
 
 
 def _assert_pool_survives_kills(reqs, start_method=None):
     clean = EvalEngine(SGI).evaluate_batch(reqs)
-    plan = WorkerFaultPlan((("kill", 0.25), ("raise", 0.25)), seed=11)
+    plan = WorkerFaultPlan((("kill", 0.25),), seed=11)
     with worker_faults(plan, start_method), EvalEngine(SGI, jobs=3) as engine:
         chaotic = engine.evaluate_batch(reqs)
         assert [(o.cycles, o.status) for o in chaotic] == [
@@ -144,25 +136,43 @@ class TestParallelChaos:
         # reach the workers through the pool initializer alone
         _assert_pool_survives_kills(_requests(mm_variants), "spawn")
 
-    def test_pool_breaks_exhaust_into_serial_fallback(self, mm_variants):
+    def test_pool_breaks_exhaust_into_serial_fallback(self, mm_variants, monkeypatch):
         reqs = _requests(mm_variants)
         clean = EvalEngine(SGI).evaluate_batch(reqs)
         # Workers die persistently (attempts high), so the pool keeps
-        # breaking until the engine degrades to serial — where the kill
-        # fault raises WorkerKilled and the retry budget resolves it.
+        # breaking until the engine degrades to serial — where a kill
+        # fault does nothing and every candidate simulates.
         plan = WorkerFaultPlan((("kill", 0.5),), seed=3, attempts=2)
-        policy = EvalPolicy(max_retries=3, max_pool_restarts=1)
-        with worker_faults(plan), \
-                EvalEngine(SGI, jobs=2, policy=policy) as engine:
+        monkeypatch.setattr(engine_module, "MAX_POOL_RESTARTS", 1)
+        with worker_faults(plan), EvalEngine(SGI, jobs=2) as engine:
             chaotic = engine.evaluate_batch(reqs)
             assert engine._serial_fallback
             assert [o.cycles for o in chaotic] == [o.cycles for o in clean]
             assert engine.metrics.counter("eval.serial_fallbacks").value == 1
 
+    def test_oom_in_a_worker_is_transient(self, mm_variants):
+        reqs = _requests(mm_variants)
+        clean = EvalEngine(SGI).evaluate_batch(reqs)
+        with worker_faults(OOM), EvalEngine(SGI, jobs=2) as engine:
+            chaotic = engine.evaluate_batch(reqs)
+            faulted = [OOM.decide(o.key, 0) == "oom" for o in chaotic]
+            assert any(faulted) and not all(faulted)
+            for outcome, before, oom in zip(chaotic, clean, faulted):
+                if oom:
+                    assert outcome.status == "transient"
+                    assert engine.cache.get_memory(outcome.key) is None
+                else:
+                    assert (outcome.cycles, outcome.status) == (
+                        before.cycles, before.status
+                    )
+            assert engine.stats.transient_failures == sum(faulted)
+            assert engine.stats.pool_restarts == engine.stats.retries == 0
+
     def test_real_timeout_abandons_hung_candidate(self, mm_variants):
         # One candidate hangs for much longer than the timeout, every
-        # attempt (attempts high): supervision must abandon it (timeout),
-        # exhaust its retries, and still finish the rest of the batch.
+        # attempt (attempts high): supervision must abandon it at once
+        # (transient, never cached), kill its wedged worker, and still
+        # finish the rest of the batch.
         reqs = _requests(mm_variants, n=4)
         plan = WorkerFaultPlan(
             (("hang", 0.30),), seed=5, attempts=10, hang_seconds=30.0
@@ -170,44 +180,78 @@ class TestParallelChaos:
         keys = [EvalEngine(SGI)._key_of(r) for r in reqs]
         hung = [k for k in keys if plan.decide(k, 0) == "hang"]
         assert hung, "seed must hang at least one candidate for this test"
-        policy = EvalPolicy(timeout_seconds=1.0, max_retries=1)
-        with worker_faults(plan), \
-                EvalEngine(SGI, jobs=2, policy=policy) as engine:
+        with worker_faults(plan) as pools, \
+                EvalEngine(SGI, jobs=2, timeout=1.0) as engine:
             outcomes = engine.evaluate_batch(reqs)
+            discarded = [worker for pool in pools if pool is not engine._pool
+                         for worker in pool.workers]
+            assert discarded, "the hung candidate's pool must be discarded"
+            assert not any(worker.is_alive() for worker in discarded)
             by_key = {o.key: o for o in outcomes}
             for key in keys:
                 if key in hung:
                     assert by_key[key].status == "transient"
+                    assert engine.cache.get_memory(key) is None
                 else:
                     assert by_key[key].status == "ok"
             assert engine.stats.timeouts >= 1
             assert engine.stats.transient_failures == len(hung)
 
+    def test_timeout_error_from_a_worker_propagates(self, mm_variants, monkeypatch):
+        # From Python 3.11 the simulation's own TimeoutError is the class
+        # a timed-out wait raises; it must surface as the bug it is, not
+        # be counted as a timeout.
+        monkeypatch.setattr(engine_module, "_simulate", _raise_timeout)
+        with EvalEngine(SGI, jobs=2, timeout=60.0) as engine:
+            with pytest.raises(TimeoutError, match="simulation's own"):
+                engine.evaluate_batch(_requests(mm_variants, n=2))
+            assert engine.stats.timeouts == 0
+            assert engine.metrics.counter("eval.pool_recycles").value == 0
+
 
 class TestGuidedSearchChaos:
-    def test_search_under_chaos_matches_clean_serial(self):
+    def test_search_under_oom_faults_then_clean_rerun(self, tmp_path):
         kernel = matmul()
         variants = derive_variants(kernel, SGI)
         config = SearchConfig(full_search_variants=2)
         clean = GuidedSearch(kernel, SGI, {"N": 16}, config).run(variants)
-        engine = EvalEngine(SGI)
-        with worker_faults(CHAOS):
-            chaotic = GuidedSearch(
-                kernel, SGI, {"N": 16}, config, engine=engine
-            ).run(variants)
-        assert chaotic.variant.name == clean.variant.name
-        assert chaotic.values == clean.values
-        assert chaotic.prefetch == clean.prefetch
-        assert chaotic.cycles == clean.cycles
-        assert chaotic.history == clean.history
-        assert engine.stats.retries > 0
+        cache = ResultCache(tmp_path / "cache")
+        engine = EvalEngine(SGI, cache=cache)
+        outcomes = []
+        evaluate_batch = engine.evaluate_batch
+
+        def recording(requests):
+            batch = evaluate_batch(requests)
+            outcomes.extend(batch)
+            return batch
+
+        engine.evaluate_batch = recording
+        with worker_faults(OOM):
+            GuidedSearch(kernel, SGI, {"N": 16}, config, engine=engine).run(variants)
+        faulted = [o for o in outcomes if OOM.decide(o.key, 0) == "oom"]
+        assert faulted, "the plan must fault some candidate of the search"
+        assert [o for o in outcomes if o.transient] == faulted
+        for outcome in faulted:
+            assert cache.get_memory(outcome.key) is None
+            assert cache.get_disk(outcome.key) is None
+        # run again over the same cache, the environment healthy
+        rerun_engine = EvalEngine(SGI, cache=ResultCache(tmp_path / "cache"))
+        rerun = GuidedSearch(
+            kernel, SGI, {"N": 16}, config, engine=rerun_engine
+        ).run(variants)
+        assert rerun.variant.name == clean.variant.name
+        assert rerun.values == clean.values
+        assert rerun.prefetch == clean.prefetch
+        assert rerun.cycles == clean.cycles
+        assert rerun.history == clean.history
+        assert rerun_engine.stats.disk_hits > 0
 
     def test_search_under_chaos_matches_clean_parallel(self):
         kernel = matmul()
         variants = derive_variants(kernel, SGI)
         config = SearchConfig(full_search_variants=2)
         clean = GuidedSearch(kernel, SGI, {"N": 16}, config).run(variants)
-        plan = WorkerFaultPlan((("kill", 0.15), ("raise", 0.2)), seed=7)
+        plan = WorkerFaultPlan((("kill", 0.15),), seed=7)
         with worker_faults(plan), EvalEngine(SGI, jobs=3) as engine:
             chaotic = GuidedSearch(
                 kernel, SGI, {"N": 16}, config, engine=engine
@@ -217,7 +261,7 @@ class TestGuidedSearchChaos:
             assert chaotic.cycles == clean.cycles
 
     def test_recovery_visible_in_trace_summary(self):
-        # A traced chaos search must render its recovery work in the
+        # A traced chaos search must render its supervision work in the
         # summary, and a clean trace must not grow a supervision line.
         from repro.obs import Tracer, render_summary, supervision_totals
 
@@ -235,10 +279,10 @@ class TestGuidedSearchChaos:
             tracer.snapshot_metrics(engine.metrics)
             return tracer.events()
 
-        with worker_faults(CHAOS):
+        with worker_faults(OOM):
             chaos_events = traced()
         recovery = supervision_totals(chaos_events)
-        assert recovery.get("eval.retries", 0) > 0
+        assert recovery.get("eval.transient_failures", 0) > 0
         assert "supervision: " in render_summary(chaos_events)
         clean_events = traced()
         assert supervision_totals(clean_events) == {}

@@ -81,7 +81,7 @@ class TestTracingIsAnObserver:
             "memory_hits", "disk_hits", "cache_hits", "simulations",
             "failures", "batches", "wall_seconds", "stages",
             "retries", "timeouts", "pool_restarts", "transient_failures",
-            "corrupt_results", "disk_write_failures",
+            "disk_write_failures",
             "disk_write_failures_enospc", "cache_quarantined",
             "prescreen_skips", "ranker_skips",
             "sim_seconds", "sim_accesses", "full_sims", "delta_sims",
